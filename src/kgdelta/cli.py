@@ -32,8 +32,6 @@ from .field import (
     diagnostics_MW,
     energy_E_gamma,
     functional_K_gamma,
-    h1_sq,
-    l2_sq,
     make_grid,
     save_state,
     trapezoid,
@@ -354,24 +352,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         snapshot_stride=cfg.snapshot_stride,
         blowup_cap=cfg.blowup_cap,
         with_nonlinearity=bool(cfg.nonlinearity),
+        keep_snapshots=False,
     )
-    rows = []
-    for st, e, damp in zip(traj.states, traj.ledger.energies, traj.ledger.damping):
-        rows.append(
-            (
-                st.t,
-                e,
-                np.sqrt(h1_sq(st.u, grid)),
-                np.sqrt(l2_sq(st.v, grid)),
-                st.u[grid.center],
-                damp,
-            )
-        )
     _write_csv(
         out / "trajectory.csv",
         cfg,
         ["t", "E_gamma", "H1_norm", "L2_v_norm", "u_at_0", "damping_integral"],
-        rows,
+        zip(traj.sample_times, traj.ledger.energies, traj.norm_H1,
+            traj.norm_L2_v, traj.u_center, traj.ledger.damping),
     )
     final = traj.states[-1]
     save_state(out / "final_state.csv", final, params, grid, extra_header=echo_lines(cfg))
@@ -381,7 +369,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         {
             "config": _config_obj(cfg),
             "exit": traj.exit,
-            "samples": len(traj.states),
+            "samples": len(traj.sample_times),
             "sup_norm_H": traj.sup_norm_H,
             "E_initial": traj.ledger.energies[0],
             "E_final": traj.ledger.energies[-1],
@@ -574,7 +562,8 @@ def _check_energy_identity(cfg: RunConfig):
         u0 = 0.9 * profiles.soliton_Q_gamma(grid.x, params)
     else:
         u0 = 0.9 * profiles.soliton_Q(grid.x, params.p)
-    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid)
+    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid,
+                  keep_snapshots=False)
     e0, ef = traj.ledger.energies[0], traj.ledger.energies[-1]
     resid = abs(ef - e0 + traj.ledger.damping_integral)
     ok = resid <= 1e-3 * max(1.0, abs(e0)) and ef <= e0 + 1e-8

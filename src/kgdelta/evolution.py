@@ -26,6 +26,7 @@ automatically the second-order Taylor bootstrap using u_tt(0) from the PDE.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -35,6 +36,7 @@ from scipy.linalg import solve_banded
 from . import profiles
 from .errors import (
     CapExceededError,
+    GridError,
     NoConvergenceError,
     NonFiniteError,
     ParameterError,
@@ -44,9 +46,7 @@ from .field import (
     GridSpec,
     PhysParams,
     State,
-    energy_E_gamma,
-    l2_sq,
-    norm_H,
+    _trapezoid,
     norm_L2,
 )
 
@@ -59,13 +59,21 @@ DEFAULT_CAP = 1.0e3
 DEFAULT_CFL = 0.5
 
 
-def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
-    """Focusing power nonlinearity f(u) = |u|^(p-1) u (odd in u)."""
+def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Focusing power nonlinearity f(u) = |u|^(p-1) u (odd in u).
+
+    out, when given, receives the result and must not alias u.
+    """
     if p == 3.0:
-        return u * u * u
+        out = np.multiply(u, u, out=out)
+        return np.multiply(out, u, out=out)
+    out = np.abs(u, out=out)
     if p == 4.0:
-        return np.abs(u) * u * u * u
-    return np.abs(u) ** (p - 1.0) * u
+        np.multiply(out, u, out=out)
+        np.multiply(out, u, out=out)
+        return np.multiply(out, u, out=out)
+    np.power(out, p - 1.0, out=out)
+    return np.multiply(out, u, out=out)
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,13 @@ class DiscreteOperator:
     delta_correction: float  # gamma/h, already subtracted from diag[center]
     grid: GridSpec
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A u; out, when given, receives the result and must not alias u."""
+        out = np.multiply(self.diag, u, out=out)
         # symmetric grouping keeps reflection equivariance exact in floats
-        out[1:-1] += self.off_diag * (u[:-2] + u[2:])
+        neighbours = u[:-2] + u[2:]
+        neighbours *= self.off_diag
+        out[1:-1] += neighbours
         out[0] += self.off_diag * u[1]
         out[-1] += self.off_diag * u[-2]
         return out
@@ -103,6 +114,59 @@ def _check_cfl(dt: float, grid: GridSpec, cfl: float) -> None:
         )
 
 
+class _Leapfrog:
+    """The stepping kernel: one damped leapfrog step, in place.
+
+    A step is drift (the position update) then kick (the force at the new
+    position and the velocity update).  Both write into caller-owned
+    buffers, which must not alias their inputs; `work` is private scratch.
+    Every update keeps the operation order of the formulas in the module
+    docstring, so results are bitwise independent of the caller.
+    """
+
+    def __init__(self, operator: DiscreteOperator, params: PhysParams, dt: float,
+                 with_nonlinearity: bool):
+        a = params.alpha
+        self.apply = operator.apply
+        self.p = params.p if with_nonlinearity else None
+        self.dt = dt
+        self.c_v = dt * (1.0 - a * dt)
+        self.c_g = 0.5 * dt * dt
+        self.half_dt = 0.5 * dt
+        self.damp = 1.0 + a * dt
+        self.work = np.empty(operator.grid.n)
+
+    def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """g = -A u + f(u) into out."""
+        self.apply(u, out=out)
+        if self.p is None:
+            return np.negative(out, out=out)
+        # f - A u rounds exactly as -A u + f: subtraction adds the negation
+        return np.subtract(nonlinearity(u, self.p, out=self.work), out, out=out)
+
+    def drift(self, u: np.ndarray, v: np.ndarray, g: np.ndarray,
+              out: np.ndarray) -> float:
+        """u+ = u + dt (1 - alpha dt) v + dt^2/2 g into out; returns sup |u+|."""
+        np.multiply(v, self.c_v, out=out)
+        np.add(u, out, out=out)
+        np.add(out, np.multiply(g, self.c_g, out=self.work), out=out)
+        out[0] = 0.0
+        out[-1] = 0.0
+        return float(np.maximum.reduce(np.abs(out, out=self.work)))
+
+    def kick(self, u: np.ndarray, u1: np.ndarray, g1: np.ndarray,
+             v1: np.ndarray) -> None:
+        """g+ = force(u+) into g1, then v+ = ((u+ - u)/dt + dt/2 g+)/(1 + alpha dt)
+        into v1."""
+        self.force(u1, g1)
+        np.subtract(u1, u, out=v1)
+        np.divide(v1, self.dt, out=v1)
+        np.add(v1, np.multiply(g1, self.half_dt, out=self.work), out=v1)
+        np.divide(v1, self.damp, out=v1)
+        v1[0] = 0.0
+        v1[-1] = 0.0
+
+
 def step(
     state: State,
     dt: float,
@@ -115,36 +179,46 @@ def step(
 ) -> State:
     """One update of the damped central-difference scheme (standalone form).
 
-    Raises NonFiniteError / CapExceededError on the produced state; evolve()
-    performs the same checks inline.
+    Runs the same kernel as evolve(), so it is bitwise one step of it.
+    Raises NonFiniteError / CapExceededError on the produced state, where
+    evolve() records an exit code instead.
     """
     grid = operator.grid
     _check_cfl(dt, grid, cfl)
-    a = params.alpha
-    u0, v0 = state.u, state.v
-    g0 = -operator.apply(u0)
-    if with_nonlinearity:
-        g0 += nonlinearity(u0, params.p)
-    u1 = u0 + dt * (1.0 - a * dt) * v0 + 0.5 * dt * dt * g0
-    u1[0] = 0.0
-    u1[-1] = 0.0
-    sup = float(np.max(np.abs(u1)))
-    if not np.isfinite(sup):
+    kernel = _Leapfrog(operator, params, dt, with_nonlinearity)
+    u0 = np.asarray(state.u, dtype=float)
+    g0 = kernel.force(u0, np.empty(grid.n))
+    u1 = np.empty(grid.n)
+    sup = kernel.drift(u0, state.v, g0, u1)
+    if not math.isfinite(sup):
         raise NonFiniteError(f"non-finite field sample at t = {state.t + dt}")
     if sup > blowup_cap:
         raise CapExceededError(f"|u|_inf = {sup} exceeds cap {blowup_cap}")
-    g1 = -operator.apply(u1)
-    if with_nonlinearity:
-        g1 += nonlinearity(u1, params.p)
-    v1 = ((u1 - u0) / dt + 0.5 * dt * g1) / (1.0 + a * dt)
-    v1[0] = 0.0
-    v1[-1] = 0.0
+    v1 = np.empty(grid.n)
+    kernel.kick(u0, u1, np.empty(grid.n), v1)
     return State(u=u1, v=v1, t=state.t + dt)
 
 
 @dataclass
+class Sample(State):
+    """A recorded state with the functionals evolve() computed for it."""
+
+    E: float = float("nan")  # E_gamma
+    K: float = float("nan")  # K_gamma
+    norm_H: float = float("nan")  # ||(u, v)||_H
+
+
+@dataclass
 class Trajectory:
-    """Decimated record of one run plus its dissipation ledger."""
+    """Sample record of one run plus its dissipation ledger.
+
+    Every array has one entry per sample, in time order: the energies
+    E_gamma (ledger.energies), K_gamma, ||(u, v)||_H, ||u||_H1, ||v||_L2,
+    u(0) and the accumulated integral of ||u||^2.  Each value is bitwise
+    what the matching `field` functional returns on that sample.  states
+    holds every sample as a `Sample` when the run kept snapshots, and only
+    the last sample otherwise.
+    """
 
     sample_times: np.ndarray
     states: list
@@ -152,6 +226,11 @@ class Trajectory:
     exit: str
     sup_norm_H: float
     mass_integrals: np.ndarray  # accumulated integral of ||u||^2 (for M)
+    K_gamma: np.ndarray
+    norm_H: np.ndarray
+    norm_H1: np.ndarray
+    norm_L2_v: np.ndarray
+    u_center: np.ndarray
 
 
 def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
@@ -172,54 +251,94 @@ def evolve(
     dt: float,
     params: PhysParams,
     grid: GridSpec,
-    observers: Sequence[Callable[[State], None]] | None = None,
+    observers: Sequence[Callable[[Sample], None]] | None = None,
     *,
     snapshot_stride: int = 10,
     blowup_cap: float = DEFAULT_CAP,
     with_nonlinearity: bool = True,
     contamination_tol: float = 1e-6,
     cfl: float = DEFAULT_CFL,
+    keep_snapshots: bool = True,
 ) -> Trajectory:
     """Run the stepper to time T (or early exit) recording decimated samples.
 
-    Samples (snapshots, ledger rows, observer calls, contamination checks)
-    happen every snapshot_stride steps and at the initial and final states.
-    The damping integral 2*alpha*int ||u_t||^2 accumulates every step by the
-    trapezoid rule in time.  Step failures become exit codes, never raises.
+    Samples (the Trajectory's arrays, ledger rows, observer calls,
+    contamination checks) happen every snapshot_stride steps and at the
+    initial and final states.  Each observer gets one `Sample` per sample,
+    carrying t, u, v and its E_gamma, K_gamma and ||(u, v)||_H.  With
+    keep_snapshots=False only the last sample's state is kept, and the u, v
+    an observer sees are buffers reused at the next sample.  The damping
+    integral 2*alpha*int ||u_t||^2 accumulates every step by the trapezoid
+    rule in time.  Step failures become exit codes, never raises.
     """
     _check_cfl(dt, grid, cfl)
-    operator = build_operator(grid, params)
-    a = params.alpha
+    n = grid.n
+    if len(state0.u) != n or len(state0.v) != n:
+        raise GridError(
+            f"sample counts {len(state0.u)}, {len(state0.v)} do not match grid n = {n}"
+        )
+    kernel = _Leapfrog(build_operator(grid, params), params, dt, with_nonlinearity)
+    h, center, gamma = grid.h, grid.center, params.gamma
+    q = params.p + 1.0
+    c_damp = 2.0 * params.alpha * dt * 0.5
+    c_mass = dt * 0.5
     n_steps = max(0, int(round(T / dt)))
-
-    u = state0.u.copy()
-    v = state0.v.copy()
     t0 = state0.t
 
-    times, snaps, energies, dampings, masses = [], [], [], [], []
+    # the state and its force at the current step and the next, swapped
+    # after every step, plus scratch for the ledger and sample reductions
+    u = np.array(state0.u, dtype=float)
+    v = np.array(state0.v, dtype=float)
+    g = kernel.force(u, np.empty(n))
+    u1, v1, g1, sq = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    if not keep_snapshots:
+        last_u, last_v = np.empty(n), np.empty(n)
+
+    times, energies, dampings, masses = [], [], [], []
+    ks, norms, h1s, vnorms, centers = [], [], [], [], []
+    states: list = []
     damping_acc = 0.0
     mass_acc = 0.0
     sup_H = 0.0
     exit_code = EXIT_COMPLETED
 
-    vsq = l2_sq(v, grid)
-    usq = l2_sq(u, grid)
-    g = -operator.apply(u)
-    if with_nonlinearity:
-        g += nonlinearity(u, params.p)
+    vsq = _trapezoid(np.multiply(v, v, out=sq), h)
+    usq = _trapezoid(np.multiply(u, u, out=sq), h)
 
     def record(k: int) -> bool:
         nonlocal sup_H, exit_code
-        st = State(u=u.copy(), v=v.copy(), t=t0 + k * dt)
-        times.append(st.t)
-        snaps.append(st)
-        energies.append(energy_E_gamma(st, params, grid))
+        # one pass: ||u||^2 and ||v||^2 come from the ledger, and E, K and
+        # the norms combine these terms in the order `field` uses
+        d = np.diff(u)
+        h1 = float(np.dot(d, d)) / h + usq
+        lq = _trapezoid(np.power(np.abs(u, out=sq), q, out=sq), h)
+        uc = float(u[center])
+        quad = h1 + vsq - gamma * uc * uc
+        e = 0.5 * quad - lq / q
+        kval = h1 - gamma * uc * uc - lq
+        norm = math.sqrt(h1 + vsq)
+        t = t0 + k * dt
+        times.append(t)
+        energies.append(e)
         dampings.append(damping_acc)
         masses.append(mass_acc)
-        sup_H = max(sup_H, norm_H(st, grid))
+        ks.append(kval)
+        norms.append(norm)
+        h1s.append(math.sqrt(h1))
+        vnorms.append(math.sqrt(vsq))
+        centers.append(uc)
+        sup_H = max(sup_H, norm)
+        if keep_snapshots:
+            sample = Sample(u=u.copy(), v=v.copy(), t=t, E=e, K=kval, norm_H=norm)
+            states.append(sample)
+        else:
+            np.copyto(last_u, u)
+            np.copyto(last_v, v)
+            sample = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
+            states[:] = [sample]
         if observers:
             for obs in observers:
-                obs(st)
+                obs(sample)
         if _outer_energy(u, v, grid) > contamination_tol:
             exit_code = EXIT_CONTAMINATION
             return False
@@ -228,25 +347,19 @@ def evolve(
     ok = record(0)
     k = 0
     while ok and k < n_steps:
-        u1 = u + dt * (1.0 - a * dt) * v + (0.5 * dt * dt) * g
-        u1[0] = 0.0
-        u1[-1] = 0.0
-        sup = float(np.max(np.abs(u1)))
-        if not np.isfinite(sup):
+        sup = kernel.drift(u, v, g, u1)
+        if not math.isfinite(sup):
             exit_code = EXIT_NONFINITE
             break
-        g1 = -operator.apply(u1)
-        if with_nonlinearity:
-            g1 += nonlinearity(u1, params.p)
-        v1 = ((u1 - u) / dt + 0.5 * dt * g1) / (1.0 + a * dt)
-        v1[0] = 0.0
-        v1[-1] = 0.0
-
-        v1sq = l2_sq(v1, grid)
-        u1sq = l2_sq(u1, grid)
-        damping_acc += 2.0 * a * dt * 0.5 * (vsq + v1sq)
-        mass_acc += dt * 0.5 * (usq + u1sq)
-        u, v, g, vsq, usq = u1, v1, g1, v1sq, u1sq
+        kernel.kick(u, u1, g1, v1)
+        v1sq = _trapezoid(np.multiply(v1, v1, out=sq), h)
+        u1sq = _trapezoid(np.multiply(u1, u1, out=sq), h)
+        damping_acc += c_damp * (vsq + v1sq)
+        mass_acc += c_mass * (usq + u1sq)
+        u, u1 = u1, u
+        v, v1 = v1, v
+        g, g1 = g1, g
+        vsq, usq = v1sq, u1sq
         k += 1
 
         if sup > blowup_cap:
@@ -256,18 +369,24 @@ def evolve(
         if k % snapshot_stride == 0 or k == n_steps:
             ok = record(k)
 
+    times_arr = np.asarray(times)
     ledger = DissipationLedger(
-        times=np.asarray(times),
+        times=times_arr,
         energies=np.asarray(energies),
         damping=np.asarray(dampings),
     )
     return Trajectory(
-        sample_times=np.asarray(times),
-        states=snaps,
+        sample_times=times_arr,
+        states=states,
         ledger=ledger,
         exit=exit_code,
         sup_norm_H=sup_H,
         mass_integrals=np.asarray(masses),
+        K_gamma=np.asarray(ks),
+        norm_H=np.asarray(norms),
+        norm_H1=np.asarray(h1s),
+        norm_L2_v=np.asarray(vnorms),
+        u_center=np.asarray(centers),
     )
 
 
@@ -338,8 +457,9 @@ def fit_linear_decay_rate(
         grid,
         with_nonlinearity=False,
         contamination_tol=np.inf,  # linear runs are allowed to fill the box
+        keep_snapshots=False,
     )
-    norms = np.array([norm_H(s, grid) for s in traj.states])
+    norms = traj.norm_H
     mask = traj.sample_times >= 0.5 * T
     if traj.exit != EXIT_COMPLETED or np.count_nonzero(mask) < 2:
         return float("nan")

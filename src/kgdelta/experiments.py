@@ -31,16 +31,10 @@ from .evolution import (
     EXIT_BLOWUP_CAP,
     EXIT_CONTAMINATION,
     EXIT_NONFINITE,
+    Sample,
     evolve,
 )
-from .field import (
-    GridSpec,
-    PhysParams,
-    State,
-    energy_E_gamma,
-    functional_K_gamma,
-    norm_H,
-)
+from .field import GridSpec, PhysParams, State
 
 DECAYS = "Decays"
 BLOWS_UP = "BlowsUp"
@@ -168,18 +162,16 @@ def classify_trajectory(
     cert = {"time": float("nan"), "E": float("nan"), "K": float("nan")}
     certified = False
 
-    def watch(st: State) -> None:
+    def watch(sample: Sample) -> None:
         nonlocal certified
-        e = energy_E_gamma(st, params, grid)
-        kval = functional_K_gamma(st.u, params, grid)
-        ts.append(st.t)
-        energies.append(e)
-        ks.append(kval)
-        norms.append(norm_H(st, grid))
-        if not certified and e < threshold:
+        ts.append(sample.t)
+        energies.append(sample.E)
+        ks.append(sample.K)
+        norms.append(sample.norm_H)
+        if not certified and sample.E < threshold:
             certified = True
-            cert["time"], cert["E"], cert["K"] = st.t, e, kval
-            if kval >= 0.0:
+            cert["time"], cert["E"], cert["K"] = sample.t, sample.E, sample.K
+            if sample.K >= 0.0:
                 raise _CertifiedDecay
 
     exit_code = None
@@ -193,6 +185,7 @@ def classify_trajectory(
             observers=[watch],
             snapshot_stride=snapshot_stride,
             blowup_cap=blowup_cap,
+            keep_snapshots=False,
         )
         exit_code = traj.exit
     except _CertifiedDecay:

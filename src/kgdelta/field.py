@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError
+from .errors import ConfigError, GridError
 from .profiles import PhysParams
 
 
@@ -32,7 +32,23 @@ class GridSpec:
     center: int
 
     def __post_init__(self):
-        assert self.n % 2 == 1
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
+            raise GridError(f"node count must be an odd integer >= 3, got {n!r}")
+        if not self.L > 0:
+            raise GridError(f"half-width L must be positive, got {self.L}")
+        if not abs(self.h - 2.0 * self.L / (n - 1)) <= 1e-12 * self.h:
+            raise GridError(f"spacing h = {self.h} does not equal 2L/(n-1) for "
+                            f"L = {self.L}, n = {n}")
+        if self.center != (n - 1) // 2:
+            raise GridError(f"center index {self.center} is not (n-1)/2 for n = {n}")
+        x = self.x
+        if np.shape(x) != (n,):
+            raise GridError(f"node array has shape {np.shape(x)}, expected ({n},)")
+        if not np.allclose(x, self.h * (np.arange(n) - self.center),
+                           rtol=0.0, atol=1e-9 * self.L) or x[self.center] != 0.0:
+            raise GridError("nodes are not the uniform grid h*(j - center) "
+                            "with x = 0 at the center")
 
 
 def make_grid(L: float, n: int) -> GridSpec:
@@ -65,10 +81,15 @@ def _check_samples(u: np.ndarray, grid: GridSpec) -> None:
         raise GridError(f"sample count {len(u)} does not match grid n = {grid.n}")
 
 
+def _trapezoid(f: np.ndarray, h: float) -> float:
+    # np.add.reduce is np.sum on 1-D float arrays, without its Python wrapper
+    return h * (float(np.add.reduce(f)) - 0.5 * (float(f[0]) + float(f[-1])))
+
+
 def trapezoid(f: np.ndarray, grid: GridSpec) -> float:
     """Trapezoid quadrature of nodal samples over [-L, L]."""
     _check_samples(f, grid)
-    return grid.h * (float(np.sum(f)) - 0.5 * (float(f[0]) + float(f[-1])))
+    return _trapezoid(f, grid.h)
 
 
 def l2_sq(u: np.ndarray, grid: GridSpec) -> float:
@@ -205,17 +226,33 @@ def save_state(
 
 
 def load_state(path) -> tuple[State, PhysParams, GridSpec]:
-    """Inverse of save_state."""
+    """Inverse of save_state.
+
+    A header that lacks a field or does not parse raises ConfigError; data
+    rows whose count differs from the header's n raise GridError.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         line = fh.readline()
         while line.startswith("#"):  # optional echo lines
             line = fh.readline()
-        data = np.loadtxt(fh, delimiter=",")
-    meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
-    params = PhysParams(
-        p=float(meta["p"]), alpha=float(meta["alpha"]), gamma=float(meta["gamma"])
-    )
-    grid = make_grid(float(meta["L"]), int(meta["n"]))
-    state = State(u=data[:, 1].copy(), v=data[:, 2].copy(), t=float(meta["t"]))
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: unreadable data rows: {exc}") from None
+    try:
+        meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
+        t, n = float(meta["t"]), int(meta["n"])
+        p, alpha = float(meta["p"]), float(meta["alpha"])
+        gamma, L = float(meta["gamma"]), float(meta["L"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed state header {header!r}: {exc!r}") from None
+    params = PhysParams(p=p, alpha=alpha, gamma=gamma)
+    grid = make_grid(L, n)
+    if data.shape != (n, 3):
+        raise GridError(
+            f"{path}: expected {n} rows of x,u,v, got {data.shape[0]} rows of "
+            f"{data.shape[1]} columns"
+        )
+    state = State(u=data[:, 1].copy(), v=data[:, 2].copy(), t=t)
     return state, params, grid

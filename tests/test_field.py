@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from kgdelta.errors import GridError
+from kgdelta.errors import ConfigError, GridError
 from kgdelta.field import (
     GridSpec,
     PhysParams,
@@ -38,6 +38,26 @@ def test_grid_validation():
         make_grid(20.0, 400)  # even point count has no center node
     with pytest.raises(GridError):
         make_grid(-5.0, 401)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": 400},  # even count: no center node
+        {"n": 401.0},  # not an integer
+        {"h": 0.2},  # spacing disagrees with 2L/(n-1)
+        {"center": 199},
+        {"x": np.linspace(-20.0, 20.0, 400)},  # wrong length
+        {"x": make_grid(20.0, 401).x + 0.05},  # shifted off the origin
+        {"L": -20.0, "h": -0.1},
+    ],
+)
+def test_gridspec_rejects_inconsistent_fields(change):
+    good = make_grid(20.0, 401)
+    fields = {"L": good.L, "n": good.n, "h": good.h, "x": good.x, "center": good.center}
+    GridSpec(**fields)  # the consistent set is accepted
+    with pytest.raises(GridError):
+        GridSpec(**{**fields, **change})
 
 
 def test_trapezoid_exact_on_linear():
@@ -200,3 +220,38 @@ def test_save_state_extra_header(tmp_path):
     assert "# note = none" in text
     back, _, _ = load_state(path)  # loader skips the extra lines
     assert np.array_equal(back.u, st.u)
+
+
+def _saved_state(tmp_path):
+    grid = make_grid(5.0, 101)
+    path = tmp_path / "state.csv"
+    save_state(path, State(u=np.ones(grid.n), v=np.zeros(grid.n)),
+               PhysParams(3.0, 1.0, 0.0), grid)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# t=0 p=3 alpha=1 gamma=0 L=5\n",  # n missing
+        "# t=0 p=three alpha=1 gamma=0 L=5 n=101\n",
+        "# t=0 p=3 alpha=1 gamma=0 L=5 n=101.5\n",
+        "# t=0 p=3 alpha alpha=1 gamma=0 L=5 n=101\n",
+        "\n",
+    ],
+)
+def test_load_state_rejects_malformed_header(tmp_path, header):
+    path, lines = _saved_state(tmp_path)
+    path.write_text(header + "".join(lines[1:]))
+    with pytest.raises(ConfigError):
+        load_state(path)
+
+
+def test_load_state_rejects_truncated_file(tmp_path):
+    path, lines = _saved_state(tmp_path)
+    path.write_text("".join(lines[:-5]))  # header and column names intact
+    with pytest.raises(GridError):
+        load_state(path)
+    path.write_text("".join(lines[:-1]) + "1,2\n")  # a short last row
+    with pytest.raises(ConfigError):
+        load_state(path)

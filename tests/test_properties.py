@@ -1,0 +1,127 @@
+"""Properties of the stepping kernel and the sample record over random
+(p, alpha, gamma, n, dt, stride) and random initial data."""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from kgdelta.evolution import build_operator, evolve, step
+from kgdelta.field import (
+    PhysParams,
+    State,
+    energy_E_gamma,
+    functional_K_gamma,
+    h1_sq,
+    l2_sq,
+    make_grid,
+    norm_H,
+)
+
+# small grids and short runs keep the whole module around a second; the
+# draws are derandomized so a failure reproduces on every run
+FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def runs(draw):
+    """(params, grid, dt, n_steps, stride, initial state)."""
+    params = PhysParams(
+        p=draw(st.sampled_from([3.0, 4.0, 3.5])),  # 3.5: the generic power branch
+        alpha=draw(st.floats(0.05, 2.0)),
+        gamma=draw(st.floats(-3.0, 1.9)),
+    )
+    grid = make_grid(draw(st.floats(6.0, 10.0)), draw(st.sampled_from([41, 61, 81])))
+    dt = draw(st.floats(0.2, 1.0)) * 0.5 * grid.h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a rough bump well inside the box, so most runs end by completing
+    # rather than by tripping the boundary-contamination monitor
+    bump = np.exp(-((grid.x - draw(st.floats(-1.0, 1.0))) ** 2))
+    u0 = draw(st.floats(0.1, 0.8)) * bump * (1.0 + 0.1 * rng.standard_normal(grid.n))
+    v0 = 0.05 * bump * rng.standard_normal(grid.n)
+    state0 = State(u=u0, v=v0)
+    return params, grid, dt, draw(st.integers(1, 40)), draw(st.integers(1, 7)), state0
+
+
+def _evolve(run, state0=None, **kwargs):
+    params, grid, dt, n_steps, stride, default = run
+    return evolve(state0 or default, n_steps * dt, dt, params, grid,
+                  snapshot_stride=stride, **kwargs)
+
+
+@FAST
+@given(runs())
+def test_evolve_is_exactly_sign_and_reflection_equivariant(run):
+    u0, v0 = run[-1].u, run[-1].v
+    base = _evolve(run)
+    flipped = _evolve(run, State(u=-u0, v=-v0))
+    mirrored = _evolve(run, State(u=u0[::-1].copy(), v=v0[::-1].copy()))
+    assert flipped.exit == mirrored.exit == base.exit
+    # reflection reorders the quadrature sums, so only the states are exact
+    assert np.array_equal(flipped.ledger.energies, base.ledger.energies)
+    assert np.array_equal(flipped.K_gamma, base.K_gamma)
+    assert np.array_equal(flipped.norm_H, base.norm_H)
+    for a, b, c in zip(base.states, flipped.states, mirrored.states):
+        assert np.array_equal(b.u, -a.u) and np.array_equal(b.v, -a.v)
+        assert np.array_equal(c.u, a.u[::-1]) and np.array_equal(c.v, a.v[::-1])
+
+
+@FAST
+@given(runs())
+def test_ledger_closes_at_second_order(run):
+    """E(T) - E(0) + damping(T) is the scheme's O(dt^2) error: halving dt
+    shrinks it (by 4 asymptotically; rough data sits short of that)."""
+    params, grid, dt, n_steps, stride, state0 = run
+    resid = []
+    for d in (dt, 0.5 * dt):
+        traj = evolve(state0, max(n_steps, 10) * dt, d, params, grid,
+                      snapshot_stride=stride, contamination_tol=np.inf)
+        e, damping = traj.ledger.energies, traj.ledger.damping
+        assert np.all(np.diff(damping) >= 0.0)
+        assert np.all(np.diff(traj.mass_integrals) >= 0.0)
+        resid.append(abs(e[-1] - e[0] + damping[-1]))
+    assert resid[1] <= resid[0] / 1.5
+
+
+@FAST
+@given(runs())
+def test_sample_record_matches_field_functionals(run):
+    params, grid = run[0], run[1]
+    traj = _evolve(run)
+    assert len(traj.states) == len(traj.sample_times)
+    for i, s in enumerate(traj.states):
+        assert traj.sample_times[i] == s.t
+        assert traj.ledger.energies[i] == energy_E_gamma(s, params, grid) == s.E
+        assert traj.K_gamma[i] == functional_K_gamma(s.u, params, grid) == s.K
+        assert traj.norm_H[i] == norm_H(s, grid) == s.norm_H
+        assert traj.norm_H1[i] == np.sqrt(h1_sq(s.u, grid))
+        assert traj.norm_L2_v[i] == np.sqrt(l2_sq(s.v, grid))
+        assert traj.u_center[i] == s.u[grid.center]
+
+
+@FAST
+@given(runs())
+def test_dropping_snapshots_changes_no_result(run):
+    kept = _evolve(run)
+    lean = _evolve(run, keep_snapshots=False)
+    assert lean.exit == kept.exit and lean.sup_norm_H == kept.sup_norm_H
+    for name in ("sample_times", "mass_integrals", "K_gamma", "norm_H", "norm_H1",
+                 "norm_L2_v", "u_center"):
+        assert np.array_equal(getattr(lean, name), getattr(kept, name))
+    for name in ("times", "energies", "damping"):
+        assert np.array_equal(getattr(lean.ledger, name), getattr(kept.ledger, name))
+    assert len(lean.states) == 1
+    last, final = lean.states[0], kept.states[-1]
+    assert np.array_equal(last.u, final.u) and np.array_equal(last.v, final.v)
+    assert (last.t, last.E, last.K, last.norm_H) == (final.t, final.E, final.K,
+                                                     final.norm_H)
+
+
+@FAST
+@given(runs())
+def test_step_is_one_evolve_step(run):
+    params, grid, dt, n_steps, _, state = run
+    n_steps = min(n_steps, 5)
+    traj = evolve(state, n_steps * dt, dt, params, grid, snapshot_stride=1)
+    operator = build_operator(grid, params)
+    for sample in traj.states[1:]:
+        state = step(state, dt, operator, params)
+        assert np.array_equal(state.u, sample.u)
+        assert np.array_equal(state.v, sample.v)
