@@ -2,23 +2,25 @@
 
     kg {profile,simulate,shoot,track,variational,check} --config FILE [--out DIR]
 
-Config files are line-based ``key = value`` text with ``#`` comments; unknown
-keys, type mismatches, and constraint violations are reported with their line
-number.  Every artifact embeds the fully-resolved config (sorted ``# key =
-value`` lines in CSVs, a "config" object in JSON), floats are always printed
-with %.17g and JSON keys sorted, so identical config + build gives
-byte-identical outputs.
+Config files are line-based ``key = value`` text with ``#`` comments, read
+against the schema ``RunConfig``; unknown keys, type mismatches, and
+constraint violations are reported with their line number.  Every artifact
+embeds the fully-resolved config (sorted ``# key = value`` lines in CSVs, a
+"config" object in JSON), floats are always printed with %.17g and JSON keys
+sorted, so identical config + build gives byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (a partial summary
-with an ``incomplete`` marker is left behind), 4 check-suite failure.
+Exit codes: 0 success, 2 config error or unusable --out, 3 numeric failure
+(a partial summary with an ``incomplete`` marker is left behind), 4
+check-suite failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,76 +39,101 @@ from .field import (
     trapezoid,
 )
 
-_INIT_CHOICES = ("qgamma", "q", "equilibrium", "family", "gaussian")
 _SYMMETRY_CHOICES = ("none", "even")
 
-# (config key, attribute, python type, default); "lambda" is a keyword, so
-# the attribute is lam.
-_KEYS = (
-    ("p", "p", float, 3.0),
-    ("alpha", "alpha", float, 1.0),
-    ("gamma", "gamma", float, -1.0),
-    ("L", "L", float, 60.0),
-    ("n", "n", int, 2401),
-    ("dt", "dt", float, 0.025),
-    ("T", "T", float, 10.0),
-    ("snapshot_stride", "snapshot_stride", int, 10),
-    ("blowup_cap", "blowup_cap", float, 1.0e3),
-    ("mu", "mu", float, None),  # materialized to alpha/10
-    ("L_weight", "L_weight", float, 100.0),
-    ("tube_radius", "tube_radius", float, 0.3),
-    ("cert_margin", "cert_margin", float, 2e-3),
-    ("init", "init", str, "qgamma"),
-    ("lambda", "lam", float, 0.0),
-    ("varsigma", "varsigma", int, 0),
-    ("z", "z", float, 5.0),
-    ("sign", "sign", int, 1),
-    ("scale", "scale", float, 1.0),
-    ("symmetry", "symmetry", str, "none"),
-    ("lambda_lo", "lambda_lo", float, -0.3),
-    ("lambda_hi", "lambda_hi", float, 0.3),
-    ("tol", "tol", float, 1e-10),
-    ("descent_tol", "descent_tol", float, 1e-9),
-    ("T_max", "T_max", float, 200.0),
-    ("max_iters", "max_iters", int, 20000),
-    ("seed", "seed", int, 0),
-    ("workers", "workers", int, 1),
-    ("nonlinearity", "nonlinearity", int, 1),
-)
-_BY_KEY = {key: (attr, kind, default) for key, attr, kind, default in _KEYS}
+
+def _rest_profile(x, params: PhysParams):
+    """The pinned profile Q_gamma where it exists (|gamma| < 2), else Q."""
+    if abs(params.gamma) < 2.0:
+        return profiles.soliton_Q_gamma(x, params)
+    return profiles.soliton_Q(x, params.p)
+
+
+# init choice -> u(0) built from (cfg, params, grid); v(0) is always zero
+_INITS = {
+    "qgamma": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q_gamma(
+        grid.x, params),
+    "q": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q(
+        grid.x - cfg.z, params.p),
+    "equilibrium": lambda cfg, params, grid: cfg.scale * discrete_stationary_profile(
+        _rest_profile(grid.x, params), params, grid),
+    "family": lambda cfg, params, grid: cfg.sign * experiments.initial_family(
+        cfg.lam, cfg.varsigma, cfg.z, grid, params).u,
+    "gaussian": lambda cfg, params, grid: cfg.scale * np.exp(-grid.x * grid.x),
+}
+_INIT_CHOICES = tuple(_INITS)
+
+
+def _key(default, *rules, key: str | None = None, derive=None):
+    """One config key: its default and the rules (ok, text[, at]) it must pass.
+
+    ok(v, c) sees the value v and all parsed values c by attribute.  A failed
+    rule reports "<key> <text>" (text formatted with v, or called with (v, c))
+    on the key's line, or on the line and under the name of key ``at``.
+    ``key`` renames the attribute; ``derive(c)`` replaces a None default.
+    """
+    return field(default=default,
+                 metadata={"key": key, "rules": rules, "derive": derive})
+
+
+def _half_h(c: dict) -> float:
+    return 0.5 * (2.0 * c["L"] / (c["n"] - 1))
+
+
+_POSITIVE = (lambda v, c: v > 0, "must be positive")
+_POSITIVE_GOT = (lambda v, c: v > 0, "must be positive, got {v}")
+# "not v < 0" rather than "v >= 0": these keys have always let nan through
+_NONNEGATIVE = (lambda v, c: not v < 0, "must be nonnegative")
+_AT_LEAST_1 = (lambda v, c: not v < 1, "must be >= 1")
+_UNIT_RANGE = (lambda v, c: -1.0 <= v <= 1.0, "must lie in [-1, 1], got {v}")
 
 
 @dataclass
 class RunConfig:
-    p: float
-    alpha: float
-    gamma: float
-    L: float
-    n: int
-    dt: float
-    T: float
-    snapshot_stride: int
-    blowup_cap: float
-    mu: float
-    L_weight: float
-    tube_radius: float
-    cert_margin: float
-    init: str
-    lam: float
-    varsigma: int
-    z: float
-    sign: int
-    scale: float
-    symmetry: str
-    lambda_lo: float
-    lambda_hi: float
-    tol: float
-    descent_tol: float
-    T_max: float
-    max_iters: int
-    seed: int
-    workers: int
-    nonlinearity: int
+    """The config schema: one field per key, validated in field order."""
+
+    p: float = _key(3.0, (lambda v, c: v > 2, "must exceed 2, got {v}"))
+    alpha: float = _key(1.0, _POSITIVE_GOT)
+    gamma: float = _key(-1.0, (lambda v, c: v < 2, "must be below 2, got {v}"))
+    L: float = _key(60.0, _POSITIVE_GOT)
+    n: int = _key(2401, (lambda v, c: not (v < 3 or v % 2 == 0),
+                         "must be an odd count >= 3, got {v}"))
+    dt: float = _key(
+        0.025,
+        _POSITIVE_GOT,
+        (lambda v, c: not v > _half_h(c) * (1.0 + 1e-12),
+         lambda v, c: f"= {v} violates the CFL bound 0.5*h = {_half_h(c)}"),
+    )
+    T: float = _key(10.0, _NONNEGATIVE)
+    snapshot_stride: int = _key(10, _AT_LEAST_1)
+    blowup_cap: float = _key(1.0e3, _POSITIVE)
+    mu: float = _key(None, (lambda v, c: 0 < v < 2 * c["alpha"],
+                            "must lie in (0, 2*alpha), got {v}"),
+                     derive=lambda c: 0.1 * c["alpha"])
+    L_weight: float = _key(100.0, _NONNEGATIVE)
+    tube_radius: float = _key(0.3, _POSITIVE)
+    cert_margin: float = _key(2e-3, _NONNEGATIVE)
+    init: str = _key("qgamma", (lambda v, c: v in _INIT_CHOICES,
+                                f"must be one of {_INIT_CHOICES}, got {{v!r}}"))
+    lam: float = _key(0.0, _UNIT_RANGE, key="lambda")  # "lambda" is a keyword
+    varsigma: int = _key(0, (lambda v, c: v in (0, 1), "must be 0 or 1, got {v}"))
+    z: float = _key(5.0, _POSITIVE_GOT)
+    sign: int = _key(1, (lambda v, c: v in (-1, 1), "must be -1 or 1, got {v}"))
+    scale: float = _key(1.0)
+    symmetry: str = _key("none", (lambda v, c: v in _SYMMETRY_CHOICES,
+                                  f"must be one of {_SYMMETRY_CHOICES}"))
+    lambda_lo: float = _key(-0.3, _UNIT_RANGE)
+    lambda_hi: float = _key(
+        0.3,
+        _UNIT_RANGE,
+        (lambda v, c: c["lambda_lo"] < v, "must be below lambda_hi", "lambda_lo"),
+    )
+    tol: float = _key(1e-10, _POSITIVE)
+    descent_tol: float = _key(1e-9, _POSITIVE)
+    T_max: float = _key(200.0, _POSITIVE)
+    max_iters: int = _key(20000, _AT_LEAST_1)
+    seed: int = _key(0, _NONNEGATIVE)
+    nonlinearity: int = _key(1, (lambda v, c: v in (0, 1), "must be 0 or 1"))
 
     def params(self) -> PhysParams:
         return PhysParams(p=self.p, alpha=self.alpha, gamma=self.gamma)
@@ -115,10 +142,15 @@ class RunConfig:
         return make_grid(self.L, self.n)
 
 
+def _name(f) -> str:
+    return f.metadata["key"] or f.name
+
+
 def parse_config(text: str) -> RunConfig:
-    values = {key: default for key, _, _, default in _KEYS}
-    lines = {key: 0 for key in values}
-    seen: dict[str, int] = {}
+    schema = {_name(f): f for f in fields(RunConfig)}
+    types = get_type_hints(RunConfig)
+    values = {f.name: f.default for f in schema.values()}
+    lines: dict[str, int] = {}  # key -> line it was set on
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,87 +160,30 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _BY_KEY:
+        if key not in schema:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r} (first at line {seen[key]})", lineno)
-        seen[key] = lineno
-        _, kind, _ = _BY_KEY[key]
+        if key in lines:
+            raise ConfigError(f"duplicate key {key!r} (first at line {lines[key]})", lineno)
+        attr = schema[key].name
+        kind = types[attr]
         try:
-            values[key] = kind(val) if kind is not str else val
+            values[attr] = kind(val)
         except ValueError:
             raise ConfigError(
                 f"{key} expects {kind.__name__}, got {val!r}", lineno
             ) from None
         lines[key] = lineno
 
-    def fail(key: str, message: str) -> None:
-        raise ConfigError(message, lines[key])
-
-    if not values["p"] > 2:
-        fail("p", f"p must exceed 2, got {values['p']}")
-    if not values["alpha"] > 0:
-        fail("alpha", f"alpha must be positive, got {values['alpha']}")
-    if not values["gamma"] < 2:
-        fail("gamma", f"gamma must be below 2, got {values['gamma']}")
-    if not values["L"] > 0:
-        fail("L", f"L must be positive, got {values['L']}")
-    if values["n"] < 3 or values["n"] % 2 == 0:
-        fail("n", f"n must be an odd count >= 3, got {values['n']}")
-    if not values["dt"] > 0:
-        fail("dt", f"dt must be positive, got {values['dt']}")
-    h = 2.0 * values["L"] / (values["n"] - 1)
-    if values["dt"] > 0.5 * h * (1.0 + 1e-12):
-        fail("dt", f"dt = {values['dt']} violates the CFL bound 0.5*h = {0.5 * h}")
-    if values["T"] < 0:
-        fail("T", "T must be nonnegative")
-    if values["snapshot_stride"] < 1:
-        fail("snapshot_stride", "snapshot_stride must be >= 1")
-    if not values["blowup_cap"] > 0:
-        fail("blowup_cap", "blowup_cap must be positive")
-    if values["mu"] is None:
-        values["mu"] = 0.1 * values["alpha"]
-    if not 0 < values["mu"] < 2 * values["alpha"]:
-        fail("mu", f"mu must lie in (0, 2*alpha), got {values['mu']}")
-    if values["L_weight"] < 0:
-        fail("L_weight", "L_weight must be nonnegative")
-    if not values["tube_radius"] > 0:
-        fail("tube_radius", "tube_radius must be positive")
-    if values["cert_margin"] < 0:
-        fail("cert_margin", "cert_margin must be nonnegative")
-    if values["init"] not in _INIT_CHOICES:
-        fail("init", f"init must be one of {_INIT_CHOICES}, got {values['init']!r}")
-    if not -1.0 <= values["lambda"] <= 1.0:
-        fail("lambda", f"lambda must lie in [-1, 1], got {values['lambda']}")
-    if values["varsigma"] not in (0, 1):
-        fail("varsigma", f"varsigma must be 0 or 1, got {values['varsigma']}")
-    if not values["z"] > 0:
-        fail("z", f"z must be positive, got {values['z']}")
-    if values["sign"] not in (-1, 1):
-        fail("sign", f"sign must be -1 or 1, got {values['sign']}")
-    if values["symmetry"] not in _SYMMETRY_CHOICES:
-        fail("symmetry", f"symmetry must be one of {_SYMMETRY_CHOICES}")
-    for key in ("lambda_lo", "lambda_hi"):
-        if not -1.0 <= values[key] <= 1.0:
-            fail(key, f"{key} must lie in [-1, 1], got {values[key]}")
-    if not values["lambda_lo"] < values["lambda_hi"]:
-        fail("lambda_lo", "lambda_lo must be below lambda_hi")
-    if not values["tol"] > 0:
-        fail("tol", "tol must be positive")
-    if not values["descent_tol"] > 0:
-        fail("descent_tol", "descent_tol must be positive")
-    if not values["T_max"] > 0:
-        fail("T_max", "T_max must be positive")
-    if values["max_iters"] < 1:
-        fail("max_iters", "max_iters must be >= 1")
-    if values["seed"] < 0:
-        fail("seed", "seed must be nonnegative")
-    if values["workers"] < 1:
-        fail("workers", "workers must be >= 1")
-    if values["nonlinearity"] not in (0, 1):
-        fail("nonlinearity", "nonlinearity must be 0 or 1")
-
-    return RunConfig(**{attr: values[key] for key, attr, _, _ in _KEYS})
+    for key, f in schema.items():
+        v = values[f.name]
+        if v is None:
+            v = values[f.name] = f.metadata["derive"](values)
+        for ok, text, *at in f.metadata["rules"]:
+            if not ok(v, values):
+                text = text(v, values) if callable(text) else text.format(v=v)
+                blamed = at[0] if at else key
+                raise ConfigError(f"{blamed} {text}", lines.get(blamed, 0))
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------- formatting
@@ -217,21 +192,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def echo_pairs(cfg: RunConfig) -> list[tuple[str, str]]:
-    """Sorted (key, rendered value) pairs of the fully-resolved config."""
-    out = []
-    for key, attr, kind, _ in _KEYS:
-        val = getattr(cfg, attr)
-        out.append((key, _fmt(val) if kind is float else str(val)))
-    return sorted(out)
-
-
 def echo_lines(cfg: RunConfig) -> list[str]:
-    return [f"{k} = {v}" for k, v in echo_pairs(cfg)]
+    """Sorted ``key = value`` lines of the fully-resolved config."""
+    return sorted(f"{key} = {_fmt(val) if isinstance(val, float) else val}"
+                  for key, val in _config_obj(cfg).items())
 
 
 def _config_obj(cfg: RunConfig) -> dict:
-    return {key: getattr(cfg, _BY_KEY[key][0]) for key, _, _, _ in _KEYS}
+    return {_name(f): getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _jdump(obj, indent: int = 0) -> str:
@@ -283,25 +251,7 @@ def _write_csv(
 # --------------------------------------------------------------- subcommands
 
 def _build_initial(cfg: RunConfig, params: PhysParams, grid: GridSpec) -> State:
-    x = grid.x
-    if cfg.init == "qgamma":
-        u = cfg.scale * profiles.soliton_Q_gamma(x, params)
-    elif cfg.init == "q":
-        u = cfg.scale * profiles.soliton_Q(x - cfg.z, params.p)
-    elif cfg.init == "equilibrium":
-        if abs(params.gamma) < 2.0:
-            guess = profiles.soliton_Q_gamma(x, params)
-        else:
-            guess = profiles.soliton_Q(x, params.p)
-        u = cfg.scale * discrete_stationary_profile(guess, params, grid)
-    elif cfg.init == "family":
-        state = experiments.initial_family(cfg.lam, cfg.varsigma, cfg.z, grid, params)
-        u = cfg.sign * state.u
-    elif cfg.init == "gaussian":
-        u = cfg.scale * np.exp(-x * x)
-    else:  # pragma: no cover - parse_config rejects other values
-        raise ConfigError(f"unhandled init {cfg.init!r}")
-    return State(u=u, v=np.zeros(grid.n))
+    return State(u=_INITS[cfg.init](cfg, params, grid), v=np.zeros(grid.n))
 
 
 def cmd_profile(cfg: RunConfig, out: Path) -> None:
@@ -393,7 +343,6 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
         cfg.tol,
         cfg.T_max,
         dt=cfg.dt,
-        workers=cfg.workers,
         sign=cfg.sign,
         blowup_cap=cfg.blowup_cap,
         cert_margin=cfg.cert_margin,
@@ -558,10 +507,7 @@ def _check_operator_reflection(cfg: RunConfig):
 def _check_energy_identity(cfg: RunConfig):
     params = cfg.params()
     grid = make_grid(20.0, 401)
-    if abs(params.gamma) < 2.0:
-        u0 = 0.9 * profiles.soliton_Q_gamma(grid.x, params)
-    else:
-        u0 = 0.9 * profiles.soliton_Q(grid.x, params.p)
+    u0 = 0.9 * _rest_profile(grid.x, params)
     traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid,
                   keep_snapshots=False)
     e0, ef = traj.ledger.energies[0], traj.ledger.energies[-1]
@@ -694,7 +640,11 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "check":
         return 0 if cmd_check(cfg, out) else 4
     try:

@@ -82,7 +82,6 @@ class DiscreteOperator:
 
     diag: np.ndarray = dc_field(repr=False)
     off_diag: float
-    delta_correction: float  # gamma/h, already subtracted from diag[center]
     grid: GridSpec
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -100,11 +99,8 @@ class DiscreteOperator:
 def build_operator(grid: GridSpec, params: PhysParams) -> DiscreteOperator:
     inv_h2 = 1.0 / (grid.h * grid.h)
     diag = np.full(grid.n, 2.0 * inv_h2 + 1.0)
-    correction = params.gamma / grid.h
-    diag[grid.center] -= correction
-    return DiscreteOperator(
-        diag=diag, off_diag=-inv_h2, delta_correction=correction, grid=grid
-    )
+    diag[grid.center] -= params.gamma / grid.h
+    return DiscreteOperator(diag=diag, off_diag=-inv_h2, grid=grid)
 
 
 def _check_cfl(dt: float, grid: GridSpec, cfl: float) -> None:

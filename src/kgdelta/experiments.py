@@ -14,7 +14,6 @@ bisection over lambda locates the threshold lambda* between the two fates.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -62,10 +61,7 @@ class ThresholdResult:
     converged: bool = True
 
 
-def initial_family(
-    lam: float, varsigma: int, z: float, grid: GridSpec, params: PhysParams
-) -> State:
-    """Shooting initial data u = e^lambda (Q(.-z) + varsigma Q(.+z)), v = 0."""
+def _check_family(lam: float, varsigma: int, z: float, grid: GridSpec) -> None:
     if varsigma not in (0, 1):
         raise ParameterError(f"varsigma must be 0 or 1, got {varsigma}")
     if not -1.0 <= lam <= 1.0:
@@ -74,9 +70,14 @@ def initial_family(
         raise ParameterError(
             f"soliton at z = {z} overlaps the boundary of [-{grid.L}, {grid.L}]"
         )
-    u = profiles.soliton_Q(grid.x - z, params.p)
-    if varsigma:
-        u = u + profiles.soliton_Q(grid.x + z, params.p)
+
+
+def initial_family(
+    lam: float, varsigma: int, z: float, grid: GridSpec, params: PhysParams
+) -> State:
+    """Shooting initial data u = e^lambda (Q(.-z) + varsigma Q(.+z)), v = 0."""
+    _check_family(lam, varsigma, z, grid)
+    u = profiles.soliton_pair(grid.x, z, varsigma, params.p)
     return State(u=np.exp(lam) * u, v=np.zeros(grid.n))
 
 
@@ -90,31 +91,22 @@ def scaling_curve(
     by Gauss panels on the real line rather than on the grid so that the
     derivative identities hold to quadrature precision.
     """
-    if varsigma not in (0, 1):
-        raise ParameterError(f"varsigma must be 0 or 1, got {varsigma}")
-    if not -1.0 <= lam <= 1.0:
-        raise ParameterError(f"lambda must lie in [-1, 1], got {lam}")
-    if not z + 10.0 < grid.L:
-        raise ParameterError(
-            f"soliton at z = {z} overlaps the boundary of [-{grid.L}, {grid.L}]"
-        )
+    _check_family(lam, varsigma, z, grid)
     p, gamma = params.p, params.gamma
     half_width = z + 40.0
-
-    def pair(x):
-        out = profiles.soliton_Q(x - z, p)
-        return out + profiles.soliton_Q(x + z, p) if varsigma else out
 
     def pair_deriv(x):
         out = profiles.soliton_Q_deriv(x - z, p)
         return out + profiles.soliton_Q_deriv(x + z, p) if varsigma else out
 
     h1 = profiles.gauss_panels(
-        lambda x: pair(x) ** 2 + pair_deriv(x) ** 2, -half_width, half_width
+        lambda x: profiles.soliton_pair(x, z, varsigma, p) ** 2 + pair_deriv(x) ** 2,
+        -half_width, half_width,
     )
     trace_sq = ((1.0 + varsigma) * profiles.soliton_Q(z, p)) ** 2
     power = profiles.gauss_panels(
-        lambda x: np.abs(pair(x)) ** (p + 1.0), -half_width, half_width
+        lambda x: np.abs(profiles.soliton_pair(x, z, varsigma, p)) ** (p + 1.0),
+        -half_width, half_width,
     )
 
     quad = h1 - gamma * trace_sq
@@ -231,7 +223,6 @@ def bisect_threshold(
     T_max: float = 200.0,
     *,
     dt: float | None = None,
-    workers: int = 1,
     sign: int = 1,
     blowup_cap: float = DEFAULT_CAP,
     cert_margin: float = CERT_MARGIN,
@@ -279,14 +270,8 @@ def bisect_threshold(
             probes.append((lam, out))
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_lo = pool.submit(classified, lambda_lo)
-            fut_hi = pool.submit(classified, lambda_hi)
-            out_lo, out_hi = fut_lo.result(), fut_hi.result()
-    else:
-        out_lo = classified(lambda_lo)
-        out_hi = classified(lambda_hi)
+    out_lo = classified(lambda_lo)
+    out_hi = classified(lambda_hi)
 
     kinds = {out_lo.classification, out_hi.classification}
     if kinds != {DECAYS, BLOWS_UP}:
@@ -351,15 +336,9 @@ def track_center(
     the half-log report sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
     states = trajectory.states
-    if not states:
-        return TrackReport(
-            times=np.array([]), z=np.array([]), frames=[], ode_reports=[],
-            valid_mask=np.array([], dtype=bool), sup_half_log=float("nan"),
-            empty=True,
-        )
-    u0 = states[0].u * sign
-    right = u0[grid.center:]
-    guess = float(grid.x[grid.center + int(np.argmax(np.abs(right)))])
+    if states:
+        right = (states[0].u * sign)[grid.center:]
+        guess = float(grid.x[grid.center + int(np.argmax(np.abs(right)))])
 
     frames: list = []
     for st in states:

@@ -115,10 +115,6 @@ def norm_H1(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(h1_sq(u, grid)))
 
 
-def norm_Lq(u: np.ndarray, q: float, grid: GridSpec) -> float:
-    return float(lq_integral(u, q, grid) ** (1.0 / q))
-
-
 def lq_integral(u: np.ndarray, q: float, grid: GridSpec) -> float:
     """Integral of |u|^q (the functionals consume this, not the norm)."""
     return trapezoid(np.abs(np.asarray(u)) ** q, grid)
@@ -147,11 +143,6 @@ def functional_J_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> flo
     u0 = float(u[grid.center])
     quad = h1_sq(u, grid) - params.gamma * u0 * u0
     return 0.5 * quad - lq_integral(u, params.p + 1.0, grid) / (params.p + 1.0)
-
-
-def functional_P(state: State, params: PhysParams, grid: GridSpec) -> float:
-    """P = integral(u*v) + alpha*||u||^2, the damped virial pairing."""
-    return trapezoid(state.u * state.v, grid) + params.alpha * l2_sq(state.u, grid)
 
 
 def diagnostics_MW(

@@ -71,13 +71,6 @@ class ReducedODEReport:
     relative_gap: float
 
 
-def _reference(z: float, sigma: int, sign: int, grid: GridSpec, p: float):
-    ref = profiles.soliton_Q(grid.x - z, p)
-    if sigma:
-        ref = ref + profiles.soliton_Q(grid.x + z, p)
-    return sign * ref
-
-
 def fit_center(
     state,
     sigma: int,
@@ -136,7 +129,7 @@ def fit_center(
         raise OutOfTubeError(
             f"fitted center {z} drifted {abs(z - z_guess):.3g} from the guess"
         )
-    eps = u - _reference(z, sigma, sign, grid, p)
+    eps = u - sign * profiles.soliton_pair(x, z, sigma, p)
     resid = float(np.sqrt(h1_sq(eps, grid) + l2_sq(v, grid)))
     if resid > tube_radius:
         raise OutOfTubeError(f"residual norm {resid:.3g} exceeds tube {tube_radius}")
@@ -159,7 +152,7 @@ def decompose(
     if mu is None:
         mu = default_mu(params)
     con = profiles.spectral_constants(params)
-    eps = state.u - _reference(z, sigma, sign, grid, p)
+    eps = state.u - sign * profiles.soliton_pair(grid.x, z, sigma, p)
     eta = state.v.copy()
     phi_r = profiles.neutral_even_mode_phi(grid.x - z, p)
     qd_r = profiles.soliton_Q_deriv(grid.x - z, p)

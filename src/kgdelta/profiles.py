@@ -85,6 +85,12 @@ def soliton_Q(x, p: float):
     return out if out.ndim else float(out)
 
 
+def soliton_pair(x, z: float, sigma: int, p: float):
+    """Q(x - z), plus Q(x + z) when sigma is set: one soliton or an even pair."""
+    out = soliton_Q(x - z, p)
+    return out + soliton_Q(x + z, p) if sigma else out
+
+
 def soliton_Q_deriv(x, p: float):
     """Analytic derivative Q'(x) = -Q(x) * tanh((p-1)*x/2) (odd, Q'(0) = 0)."""
     _check_p(p)

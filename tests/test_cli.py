@@ -58,6 +58,59 @@ def test_constraint_validation():
     parse_config("L = 10\nn = 201\ndt = 0.05\n")  # boundary is legal
 
 
+# one invalid value per constrained key, on line 3 unless the case says
+# otherwise: the exact message and the reported line are part of the schema
+SCHEMA_CASES = [
+    ("p = 2", 3, "p must exceed 2, got 2.0"),
+    ("alpha = 0", 3, "alpha must be positive, got 0.0"),
+    ("gamma = 2", 3, "gamma must be below 2, got 2.0"),
+    ("L = -1", 3, "L must be positive, got -1.0"),
+    ("n = 2400", 3, "n must be an odd count >= 3, got 2400"),
+    ("dt = 0", 3, "dt must be positive, got 0.0"),
+    ("L = 10\nn = 201\ndt = 0.051", 5, "dt = 0.051 violates the CFL bound 0.5*h = 0.05"),
+    ("T = -1", 3, "T must be nonnegative"),
+    ("snapshot_stride = 0", 3, "snapshot_stride must be >= 1"),
+    ("blowup_cap = 0", 3, "blowup_cap must be positive"),
+    ("mu = 2", 3, "mu must lie in (0, 2*alpha), got 2.0"),
+    ("mu = 0.3\nalpha = 0.1", 3, "mu must lie in (0, 2*alpha), got 0.3"),
+    ("L_weight = -1", 3, "L_weight must be nonnegative"),
+    ("tube_radius = 0", 3, "tube_radius must be positive"),
+    ("cert_margin = -1", 3, "cert_margin must be nonnegative"),
+    ("init = bessel", 3,
+     "init must be one of ('qgamma', 'q', 'equilibrium', 'family', 'gaussian'), "
+     "got 'bessel'"),
+    ("lambda = 1.5", 3, "lambda must lie in [-1, 1], got 1.5"),
+    ("varsigma = 2", 3, "varsigma must be 0 or 1, got 2"),
+    ("z = 0", 3, "z must be positive, got 0.0"),
+    ("sign = 0", 3, "sign must be -1 or 1, got 0"),
+    ("symmetry = odd", 3, "symmetry must be one of ('none', 'even')"),
+    ("lambda_lo = -2", 3, "lambda_lo must lie in [-1, 1], got -2.0"),
+    ("lambda_hi = 2", 3, "lambda_hi must lie in [-1, 1], got 2.0"),
+    ("lambda_lo = 0.5", 3, "lambda_lo must be below lambda_hi"),
+    ("lambda_hi = -0.1\nlambda_lo = 0.2", 4, "lambda_lo must be below lambda_hi"),
+    ("tol = 0", 3, "tol must be positive"),
+    ("descent_tol = 0", 3, "descent_tol must be positive"),
+    ("T_max = 0", 3, "T_max must be positive"),
+    ("max_iters = 0", 3, "max_iters must be >= 1"),
+    ("seed = -1", 3, "seed must be nonnegative"),
+    ("nonlinearity = 2", 3, "nonlinearity must be 0 or 1"),
+    ("n = 3.5", 3, "n expects int, got '3.5'"),
+    ("alpha = fast", 3, "alpha expects float, got 'fast'"),
+    # a config holding two errors reports the one the key order reaches first
+    ("tol = 0\np = 1", 4, "p must exceed 2, got 1.0"),
+    ("lambda_lo = 0.5\ntol = 0", 3, "lambda_lo must be below lambda_hi"),
+]
+
+
+@pytest.mark.parametrize("body, line, message", SCHEMA_CASES,
+                         ids=[case[0].split(" =")[0] for case in SCHEMA_CASES])
+def test_schema_messages_and_lines(body, line, message):
+    with pytest.raises(ConfigError) as ei:
+        parse_config("# schema case\n\n" + body + "\n")
+    assert ei.value.line == line
+    assert str(ei.value) == f"line {line}: {message}"
+
+
 def test_symmetry_and_init_whitelists():
     with pytest.raises(ConfigError):
         parse_config("symmetry = odd\n")
@@ -181,6 +234,23 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_workers_is_an_unknown_key(tmp_path, capsys):
+    code, out = run(tmp_path, "shoot", "# endpoints are classified serially\nworkers = 2\n")
+    assert code == 2
+    assert "line 2: unknown key 'workers'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["taken", "taken/sub"])
+def test_exit_2_on_unusable_out(tmp_path, capsys, target):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    code = main(["profile", "--out", str(tmp_path / target)])
+    assert code == 2
+    assert "output error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
 
 
 def test_exit_3_writes_incomplete_marker(tmp_path, capsys):

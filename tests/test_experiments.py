@@ -141,13 +141,6 @@ def test_bisection_sector_guards():
         bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, -0.2, dt=0.05)
 
 
-def test_bisection_parallel_endpoints_match_serial():
-    grid = make_grid(20.0, 401)
-    a = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-6, dt=0.05, workers=1)
-    b = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-6, dt=0.05, workers=2)
-    assert a.lambda_star == b.lambda_star
-
-
 def test_track_center_stationary_profile():
     # gamma = 0: the translated soliton is a true equilibrium, so the tracked
     # center must hold still and the prediction must vanish with it

@@ -1,8 +1,10 @@
 """Properties of the stepping kernel and the sample record over random
-(p, alpha, gamma, n, dt, stride) and random initial data."""
+(p, alpha, gamma, n, dt, stride) and random initial data, and of the config
+schema over random valid configs."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from kgdelta.cli import echo_lines, parse_config
 from kgdelta.evolution import build_operator, evolve, step
 from kgdelta.field import (
     PhysParams,
@@ -125,3 +127,57 @@ def test_step_is_one_evolve_step(run):
         state = step(state, dt, operator, params)
         assert np.array_equal(state.u, sample.u)
         assert np.array_equal(state.v, sample.v)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config: the grid, alpha and the bracket always, any subset of
+    the other keys, in random order, some with a trailing comment."""
+    unit = st.floats(0.01, 1.0)
+    L, n = draw(st.floats(1.0, 100.0)), 2 * draw(st.integers(1, 3000)) + 1
+    alpha = draw(st.floats(0.01, 5.0))
+    lo = draw(st.floats(-1.0, 0.99))
+    always = {
+        "L": L, "n": n, "dt": draw(unit) * 0.5 * (2.0 * L / (n - 1)),
+        "alpha": alpha, "lambda_lo": lo,
+        "lambda_hi": draw(st.floats(lo, 1.0, exclude_min=True)),
+    }
+    optional = {
+        "p": draw(st.floats(2.01, 9.0)),
+        "gamma": draw(st.floats(-5.0, 1.99)),
+        "T": draw(st.floats(0.0, 100.0)),
+        "snapshot_stride": draw(st.integers(1, 50)),
+        "blowup_cap": draw(st.floats(1.0, 1e6)),
+        "mu": draw(st.floats(0.01, 1.99)) * alpha,
+        "L_weight": draw(st.floats(0.0, 1e3)),
+        "tube_radius": draw(unit),
+        "cert_margin": draw(st.floats(0.0, 0.1)),
+        "init": draw(st.sampled_from(["qgamma", "q", "equilibrium", "family",
+                                      "gaussian"])),
+        "lambda": draw(st.floats(-1.0, 1.0)),
+        "varsigma": draw(st.sampled_from([0, 1])),
+        "z": draw(st.floats(0.1, 20.0)),
+        "sign": draw(st.sampled_from([-1, 1])),
+        "scale": draw(st.floats(-5.0, 5.0)),
+        "symmetry": draw(st.sampled_from(["none", "even"])),
+        "tol": draw(unit),
+        "descent_tol": draw(unit),
+        "T_max": draw(st.floats(1.0, 500.0)),
+        "max_iters": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**32)),
+        "nonlinearity": draw(st.sampled_from([0, 1])),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    values = {**always, **{key: optional[key] for key in chosen}}
+    lines = []
+    for key in draw(st.permutations(sorted(values))):
+        comment = "  # note" if draw(st.booleans()) else ""
+        lines.append(f"{key} = {values[key]}{comment}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config_texts())
+def test_config_parse_echo_parse_round_trip(text):
+    cfg = parse_config(text)
+    assert parse_config("\n".join(echo_lines(cfg)) + "\n") == cfg

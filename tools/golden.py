@@ -60,6 +60,9 @@ CASES = (
      {"L": 15, "n": 301, "init": "family", "varsigma": 1, "z": 3.5,
       "symmetry": "even", "max_iters": 400}),
     ("check", "check", {}),
+    # config errors: the message, its line and exit 2 (keys are written sorted)
+    ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
+    ("config-cfl", "simulate", {"L": 10, "n": 201, "dt": 0.051}),
 )
 
 
