@@ -12,12 +12,10 @@ classification and threshold shooting (experiments), Nehari-level descent
 """
 from .errors import (
     BracketError,
-    CapExceededError,
     ConfigError,
     GridError,
     KgError,
     NoConvergenceError,
-    NonFiniteError,
     NumericError,
     OutOfTubeError,
     ParameterError,
@@ -26,13 +24,11 @@ from .field import GridSpec, PhysParams, State, make_grid
 
 __all__ = [
     "BracketError",
-    "CapExceededError",
     "ConfigError",
     "GridError",
     "GridSpec",
     "KgError",
     "NoConvergenceError",
-    "NonFiniteError",
     "NumericError",
     "OutOfTubeError",
     "ParameterError",

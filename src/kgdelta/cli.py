@@ -9,14 +9,15 @@ embeds the fully-resolved config (sorted ``# key = value`` lines in CSVs, a
 "config" object in JSON), floats are always printed with %.17g and JSON keys
 sorted, so identical config + build gives byte-identical outputs.
 
-Exit codes: 0 success, 2 config error or unusable --out, 3 numeric failure
-(a partial summary with an ``incomplete`` marker is left behind), 4
-check-suite failure.
+Exit codes: 0 success, 2 config error, unusable --out or an artifact that
+cannot be written, 3 numeric failure (a partial summary with an
+``incomplete`` marker is left behind), 4 check-suite failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -26,7 +27,12 @@ import numpy as np
 
 from . import experiments, modulation, profiles, variational
 from .errors import ConfigError, KgError
-from .evolution import build_operator, discrete_stationary_profile, evolve
+from .evolution import (
+    EXIT_CONTAMINATION,
+    build_operator,
+    discrete_stationary_profile,
+    evolve,
+)
 from .field import (
     GridSpec,
     PhysParams,
@@ -172,6 +178,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"{key} expects {kind.__name__}, got {val!r}", lineno
             ) from None
+        if kind is float and not math.isfinite(values[attr]):
+            raise ConfigError(f"{key} must be finite, got {val!r}", lineno)
         lines[key] = lineno
 
     for key, f in schema.items():
@@ -302,18 +310,17 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         snapshot_stride=cfg.snapshot_stride,
         blowup_cap=cfg.blowup_cap,
         with_nonlinearity=bool(cfg.nonlinearity),
-        keep_snapshots=False,
     )
     _write_csv(
         out / "trajectory.csv",
         cfg,
         ["t", "E_gamma", "H1_norm", "L2_v_norm", "u_at_0", "damping_integral"],
-        zip(traj.sample_times, traj.ledger.energies, traj.norm_H1,
-            traj.norm_L2_v, traj.u_center, traj.ledger.damping),
+        zip(traj.sample_times, traj.energies, traj.norm_H1,
+            traj.norm_L2_v, traj.u_center, traj.damping),
     )
-    final = traj.states[-1]
-    save_state(out / "final_state.csv", final, params, grid, extra_header=echo_lines(cfg))
-    mw = diagnostics_MW(final, params, grid, traj.mass_integrals[-1])
+    save_state(out / "final_state.csv", traj.final, params, grid,
+               extra_header=echo_lines(cfg))
+    mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
     _write_json(
         out / "simulate.json",
         {
@@ -321,9 +328,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
             "exit": traj.exit,
             "samples": len(traj.sample_times),
             "sup_norm_H": traj.sup_norm_H,
-            "E_initial": traj.ledger.energies[0],
-            "E_final": traj.ledger.energies[-1],
-            "damping_total": traj.ledger.damping_integral,
+            "E_initial": traj.energies[0],
+            "E_final": traj.energies[-1],
+            "damping_total": traj.damping_integral,
             "M_value": mw["M_value"],
             "W_value": mw["W_value"],
             "incomplete": False,
@@ -349,6 +356,7 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
     )
     probe_rows = []
     for i, (lam, outc) in enumerate(res.probes):
+        traj = outc.trajectory
         probe_rows.append(
             {
                 "index": i,
@@ -359,16 +367,15 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
                 "K_gamma_at_cert": outc.certificate["K_gamma_at_cert"],
                 "level_used": outc.certificate["level_used"],
                 "symmetry": outc.certificate["symmetry"],
-                "exit": outc.trajectory_summary["exit"],
-                "contaminated": outc.trajectory_summary["contaminated"],
+                "exit": traj.exit,
+                "contaminated": traj.exit == EXIT_CONTAMINATION,
             }
         )
-        summ = outc.trajectory_summary
         _write_csv(
             out / f"probe_{i:03d}.csv",
             cfg,
             ["t", "E_gamma", "K_gamma", "norm_H"],
-            zip(summ["t"], summ["E_gamma"], summ["K_gamma"], summ["norm_H"]),
+            zip(traj.sample_times, traj.energies, traj.K_gamma, traj.norm_H),
             extra=[f"lambda = {_fmt(lam)}",
                    f"classification = {outc.classification}"],
         )
@@ -391,17 +398,19 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
 def cmd_track(cfg: RunConfig, out: Path) -> None:
     params, grid = cfg.params(), cfg.grid()
     state0 = _build_initial(cfg, params, grid)
+    states = []
     traj = evolve(
         state0,
         cfg.T,
         cfg.dt,
         params,
         grid,
+        observers=[lambda sample: states.append(sample.copy())],
         snapshot_stride=cfg.snapshot_stride,
         blowup_cap=cfg.blowup_cap,
     )
     report = experiments.track_center(
-        traj,
+        states,
         cfg.varsigma,
         cfg.sign,
         params,
@@ -508,10 +517,9 @@ def _check_energy_identity(cfg: RunConfig):
     params = cfg.params()
     grid = make_grid(20.0, 401)
     u0 = 0.9 * _rest_profile(grid.x, params)
-    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid,
-                  keep_snapshots=False)
-    e0, ef = traj.ledger.energies[0], traj.ledger.energies[-1]
-    resid = abs(ef - e0 + traj.ledger.damping_integral)
+    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid)
+    e0, ef = traj.energies[0], traj.energies[-1]
+    resid = abs(ef - e0 + traj.damping_integral)
     ok = resid <= 1e-3 * max(1.0, abs(e0)) and ef <= e0 + 1e-8
     return ok, f"|E_f - E_0 + damping| = {resid:.3e}"
 
@@ -613,6 +621,26 @@ _RUNNERS = {
 }
 
 
+def _run(command: str, cfg: RunConfig, out: Path) -> int:
+    """Run one subcommand into the existing directory out; its exit code."""
+    if command == "check":
+        return 0 if cmd_check(cfg, out) else 4
+    try:
+        _RUNNERS[command](cfg, out)
+    except KgError as exc:
+        _write_json(
+            out / f"{command}.json",
+            {
+                "config": _config_obj(cfg),
+                "incomplete": True,
+                "error": str(exc),
+            },
+        )
+        print(f"{command} failed: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kg",
@@ -642,25 +670,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        return _run(args.command, cfg, out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "check":
-        return 0 if cmd_check(cfg, out) else 4
-    try:
-        _RUNNERS[args.command](cfg, out)
-    except KgError as exc:
-        _write_json(
-            out / f"{args.command}.json",
-            {
-                "config": _config_obj(cfg),
-                "incomplete": True,
-                "error": str(exc),
-            },
-        )
-        print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,14 +30,6 @@ class NumericError(KgError, RuntimeError):
     """Base class for runtime numerical failures."""
 
 
-class NonFiniteError(NumericError):
-    """A field sample became NaN or Inf during stepping."""
-
-
-class CapExceededError(NumericError):
-    """The sup-norm of the field exceeded the blowup cap."""
-
-
 class NoConvergenceError(NumericError):
     """An iterative solve (Newton, descent) failed to converge."""
 

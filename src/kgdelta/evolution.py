@@ -1,5 +1,5 @@
 """Time evolution: discrete spatial operator, damped leapfrog stepper, and
-trajectory recording with a dissipation ledger.
+the sample record of a run with its dissipation ledger.
 
 Spatial operator (tridiagonal, symmetric under index reflection):
 
@@ -34,21 +34,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import profiles
-from .errors import (
-    CapExceededError,
-    GridError,
-    NoConvergenceError,
-    NonFiniteError,
-    ParameterError,
-)
-from .field import (
-    DissipationLedger,
-    GridSpec,
-    PhysParams,
-    State,
-    _trapezoid,
-    norm_L2,
-)
+from .errors import GridError, NoConvergenceError, ParameterError
+from .field import GridSpec, PhysParams, State, _trapezoid, norm_L2
 
 EXIT_COMPLETED = "Completed"
 EXIT_BLOWUP_CAP = "BlowupCap"
@@ -163,38 +150,6 @@ class _Leapfrog:
         v1[-1] = 0.0
 
 
-def step(
-    state: State,
-    dt: float,
-    operator: DiscreteOperator,
-    params: PhysParams,
-    *,
-    with_nonlinearity: bool = True,
-    blowup_cap: float = DEFAULT_CAP,
-    cfl: float = DEFAULT_CFL,
-) -> State:
-    """One update of the damped central-difference scheme (standalone form).
-
-    Runs the same kernel as evolve(), so it is bitwise one step of it.
-    Raises NonFiniteError / CapExceededError on the produced state, where
-    evolve() records an exit code instead.
-    """
-    grid = operator.grid
-    _check_cfl(dt, grid, cfl)
-    kernel = _Leapfrog(operator, params, dt, with_nonlinearity)
-    u0 = np.asarray(state.u, dtype=float)
-    g0 = kernel.force(u0, np.empty(grid.n))
-    u1 = np.empty(grid.n)
-    sup = kernel.drift(u0, state.v, g0, u1)
-    if not math.isfinite(sup):
-        raise NonFiniteError(f"non-finite field sample at t = {state.t + dt}")
-    if sup > blowup_cap:
-        raise CapExceededError(f"|u|_inf = {sup} exceeds cap {blowup_cap}")
-    v1 = np.empty(grid.n)
-    kernel.kick(u0, u1, np.empty(grid.n), v1)
-    return State(u=u1, v=v1, t=state.t + dt)
-
-
 @dataclass
 class Sample(State):
     """A recorded state with the functionals evolve() computed for it."""
@@ -206,19 +161,23 @@ class Sample(State):
 
 @dataclass
 class Trajectory:
-    """Sample record of one run plus its dissipation ledger.
+    """Sample record of one run, with its dissipation ledger.
 
-    Every array has one entry per sample, in time order: the energies
-    E_gamma (ledger.energies), K_gamma, ||(u, v)||_H, ||u||_H1, ||v||_L2,
-    u(0) and the accumulated integral of ||u||^2.  Each value is bitwise
-    what the matching `field` functional returns on that sample.  states
-    holds every sample as a `Sample` when the run kept snapshots, and only
-    the last sample otherwise.
+    Every array has one entry per sample, in time order: the time, E_gamma,
+    the damping integral, K_gamma, ||(u, v)||_H, ||u||_H1, ||v||_L2, u(0)
+    and the accumulated integral of ||u||^2.  Each value is bitwise what the
+    matching `field` functional returns on that sample.  damping[k]
+    accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in time over
+    every step, not just the sampled ones), so that
+    energies[k] - energies[0] + damping[k] ~ 0 is the discrete version of
+    the dissipation identity.  final is the last recorded sample; after a
+    NonFinite exit that is the last sample recorded before the failed step.
     """
 
     sample_times: np.ndarray
-    states: list
-    ledger: DissipationLedger
+    energies: np.ndarray
+    damping: np.ndarray
+    final: Sample
     exit: str
     sup_norm_H: float
     mass_integrals: np.ndarray  # accumulated integral of ||u||^2 (for M)
@@ -227,6 +186,10 @@ class Trajectory:
     norm_H1: np.ndarray
     norm_L2_v: np.ndarray
     u_center: np.ndarray
+
+    @property
+    def damping_integral(self) -> float:
+        return float(self.damping[-1])
 
 
 def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
@@ -247,25 +210,26 @@ def evolve(
     dt: float,
     params: PhysParams,
     grid: GridSpec,
-    observers: Sequence[Callable[[Sample], None]] | None = None,
+    observers: Sequence[Callable[[Sample], str | None]] | None = None,
     *,
     snapshot_stride: int = 10,
     blowup_cap: float = DEFAULT_CAP,
     with_nonlinearity: bool = True,
     contamination_tol: float = 1e-6,
     cfl: float = DEFAULT_CFL,
-    keep_snapshots: bool = True,
 ) -> Trajectory:
     """Run the stepper to time T (or early exit) recording decimated samples.
 
-    Samples (the Trajectory's arrays, ledger rows, observer calls,
-    contamination checks) happen every snapshot_stride steps and at the
-    initial and final states.  Each observer gets one `Sample` per sample,
-    carrying t, u, v and its E_gamma, K_gamma and ||(u, v)||_H.  With
-    keep_snapshots=False only the last sample's state is kept, and the u, v
-    an observer sees are buffers reused at the next sample.  The damping
-    integral 2*alpha*int ||u_t||^2 accumulates every step by the trapezoid
-    rule in time.  Step failures become exit codes, never raises.
+    Samples (the Trajectory's arrays, observer calls, contamination checks)
+    happen every snapshot_stride steps and at the initial and final states.
+    Each observer gets one `Sample` per sample, carrying t, u, v and its
+    E_gamma, K_gamma and ||(u, v)||_H; its u and v are buffers reused at the
+    next sample, so an observer that keeps states keeps `sample.copy()`.
+    An observer that returns an exit label ends the run at that sample with
+    that label, ahead of any other exit there; observers after it do not see
+    the sample.  The damping integral 2*alpha*int ||u_t||^2 accumulates every
+    step by the trapezoid rule in time.  Step failures become exit codes,
+    never raises.
     """
     _check_cfl(dt, grid, cfl)
     n = grid.n
@@ -287,12 +251,12 @@ def evolve(
     v = np.array(state0.v, dtype=float)
     g = kernel.force(u, np.empty(n))
     u1, v1, g1, sq = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    if not keep_snapshots:
-        last_u, last_v = np.empty(n), np.empty(n)
+    # the last recorded sample's state: the only state a run keeps
+    last_u, last_v = np.empty(n), np.empty(n)
+    final = None
 
     times, energies, dampings, masses = [], [], [], []
     ks, norms, h1s, vnorms, centers = [], [], [], [], []
-    states: list = []
     damping_acc = 0.0
     mass_acc = 0.0
     sup_H = 0.0
@@ -302,7 +266,7 @@ def evolve(
     usq = _trapezoid(np.multiply(u, u, out=sq), h)
 
     def record(k: int) -> bool:
-        nonlocal sup_H, exit_code
+        nonlocal sup_H, exit_code, final
         # one pass: ||u||^2 and ||v||^2 come from the ledger, and E, K and
         # the norms combine these terms in the order `field` uses
         d = np.diff(u)
@@ -324,17 +288,14 @@ def evolve(
         vnorms.append(math.sqrt(vsq))
         centers.append(uc)
         sup_H = max(sup_H, norm)
-        if keep_snapshots:
-            sample = Sample(u=u.copy(), v=v.copy(), t=t, E=e, K=kval, norm_H=norm)
-            states.append(sample)
-        else:
-            np.copyto(last_u, u)
-            np.copyto(last_v, v)
-            sample = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
-            states[:] = [sample]
-        if observers:
-            for obs in observers:
-                obs(sample)
+        np.copyto(last_u, u)
+        np.copyto(last_v, v)
+        final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
+        for obs in observers or ():
+            label = obs(final)
+            if label:
+                exit_code = label
+                return False
         if _outer_energy(u, v, grid) > contamination_tol:
             exit_code = EXIT_CONTAMINATION
             return False
@@ -365,16 +326,11 @@ def evolve(
         if k % snapshot_stride == 0 or k == n_steps:
             ok = record(k)
 
-    times_arr = np.asarray(times)
-    ledger = DissipationLedger(
-        times=times_arr,
+    return Trajectory(
+        sample_times=np.asarray(times),
         energies=np.asarray(energies),
         damping=np.asarray(dampings),
-    )
-    return Trajectory(
-        sample_times=times_arr,
-        states=states,
-        ledger=ledger,
+        final=final,
         exit=exit_code,
         sup_norm_H=sup_H,
         mass_integrals=np.asarray(masses),
@@ -453,7 +409,6 @@ def fit_linear_decay_rate(
         grid,
         with_nonlinearity=False,
         contamination_tol=np.inf,  # linear runs are allowed to fill the box
-        keep_snapshots=False,
     )
     norms = traj.norm_H
     mask = traj.sample_times >= 0.5 * T

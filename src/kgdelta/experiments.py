@@ -28,9 +28,9 @@ from .errors import (
 from .evolution import (
     DEFAULT_CAP,
     EXIT_BLOWUP_CAP,
-    EXIT_CONTAMINATION,
     EXIT_NONFINITE,
     Sample,
+    Trajectory,
     evolve,
 )
 from .field import GridSpec, PhysParams, State
@@ -41,13 +41,16 @@ UNDETERMINED = "Undetermined"
 
 CERT_MARGIN = 2e-3
 
+# the exit label of a run the decay certificate stopped
+EXIT_CERTIFIED_DECAY = "CertifiedDecay"
+
 
 @dataclass
 class ShotOutcome:
     classification: str
     certificate_time: float
     certificate: dict
-    trajectory_summary: dict = dc_field(repr=False)
+    trajectory: Trajectory = dc_field(repr=False)
 
 
 @dataclass
@@ -119,10 +122,6 @@ def scaling_curve(
     }
 
 
-class _CertifiedDecay(Exception):
-    """Internal control flow: decay certificate fired, stop evolving."""
-
-
 def classify_trajectory(
     state0: State,
     params: PhysParams,
@@ -138,9 +137,10 @@ def classify_trajectory(
     """Evolve until an energy-level certificate decides the fate.
 
     The level is n_gamma (free) or r_gamma (symmetry="even"); the margin is
-    subtracted before comparison.  Decays returns at the certificate sample;
-    BlowsUp waits for the cap/NonFinite confirmation.  Contamination before
-    any certificate, or no certificate by T_max, yields Undetermined.
+    subtracted before comparison.  Decays ends the run at the certificate
+    sample with the exit "CertifiedDecay"; BlowsUp waits for the
+    cap/NonFinite confirmation.  Contamination before any certificate, or
+    no certificate by T_max, yields Undetermined.
     """
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
@@ -150,47 +150,28 @@ def classify_trajectory(
     level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
     threshold = level - cert_margin
 
-    ts, energies, ks, norms = [], [], [], []
     cert = {"time": float("nan"), "E": float("nan"), "K": float("nan")}
     certified = False
 
-    def watch(sample: Sample) -> None:
+    def watch(sample: Sample) -> str | None:
         nonlocal certified
-        ts.append(sample.t)
-        energies.append(sample.E)
-        ks.append(sample.K)
-        norms.append(sample.norm_H)
         if not certified and sample.E < threshold:
             certified = True
             cert["time"], cert["E"], cert["K"] = sample.t, sample.E, sample.K
             if sample.K >= 0.0:
-                raise _CertifiedDecay
+                return EXIT_CERTIFIED_DECAY
+        return None
 
-    exit_code = None
-    try:
-        traj = evolve(
-            state0,
-            T_max,
-            dt,
-            params,
-            grid,
-            observers=[watch],
-            snapshot_stride=snapshot_stride,
-            blowup_cap=blowup_cap,
-            keep_snapshots=False,
-        )
-        exit_code = traj.exit
-    except _CertifiedDecay:
-        exit_code = "CertifiedDecay"
-
-    summary = {
-        "t": np.array(ts),
-        "E_gamma": np.array(energies),
-        "K_gamma": np.array(ks),
-        "norm_H": np.array(norms),
-        "exit": exit_code,
-        "contaminated": exit_code == EXIT_CONTAMINATION,
-    }
+    traj = evolve(
+        state0,
+        T_max,
+        dt,
+        params,
+        grid,
+        observers=[watch],
+        snapshot_stride=snapshot_stride,
+        blowup_cap=blowup_cap,
+    )
     certificate = {
         "E_gamma_at_cert": cert["E"],
         "K_gamma_at_cert": cert["K"],
@@ -200,7 +181,7 @@ def classify_trajectory(
 
     if certified and cert["K"] >= 0.0:
         classification = DECAYS
-    elif certified and exit_code in (EXIT_BLOWUP_CAP, EXIT_NONFINITE):
+    elif certified and traj.exit in (EXIT_BLOWUP_CAP, EXIT_NONFINITE):
         classification = BLOWS_UP
     else:
         classification = UNDETERMINED
@@ -208,7 +189,7 @@ def classify_trajectory(
         classification=classification,
         certificate_time=cert["time"],
         certificate=certificate,
-        trajectory_summary=summary,
+        trajectory=traj,
     )
 
 
@@ -317,7 +298,7 @@ class TrackReport:
 
 
 def track_center(
-    trajectory,
+    states: list,
     sigma: int,
     sign: int,
     params: PhysParams,
@@ -328,14 +309,15 @@ def track_center(
     tube_radius: float = modulation.DEFAULT_TUBE_RADIUS,
     window_norm: float = 0.05,
 ) -> TrackReport:
-    """Fit z(t) along a recorded trajectory and compare with the reduced ODE.
+    """Fit z(t) along recorded states and compare with the reduced ODE.
 
-    Fits are warm-started from the previous frame; the series stops at the
-    first frame that leaves the tube (or where the fit fails).  Frames are
-    'valid' for the z' comparison while ||(eps,eta)||_H <= window_norm, and
-    the half-log report sup_t [z(t) - log(max(t,1))/2] runs over those.
+    states is a run's samples in time order, e.g. the `sample.copy()` of
+    each sample an `evolve` observer saw.  Fits are warm-started from the
+    previous frame; the series stops at the first frame that leaves the tube
+    (or where the fit fails).  Frames are 'valid' for the z' comparison while
+    ||(eps,eta)||_H <= window_norm, and the half-log report
+    sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
-    states = trajectory.states
     if states:
         right = (states[0].u * sign)[grid.center:]
         guess = float(grid.x[grid.center + int(np.argmax(np.abs(right)))])

@@ -162,25 +162,6 @@ def diagnostics_MW(
     return {"M_value": m_value, "W_value": w_value}
 
 
-@dataclass
-class DissipationLedger:
-    """Per-sample energy record plus the running damping integral.
-
-    damping[k] accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in
-    time over every step, not just the sampled ones), so that
-    energies[k] - energies[0] + damping[k] ~ 0 is the discrete version of the
-    dissipation identity.
-    """
-
-    times: np.ndarray
-    energies: np.ndarray
-    damping: np.ndarray
-
-    @property
-    def damping_integral(self) -> float:
-        return float(self.damping[-1]) if len(self.damping) else 0.0
-
-
 # ---------------------------------------------------------------------------
 # snapshot I/O (CSV with an embedded parameter header)
 

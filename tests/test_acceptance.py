@@ -73,7 +73,7 @@ def _stationarity_distance(n_points: int, dt: float) -> float:
     q = soliton_Q_gamma(grid.x, PAR_REP)
     u_eq = discrete_stationary_profile(q, PAR_REP, grid)
     traj = evolve(State(u=u_eq, v=np.zeros(grid.n)), 10.0, dt, PAR_REP, grid)
-    return norm_H1(traj.states[-1].u - q, grid), traj
+    return norm_H1(traj.final.u - q, grid), traj
 
 
 def test_criterion_01_stationarity(say):
@@ -94,15 +94,15 @@ def test_criterion_02_energy_identity(say):
     # the same run as criterion 1 (coarse leg): ledger residual of the
     # dissipation identity, plus a genuinely moving decay run for contrast
     _, traj = _stationarity_distance(801, 0.025)
-    e = traj.ledger.energies
-    resid = abs(e[-1] - e[0] + traj.ledger.damping_integral)
+    e = traj.energies
+    resid = abs(e[-1] - e[0] + traj.damping_integral)
     bound = 1e-3 * max(1.0, abs(e[0]))
 
     grid = make_grid(20.0, 801)
     st = State(u=0.6 * soliton_Q_gamma(grid.x, PAR_REP), v=np.zeros(grid.n))
     moving = evolve(st, 10.0, 0.025, PAR_REP, grid)
-    em = moving.ledger.energies
-    resid_m = abs(em[-1] - em[0] + moving.ledger.damping_integral)
+    em = moving.energies
+    resid_m = abs(em[-1] - em[0] + moving.damping_integral)
     bound_m = 1e-3 * max(1.0, abs(em[0]))
 
     ok = resid <= bound and resid_m <= bound_m
@@ -125,7 +125,7 @@ def test_criterion_03_linear_decay(say):
             State(u=u0.copy(), v=np.zeros(grid.n)), 40.0, 0.025, par, grid,
             with_nonlinearity=False,
         )
-        drop = norm_H(traj.states[-1], grid) / norm_H(
+        drop = norm_H(traj.final, grid) / norm_H(
             State(u=u0, v=np.zeros(grid.n)), grid
         )
         details.append(f"g={gamma:g}: kappa {kappa:.3f}, norm ratio {drop:.2e}")
@@ -177,7 +177,7 @@ def test_criterion_06_dichotomy_certificates(say):
     t_low = time.perf_counter() - t0
     # numeric confirmation of the decay verdict
     traj = evolve(State(u=0.5 * q, v=np.zeros(grid.n)), 30.0, 0.05, PAR0, grid)
-    drop = norm_H(traj.states[-1], grid) / norm_H(
+    drop = norm_H(traj.final, grid) / norm_H(
         State(u=0.5 * q, v=np.zeros(grid.n)), grid
     )
     t1 = time.perf_counter()
@@ -188,17 +188,17 @@ def test_criterion_06_dichotomy_certificates(say):
         and np.isfinite(low.certificate_time)
         and drop < 1e-3
         and high.classification == "BlowsUp"
-        and high.trajectory_summary["exit"] == EXIT_BLOWUP_CAP
+        and high.trajectory.exit == EXIT_BLOWUP_CAP
         and t_low < 10.0
         and t_high < 10.0
     )
     say(6, ok, f"0.5Q -> {low.classification} (cert t={low.certificate_time:g}, "
                 f"norm ratio {drop:.1e} by T=30), 1.5Q -> {high.classification} "
-                f"(exit {high.trajectory_summary['exit']}); "
+                f"(exit {high.trajectory.exit}); "
                 f"{t_low:.1f}s / {t_high:.1f}s")
     assert low.classification == "Decays" and drop < 1e-3
     assert high.classification == "BlowsUp"
-    assert high.trajectory_summary["exit"] == EXIT_BLOWUP_CAP
+    assert high.trajectory.exit == EXIT_BLOWUP_CAP
     assert t_low < 10.0 and t_high < 10.0
 
 
@@ -240,8 +240,9 @@ def test_criterion_08_center_dynamics(say):
         0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-10, T_max=200.0, dt=0.025
     )
     st0 = initial_family(res.lambda_star, 0, 3.0, grid, PAR_REP)
-    traj = evolve(st0, 30.0, 0.025, PAR_REP, grid, snapshot_stride=4)
-    rep = track_center(traj, 0, 1, PAR_REP, grid)
+    states = []
+    evolve(st0, 30.0, 0.025, PAR_REP, grid, observers=[lambda s: states.append(s.copy())], snapshot_stride=4)
+    rep = track_center(states, 0, 1, PAR_REP, grid)
     elapsed = time.perf_counter() - t0
 
     eps = np.array([f.eps_norm_H for f in rep.frames])
@@ -324,7 +325,7 @@ def test_criterion_10_symmetry_and_determinism(tmp_path, say):
     st = State(u=bump, v=0.1 * np.exp(-grid.x ** 2))
 
     def last(state):
-        return evolve(state, 3.0, 0.02, PAR0, grid).states[-1]
+        return evolve(state, 3.0, 0.02, PAR0, grid).final
 
     a = last(State(u=st.u.copy(), v=st.v.copy()))
     b = last(State(u=-st.u, v=-st.v))

@@ -111,6 +111,27 @@ def test_schema_messages_and_lines(body, line, message):
     assert str(ei.value) == f"line {line}: {message}"
 
 
+# nan and +-inf are refused where a float is read, whatever the key's rules
+NON_FINITE_CASES = [("T", "nan"), ("L_weight", "nan"), ("cert_margin", "nan"),
+                    ("scale", "nan"), ("blowup_cap", "inf"), ("T", "inf"),
+                    ("scale", "-inf")]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_CASES,
+                         ids=[f"{k}={v}" for k, v in NON_FINITE_CASES])
+def test_non_finite_floats_are_rejected(key, value):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(f"# finite only\n\n{key} = {value}\n")
+    assert str(ei.value) == f"line 3: {key} must be finite, got {value!r}"
+
+
+def test_simulate_with_nan_T_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", "L = 20\nn = 401\nT = nan\n")
+    assert code == 2
+    assert "config error: line 3: T must be finite, got 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symmetry_and_init_whitelists():
     with pytest.raises(ConfigError):
         parse_config("symmetry = odd\n")
@@ -251,6 +272,20 @@ def test_exit_2_on_unusable_out(tmp_path, capsys, target):
     assert "output error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command, text, taken", [
+    ("simulate", "L = 20\nn = 401\nT = 1\n", "simulate.json"),
+    ("shoot", "L = 20\nn = 401\ndt = 0.05\nz = 3\ntol = 0.5\nT_max = 100\n",
+     "probe_000.csv"),
+], ids=["simulate.json", "probe_000.csv"])
+def test_exit_2_on_unwritable_artifact(tmp_path, capsys, command, text, taken):
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    code, out = run(tmp_path, command, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and taken in err
+    assert (out / taken).is_dir()
 
 
 def test_exit_3_writes_incomplete_marker(tmp_path, capsys):

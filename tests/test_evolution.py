@@ -13,7 +13,6 @@ from kgdelta.evolution import (
     fit_linear_decay_rate,
     linearized_residuals,
     nonlinearity,
-    step,
 )
 from kgdelta.field import (
     PhysParams,
@@ -26,6 +25,14 @@ from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 
 PAR_FREE = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)
+
+
+def _evolve_states(state0, *args, **kwargs):
+    """evolve(), plus a copy of every sample its observer saw."""
+    states = []
+    traj = evolve(state0, *args, observers=[lambda s: states.append(s.copy())],
+                  **kwargs)
+    return traj, states
 
 
 def test_operator_is_symmetric_tridiagonal():
@@ -62,10 +69,9 @@ def test_operator_commutes_with_reflection():
 def test_cfl_guard():
     grid = make_grid(10.0, 201)  # h = 0.1
     st = State(u=np.zeros(grid.n), v=np.zeros(grid.n))
-    op = build_operator(grid, PAR_FREE)
     with pytest.raises(ParameterError):
-        step(st, 0.06, op, PAR_FREE)  # dt > h/2
-    step(st, 0.05, op, PAR_FREE)  # boundary value passes
+        evolve(st, 0.06, 0.06, PAR_FREE, grid)  # dt > h/2
+    assert evolve(st, 0.05, 0.05, PAR_FREE, grid).exit == EXIT_COMPLETED  # boundary
 
 
 def test_step_second_order_in_time():
@@ -78,7 +84,7 @@ def test_step_second_order_in_time():
     for dt in (0.0125, 0.00625, 0.0015625):
         traj = evolve(State(u=u0.copy(), v=np.zeros(grid.n)), 1.0, dt, PAR_FREE, grid,
                       snapshot_stride=10 ** 9)
-        final = traj.states[-1]
+        final = traj.final
         assert final.t == pytest.approx(1.0)
         if dt == 0.0015625:
             ref = final
@@ -93,9 +99,12 @@ def test_sign_equivariance_exact():
     grid = make_grid(15.0, 301)
     rng = np.random.default_rng(7)
     u0 = np.exp(-grid.x ** 2) * (1.0 + 0.1 * rng.standard_normal(grid.n))
-    a = evolve(State(u=u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP, grid)
-    b = evolve(State(u=-u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP, grid)
-    for sa, sb in zip(a.states, b.states):
+    _, a = _evolve_states(State(u=u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP,
+                          grid)
+    _, b = _evolve_states(State(u=-u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP,
+                          grid)
+    assert len(a) == len(b) == 11
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.u, -sb.u)
         assert np.array_equal(sa.v, -sb.v)
 
@@ -104,9 +113,14 @@ def test_reflection_equivariance_exact():
     grid = make_grid(15.0, 301)
     rng = np.random.default_rng(13)
     u0 = np.exp(-((grid.x - 1.5) ** 2)) + 0.05 * rng.standard_normal(grid.n)
-    a = evolve(State(u=u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP, grid)
-    b = evolve(State(u=u0[::-1].copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP, grid)
-    for sa, sb in zip(a.states, b.states):
+    # the noise reaches the boundary layer, which would end the run at t = 0
+    kw = dict(contamination_tol=np.inf)
+    _, a = _evolve_states(State(u=u0.copy(), v=np.zeros(grid.n)), 2.0, 0.02, PAR_REP,
+                          grid, **kw)
+    _, b = _evolve_states(State(u=u0[::-1].copy(), v=np.zeros(grid.n)), 2.0, 0.02,
+                          PAR_REP, grid, **kw)
+    assert len(a) == len(b) == 11
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.u[::-1], sb.u)
 
 
@@ -116,11 +130,11 @@ def test_energy_decays_and_ledger_closes():
     grid = make_grid(20.0, 401)
     u0 = 0.9 * soliton_Q_gamma(grid.x, PAR_REP)
     traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, PAR_REP, grid)
-    e = traj.ledger.energies
+    e = traj.energies
     assert np.all(np.diff(e) <= 1e-12)  # monotone down
-    resid = abs(e[-1] - e[0] + traj.ledger.damping_integral)
+    resid = abs(e[-1] - e[0] + traj.damping_integral)
     assert resid <= 1e-3 * max(1.0, abs(e[0]))
-    assert traj.ledger.damping_integral > 0.0
+    assert traj.damping_integral > 0.0
     assert traj.exit == EXIT_COMPLETED
     # M's ingredient: the accumulated ||u||^2 history is increasing
     assert np.all(np.diff(traj.mass_integrals) >= 0.0)
@@ -139,7 +153,7 @@ def test_prepared_equilibrium_is_discretely_stationary():
     assert 1e-5 < dist < 1e-2
     # and it actually stays put under the full nonlinear flow
     traj = evolve(State(u=u_eq.copy(), v=np.zeros(grid.n)), 10.0, 0.05, PAR_REP, grid)
-    drift = norm_H1(traj.states[-1].u - u_eq, grid)
+    drift = norm_H1(traj.final.u - u_eq, grid)
     assert drift < 1e-6, f"equilibrium drifted {drift}"
 
 
@@ -150,7 +164,7 @@ def test_blowup_cap_exit():
     assert traj.exit == EXIT_BLOWUP_CAP
     assert traj.sample_times[-1] < 60.0
     # the capped state is recorded
-    assert float(np.max(np.abs(traj.states[-1].u))) > 1.0e3
+    assert float(np.max(np.abs(traj.final.u))) > 1.0e3
 
 
 def test_contamination_exit():
@@ -186,6 +200,66 @@ def test_observers_see_every_snapshot():
     assert seen == list(traj.sample_times)
     assert seen[0] == 0.0 and seen[-1] == pytest.approx(1.0)
     assert np.allclose(np.diff(seen), 0.2)  # stride 4 x dt 0.05
+
+
+def _stop_at(t_stop, label="Stopped"):
+    """An observer that keeps a copy of each sample and ends the run at t_stop."""
+    seen = []
+
+    def observer(sample):
+        seen.append(sample.copy())
+        return label if sample.t >= t_stop else None
+
+    return observer, seen
+
+
+def _assert_ends_at_label(traj, seen, t_stop, label="Stopped"):
+    assert traj.exit == label
+    assert list(traj.sample_times) == [s.t for s in seen]
+    assert traj.sample_times[-1] == seen[-1].t >= t_stop
+    assert traj.final.t == seen[-1].t
+    assert np.array_equal(traj.final.u, seen[-1].u)
+    assert np.array_equal(traj.final.v, seen[-1].v)
+
+
+def test_observer_label_ends_the_run():
+    grid = make_grid(10.0, 201)
+    state0 = State(u=np.exp(-grid.x ** 2), v=np.zeros(grid.n))
+    observer, seen = _stop_at(0.6)
+    traj = evolve(state0, 2.0, 0.05, PAR_FREE, grid, [observer], snapshot_stride=4)
+    _assert_ends_at_label(traj, seen, 0.6)
+    assert len(seen) == 4  # t = 0, 0.2, 0.4, 0.6
+    # the record up to the label is the uninterrupted run's record
+    full = evolve(state0, 2.0, 0.05, PAR_FREE, grid, snapshot_stride=4)
+    assert full.exit == EXIT_COMPLETED
+    assert np.array_equal(traj.energies, full.energies[:4])
+    assert np.array_equal(traj.damping, full.damping[:4])
+
+
+def test_observer_label_wins_over_blowup_cap():
+    grid = make_grid(20.0, 401)
+    state0 = State(u=1.5 * soliton_Q(grid.x, 3.0), v=np.zeros(grid.n))
+    capped = evolve(state0, 60.0, 0.05, PAR_FREE, grid)
+    assert capped.exit == EXIT_BLOWUP_CAP
+    t_cap = capped.sample_times[-1]
+    observer, seen = _stop_at(t_cap)
+    traj = evolve(state0, 60.0, 0.05, PAR_FREE, grid, [observer])
+    _assert_ends_at_label(traj, seen, t_cap)
+    assert np.array_equal(traj.final.u, capped.final.u)
+
+
+def test_observer_label_wins_over_contamination():
+    grid = make_grid(6.0, 121)
+    state0 = State(u=np.exp(-4.0 * grid.x ** 2), v=np.zeros(grid.n))
+    par = PhysParams(p=3.0, alpha=0.01, gamma=0.0)
+    kwargs = dict(with_nonlinearity=False, contamination_tol=1e-6)
+    dirty = evolve(state0, 20.0, 0.025, par, grid, **kwargs)
+    assert dirty.exit == EXIT_CONTAMINATION
+    t_dirty = dirty.sample_times[-1]
+    observer, seen = _stop_at(t_dirty)
+    traj = evolve(state0, 20.0, 0.025, par, grid, [observer], **kwargs)
+    _assert_ends_at_label(traj, seen, t_dirty)
+    assert np.array_equal(traj.sample_times, dirty.sample_times)
 
 
 def test_linear_decay_rates():

@@ -86,9 +86,9 @@ def test_large_data_certifies_blowup():
     assert out.classification == BLOWS_UP
     assert out.certificate_time == 0.0  # E(1.5Q) = -3/4 below level immediately
     assert out.certificate["K_gamma_at_cert"] < 0.0
-    assert out.trajectory_summary["exit"] == EXIT_BLOWUP_CAP
+    assert out.trajectory.exit == EXIT_BLOWUP_CAP
     # blowup confirmation arrives fast under the cap
-    assert out.trajectory_summary["t"][-1] < 10.0
+    assert out.trajectory.sample_times[-1] < 10.0
 
 
 def test_discrete_equilibrium_stays_undetermined():
@@ -105,11 +105,8 @@ def test_confirmed_decay_norm_collapses():
     grid = make_grid(40.0, 801)
     q = soliton_Q(grid.x, 3.0)
     traj = evolve(State(u=0.5 * q, v=np.zeros(grid.n)), 30.0, 0.025, PAR0, grid)
-    from kgdelta.field import norm_H
-
-    n0 = norm_H(traj.states[0], grid)
-    nT = norm_H(traj.states[-1], grid)
-    assert nT < 1e-3 * n0
+    assert traj.final.t == pytest.approx(30.0)
+    assert traj.norm_H[-1] < 1e-3 * traj.norm_H[0]
 
 
 def test_bisection_brackets_and_determinism():
@@ -146,9 +143,10 @@ def test_track_center_stationary_profile():
     # center must hold still and the prediction must vanish with it
     grid = make_grid(25.0, 501)
     u_eq = discrete_stationary_profile(soliton_Q(grid.x - 5.0, 3.0), PAR0, grid)
-    traj = evolve(State(u=u_eq, v=np.zeros(grid.n)), 5.0, 0.05, PAR0, grid,
-                  snapshot_stride=5)
-    rep = track_center(traj, 0, 1, PAR0, grid)
+    states = []
+    evolve(State(u=u_eq, v=np.zeros(grid.n)), 5.0, 0.05, PAR0, grid,
+           observers=[lambda s: states.append(s.copy())], snapshot_stride=5)
+    rep = track_center(states, 0, 1, PAR0, grid)
     assert not rep.empty
     assert np.max(np.abs(rep.z - rep.z[0])) < 1e-4
     assert abs(rep.z[0] - 5.0) < 1e-2
@@ -160,8 +158,9 @@ def test_track_center_stationary_profile():
 def test_track_center_reports_shapes():
     grid = make_grid(25.0, 501)
     st0 = State(u=soliton_Q(grid.x - 4.0, 3.0), v=np.zeros(grid.n))
-    traj = evolve(st0, 6.0, 0.05, PAR_REP, grid, snapshot_stride=5)
-    rep = track_center(traj, 0, 1, PAR_REP, grid)
+    states = []
+    evolve(st0, 6.0, 0.05, PAR_REP, grid, observers=[lambda s: states.append(s.copy())], snapshot_stride=5)
+    rep = track_center(states, 0, 1, PAR_REP, grid)
     m = len(rep.times)
     assert m > 3
     assert rep.z.shape == (m,)

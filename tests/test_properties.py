@@ -1,11 +1,12 @@
 """Properties of the stepping kernel and the sample record over random
-(p, alpha, gamma, n, dt, stride) and random initial data, and of the config
-schema over random valid configs."""
+(p, alpha, gamma, n, dt, stride) and random initial data, of the Nehari
+projection over random (p, gamma, n, u), and of the config schema over
+random valid configs."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kgdelta.cli import echo_lines, parse_config
-from kgdelta.evolution import build_operator, evolve, step
+from kgdelta.evolution import evolve
 from kgdelta.field import (
     PhysParams,
     State,
@@ -16,6 +17,7 @@ from kgdelta.field import (
     make_grid,
     norm_H,
 )
+from kgdelta.variational import nehari_project
 
 # small grids and short runs keep the whole module around a second; the
 # draws are derandomized so a failure reproduces on every run
@@ -48,19 +50,31 @@ def _evolve(run, state0=None, **kwargs):
                   snapshot_stride=stride, **kwargs)
 
 
+def _evolve_samples(run, state0=None):
+    """The run's Trajectory and (copy, E, K, norm_H) of each sample observed."""
+    samples = []
+
+    def keep(s):
+        samples.append((s.copy(), s.E, s.K, s.norm_H))
+
+    return _evolve(run, state0, observers=[keep]), samples
+
+
 @FAST
 @given(runs())
 def test_evolve_is_exactly_sign_and_reflection_equivariant(run):
     u0, v0 = run[-1].u, run[-1].v
-    base = _evolve(run)
-    flipped = _evolve(run, State(u=-u0, v=-v0))
-    mirrored = _evolve(run, State(u=u0[::-1].copy(), v=v0[::-1].copy()))
+    base, base_s = _evolve_samples(run)
+    flipped, flipped_s = _evolve_samples(run, State(u=-u0, v=-v0))
+    mirrored, mirrored_s = _evolve_samples(run, State(u=u0[::-1].copy(),
+                                                      v=v0[::-1].copy()))
     assert flipped.exit == mirrored.exit == base.exit
     # reflection reorders the quadrature sums, so only the states are exact
-    assert np.array_equal(flipped.ledger.energies, base.ledger.energies)
+    assert np.array_equal(flipped.energies, base.energies)
     assert np.array_equal(flipped.K_gamma, base.K_gamma)
     assert np.array_equal(flipped.norm_H, base.norm_H)
-    for a, b, c in zip(base.states, flipped.states, mirrored.states):
+    assert len(base_s) == len(flipped_s) == len(mirrored_s)
+    for (a, *_), (b, *_), (c, *_) in zip(base_s, flipped_s, mirrored_s):
         assert np.array_equal(b.u, -a.u) and np.array_equal(b.v, -a.v)
         assert np.array_equal(c.u, a.u[::-1]) and np.array_equal(c.v, a.v[::-1])
 
@@ -75,7 +89,7 @@ def test_ledger_closes_at_second_order(run):
     for d in (dt, 0.5 * dt):
         traj = evolve(state0, max(n_steps, 10) * dt, d, params, grid,
                       snapshot_stride=stride, contamination_tol=np.inf)
-        e, damping = traj.ledger.energies, traj.ledger.damping
+        e, damping = traj.energies, traj.damping
         assert np.all(np.diff(damping) >= 0.0)
         assert np.all(np.diff(traj.mass_integrals) >= 0.0)
         resid.append(abs(e[-1] - e[0] + damping[-1]))
@@ -86,47 +100,38 @@ def test_ledger_closes_at_second_order(run):
 @given(runs())
 def test_sample_record_matches_field_functionals(run):
     params, grid = run[0], run[1]
-    traj = _evolve(run)
-    assert len(traj.states) == len(traj.sample_times)
-    for i, s in enumerate(traj.states):
+    traj, samples = _evolve_samples(run)
+    assert len(samples) == len(traj.sample_times)
+    for i, (s, E, K, nH) in enumerate(samples):
         assert traj.sample_times[i] == s.t
-        assert traj.ledger.energies[i] == energy_E_gamma(s, params, grid) == s.E
-        assert traj.K_gamma[i] == functional_K_gamma(s.u, params, grid) == s.K
-        assert traj.norm_H[i] == norm_H(s, grid) == s.norm_H
+        assert traj.energies[i] == energy_E_gamma(s, params, grid) == E
+        assert traj.K_gamma[i] == functional_K_gamma(s.u, params, grid) == K
+        assert traj.norm_H[i] == norm_H(s, grid) == nH
         assert traj.norm_H1[i] == np.sqrt(h1_sq(s.u, grid))
         assert traj.norm_L2_v[i] == np.sqrt(l2_sq(s.v, grid))
         assert traj.u_center[i] == s.u[grid.center]
+    # the run keeps its last sample, functionals included
+    last, final = samples[-1], traj.final
+    assert np.array_equal(final.u, last[0].u) and np.array_equal(final.v, last[0].v)
+    assert (final.t, final.E, final.K, final.norm_H) == (last[0].t, *last[1:])
 
 
-@FAST
-@given(runs())
-def test_dropping_snapshots_changes_no_result(run):
-    kept = _evolve(run)
-    lean = _evolve(run, keep_snapshots=False)
-    assert lean.exit == kept.exit and lean.sup_norm_H == kept.sup_norm_H
-    for name in ("sample_times", "mass_integrals", "K_gamma", "norm_H", "norm_H1",
-                 "norm_L2_v", "u_center"):
-        assert np.array_equal(getattr(lean, name), getattr(kept, name))
-    for name in ("times", "energies", "damping"):
-        assert np.array_equal(getattr(lean.ledger, name), getattr(kept.ledger, name))
-    assert len(lean.states) == 1
-    last, final = lean.states[0], kept.states[-1]
-    assert np.array_equal(last.u, final.u) and np.array_equal(last.v, final.v)
-    assert (last.t, last.E, last.K, last.norm_H) == (final.t, final.E, final.K,
-                                                     final.norm_H)
-
-
-@FAST
-@given(runs())
-def test_step_is_one_evolve_step(run):
-    params, grid, dt, n_steps, _, state = run
-    n_steps = min(n_steps, 5)
-    traj = evolve(state, n_steps * dt, dt, params, grid, snapshot_stride=1)
-    operator = build_operator(grid, params)
-    for sample in traj.states[1:]:
-        state = step(state, dt, operator, params)
-        assert np.array_equal(state.u, sample.u)
-        assert np.array_equal(state.v, sample.v)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(2.1, 7.0), gamma=st.floats(-3.0, 1.9),
+       n=st.sampled_from([41, 101, 301]), scale=st.floats(0.05, 5.0),
+       center=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_nehari_projection_is_idempotent(p, gamma, n, scale, center, seed):
+    """One projection lands on K_gamma = 0 and a second one leaves it there."""
+    params = PhysParams(p=p, alpha=1.0, gamma=gamma)
+    grid = make_grid(10.0, n)
+    rng = np.random.default_rng(seed)
+    bump = np.exp(-((grid.x - center) ** 2))
+    u = scale * bump * (1.0 + 0.3 * rng.standard_normal(n))
+    u[0] = u[-1] = 0.0
+    once = nehari_project(u, params, grid)
+    twice = nehari_project(once, params, grid)
+    assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
+    assert abs(functional_K_gamma(once, params, grid)) <= 1e-12 * h1_sq(once, grid)
 
 
 @st.composite

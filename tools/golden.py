@@ -5,7 +5,9 @@
 Runs each case below in-process through `kgdelta.cli.main`, imported from
 SRC_DIR (default: the `src/` next to this script), and writes each case's
 artifacts, its standard output and error and its exit code under
-OUT_DIR/<case>/.  Python warnings are suppressed: they quote source lines.
+OUT_DIR/<case>/.  A case that raises instead of returning records
+``raised <ExceptionType>`` as its exit code, and the next case runs.
+Python warnings are suppressed: they quote source lines.
 Everything written is deterministic, so two source trees produce the same
 artifacts exactly when
 
@@ -63,6 +65,7 @@ CASES = (
     # config errors: the message, its line and exit 2 (keys are written sorted)
     ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
     ("config-cfl", "simulate", {"L": 10, "n": 201, "dt": 0.051}),
+    ("config-nan-T", "simulate", {"L": 20, "n": 401, "T": "nan"}),
 )
 
 
@@ -93,7 +96,10 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stdout), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = cli.main([cmd, "--config", str(config), "--out", str(case)])
+            try:
+                code = cli.main([cmd, "--config", str(config), "--out", str(case)])
+            except Exception as exc:  # a crash is a result to compare, not an end
+                code = f"raised {type(exc).__name__}"
         (case / "stdout.txt").write_text(stdout.getvalue())
         (case / "exit_code.txt").write_text(f"{code}\n")
         print(f"{name}: exit {code}")
