@@ -31,21 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs
 
 from . import profiles
 from .errors import ParameterError
 from .evolution import build_operator, nonlinearity
-from .field import (
-    GridSpec,
-    PhysParams,
-    functional_J_gamma,
-    functional_K_gamma,
-    h1_sq,
-    l2_sq,
-    lq_integral,
-    trapezoid,
-)
+from .field import GridSpec, PhysParams, _check_samples, _trapezoid, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
@@ -88,33 +80,57 @@ def reference_levels(params: PhysParams) -> dict:
     return {"n_gamma": n_gamma, "r_gamma": r_gamma}
 
 
+def _quad_nonlin(u: np.ndarray, params: PhysParams, grid: GridSpec):
+    """(||u||_H1^2 - gamma u(0)^2, int |u|^{p+1}, ||u||^2) in one pass.
+
+    J_gamma = quad/2 - nonlin/(p+1) and K_gamma = quad - nonlin are read off
+    this triple; each entry is bitwise what the `field` functionals compute.
+    """
+    d = u[1:] - u[:-1]
+    l2 = _trapezoid(u ** 2, grid.h)
+    u0 = float(u[grid.center])
+    quad = (float(np.dot(d, d)) / grid.h + l2) - params.gamma * u0 * u0
+    return quad, _trapezoid(np.abs(u) ** (params.p + 1.0), grid.h), l2
+
+
 def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndarray:
     """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
 
         lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
     """
-    u0 = float(u[grid.center])
-    quad = h1_sq(u, grid) - params.gamma * u0 * u0
-    nonlin = lq_integral(u, params.p + 1.0, grid)
+    u = np.asarray(u)
+    _check_samples(u, grid)
+    quad, nonlin, _ = _quad_nonlin(u, params, grid)
     if nonlin <= 0.0 or quad <= 0.0:
         raise ParameterError("cannot project (near-)zero input onto the Nehari set")
     lam = np.log(quad / nonlin) / (params.p - 1.0)
     return np.exp(lam) * u
 
 
+def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
+    """(P u, J_gamma, |K_gamma|, ||.||^2) of the Nehari projection P u."""
+    cand = nehari_project(u, params, grid)
+    quad, nonlin, l2 = _quad_nonlin(cand, params, grid)
+    return cand, 0.5 * quad - nonlin / (params.p + 1.0), abs(quad - nonlin), l2
+
+
+def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
+    """(center_drift, mass_near_origin) of u, given l2 = ||u||^2."""
+    if l2 == 0.0:
+        return 0.0, 0.0
+    inside = u[np.abs(grid.x) <= MASS_WINDOW]
+    return (abs(trapezoid(grid.x * u * u, grid)) / l2,
+            grid.h * float(np.dot(inside, inside)) / l2)
+
+
 def center_drift(u: np.ndarray, grid: GridSpec) -> float:
-    mass = l2_sq(u, grid)
-    if mass == 0.0:
-        return 0.0
-    return abs(trapezoid(grid.x * u * u, grid)) / mass
+    """|int x u^2| / ||u||^2, the distance of the mass center from 0."""
+    return _detectors(u, l2_sq(u, grid), grid)[0]
 
 
-def mass_near_origin(u: np.ndarray, grid: GridSpec, window: float = MASS_WINDOW) -> float:
-    mask = np.abs(grid.x) <= window
-    total = l2_sq(u, grid)
-    if total == 0.0:
-        return 0.0
-    return grid.h * float(np.dot(u[mask], u[mask])) / total
+def mass_near_origin(u: np.ndarray, grid: GridSpec) -> float:
+    """Share of ||u||^2 within |x| <= MASS_WINDOW."""
+    return _detectors(u, l2_sq(u, grid), grid)[1]
 
 
 def _escape_fired(drift: float, mass: float, grid: GridSpec) -> bool:
@@ -153,44 +169,41 @@ def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
     return out
 
 
-def _translation_move(
-    u: np.ndarray, J_cur: float, params: PhysParams, grid: GridSpec, even: bool
-) -> tuple[np.ndarray, float] | None:
+def _translation_move(u: np.ndarray, J_cur: float, params: PhysParams,
+                      grid: GridSpec, even: bool):
     """Collective-coordinate step: the Nehari-projected translate of u by
     k = 1, 2, 4, ... nodes that lowers J the most, doubling k while J keeps
     strictly decreasing.  The doubling also stops at the first candidate that
     fires an escape detector: driven further, the iterate reaches the
     Dirichlet wall, where truncation lowers J artificially.
 
-    Returns (u, J) of the accepted translate, or None if no shift lowers J.
+    Returns the accepted translate as _projected gives it, or None if no
+    shift lowers J.
     """
     best = None
     J_best = J_cur
     k = 1
     while k < grid.center:
         try:
-            cand = nehari_project(_translate(u, k, grid, even), params, grid)
+            cand = _projected(_translate(u, k, grid, even), params, grid)
         except ParameterError:
             break
-        J_cand = functional_J_gamma(cand, params, grid)
-        if not J_cand < J_best:
+        if not cand[1] < J_best:
             break
-        best, J_best = (cand, J_cand), J_cand
-        if _escape_fired(center_drift(cand, grid), mass_near_origin(cand, grid), grid):
+        best, J_best = cand, cand[1]
+        if _escape_fired(*_detectors(cand[0], cand[3], grid), grid):
             break
         k *= 2
     return best
 
 
 def _h1_preconditioner(grid: GridSpec):
-    """Banded factors for the gamma-free form (-d_xx + 1) with Dirichlet ends."""
+    """(sub, main, super) diagonals of the gamma-free form (-d_xx + 1) on the
+    interior nodes, Dirichlet ends."""
     m = grid.n - 2
     inv_h2 = 1.0 / (grid.h * grid.h)
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -inv_h2
-    ab[1, :] = 2.0 * inv_h2 + 1.0
-    ab[2, :-1] = -inv_h2
-    return ab
+    off = np.full(m - 1, -inv_h2)
+    return off, np.full(m, 2.0 * inv_h2 + 1.0), off
 
 
 def minimize_level(
@@ -229,17 +242,20 @@ def minimize_level(
     levels = reference_levels(params)
     reference = levels["r_gamma"] if even else levels["n_gamma"]
     operator = build_operator(grid, params)
-    ab = _h1_preconditioner(grid)
+    # LAPACK gtsv is what solve_banded((1, 1), ...) calls, without its
+    # per-call validation
+    sub, main, sup = _h1_preconditioner(grid)
+    gtsv, = get_lapack_funcs(("gtsv",), (main,))
     p = params.p
 
-    u = nehari_project(u, params, grid)
-    J_cur = functional_J_gamma(u, params, grid)
+    u, J_cur, K_cur, l2 = _projected(u, params, grid)
 
     hist_iter = [0]
     hist_J = [J_cur]
-    hist_K = [abs(functional_K_gamma(u, params, grid))]
-    hist_drift = [center_drift(u, grid)]
-    hist_mass = [mass_near_origin(u, grid)]
+    hist_K = [K_cur]
+    drift, mass = _detectors(u, l2, grid)
+    hist_drift = [drift]
+    hist_mass = [mass]
 
     step = 1.0
     increases = 0
@@ -256,15 +272,17 @@ def minimize_level(
             moved = _translation_move(u, J_cur, params, grid, even)
             if moved is None:
                 break
-            u, J_cur = moved
+            u, J_cur, K_cur, l2 = moved
             u_prev = g_prev = None  # the secant pair spans the jump otherwise
             stalled = False
             increases = 0
         else:
-            grad = operator.apply(u) - nonlinearity(u, p)
-            grad[0] = grad[-1] = 0.0
-            g = np.zeros_like(u)
-            g[1:-1] = solve_banded((1, 1), ab, grad[1:-1])
+            g = operator.apply(u) - nonlinearity(u, p)
+            g[0] = g[-1] = 0.0
+            # gtsv copies its inputs: the diagonals are reused
+            _, _, _, g[1:-1], info = gtsv(sub, main, sup, g[1:-1])
+            if info > 0:
+                raise LinAlgError("singular matrix")
 
             # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
             # so the step must track the inverse of the flattest curvature the
@@ -281,8 +299,7 @@ def minimize_level(
                 cand = u - s * g
                 if even:
                     cand = 0.5 * (cand + cand[::-1])
-                cand = nehari_project(cand, params, grid)
-                return cand, functional_J_gamma(cand, params, grid)
+                return _projected(cand, params, grid)
 
             # backtrack to a decrease, then expand while the decrease continues:
             # escape valleys flatten exponentially, so the accepted step must be
@@ -293,51 +310,53 @@ def minimize_level(
             J_new = J_cur
             while s > 1e-14:
                 try:
-                    cand, J_cand = try_step(s)
+                    cand = try_step(s)
                 except ParameterError:
                     s *= 0.5
                     continue
-                if J_cand < J_cur:
-                    trial, J_new = cand, J_cand
+                if cand[1] < J_cur:
+                    trial, J_new = cand, cand[1]
                     break
                 s *= 0.5
             if trial is not None:
                 while s < 1e12:
                     try:
-                        cand, J_cand = try_step(2.0 * s)
+                        cand = try_step(2.0 * s)
                     except ParameterError:
                         break
-                    if J_cand < J_new:
+                    if cand[1] < J_new:
                         s *= 2.0
-                        trial, J_new = cand, J_cand
+                        trial, J_new = cand, cand[1]
                     else:
                         break
             else:
                 # line search exhausted: forced tiny step, counts toward divergence
                 try:
-                    trial, J_new = try_step(1e-14)
+                    trial = try_step(1e-14)
                 except ParameterError:
                     break
+                J_new = trial[1]
 
             increases = increases + 1 if J_new >= J_cur else 0
             stalled = abs(J_cur - J_new) < tol
-            u, J_cur = trial, J_new
+            u, J_cur, K_cur, l2 = trial
             step = s
         iterations = it
 
+        drift, mass = _detectors(u, l2, grid)
         hist_iter.append(it)
         hist_J.append(J_cur)
-        hist_K.append(abs(functional_K_gamma(u, params, grid)))
-        hist_drift.append(center_drift(u, grid))
-        hist_mass.append(mass_near_origin(u, grid))
+        hist_K.append(K_cur)
+        hist_drift.append(drift)
+        hist_mass.append(mass)
 
-        if _escape_fired(hist_drift[-1], hist_mass[-1], grid):
+        if _escape_fired(drift, mass, grid):
             escaped = True
             break
         if increases >= 10:
             break
 
-    diagnostic = {"center_drift": hist_drift[-1], "mass_near_origin": hist_mass[-1]}
+    diagnostic = {"center_drift": drift, "mass_near_origin": mass}
     return MinimizationReport(
         level_estimate=J_cur,
         reference_level=reference,
