@@ -14,17 +14,19 @@ an even pair separating -- and the escape is detected rather than proved:
 center-of-mass drift beyond L/3, or less than 5% of the L2 mass remaining
 within |x| <= 5.
 
-Along an escape valley the gradient step can stall before a detector fires:
-at gamma = -2.5 it carves a dip at the origin that weakens the pair's outward
-drive ~13x, and |Delta J| drops below tol with the pair still near z = 5.  So
-where the descent would stop on |Delta J| < tol it first tries a translation
-move (a collective-coordinate step in the spirit of the mountain-pass and
-local-minimax descents of Choi-McKenna 1993 and Li-Zhou 2001): the iterate is
-shifted away from the origin by k = 1, 2, 4, ... grid nodes -- each half
-outward, mirrored, in the even sector; the whole iterate toward the side of
-its first moment int x u^2 otherwise -- Nehari-projected, and accepted only on
-a strict decrease of J.  The descent then resumes; if no shift lowers J (a
-pinned minimizer), it stops as before.
+Along an escape valley the gradient step crawls and can stall before a
+detector fires: at gamma = -2.5 it carves a dip at the origin that weakens
+the pair's outward drive ~13x, and |Delta J| drops below tol with the pair
+still near z = 5.  So once a gradient step lowers J by less than 100 tol, the
+next iteration tries a translation move (a collective-coordinate step in the
+spirit of the mountain-pass and local-minimax descents of Choi-McKenna 1993
+and Li-Zhou 2001): the iterate is shifted away from the origin by
+k = 1, 2, 4, ... grid nodes -- each half outward, mirrored, in the even
+sector; the whole iterate toward the side of its first moment int x u^2
+otherwise -- Nehari-projected, and accepted only on a strict decrease of J.
+A refused move costs no iteration: the gradient step is taken as usual.  The
+descent stops only where |Delta J| < tol and no shift lowers J (a pinned
+minimizer).
 """
 from __future__ import annotations
 
@@ -41,6 +43,8 @@ from .field import GridSpec, PhysParams, _check_samples, _trapezoid, l2_sq, trap
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
+# a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
+SLIDE_FACTOR = 100.0
 
 
 @dataclass
@@ -219,11 +223,11 @@ def minimize_level(
 
     symmetry "even" restricts to the even sector (iterates symmetrized every
     step, reference level r_gamma); "none" minimizes freely against n_gamma.
-    A gradient step with |Delta J| < tol is followed by a translation move
-    (see the module docstring), which is one iteration and one history row of
-    its own.  Stops on escape, |Delta J| < tol with no translate lowering J,
-    J increasing across 10 consecutive accepted steps (divergence abort), or
-    max_iters.
+    A gradient step with |Delta J| < SLIDE_FACTOR * tol is followed by a try
+    at a translation move (see the module docstring); an accepted move is one
+    iteration and one history row of its own.  Stops on escape,
+    |Delta J| < tol with no translate lowering J, J increasing across 10
+    consecutive accepted steps (divergence abort), or max_iters.
     """
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
@@ -261,20 +265,22 @@ def minimize_level(
     increases = 0
     escaped = False
     iterations = 0
-    stalled = False
+    dJ = np.inf  # |Delta J| of the last gradient step
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
 
     for it in range(1, max_iters + 1):
-        if stalled:
-            # the gradient step stopped moving J: translate instead, and stop
-            # as before only if no translate lowers J either
+        moved = None
+        if dJ < SLIDE_FACTOR * tol:
+            # the gradient step slows down: try to translate instead, and
+            # stop only if it has stalled and no translate lowers J either
             moved = _translation_move(u, J_cur, params, grid, even)
-            if moved is None:
+            if moved is None and dJ < tol:
                 break
+        if moved is not None:
             u, J_cur, K_cur, l2 = moved
             u_prev = g_prev = None  # the secant pair spans the jump otherwise
-            stalled = False
+            dJ = np.inf
             increases = 0
         else:
             g = operator.apply(u) - nonlinearity(u, p)
@@ -338,7 +344,7 @@ def minimize_level(
                 J_new = trial[1]
 
             increases = increases + 1 if J_new >= J_cur else 0
-            stalled = abs(J_cur - J_new) < tol
+            dJ = abs(J_cur - J_new)
             u, J_cur, K_cur, l2 = trial
             step = s
         iterations = it
