@@ -19,6 +19,7 @@ from .errors import (
     NumericError,
     OutOfTubeError,
     ParameterError,
+    SingularSystemError,
 )
 from .field import GridSpec, PhysParams, State, make_grid
 
@@ -33,6 +34,7 @@ __all__ = [
     "OutOfTubeError",
     "ParameterError",
     "PhysParams",
+    "SingularSystemError",
     "State",
     "make_grid",
 ]

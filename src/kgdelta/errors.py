@@ -34,6 +34,10 @@ class NoConvergenceError(NumericError):
     """An iterative solve (Newton, descent) failed to converge."""
 
 
+class SingularSystemError(NumericError):
+    """A linear solve met a singular matrix."""
+
+
 class OutOfTubeError(NumericError):
     """A state left the modulation tube around the reference profile family."""
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import profiles
-from .errors import GridError, NoConvergenceError, ParameterError
+from .errors import GridError, NoConvergenceError, ParameterError, SingularSystemError
 from .field import GridSpec, PhysParams, State, _trapezoid, norm_L2
 
 EXIT_COMPLETED = "Completed"
@@ -44,6 +44,8 @@ EXIT_NONFINITE = "NonFinite"
 
 DEFAULT_CAP = 1.0e3
 DEFAULT_CFL = 0.5
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -342,6 +344,20 @@ def evolve(
     )
 
 
+def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """x with T x = rhs, T the tridiagonal matrix with these three diagonals.
+
+    LAPACK gtsv, the routine solve_banded((1, 1), ...) calls after its input
+    validation, so the result is bitwise the same.  gtsv works on copies of
+    its inputs.  A zero pivot raises SingularSystemError.
+    """
+    _, _, _, x, info = _GTSV(sub, main, sup, rhs)
+    if info > 0:
+        raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")
+    return x
+
+
 def discrete_stationary_profile(
     u_init: np.ndarray,
     params: PhysParams,
@@ -363,6 +379,7 @@ def discrete_stationary_profile(
     u[0] = 0.0
     u[-1] = 0.0
     inv_h2 = 1.0 / (grid.h * grid.h)
+    off = np.full(grid.n - 3, operator.off_diag)
     for _ in range(max_iter):
         res = operator.apply(u) - nonlinearity(u, params.p)
         res[0] = 0.0
@@ -373,12 +390,7 @@ def discrete_stationary_profile(
         if float(np.max(np.abs(res))) < max(tol, floor):
             return u
         jac_diag = operator.diag - params.p * np.abs(u) ** (params.p - 1.0)
-        ab = np.zeros((3, grid.n - 2))
-        ab[0, 1:] = -inv_h2
-        ab[1, :] = jac_diag[1:-1]
-        ab[2, :-1] = -inv_h2
-        du = solve_banded((1, 1), ab, res[1:-1])
-        u[1:-1] -= du
+        u[1:-1] -= solve_tridiagonal(off, jac_diag[1:-1], off, res[1:-1])
     raise NoConvergenceError(
         f"stationary-profile Newton did not reach {tol} in {max_iter} iterations"
     )

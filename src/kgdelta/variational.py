@@ -24,27 +24,35 @@ and Li-Zhou 2001): the iterate is shifted away from the origin by
 k = 1, 2, 4, ... grid nodes -- each half outward, mirrored, in the even
 sector; the whole iterate toward the side of its first moment int x u^2
 otherwise -- Nehari-projected, and accepted only on a strict decrease of J.
-A refused move costs no iteration: the gradient step is taken as usual.  The
-descent stops only where |Delta J| < tol and no shift lowers J (a pinned
-minimizer).
+A refused move costs no iteration: the gradient step is taken as usual.
+
+Where |Delta J| < tol and no shift lowers J, the iterate sits at a critical
+point.  In the free sector at gamma < 0 that can be the pinned saddle
+Q_gamma: from an even start the gradient step stays even and the descent
+stops at r_gamma, not n_gamma.  Q_gamma is unstable there in the odd sector
+(cf. Le Coz-Fukuizumi-Fibich-Ksherim-Sivan, Physica D 237 (2008), for NLS
+with a delta), so a symmetry-breaking move is tried first: u + s psi, with
+psi = x u normalized in L2 and s = k SADDLE_STEP, Nehari-projected and
+doubled as the translation move is.  For gamma >= 0, Q_gamma is the free
+minimizer and the even sector admits no odd direction; there the descent
+stops (a pinned minimizer).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
 from . import profiles
 from .errors import ParameterError
-from .evolution import build_operator, nonlinearity
+from .evolution import build_operator, nonlinearity, solve_tridiagonal
 from .field import GridSpec, PhysParams, _check_samples, _trapezoid, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
 # a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
 SLIDE_FACTOR = 100.0
+SADDLE_STEP = 1e-3
 
 
 @dataclass
@@ -173,23 +181,22 @@ def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
     return out
 
 
-def _translation_move(u: np.ndarray, J_cur: float, params: PhysParams,
-                      grid: GridSpec, even: bool):
-    """Collective-coordinate step: the Nehari-projected translate of u by
-    k = 1, 2, 4, ... nodes that lowers J the most, doubling k while J keeps
-    strictly decreasing.  The doubling also stops at the first candidate that
-    fires an escape detector: driven further, the iterate reaches the
-    Dirichlet wall, where truncation lowers J artificially.
+def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
+    """The Nehari projection of move(k), k = 1, 2, 4, ... < grid.center, that
+    lowers J the most, doubling k while J keeps strictly decreasing.  The
+    doubling also stops at the first candidate that fires an escape detector:
+    driven further, the iterate reaches the Dirichlet wall, where truncation
+    lowers J artificially.
 
-    Returns the accepted translate as _projected gives it, or None if no
-    shift lowers J.
+    Returns the accepted candidate as _projected gives it, or None if no k
+    lowers J.
     """
     best = None
     J_best = J_cur
     k = 1
     while k < grid.center:
         try:
-            cand = _projected(_translate(u, k, grid, even), params, grid)
+            cand = _projected(move(k), params, grid)
         except ParameterError:
             break
         if not cand[1] < J_best:
@@ -199,6 +206,13 @@ def _translation_move(u: np.ndarray, J_cur: float, params: PhysParams,
             break
         k *= 2
     return best
+
+
+def _saddle_direction(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """psi = x u normalized in L2, signed toward the side of int x u^2."""
+    psi = grid.x * u
+    psi /= np.sqrt(l2_sq(psi, grid))
+    return -psi if trapezoid(grid.x * u * u, grid) < 0.0 else psi
 
 
 def _h1_preconditioner(grid: GridSpec):
@@ -225,9 +239,11 @@ def minimize_level(
     step, reference level r_gamma); "none" minimizes freely against n_gamma.
     A gradient step with |Delta J| < SLIDE_FACTOR * tol is followed by a try
     at a translation move (see the module docstring); an accepted move is one
-    iteration and one history row of its own.  Stops on escape,
-    |Delta J| < tol with no translate lowering J, J increasing across 10
-    consecutive accepted steps (divergence abort), or max_iters.
+    iteration and one history row of its own.  At |Delta J| < tol with no
+    translate lowering J, the free sector at gamma < 0 tries the
+    symmetry-breaking saddle move, again as an iteration of its own.  Stops
+    on escape, at |Delta J| < tol with no move lowering J, on J increasing
+    across 10 consecutive accepted steps (divergence abort), or at max_iters.
     """
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
@@ -246,10 +262,7 @@ def minimize_level(
     levels = reference_levels(params)
     reference = levels["r_gamma"] if even else levels["n_gamma"]
     operator = build_operator(grid, params)
-    # LAPACK gtsv is what solve_banded((1, 1), ...) calls, without its
-    # per-call validation
     sub, main, sup = _h1_preconditioner(grid)
-    gtsv, = get_lapack_funcs(("gtsv",), (main,))
     p = params.p
 
     u, J_cur, K_cur, l2 = _projected(u, params, grid)
@@ -272,11 +285,18 @@ def minimize_level(
     for it in range(1, max_iters + 1):
         moved = None
         if dJ < SLIDE_FACTOR * tol:
-            # the gradient step slows down: try to translate instead, and
-            # stop only if it has stalled and no translate lowers J either
-            moved = _translation_move(u, J_cur, params, grid, even)
+            # the gradient step slows down: try to translate instead; once it
+            # has stalled, try to leave a saddle, and stop if nothing lowers J
+            moved = _doubling_move(lambda k: _translate(u, k, grid, even),
+                                   J_cur, params, grid)
             if moved is None and dJ < tol:
-                break
+                if even or params.gamma >= 0.0:
+                    break
+                psi = _saddle_direction(u, grid)
+                moved = _doubling_move(lambda k: u + k * SADDLE_STEP * psi,
+                                       J_cur, params, grid)
+                if moved is None:
+                    break
         if moved is not None:
             u, J_cur, K_cur, l2 = moved
             u_prev = g_prev = None  # the secant pair spans the jump otherwise
@@ -285,10 +305,7 @@ def minimize_level(
         else:
             g = operator.apply(u) - nonlinearity(u, p)
             g[0] = g[-1] = 0.0
-            # gtsv copies its inputs: the diagonals are reused
-            _, _, _, g[1:-1], info = gtsv(sub, main, sup, g[1:-1])
-            if info > 0:
-                raise LinAlgError("singular matrix")
+            g[1:-1] = solve_tridiagonal(sub, main, sup, g[1:-1])
 
             # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
             # so the step must track the inverse of the flattest curvature the

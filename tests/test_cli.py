@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from kgdelta import evolution, variational
 from kgdelta.cli import main, parse_config
 from kgdelta.errors import ConfigError
 
@@ -299,4 +300,36 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
     blob = json.loads((out / "shoot.json").read_text())
     assert blob["incomplete"] is True
     assert "error" in blob and blob["config"]["gamma"] == -1.0
+    assert "failed" in capsys.readouterr().err
+
+
+def _singular_preconditioner(grid):
+    sub, main, sup = _REAL_PRECONDITIONER(grid)
+    return sub, np.zeros_like(main), sup
+
+
+def _singular_newton_solve(sub, main, sup, rhs):
+    return _REAL_SOLVE(sub, np.zeros_like(main), sup, rhs)
+
+
+_REAL_PRECONDITIONER = variational._h1_preconditioner
+_REAL_SOLVE = evolution.solve_tridiagonal
+
+
+@pytest.mark.parametrize("command, text, target, singular", [
+    ("variational", "L = 15\nn = 301\ninit = q\nz = 3\n",
+     "kgdelta.variational._h1_preconditioner", _singular_preconditioner),
+    ("simulate", "L = 20\nn = 401\nT = 1\ninit = equilibrium\n",
+     "kgdelta.evolution.solve_tridiagonal", _singular_newton_solve),
+])
+def test_singular_solve_exits_3(tmp_path, capsys, monkeypatch, command, text,
+                                target, singular):
+    """A singular tridiagonal solve (descent preconditioner, stationary-profile
+    Newton step) ends as a KgError: exit 3 and the incomplete stub."""
+    monkeypatch.setattr(target, singular)
+    code, out = run(tmp_path, command, text)
+    assert code == 3
+    blob = json.loads((out / f"{command}.json").read_text())
+    assert blob["incomplete"] is True
+    assert "singular" in blob["error"]
     assert "failed" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 """Nehari projection, reference levels, and the two minimization sectors."""
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from kgdelta.errors import ParameterError
+from kgdelta.errors import ParameterError, SingularSystemError
+from kgdelta.evolution import solve_tridiagonal
+from kgdelta.experiments import initial_family
 from kgdelta.field import (
     PhysParams,
     functional_J_gamma,
@@ -12,6 +15,7 @@ from kgdelta.field import (
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 from kgdelta.variational import (
     ESCAPE_MASS_FRACTION,
+    _h1_preconditioner,
     center_drift,
     mass_near_origin,
     minimize_level,
@@ -222,6 +226,99 @@ def test_even_strong_repulsion_level_and_stall():
     h = rep.history
     assert np.all(np.diff(h["J"]) <= 1e-12)
     assert np.all(h["K_residual"] < 1e-9)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -0.5])
+def test_free_sector_leaves_the_pinned_saddle(gamma):
+    """From Q_gamma itself the gradient step stays even and stalls at the
+    saddle J = r_gamma; the symmetry-breaking move tips the bump off it, and
+    it slides away at the free level n_gamma = 4/3."""
+    grid = _grid()
+    par = PhysParams(3.0, 1.0, gamma)
+    rep = minimize_level(par, grid, "none", soliton_Q_gamma(grid.x, par))
+    assert rep.escaped
+    assert rep.minimizer is None
+    assert abs(rep.level_estimate - 4.0 / 3.0) / (4.0 / 3.0) < 0.01
+    h = rep.history
+    assert np.all(np.diff(h["J"]) <= 1e-12)
+    assert np.all(h["K_residual"] < 1e-9)
+
+
+def test_free_sector_keeps_the_attractive_minimizer():
+    """gamma > 0: Q_gamma is the free minimizer, so no move leaves it."""
+    grid = _grid()
+    par = PhysParams(3.0, 1.0, 1.0)
+    q = soliton_Q_gamma(grid.x, par)
+    rep = minimize_level(par, grid, "none", q)
+    assert not rep.escaped
+    assert rep.minimizer is not None
+    assert rep.escape_diagnostic["center_drift"] < 1e-10
+    assert np.max(np.abs(rep.minimizer - nehari_project(q, par, grid))) < 1e-3
+    assert abs(rep.level_estimate - rep.reference_level) / rep.reference_level < 1e-3
+
+
+# z drawn from each shape of the benchmark's descend workload
+@pytest.mark.parametrize("shape, z", [
+    ("free", 2.55), ("free", 3.2), ("free", 3.95),
+    ("even", 3.05), ("even", 3.5), ("even", 3.95),
+    ("strong", 4.05), ("strong", 4.5), ("strong", 4.95),
+])
+def test_descend_shapes_escape_or_converge(shape, z):
+    """Free gamma = -1 and even gamma = -2.5 starts escape; even gamma = -1
+    starts converge to the pinned level r_gamma = 9/4."""
+    if shape == "free":
+        grid = _grid()
+        rep = minimize_level(REP, grid, "none", soliton_Q(grid.x - z, 3.0))
+    elif shape == "even":
+        grid = _grid()
+        rep = minimize_level(REP, grid, "even", initial_family(0.0, 1, z, grid, REP).u)
+    else:
+        grid = make_grid(20.0, 801)
+        rep = minimize_level(STRONG, grid, "even",
+                             initial_family(0.0, 1, z, grid, STRONG).u)
+    if shape == "even":
+        assert not rep.escaped
+        assert abs(rep.level_estimate - 9.0 / 4.0) < 1e-3
+    else:
+        assert rep.escaped
+        tol = 0.01 if shape == "free" else 0.02
+        assert abs(rep.level_estimate - rep.reference_level) < tol * rep.reference_level
+
+
+@pytest.mark.parametrize("par, symmetry, z, max_iters", [
+    (REP, "even", 3.5, 20000),   # converges
+    (REP, "none", 3.0, 50),      # cut by max_iters mid-slide
+    (PhysParams(3.0, 1.0, 1.0), "none", 0.0, 20000),  # attractive minimizer
+])
+def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
+    """The fused per-candidate evaluation gives the last history row bitwise
+    what the public functionals give on the returned iterate."""
+    grid = _grid()
+    u0 = soliton_Q(grid.x - z, 3.0)
+    if symmetry == "even":
+        u0 = u0 + u0[::-1]
+    rep = minimize_level(par, grid, symmetry, u0, max_iters=max_iters)
+    u = rep.minimizer
+    assert u is not None
+    h = rep.history
+    assert h["J"][-1] == rep.level_estimate == functional_J_gamma(u, par, grid)
+    assert h["K_residual"][-1] == abs(functional_K_gamma(u, par, grid))
+    assert h["center_drift"][-1] == center_drift(u, grid)
+    assert h["mass_near_origin"][-1] == mass_near_origin(u, grid)
+
+
+def test_tridiagonal_solve_is_solve_banded_bitwise():
+    grid = _grid()
+    sub, main, sup = _h1_preconditioner(grid)
+    ab = np.zeros((3, main.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, main, sub
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        b = rng.standard_normal(main.size) * 10.0 ** rng.uniform(-6, 6)
+        assert np.array_equal(solve_tridiagonal(sub, main, sup, b),
+                              solve_banded((1, 1), ab, b))
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(sub, np.zeros_like(main), sup, np.ones(main.size))
 
 
 def test_minimize_is_deterministic():

@@ -61,6 +61,12 @@ CASES = (
     ("variational-even", "variational",
      {"L": 15, "n": 301, "init": "family", "varsigma": 1, "z": 3.5,
       "symmetry": "even", "max_iters": 400}),
+    # free start on the pinned saddle Q_gamma, gamma = -1 (escapes at 4/3)
+    ("variational-saddle", "variational", {"L": 15, "n": 601, "init": "qgamma"}),
+    # gamma = -2.5 even pair (escapes at 2 J_0(Q) = 8/3)
+    ("variational-repulsive", "variational",
+     {"L": 20, "n": 801, "init": "family", "varsigma": 1, "z": 4.5, "gamma": -2.5,
+      "symmetry": "even"}),
     ("check", "check", {}),
     # config errors: the message, its line and exit 2 (keys are written sorted)
     ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
