@@ -465,16 +465,8 @@ def cmd_variational(cfg: RunConfig, out: Path) -> None:
     rep = variational.minimize_level(
         params, grid, cfg.symmetry, u_init, cfg.max_iters, tol=cfg.descent_tol
     )
-    hist = rep.history
-    _write_csv(
-        out / "iterates.csv",
-        cfg,
-        ["iter", "J", "K_residual", "center_drift", "mass_near_origin"],
-        zip(
-            hist["iter"], hist["J"], hist["K_residual"],
-            hist["center_drift"], hist["mass_near_origin"],
-        ),
-    )
+    _write_csv(out / "iterates.csv", cfg, list(rep.history),
+               zip(*rep.history.values()))
     _write_json(
         out / "variational.json",
         {

@@ -346,12 +346,9 @@ def evolve(
 
 def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-    """x with T x = rhs, T the tridiagonal matrix with these three diagonals.
-
-    LAPACK gtsv, the routine solve_banded((1, 1), ...) calls after its input
-    validation, so the result is bitwise the same.  gtsv works on copies of
-    its inputs.  A zero pivot raises SingularSystemError.
-    """
+    """x with T x = rhs, T tridiagonal with these diagonals: LAPACK gtsv on
+    copies of its inputs, bitwise what solve_banded((1, 1), ...) returns.  A
+    zero pivot raises SingularSystemError."""
     _, _, _, x, info = _GTSV(sub, main, sup, rhs)
     if info > 0:
         raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")

@@ -132,17 +132,28 @@ def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
     return 0.5 * quad - lq_integral(state.u, params.p + 1.0, grid) / (params.p + 1.0)
 
 
+def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
+    """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2) in one pass,
+    each bitwise what h1_sq, lq_integral and l2_sq combine to."""
+    _check_samples(u, grid)
+    u = np.asarray(u)
+    d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
+    l2 = _trapezoid(u ** 2, grid.h)
+    u0 = float(u[grid.center])
+    quad = (float(np.dot(d, d)) / grid.h + l2) - params.gamma * u0 * u0
+    return quad, _trapezoid(np.abs(u) ** (params.p + 1.0), grid.h), l2
+
+
 def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
     """Nehari functional K_gamma = ||u||_H1^2 - gamma*u(0)^2 - ||u||_{p+1}^{p+1}."""
-    u0 = float(u[grid.center])
-    return h1_sq(u, grid) - params.gamma * u0 * u0 - lq_integral(u, params.p + 1.0, grid)
+    quad, nonlin, _ = action_terms(u, params, grid)
+    return quad - nonlin
 
 
 def functional_J_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
     """Static action J_gamma (the K-free part of the energy)."""
-    u0 = float(u[grid.center])
-    quad = h1_sq(u, grid) - params.gamma * u0 * u0
-    return 0.5 * quad - lq_integral(u, params.p + 1.0, grid) / (params.p + 1.0)
+    quad, nonlin, _ = action_terms(u, params, grid)
+    return 0.5 * quad - nonlin / (params.p + 1.0)
 
 
 def diagnostics_MW(

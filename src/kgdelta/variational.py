@@ -26,16 +26,13 @@ sector; the whole iterate toward the side of its first moment int x u^2
 otherwise -- Nehari-projected, and accepted only on a strict decrease of J.
 A refused move costs no iteration: the gradient step is taken as usual.
 
-Where |Delta J| < tol and no shift lowers J, the iterate sits at a critical
-point.  In the free sector at gamma < 0 that can be the pinned saddle
-Q_gamma: from an even start the gradient step stays even and the descent
-stops at r_gamma, not n_gamma.  Q_gamma is unstable there in the odd sector
-(cf. Le Coz-Fukuizumi-Fibich-Ksherim-Sivan, Physica D 237 (2008), for NLS
-with a delta), so a symmetry-breaking move is tried first: u + s psi, with
-psi = x u normalized in L2 and s = k SADDLE_STEP, Nehari-projected and
-doubled as the translation move is.  For gamma >= 0, Q_gamma is the free
-minimizer and the even sector admits no odd direction; there the descent
-stops (a pinned minimizer).
+Where |Delta J| < tol and no shift lowers J, the free sector at gamma < 0
+may sit on the pinned saddle Q_gamma (an even start stays even).  Q_gamma is
+unstable there in the odd sector (Le Coz-Fukuizumi-Fibich-Ksherim-Sivan,
+Physica D 237 (2008), for NLS with a delta), so the descent first tries the
+Nehari-projected u + k SADDLE_STEP psi, psi = x u / ||x u||, doubling k as
+the translation move does.  For gamma >= 0, where Q_gamma is the free
+minimizer, and in the even sector it stops there: a pinned minimizer.
 """
 from __future__ import annotations
 
@@ -46,13 +43,14 @@ import numpy as np
 from . import profiles
 from .errors import ParameterError
 from .evolution import build_operator, nonlinearity, solve_tridiagonal
-from .field import GridSpec, PhysParams, _check_samples, _trapezoid, l2_sq, trapezoid
+from .field import GridSpec, PhysParams, action_terms, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
 # a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
+HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
 
 
 @dataclass
@@ -92,27 +90,12 @@ def reference_levels(params: PhysParams) -> dict:
     return {"n_gamma": n_gamma, "r_gamma": r_gamma}
 
 
-def _quad_nonlin(u: np.ndarray, params: PhysParams, grid: GridSpec):
-    """(||u||_H1^2 - gamma u(0)^2, int |u|^{p+1}, ||u||^2) in one pass.
-
-    J_gamma = quad/2 - nonlin/(p+1) and K_gamma = quad - nonlin are read off
-    this triple; each entry is bitwise what the `field` functionals compute.
-    """
-    d = u[1:] - u[:-1]
-    l2 = _trapezoid(u ** 2, grid.h)
-    u0 = float(u[grid.center])
-    quad = (float(np.dot(d, d)) / grid.h + l2) - params.gamma * u0 * u0
-    return quad, _trapezoid(np.abs(u) ** (params.p + 1.0), grid.h), l2
-
-
 def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndarray:
     """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
 
         lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
     """
-    u = np.asarray(u)
-    _check_samples(u, grid)
-    quad, nonlin, _ = _quad_nonlin(u, params, grid)
+    quad, nonlin, _ = action_terms(u, params, grid)
     if nonlin <= 0.0 or quad <= 0.0:
         raise ParameterError("cannot project (near-)zero input onto the Nehari set")
     lam = np.log(quad / nonlin) / (params.p - 1.0)
@@ -120,9 +103,13 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
 
 
 def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
-    """(P u, J_gamma, |K_gamma|, ||.||^2) of the Nehari projection P u."""
-    cand = nehari_project(u, params, grid)
-    quad, nonlin, l2 = _quad_nonlin(cand, params, grid)
+    """(P u, J_gamma, |K_gamma|, ||.||^2) of the Nehari projection P u; J is
+    inf where u cannot be projected, so that such a candidate is never taken."""
+    try:
+        cand = nehari_project(u, params, grid)
+    except ParameterError:
+        return None, np.inf, None, None
+    quad, nonlin, l2 = action_terms(cand, params, grid)
     return cand, 0.5 * quad - nonlin / (params.p + 1.0), abs(quad - nonlin), l2
 
 
@@ -136,12 +123,10 @@ def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
 
 
 def center_drift(u: np.ndarray, grid: GridSpec) -> float:
-    """|int x u^2| / ||u||^2, the distance of the mass center from 0."""
     return _detectors(u, l2_sq(u, grid), grid)[0]
 
 
 def mass_near_origin(u: np.ndarray, grid: GridSpec) -> float:
-    """Share of ||u||^2 within |x| <= MASS_WINDOW."""
     return _detectors(u, l2_sq(u, grid), grid)[1]
 
 
@@ -183,22 +168,16 @@ def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
 
 def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
     """The Nehari projection of move(k), k = 1, 2, 4, ... < grid.center, that
-    lowers J the most, doubling k while J keeps strictly decreasing.  The
-    doubling also stops at the first candidate that fires an escape detector:
-    driven further, the iterate reaches the Dirichlet wall, where truncation
-    lowers J artificially.
-
-    Returns the accepted candidate as _projected gives it, or None if no k
-    lowers J.
+    lowers J the most: k doubles while J strictly decreases, up to the first
+    candidate that fires an escape detector (driven further, the iterate
+    reaches the Dirichlet wall, where truncation lowers J artificially).
+    Returns it as _projected does, or None if no k lowers J.
     """
     best = None
     J_best = J_cur
     k = 1
     while k < grid.center:
-        try:
-            cand = _projected(move(k), params, grid)
-        except ParameterError:
-            break
+        cand = _projected(move(k), params, grid)
         if not cand[1] < J_best:
             break
         best, J_best = cand, cand[1]
@@ -206,13 +185,6 @@ def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
             break
         k *= 2
     return best
-
-
-def _saddle_direction(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """psi = x u normalized in L2, signed toward the side of int x u^2."""
-    psi = grid.x * u
-    psi /= np.sqrt(l2_sq(psi, grid))
-    return -psi if trapezoid(grid.x * u * u, grid) < 0.0 else psi
 
 
 def _h1_preconditioner(grid: GridSpec):
@@ -237,13 +209,11 @@ def minimize_level(
 
     symmetry "even" restricts to the even sector (iterates symmetrized every
     step, reference level r_gamma); "none" minimizes freely against n_gamma.
-    A gradient step with |Delta J| < SLIDE_FACTOR * tol is followed by a try
-    at a translation move (see the module docstring); an accepted move is one
-    iteration and one history row of its own.  At |Delta J| < tol with no
-    translate lowering J, the free sector at gamma < 0 tries the
-    symmetry-breaking saddle move, again as an iteration of its own.  Stops
-    on escape, at |Delta J| < tol with no move lowering J, on J increasing
-    across 10 consecutive accepted steps (divergence abort), or at max_iters.
+    An accepted translation move (tried once |Delta J| < SLIDE_FACTOR * tol)
+    or saddle move (see the module docstring) is one iteration and one
+    history row of its own.  Stops on escape, at |Delta J| < tol with no move
+    lowering J, on J increasing across 10 consecutive accepted steps
+    (divergence abort), or at max_iters.
     """
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
@@ -259,28 +229,22 @@ def minimize_level(
             raise ParameterError("even sector requires an even u_init")
         u = 0.5 * (u + u[::-1])
 
-    levels = reference_levels(params)
-    reference = levels["r_gamma"] if even else levels["n_gamma"]
+    reference = reference_levels(params)["r_gamma" if even else "n_gamma"]
     operator = build_operator(grid, params)
     sub, main, sup = _h1_preconditioner(grid)
-    p = params.p
 
     u, J_cur, K_cur, l2 = _projected(u, params, grid)
+    if u is None:
+        raise ParameterError("cannot project u_init onto the Nehari set")
 
-    hist_iter = [0]
-    hist_J = [J_cur]
-    hist_K = [K_cur]
     drift, mass = _detectors(u, l2, grid)
-    hist_drift = [drift]
-    hist_mass = [mass]
+    rows = [(0, J_cur, K_cur, drift, mass)]  # the history, one row per iterate
 
     step = 1.0
     increases = 0
     escaped = False
-    iterations = 0
     dJ = np.inf  # |Delta J| of the last gradient step
-    u_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
+    u_prev = g_prev = None
 
     for it in range(1, max_iters + 1):
         moved = None
@@ -292,9 +256,9 @@ def minimize_level(
             if moved is None and dJ < tol:
                 if even or params.gamma >= 0.0:
                     break
-                psi = _saddle_direction(u, grid)
-                moved = _doubling_move(lambda k: u + k * SADDLE_STEP * psi,
-                                       J_cur, params, grid)
+                psi = grid.x * u
+                psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
+                moved = _doubling_move(lambda k: u + k * psi, J_cur, params, grid)
                 if moved is None:
                     break
         if moved is not None:
@@ -303,7 +267,7 @@ def minimize_level(
             dJ = np.inf
             increases = 0
         else:
-            g = operator.apply(u) - nonlinearity(u, p)
+            g = operator.apply(u) - nonlinearity(u, params.p)
             g[0] = g[-1] = 0.0
             g[1:-1] = solve_tridiagonal(sub, main, sup, g[1:-1])
 
@@ -330,48 +294,30 @@ def minimize_level(
             # drift/mass detectors.
             s = step
             trial = None
-            J_new = J_cur
             while s > 1e-14:
-                try:
-                    cand = try_step(s)
-                except ParameterError:
-                    s *= 0.5
-                    continue
+                cand = try_step(s)
                 if cand[1] < J_cur:
-                    trial, J_new = cand, cand[1]
+                    trial = cand
                     break
                 s *= 0.5
             if trial is not None:
-                while s < 1e12:
-                    try:
-                        cand = try_step(2.0 * s)
-                    except ParameterError:
-                        break
-                    if cand[1] < J_new:
-                        s *= 2.0
-                        trial, J_new = cand, cand[1]
-                    else:
-                        break
+                while s < 1e12 and (cand := try_step(2.0 * s))[1] < trial[1]:
+                    s *= 2.0
+                    trial = cand
             else:
                 # line search exhausted: forced tiny step, counts toward divergence
-                try:
-                    trial = try_step(1e-14)
-                except ParameterError:
+                trial = try_step(1e-14)
+                if trial[0] is None:
                     break
-                J_new = trial[1]
+            J_new = trial[1]
 
             increases = increases + 1 if J_new >= J_cur else 0
             dJ = abs(J_cur - J_new)
             u, J_cur, K_cur, l2 = trial
             step = s
-        iterations = it
 
         drift, mass = _detectors(u, l2, grid)
-        hist_iter.append(it)
-        hist_J.append(J_cur)
-        hist_K.append(K_cur)
-        hist_drift.append(drift)
-        hist_mass.append(mass)
+        rows.append((it, J_cur, K_cur, drift, mass))
 
         if _escape_fired(drift, mass, grid):
             escaped = True
@@ -386,12 +332,6 @@ def minimize_level(
         minimizer=None if escaped else u,
         escaped=escaped,
         escape_diagnostic=diagnostic,
-        iterations=iterations,
-        history={
-            "iter": np.array(hist_iter),
-            "J": np.array(hist_J),
-            "K_residual": np.array(hist_K),
-            "center_drift": np.array(hist_drift),
-            "mass_near_origin": np.array(hist_mass),
-        },
+        iterations=rows[-1][0],
+        history=dict(zip(HISTORY_COLUMNS, map(np.array, zip(*rows)))),
     )
