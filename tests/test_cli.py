@@ -303,6 +303,10 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+_REAL_PRECONDITIONER = variational._h1_preconditioner
+_REAL_SOLVE = evolution.solve_tridiagonal
+
+
 def _singular_preconditioner(grid):
     sub, main, sup = _REAL_PRECONDITIONER(grid)
     return sub, np.zeros_like(main), sup
@@ -310,10 +314,6 @@ def _singular_preconditioner(grid):
 
 def _singular_newton_solve(sub, main, sup, rhs):
     return _REAL_SOLVE(sub, np.zeros_like(main), sup, rhs)
-
-
-_REAL_PRECONDITIONER = variational._h1_preconditioner
-_REAL_SOLVE = evolution.solve_tridiagonal
 
 
 @pytest.mark.parametrize("command, text, target, singular", [
