@@ -1,6 +1,6 @@
 """Batch front-end.
 
-    kg {profile,simulate,shoot,track,variational,check} --config FILE [--out DIR]
+    kg {profile,simulate,shoot,track,variational} --config FILE [--out DIR]
 
 Config files are line-based ``key = value`` text with ``#`` comments, read
 against the schema ``RunConfig``; unknown keys, type mismatches, and
@@ -11,7 +11,7 @@ sorted, so identical config + build gives byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, unusable --out or an artifact that
 cannot be written, 3 numeric failure (a partial summary with an
-``incomplete`` marker is left behind), 4 check-suite failure.
+``incomplete`` marker is left behind).
 """
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import experiments, modulation, profiles, variational
+from . import experiments, profiles, variational
 from .errors import ConfigError, KgError
 from .evolution import (
     EXIT_CONTAMINATION,
-    build_operator,
     discrete_stationary_profile,
     evolve,
 )
@@ -38,11 +37,8 @@ from .field import (
     PhysParams,
     State,
     diagnostics_MW,
-    energy_E_gamma,
-    functional_K_gamma,
     make_grid,
     save_state,
-    trapezoid,
 )
 
 _SYMMETRY_CHOICES = ("none", "even")
@@ -481,129 +477,6 @@ def cmd_variational(cfg: RunConfig, out: Path) -> None:
     )
 
 
-# -------------------------------------------------------------------- checks
-
-def _check_profile_jump(cfg: RunConfig):
-    params = cfg.params()
-    gamma = params.gamma if abs(params.gamma) < 2.0 else -1.0
-    par = PhysParams(p=params.p, alpha=params.alpha, gamma=gamma)
-    shift = 2.0 * np.arctanh(gamma / 2.0) / (par.p - 1.0)
-    jump = 2.0 * profiles.soliton_Q_deriv(shift, par.p)
-    target = -gamma * profiles.soliton_Q(shift, par.p)
-    err = abs(jump - target)
-    return err <= 1e-12, f"|jump + gamma*Q_gamma(0)| = {err:.3e}"
-
-
-def _check_operator_reflection(cfg: RunConfig):
-    grid = make_grid(10.0, 101)
-    op = build_operator(grid, cfg.params())
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.standard_normal(grid.n)
-    lhs = op.apply(u[::-1])
-    rhs = op.apply(u)[::-1]
-    ok = np.array_equal(lhs, rhs)
-    return ok, "A(reflect u) == reflect(A u) exactly" if ok else "mismatch"
-
-
-def _check_energy_identity(cfg: RunConfig):
-    params = cfg.params()
-    grid = make_grid(20.0, 401)
-    u0 = 0.9 * _rest_profile(grid.x, params)
-    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 5.0, 0.025, params, grid)
-    e0, ef = traj.energies[0], traj.energies[-1]
-    resid = abs(ef - e0 + traj.damping_integral)
-    ok = resid <= 1e-3 * max(1.0, abs(e0)) and ef <= e0 + 1e-8
-    return ok, f"|E_f - E_0 + damping| = {resid:.3e}"
-
-
-def _check_nehari_idempotent(cfg: RunConfig):
-    params = cfg.params()
-    grid = make_grid(15.0, 301)
-    rng = np.random.default_rng(cfg.seed + 1)
-    u = profiles.soliton_Q(grid.x, params.p) + 0.1 * rng.standard_normal(grid.n)
-    once = variational.nehari_project(u, params, grid)
-    twice = variational.nehari_project(once, params, grid)
-    err = float(np.max(np.abs(twice - once))) / max(1.0, float(np.max(np.abs(once))))
-    return err <= 1e-12, f"second projection moved {err:.3e}"
-
-
-def _check_dichotomy(cfg: RunConfig):
-    params = PhysParams(p=cfg.p, alpha=cfg.alpha, gamma=0.0)
-    grid = make_grid(20.0, 401)
-    q = profiles.soliton_Q(grid.x, params.p)
-    small = experiments.classify_trajectory(
-        State(u=0.5 * q, v=np.zeros(grid.n)), params, grid, 60.0, "none"
-    )
-    large = experiments.classify_trajectory(
-        State(u=1.5 * q, v=np.zeros(grid.n)), params, grid, 60.0, "none"
-    )
-    ok = small.classification == "Decays" and large.classification == "BlowsUp"
-    return ok, f"0.5Q -> {small.classification}, 1.5Q -> {large.classification}"
-
-
-def _check_sign_symmetry(cfg: RunConfig):
-    params = cfg.params()
-    grid = make_grid(15.0, 301)
-    rng = np.random.default_rng(cfg.seed + 2)
-    st = State(u=rng.standard_normal(grid.n), v=rng.standard_normal(grid.n))
-    neg = State(u=-st.u, v=-st.v)
-    same = energy_E_gamma(st, params, grid) == energy_E_gamma(neg, params, grid)
-    same = same and functional_K_gamma(st.u, params, grid) == functional_K_gamma(
-        neg.u, params, grid
-    )
-    return same, "E and K invariant under (u,v) -> (-u,-v)"
-
-
-def _check_eigenmode_identity(cfg: RunConfig):
-    params = cfg.params()
-    grid = make_grid(20.0, 801)
-    con = profiles.spectral_constants(params)
-    rng = np.random.default_rng(cfg.seed + 3)
-    z = 4.0
-    u = profiles.soliton_Q(grid.x - z, params.p) + 0.01 * rng.standard_normal(grid.n)
-    v = 0.01 * rng.standard_normal(grid.n)
-    frame = modulation.decompose(State(u=u, v=v), z, 0, 1, params, grid)
-    phi = profiles.neutral_even_mode_phi(grid.x - z, params.p)
-    lhs = frame.a_plus - frame.a_minus
-    rhs = (con.nu_plus - con.nu_minus) * trapezoid(frame.eps * phi, grid)
-    err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
-    return err <= 1e-10, f"amplitude identity residual {err:.3e}"
-
-
-_CHECKS = (
-    ("profile_trace_jump", _check_profile_jump),
-    ("operator_reflection", _check_operator_reflection),
-    ("energy_identity", _check_energy_identity),
-    ("nehari_idempotent", _check_nehari_idempotent),
-    ("dichotomy_examples", _check_dichotomy),
-    ("sign_symmetry", _check_sign_symmetry),
-    ("eigenmode_identity", _check_eigenmode_identity),
-)
-
-
-def cmd_check(cfg: RunConfig, out: Path) -> bool:
-    results = []
-    for name, fn in _CHECKS:
-        try:
-            passed, detail = fn(cfg)
-        except KgError as exc:
-            passed, detail = False, f"error: {exc}"
-        results.append({"name": name, "passed": bool(passed), "detail": detail})
-    all_passed = all(r["passed"] for r in results)
-    _write_json(
-        out / "check.json",
-        {
-            "config": _config_obj(cfg),
-            "results": results,
-            "all_passed": all_passed,
-            "incomplete": False,
-        },
-    )
-    for r in results:
-        print(("PASS" if r["passed"] else "FAIL"), r["name"], "-", r["detail"])
-    return all_passed
-
-
 _RUNNERS = {
     "profile": cmd_profile,
     "simulate": cmd_simulate,
@@ -615,8 +488,6 @@ _RUNNERS = {
 
 def _run(command: str, cfg: RunConfig, out: Path) -> int:
     """Run one subcommand into the existing directory out; its exit code."""
-    if command == "check":
-        return 0 if cmd_check(cfg, out) else 4
     try:
         _RUNNERS[command](cfg, out)
     except KgError as exc:
@@ -640,7 +511,7 @@ def main(argv=None) -> int:
         "with a delta potential",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_RUNNERS, "check"):
+    for name in _RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", default=".", help="output directory")

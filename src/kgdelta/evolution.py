@@ -43,7 +43,10 @@ EXIT_CONTAMINATION = "BoundaryContamination"
 EXIT_NONFINITE = "NonFinite"
 
 DEFAULT_CAP = 1.0e3
-DEFAULT_CFL = 0.5
+CFL = 0.5  # dt <= CFL * h
+# Newton tolerance and iteration budget of discrete_stationary_profile
+PROFILE_TOL = 1e-12
+PROFILE_MAX_ITER = 50
 
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
@@ -92,10 +95,10 @@ def build_operator(grid: GridSpec, params: PhysParams) -> DiscreteOperator:
     return DiscreteOperator(diag=diag, off_diag=-inv_h2, grid=grid)
 
 
-def _check_cfl(dt: float, grid: GridSpec, cfl: float) -> None:
-    if not 0 < dt <= cfl * grid.h * (1.0 + 1e-12):
+def _check_cfl(dt: float, grid: GridSpec) -> None:
+    if not 0 < dt <= CFL * grid.h * (1.0 + 1e-12):
         raise ParameterError(
-            f"dt = {dt} violates the CFL bound {cfl} * h = {cfl * grid.h}"
+            f"dt = {dt} violates the CFL bound {CFL} * h = {CFL * grid.h}"
         )
 
 
@@ -218,7 +221,6 @@ def evolve(
     blowup_cap: float = DEFAULT_CAP,
     with_nonlinearity: bool = True,
     contamination_tol: float = 1e-6,
-    cfl: float = DEFAULT_CFL,
 ) -> Trajectory:
     """Run the stepper to time T (or early exit) recording decimated samples.
 
@@ -233,7 +235,7 @@ def evolve(
     step by the trapezoid rule in time.  Step failures become exit codes,
     never raises.
     """
-    _check_cfl(dt, grid, cfl)
+    _check_cfl(dt, grid)
     n = grid.n
     if len(state0.u) != n or len(state0.v) != n:
         raise GridError(
@@ -349,6 +351,10 @@ def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
     """x with T x = rhs, T tridiagonal with these diagonals: LAPACK gtsv on
     copies of its inputs, bitwise what solve_banded((1, 1), ...) returns.  A
     zero pivot raises SingularSystemError."""
+    if len(main) == 1:  # gtsv's wrapper refuses empty off-diagonals
+        if main[0] == 0.0:
+            raise SingularSystemError("singular tridiagonal system: zero pivot in row 1")
+        return rhs / main
     _, _, _, x, info = _GTSV(sub, main, sup, rhs)
     if info > 0:
         raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")
@@ -359,9 +365,6 @@ def discrete_stationary_profile(
     u_init: np.ndarray,
     params: PhysParams,
     grid: GridSpec,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Newton-solve A u = f(u) starting from u_init (e.g. sampled Q_gamma).
 
@@ -377,19 +380,20 @@ def discrete_stationary_profile(
     u[-1] = 0.0
     inv_h2 = 1.0 / (grid.h * grid.h)
     off = np.full(grid.n - 3, operator.off_diag)
-    for _ in range(max_iter):
+    for _ in range(PROFILE_MAX_ITER):
         res = operator.apply(u) - nonlinearity(u, params.p)
         res[0] = 0.0
         res[-1] = 0.0
         # applying A costs ~2/h^2 * eps * ||u|| of rounding, so on fine
         # grids the absolute tol is unreachable; accept that floor
         floor = 8.0 * np.finfo(float).eps * 2.0 * inv_h2 * float(np.max(np.abs(u)))
-        if float(np.max(np.abs(res))) < max(tol, floor):
+        if float(np.max(np.abs(res))) < max(PROFILE_TOL, floor):
             return u
         jac_diag = operator.diag - params.p * np.abs(u) ** (params.p - 1.0)
         u[1:-1] -= solve_tridiagonal(off, jac_diag[1:-1], off, res[1:-1])
     raise NoConvergenceError(
-        f"stationary-profile Newton did not reach {tol} in {max_iter} iterations"
+        f"stationary-profile Newton did not reach {PROFILE_TOL} in "
+        f"{PROFILE_MAX_ITER} iterations"
     )
 
 
@@ -398,22 +402,18 @@ def fit_linear_decay_rate(
     grid: GridSpec,
     u0: np.ndarray,
     T: float,
-    *,
-    dt: float | None = None,
 ) -> float:
     """Exponential decay rate of the linear (f disabled) damped flow.
 
-    Evolves (u0, 0) with the nonlinearity off, then least-squares fits the
-    slope of log ||(u, v)||_H over the tail window [T/2, T] and returns its
-    negative.  Degenerate input (zero field, underflowed norms) yields NaN
-    rather than raising.
+    Evolves (u0, 0) at dt = CFL * h with the nonlinearity off, then
+    least-squares fits the slope of log ||(u, v)||_H over the tail window
+    [T/2, T] and returns its negative.  Degenerate input (zero field,
+    underflowed norms) yields NaN rather than raising.
     """
-    if dt is None:
-        dt = DEFAULT_CFL * grid.h
     traj = evolve(
         State(u=np.asarray(u0, dtype=float).copy(), v=np.zeros(grid.n)),
         T,
-        dt,
+        CFL * grid.h,
         params,
         grid,
         with_nonlinearity=False,

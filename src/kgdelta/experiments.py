@@ -40,6 +40,8 @@ BLOWS_UP = "BlowsUp"
 UNDETERMINED = "Undetermined"
 
 CERT_MARGIN = 2e-3
+# track_center's frames with ||(eps, eta)||_H at most this are 'valid'
+WINDOW_NORM = 0.05
 
 # the exit label of a run the decay certificate stopped
 EXIT_CERTIFIED_DECAY = "CertifiedDecay"
@@ -130,14 +132,14 @@ def classify_trajectory(
     symmetry: str = "none",
     *,
     dt: float | None = None,
-    snapshot_stride: int = 10,
     blowup_cap: float = DEFAULT_CAP,
     cert_margin: float = CERT_MARGIN,
 ) -> ShotOutcome:
     """Evolve until an energy-level certificate decides the fate.
 
     The level is n_gamma (free) or r_gamma (symmetry="even"); the margin is
-    subtracted before comparison.  Decays ends the run at the certificate
+    subtracted before comparison with the energy of every sample (every 10
+    steps, `evolve`'s default).  Decays ends the run at the certificate
     sample with the exit "CertifiedDecay"; BlowsUp waits for the
     cap/NonFinite confirmation.  Contamination before any certificate, or
     no certificate by T_max, yields Undetermined.
@@ -169,7 +171,6 @@ def classify_trajectory(
         params,
         grid,
         observers=[watch],
-        snapshot_stride=snapshot_stride,
         blowup_cap=blowup_cap,
     )
     certificate = {
@@ -212,7 +213,8 @@ def bisect_threshold(
 
     Undetermined probes are re-run once with T_max doubled; a probe that
     stays Undetermined freezes the bracket (reported with converged=False)
-    rather than guessing a side.
+    rather than guessing a side.  A bracket of two adjacent floats wider
+    than tol cannot be halved and also ends with converged=False.
     """
     if varsigma == 0:
         if not params.gamma < 0.0:
@@ -267,6 +269,9 @@ def bisect_threshold(
     converged = True
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
+            converged = False
+            break
         out = classified(mid)
         if out.classification == UNDETERMINED:
             converged = False
@@ -307,7 +312,6 @@ def track_center(
     mu: float | None = None,
     L_weight: float = modulation.DEFAULT_L_WEIGHT,
     tube_radius: float = modulation.DEFAULT_TUBE_RADIUS,
-    window_norm: float = 0.05,
 ) -> TrackReport:
     """Fit z(t) along recorded states and compare with the reduced ODE.
 
@@ -315,7 +319,7 @@ def track_center(
     each sample an `evolve` observer saw.  Fits are warm-started from the
     previous frame; the series stops at the first frame that leaves the tube
     (or where the fit fails).  Frames are 'valid' for the z' comparison while
-    ||(eps,eta)||_H <= window_norm, and the half-log report
+    ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
     sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
     if states:
@@ -358,7 +362,7 @@ def track_center(
         rep.relative_gap = modulation.relative_gap(zd, rep.z_dot_predicted)
         reports.append(rep)
 
-    valid = np.array([f.eps_norm_H <= window_norm for f in frames])
+    valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames])
     if np.any(valid):
         vals = z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))
         sup_half_log = float(np.max(vals))

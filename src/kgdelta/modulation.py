@@ -31,6 +31,9 @@ from .field import GridSpec, PhysParams, gradient_sq, h1_sq, l2_sq, trapezoid
 
 DEFAULT_TUBE_RADIUS = 0.3
 DEFAULT_L_WEIGHT = 100.0
+# Newton tolerance on |G| and iteration budget of fit_center
+FIT_TOL = 1e-10
+FIT_MAX_ITER = 50
 
 
 def default_mu(params: PhysParams) -> float:
@@ -80,12 +83,10 @@ def fit_center(
     grid: GridSpec,
     *,
     tube_radius: float = DEFAULT_TUBE_RADIUS,
-    tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> float:
     """Newton-solve the orthogonality condition G(z) = 0 near z_guess.
 
-    Raises NoConvergenceError after max_iter iterations, OutOfTubeError when
+    Raises NoConvergenceError after FIT_MAX_ITER iterations, OutOfTubeError when
     the converged center leaves the trust interval around z_guess or the
     residual norm exceeds the tube radius.
     """
@@ -98,7 +99,7 @@ def fit_center(
     u, v = state.u, state.v
 
     z = float(z_guess)
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         q_r = profiles.soliton_Q(x - z, p)
         qd_r = profiles.soliton_Q_deriv(x - z, p)
         ref = q_r.copy()
@@ -106,7 +107,7 @@ def fit_center(
             ref += profiles.soliton_Q(x + z, p)
         w = v + 2.0 * alpha * (u - sign * ref)
         g_val = trapezoid(w * qd_r, grid)
-        if abs(g_val) <= tol:
+        if abs(g_val) <= FIT_TOL:
             break
         # d/dz of the quadrature: Q'(.-z) differentiates to -Q'' = -(Q - Q^p)
         qdd_r = q_r - q_r**p
@@ -122,7 +123,7 @@ def fit_center(
             raise NoConvergenceError("center fit diverged")
     else:
         raise NoConvergenceError(
-            f"center fit: |G| > {tol} after {max_iter} iterations"
+            f"center fit: |G| > {FIT_TOL} after {FIT_MAX_ITER} iterations"
         )
 
     if abs(z - z_guess) > tube_radius:

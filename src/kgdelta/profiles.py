@@ -141,22 +141,26 @@ def spectral_constants(params: PhysParams) -> SpectralConstants:
     )
 
 
-@lru_cache(maxsize=64)
-def _gl_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+PANEL = 0.5  # gauss_panels' panel width
 
 
-def gauss_panels(f, a: float, b: float, panel: float = 0.5, order: int = 12) -> float:
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    """12-point Gauss-Legendre nodes and weights, built on first use."""
+    return np.polynomial.legendre.leggauss(12)
+
+
+def gauss_panels(f, a: float, b: float) -> float:
     """Composite Gauss-Legendre quadrature of f over [a, b].
 
-    Panels of the given width (last one possibly shorter); order-12 GL per
+    Panels of width PANEL (last one possibly shorter); order-12 GL per
     panel is far below rounding error for the smooth exponentially-decaying
     integrands used here.
     """
-    nodes, weights = _gl_nodes(order)
-    edges = np.arange(a, b, panel)
+    nodes, weights = _gl_nodes()
+    edges = np.arange(a, b, PANEL)
     lo = edges
-    hi = np.minimum(edges + panel, b)
+    hi = np.minimum(edges + PANEL, b)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     # all panel nodes in one flat array -> single vectorized call to f

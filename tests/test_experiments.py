@@ -127,6 +127,20 @@ def test_bisection_brackets_and_determinism():
     assert res2.bracket_width == res.bracket_width
 
 
+def test_bisection_stops_at_float_resolution():
+    """A tol below the float spacing of the bracket cannot be met: the loop
+    ends, unconverged, once lo and hi are adjacent floats, instead of
+    probing their midpoint (one of them) forever."""
+    grid = make_grid(20.0, 401)
+    res = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-300,
+                           T_max=100.0, dt=0.05)
+    assert not res.converged
+    assert res.bracket_hi == np.nextafter(res.bracket_lo, np.inf)
+    assert res.bracket_width > 1e-300
+    lams = [lam for lam, _ in res.probes]
+    assert len(lams) < 100 and len(set(lams)) == len(lams)  # no probe repeats
+
+
 def test_bisection_sector_guards():
     grid = make_grid(20.0, 401)
     with pytest.raises(ParameterError):

@@ -319,6 +319,14 @@ def test_tridiagonal_solve_is_solve_banded_bitwise():
                               solve_banded((1, 1), ab, b))
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(sub, np.zeros_like(main), sup, np.ones(main.size))
+    # one unknown (n = 3): empty off-diagonals
+    empty = np.empty(0)
+    one = solve_tridiagonal(empty, np.array([2.0]), empty, np.array([3.0]))
+    assert np.array_equal(one, solve_banded((1, 1), np.array([[0.0], [2.0], [0.0]]),
+                                            np.array([3.0])))
+    assert one[0] == 1.5
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(empty, np.array([0.0]), empty, np.array([3.0]))
 
 
 def test_minimize_is_deterministic():
