@@ -415,23 +415,11 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
         L_weight=cfg.L_weight,
         tube_radius=cfg.tube_radius,
     )
-    rows = []
-    for fr, ode in zip(report.frames, report.ode_reports):
-        rows.append(
-            (
-                fr.t,
-                fr.z,
-                fr.a_plus,
-                fr.a_minus,
-                fr.a_zero,
-                fr.script_E,
-                fr.script_G,
-                fr.eps_norm_H,
-                ode.z_dot_measured,
-                ode.z_dot_predicted,
-                ode.relative_gap,
-            )
-        )
+    rows = [
+        (fr.t, fr.z, fr.a_plus, fr.a_minus, fr.a_zero, fr.script_E, fr.script_G,
+         fr.eps_norm_H, fr.z_dot_measured, fr.z_dot_predicted, fr.relative_gap)
+        for fr in report.frames
+    ]
     _write_csv(
         out / "frames.csv",
         cfg,

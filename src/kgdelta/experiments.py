@@ -296,7 +296,6 @@ class TrackReport:
     times: np.ndarray
     z: np.ndarray
     frames: list
-    ode_reports: list
     valid_mask: np.ndarray
     sup_half_log: float
     empty: bool
@@ -318,9 +317,10 @@ def track_center(
     states is a run's samples in time order, e.g. the `sample.copy()` of
     each sample an `evolve` observer saw.  Fits are warm-started from the
     previous frame; the series stops at the first frame that leaves the tube
-    (or where the fit fails).  Frames are 'valid' for the z' comparison while
-    ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
-    sup_t [z(t) - log(max(t,1))/2] runs over those.
+    (or where the fit fails).  Each frame gets the measured z' of the series
+    and its relative gap to the predicted one.  Frames are 'valid' for the
+    z' comparison while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log
+    report sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
     if states:
         right = (states[0].u * sign)[grid.center:]
@@ -329,52 +329,35 @@ def track_center(
     frames: list = []
     for st in states:
         try:
-            z_fit = modulation.fit_center(
-                st, sigma, sign, guess, params, grid, tube_radius=tube_radius
+            frame = modulation.fit_center(
+                st, sigma, sign, guess, params, grid,
+                tube_radius=tube_radius, mu=mu, L_weight=L_weight,
             )
         except (OutOfTubeError, NoConvergenceError):
             break
-        frames.append(
-            modulation.decompose(
-                st, z_fit, sigma, sign, params, grid, mu=mu, L_weight=L_weight
-            )
-        )
-        guess = z_fit
-
-    if not frames:
-        return TrackReport(
-            times=np.array([]), z=np.array([]), frames=[], ode_reports=[],
-            valid_mask=np.array([], dtype=bool), sup_half_log=float("nan"),
-            empty=True,
-        )
+        frames.append(frame)
+        guess = frame.z
 
     t_arr = np.array([f.t for f in frames])
     z_arr = np.array([f.z for f in frames])
     if len(frames) >= 2:
         zdot = np.gradient(z_arr, t_arr)
     else:
-        zdot = np.full(1, np.nan)
-
-    reports = []
+        zdot = np.full(len(frames), np.nan)
     for f, zd in zip(frames, zdot):
-        rep = modulation.predicted_zdot(f, params)
-        rep.z_dot_measured = float(zd)
-        rep.relative_gap = modulation.relative_gap(zd, rep.z_dot_predicted)
-        reports.append(rep)
+        f.z_dot_measured = float(zd)
 
-    valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames])
-    if np.any(valid):
+    valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames], dtype=bool)
+    empty = not np.any(valid)
+    if empty:
+        sup_half_log = float("nan")
+    else:
         vals = z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))
         sup_half_log = float(np.max(vals))
-        empty = False
-    else:
-        sup_half_log = float("nan")
-        empty = True
     return TrackReport(
         times=t_arr,
         z=z_arr,
         frames=frames,
-        ode_reports=reports,
         valid_mask=valid,
         sup_half_log=sup_half_log,
         empty=empty,

@@ -20,8 +20,7 @@ twisted quadratic forms script-E and script-G used as Lyapunov functionals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,35 +42,34 @@ def default_mu(params: PhysParams) -> float:
 
 @dataclass
 class ModulationFrame:
-    sigma: int
-    sign: int
+    """One state's center, amplitudes, twisted forms and reduced center ODE.
+
+    z_dot_predicted = leading_term + trace_term, the two reported pieces of
+
+        z' = [(-gamma (1+sigma) - 2 sigma) c_Q^2 e^{-2z}
+              - gamma c_Q e^{-z} eps(0)] / (2 alpha ||Q'||^2);
+
+    z_dot_measured needs the whole series (nan until the tracking driver
+    sets it); relative_gap compares the two sides.
+    """
+
     z: float
-    eps: np.ndarray = dc_field(repr=False)
-    eta: np.ndarray = dc_field(repr=False)
     a_plus: float
     a_minus: float
     a_zero: float
     script_E: float
     script_G: float
     eps_norm_H: float
-    t: float = 0.0
-
-
-@dataclass
-class ReducedODEReport:
-    """Per-frame comparison of the fitted center motion with the reduced ODE.
-
-    z_dot_predicted = leading_term + trace_term, the two reported pieces of
-
-        z' = [(-gamma (1+sigma) - 2 sigma) c_Q^2 e^{-2z}
-              - gamma c_Q e^{-z} eps(0)] / (2 alpha ||Q'||^2).
-    """
-
-    z_dot_measured: float
-    z_dot_predicted: float
     leading_term: float
     trace_term: float
-    relative_gap: float
+    z_dot_predicted: float
+    t: float = 0.0
+    z_dot_measured: float = float("nan")
+
+    @property
+    def relative_gap(self) -> float:
+        gap = abs(self.z_dot_measured - self.z_dot_predicted)
+        return gap / max(abs(self.z_dot_predicted), 1e-12)
 
 
 def fit_center(
@@ -83,8 +81,11 @@ def fit_center(
     grid: GridSpec,
     *,
     tube_radius: float = DEFAULT_TUBE_RADIUS,
-) -> float:
-    """Newton-solve the orthogonality condition G(z) = 0 near z_guess.
+    mu: float | None = None,
+    L_weight: float = DEFAULT_L_WEIGHT,
+) -> ModulationFrame:
+    """Newton-solve the orthogonality condition G(z) = 0 near z_guess and
+    return the state's frame at the fitted center (see `decompose`).
 
     Raises NoConvergenceError after FIT_MAX_ITER iterations, OutOfTubeError when
     the converged center leaves the trust interval around z_guess or the
@@ -130,11 +131,12 @@ def fit_center(
         raise OutOfTubeError(
             f"fitted center {z} drifted {abs(z - z_guess):.3g} from the guess"
         )
-    eps = u - sign * profiles.soliton_pair(x, z, sigma, p)
-    resid = float(np.sqrt(h1_sq(eps, grid) + l2_sq(v, grid)))
-    if resid > tube_radius:
-        raise OutOfTubeError(f"residual norm {resid:.3g} exceeds tube {tube_radius}")
-    return z
+    frame = decompose(state, z, sigma, sign, params, grid, mu=mu, L_weight=L_weight)
+    if frame.eps_norm_H > tube_radius:
+        raise OutOfTubeError(
+            f"residual norm {frame.eps_norm_H:.3g} exceeds tube {tube_radius}"
+        )
+    return frame
 
 
 def decompose(
@@ -148,89 +150,64 @@ def decompose(
     mu: float | None = None,
     L_weight: float = DEFAULT_L_WEIGHT,
 ) -> ModulationFrame:
-    """Split the state into (eps, eta) and project onto the eigenmodes."""
-    p = params.p
-    if mu is None:
-        mu = default_mu(params)
-    con = profiles.spectral_constants(params)
-    eps = state.u - sign * profiles.soliton_pair(grid.x, z, sigma, p)
-    eta = state.v.copy()
-    phi_r = profiles.neutral_even_mode_phi(grid.x - z, p)
-    qd_r = profiles.soliton_Q_deriv(grid.x - z, p)
-    a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
-    a_minus = trapezoid((eta - con.nu_plus * eps) * phi_r, grid)
-    a_zero = trapezoid(eta * qd_r, grid)
-    frame = ModulationFrame(
-        sigma=sigma,
-        sign=sign,
-        z=float(z),
-        eps=eps,
-        eta=eta,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        a_zero=a_zero,
-        script_E=0.0,
-        script_G=0.0,
-        eps_norm_H=float(np.sqrt(h1_sq(eps, grid) + l2_sq(eta, grid))),
-        t=float(state.t),
-    )
-    frame.script_E = script_E(frame, mu, params, grid)
-    frame.script_G = frame.script_E + L_weight * (a_minus**2 + a_zero**2)
-    return frame
+    """Split the state into (eps, eta) = (u - R(z), v) and read off its frame.
 
-
-def script_E(frame: ModulationFrame, mu: float, params: PhysParams, grid: GridSpec) -> float:
-    """Twisted quadratic form around the reference pair.
+    script_E is the twisted quadratic form around the reference pair
 
     E = 1/2 int (d_x eps)^2 + (1 - rho mu) eps^2 + (eta + mu eps)^2
                - p (Q_+^{p-1} + sigma Q_-^{p-1}) eps^2   - gamma/2 u(0)^2,
 
-    rho = 2 alpha - mu, and u(0) is the trace of the full field.
+    rho = 2 alpha - mu, u(0) the trace of the full field; script_G adds
+    L_weight (a_minus^2 + a_zero^2).
     """
     alpha, p, gamma = params.alpha, params.p, params.gamma
+    if mu is None:
+        mu = default_mu(params)
     if not 0.0 < mu < 2.0 * alpha:
         raise ParameterError(f"mu must lie in (0, 2*alpha), got {mu}")
-    rho = 2.0 * alpha - mu
-    eps, eta, z, sigma = frame.eps, frame.eta, frame.z, frame.sigma
-    pot = p * profiles.soliton_Q(grid.x - z, p) ** (p - 1.0)
+    con = profiles.spectral_constants(params)
+    x = grid.x
+    # each reference profile once: R(z) for eps, Q_pm^{p-1} for the potential
+    q_r = profiles.soliton_Q(x - z, p)
+    ref = q_r
+    pot = p * q_r ** (p - 1.0)
     if sigma:
-        pot = pot + p * profiles.soliton_Q(grid.x + z, p) ** (p - 1.0)
+        q_l = profiles.soliton_Q(x + z, p)
+        ref = q_r + q_l
+        pot = pot + p * q_l ** (p - 1.0)
+    eps = state.u - sign * ref
+    eta = state.v
+    phi_r = profiles.neutral_even_mode_phi(x - z, p)
+    qd_r = profiles.soliton_Q_deriv(x - z, p)
+    a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
+    a_minus = trapezoid((eta - con.nu_plus * eps) * phi_r, grid)
+    a_zero = trapezoid(eta * qd_r, grid)
+
+    rho = 2.0 * alpha - mu
     quad = gradient_sq(eps, grid) + trapezoid(
         (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
     )
-    q_at_z = profiles.soliton_Q(z, p)
-    u0 = frame.sign * (1.0 + sigma) * q_at_z + float(eps[grid.center])
-    return 0.5 * quad - 0.5 * gamma * u0 * u0
+    eps0 = float(eps[grid.center])
+    u0 = sign * (1.0 + sigma) * profiles.soliton_Q(z, p) + eps0
+    script_E = 0.5 * quad - 0.5 * gamma * u0 * u0
 
-
-@lru_cache(maxsize=16)
-def _qprime_sq(p: float) -> float:
-    return profiles.soliton_gradient_norm_sq(p)
-
-
-def predicted_zdot(frame: ModulationFrame, params: PhysParams) -> ReducedODEReport:
-    """Prediction side of the reduced center ODE (measured side filled by
-    the tracking driver)."""
-    gamma, alpha = params.gamma, params.alpha
-    con = profiles.spectral_constants(params)
-    denom = 2.0 * alpha * _qprime_sq(params.p)
-    center = (len(frame.eps) - 1) // 2
-    eps0 = float(frame.eps[center])
-    z = frame.z
-    leading = ((-gamma * (1.0 + frame.sigma) - 2.0 * frame.sigma)
+    denom = 2.0 * alpha * profiles.soliton_gradient_norm_sq(p)
+    leading = ((-gamma * (1.0 + sigma) - 2.0 * sigma)
                * con.c_Q**2 * np.exp(-2.0 * z)) / denom
     trace = (-gamma * con.c_Q * np.exp(-z) * eps0) / denom
-    return ReducedODEReport(
-        z_dot_measured=float("nan"),
-        z_dot_predicted=leading + trace,
+    return ModulationFrame(
+        z=float(z),
+        a_plus=a_plus,
+        a_minus=a_minus,
+        a_zero=a_zero,
+        script_E=script_E,
+        script_G=script_E + L_weight * (a_minus**2 + a_zero**2),
+        eps_norm_H=float(np.sqrt(h1_sq(eps, grid) + l2_sq(eta, grid))),
         leading_term=leading,
         trace_term=trace,
-        relative_gap=float("nan"),
+        z_dot_predicted=leading + trace,
+        t=float(state.t),
     )
-
-
-def relative_gap(measured: float, predicted: float) -> float:
-    return abs(measured - predicted) / max(abs(predicted), 1e-12)
 
 
 @dataclass

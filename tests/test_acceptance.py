@@ -246,7 +246,7 @@ def test_criterion_08_center_dynamics(say):
     elapsed = time.perf_counter() - t0
 
     eps = np.array([f.eps_norm_H for f in rep.frames])
-    gaps = np.array([r.relative_gap for r in rep.ode_reports])
+    gaps = np.array([f.relative_gap for f in rep.frames])
     valid = rep.valid_mask
 
     # (a) gap once the repulsion term dominates the residual energy

@@ -165,7 +165,7 @@ def test_track_center_stationary_profile():
     assert np.max(np.abs(rep.z - rep.z[0])) < 1e-4
     assert abs(rep.z[0] - 5.0) < 1e-2
     assert np.all(rep.valid_mask)  # never leaves the small-residual window
-    preds = np.array([r.z_dot_predicted for r in rep.ode_reports])
+    preds = np.array([f.z_dot_predicted for f in rep.frames])
     assert np.max(np.abs(preds)) < 1e-3  # leading term e^{-2z} ~ 5e-5, no trace
 
 
@@ -178,8 +178,12 @@ def test_track_center_reports_shapes():
     m = len(rep.times)
     assert m > 3
     assert rep.z.shape == (m,)
-    assert len(rep.frames) == m and len(rep.ode_reports) == m
+    assert len(rep.frames) == m
     assert rep.valid_mask.shape == (m,)
     assert np.isfinite(rep.sup_half_log)
-    # measured z' enters each report
-    assert all(np.isfinite(r.z_dot_measured) for r in rep.ode_reports)
+    # measured z' enters each frame: the series' gradient, and with it the
+    # gap to the frame's own prediction
+    measured = np.array([f.z_dot_measured for f in rep.frames])
+    assert np.all(np.isfinite(measured))
+    assert np.array_equal(measured, np.gradient(rep.z, rep.times))
+    assert all(np.isfinite(f.relative_gap) for f in rep.frames)

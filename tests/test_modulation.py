@@ -1,4 +1,6 @@
 """Center fit, eigenmode amplitudes, and the reduced ODE's prediction side."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,6 @@ from kgdelta.modulation import (
     default_mu,
     eigenmode_drift_check,
     fit_center,
-    predicted_zdot,
-    relative_gap,
-    script_E,
 )
 from kgdelta.profiles import (
     neutral_even_mode_phi,
@@ -33,7 +32,7 @@ def test_fit_center_recovers_exact_translate():
     grid = _grid()
     for z_true in (3.7, 5.0, 6.25):
         st = State(u=soliton_Q(grid.x - z_true, 3.0), v=np.zeros(grid.n))
-        z = fit_center(st, 0, 1, z_true + 0.2, PAR, grid)
+        z = fit_center(st, 0, 1, z_true + 0.2, PAR, grid).z
         assert abs(z - z_true) < 1e-9
 
 
@@ -41,10 +40,30 @@ def test_fit_center_pair_and_sign():
     grid = _grid()
     z_true = 4.4
     pair = soliton_Q(grid.x - z_true, 3.0) + soliton_Q(grid.x + z_true, 3.0)
-    z = fit_center(State(u=pair, v=np.zeros(grid.n)), 1, 1, 4.2, PAR, grid)
+    z = fit_center(State(u=pair, v=np.zeros(grid.n)), 1, 1, 4.2, PAR, grid).z
     assert abs(z - z_true) < 1e-9
-    z = fit_center(State(u=-pair, v=np.zeros(grid.n)), 1, -1, 4.2, PAR, grid)
+    z = fit_center(State(u=-pair, v=np.zeros(grid.n)), 1, -1, 4.2, PAR, grid).z
     assert abs(z - z_true) < 1e-9
+
+
+@pytest.mark.parametrize("sigma, sign, z_true, guess", [(1, 1, 4.4, 4.2),
+                                                      (0, -1, 5.0, 5.2)],
+                         ids=["pair", "sign=-1"])
+def test_fit_center_frame_is_decompose_at_the_fit(sigma, sign, z_true, guess):
+    """fit_center's frame is decompose at the fitted center, bit for bit."""
+    grid = _grid()
+    s = grid.x - z_true
+    bump = np.exp(-0.25 * s**2)  # a smooth, asymmetric residual off the manifold
+    u = soliton_Q(s, 3.0) + 0.02 * (1.0 + s) * bump
+    if sigma:
+        u = u + soliton_Q(grid.x + z_true, 3.0)
+    st = State(u=sign * u, v=0.01 * np.cos(s) * bump, t=1.5)
+    frame = fit_center(st, sigma, sign, guess, PAR, grid, mu=0.3, L_weight=7.0)
+    again = decompose(st, frame.z, sigma, sign, PAR, grid, mu=0.3, L_weight=7.0)
+    for f in dataclasses.fields(frame):
+        a, b = getattr(frame, f.name), getattr(again, f.name)
+        assert np.array_equal(a, b, equal_nan=True), f.name
+    assert abs(frame.z - z_true) < 0.05 and frame.t == 1.5
 
 
 def test_fit_center_guard_rails():
@@ -113,9 +132,9 @@ def test_script_E_domain_and_positivity():
     st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
     fr = decompose(st, 5.0, 0, 1, PAR, grid)
     with pytest.raises(ParameterError):
-        script_E(fr, 0.0, PAR, grid)
+        decompose(st, 5.0, 0, 1, PAR, grid, mu=0.0)
     with pytest.raises(ParameterError):
-        script_E(fr, 2.0, PAR, grid)
+        decompose(st, 5.0, 0, 1, PAR, grid, mu=2.0)
     # on the reference itself eps = 0 up to the trace: the form reduces to
     # -gamma/2 u(0)^2 which is positive for repulsive gamma
     assert fr.script_E > 0.0
@@ -128,22 +147,27 @@ def test_predicted_zdot_leading_term():
     z = 5.0
     st = State(u=soliton_Q(grid.x - z, 3.0), v=np.zeros(grid.n))
     fr = decompose(st, z, 0, 1, PAR, grid)
-    rep = predicted_zdot(fr, PAR)
-    assert rep.leading_term == pytest.approx(3.0 * np.exp(-2.0 * z), rel=1e-12)
+    assert fr.leading_term == pytest.approx(3.0 * np.exp(-2.0 * z), rel=1e-12)
     # exact translate: eps(0) = -Q(z) (the missing mirror tail is absent here,
     # eps is zero), so the trace term vanishes with eps
-    assert abs(rep.trace_term) < 1e-12
-    assert rep.z_dot_predicted == pytest.approx(rep.leading_term + rep.trace_term)
+    assert abs(fr.trace_term) < 1e-12
+    assert fr.z_dot_predicted == pytest.approx(fr.leading_term + fr.trace_term)
+    # the measured side needs the series: nan until track_center sets it
+    assert np.isnan(fr.z_dot_measured) and np.isnan(fr.relative_gap)
     # pair sector gets the image charge: coefficient -gamma*2 - 2 = 0 at gamma=-1
     pair = soliton_Q(grid.x - z, 3.0) + soliton_Q(grid.x + z, 3.0)
     fr2 = decompose(State(u=pair, v=np.zeros(grid.n)), z, 1, 1, PAR, grid)
-    rep2 = predicted_zdot(fr2, PAR)
-    assert abs(rep2.leading_term) < 1e-15
+    assert abs(fr2.leading_term) < 1e-15
 
 
 def test_relative_gap():
-    assert relative_gap(1.1, 1.0) == pytest.approx(0.1)
-    assert relative_gap(0.0, 0.0) == 0.0
+    grid = _grid()
+    st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
+    fr = decompose(st, 5.0, 0, 1, PAR, grid)
+    fr = dataclasses.replace(fr, z_dot_measured=1.1, z_dot_predicted=1.0)
+    assert fr.relative_gap == pytest.approx(0.1)
+    fr = dataclasses.replace(fr, z_dot_measured=0.0, z_dot_predicted=0.0)
+    assert fr.relative_gap == 0.0
 
 
 def test_drift_check_preconditions():
@@ -210,7 +234,7 @@ def test_tracked_soliton_dressing_physics():
     rep = track_center(states, 0, 1, PAR, grid)  # stops itself at tube escape
     times, zs = rep.times, rep.z
     assert times[-1] >= 5.0, f"tube escape too early at t = {times[-1]}"
-    gaps = np.array([r.relative_gap for r in rep.ode_reports])
+    gaps = np.array([f.relative_gap for f in rep.frames])
     eps_norms = np.array([f.eps_norm_H for f in rep.frames])
     sel = times >= 2.0  # let the dressing transient settle
     assert np.median(gaps[sel]) < 0.15, f"median gap {np.median(gaps[sel])}"
