@@ -134,7 +134,6 @@ class RunConfig:
     descent_tol: float = _key(1e-9, _POSITIVE)
     T_max: float = _key(200.0, _POSITIVE)
     max_iters: int = _key(20000, _AT_LEAST_1)
-    seed: int = _key(0, _NONNEGATIVE)
     nonlinearity: int = _key(1, (lambda v, c: v in (0, 1), "must be 0 or 1"))
 
     def params(self) -> PhysParams:

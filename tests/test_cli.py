@@ -93,7 +93,6 @@ SCHEMA_CASES = [
     ("descent_tol = 0", 3, "descent_tol must be positive"),
     ("T_max = 0", 3, "T_max must be positive"),
     ("max_iters = 0", 3, "max_iters must be >= 1"),
-    ("seed = -1", 3, "seed must be nonnegative"),
     ("nonlinearity = 2", 3, "nonlinearity must be 0 or 1"),
     ("n = 3.5", 3, "n expects int, got '3.5'"),
     ("alpha = fast", 3, "alpha expects float, got 'fast'"),
@@ -263,10 +262,12 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
 
 
 def test_workers_is_an_unknown_key(tmp_path, capsys):
-    code, out = run(tmp_path, "shoot", "# endpoints are classified serially\nworkers = 2\n")
-    assert code == 2
-    assert "line 2: unknown key 'workers'" in capsys.readouterr().err
-    assert not out.exists()
+    # retired keys: workers (the thread path) and seed (it had no reader)
+    for key, value in (("workers", 2), ("seed", 1)):
+        code, out = run(tmp_path, "shoot", f"# a retired key\n{key} = {value}\n", sub=key)
+        assert code == 2
+        assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["taken", "taken/sub"])

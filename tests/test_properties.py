@@ -169,7 +169,6 @@ def config_texts(draw):
         "descent_tol": draw(unit),
         "T_max": draw(st.floats(1.0, 500.0)),
         "max_iters": draw(st.integers(1, 10**6)),
-        "seed": draw(st.integers(0, 2**32)),
         "nonlinearity": draw(st.sampled_from([0, 1])),
     }
     chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
