@@ -246,7 +246,10 @@ def evolve(
     q = params.p + 1.0
     c_damp = 2.0 * params.alpha * dt * 0.5
     c_mass = dt * 0.5
-    n_steps = max(0, int(round(T / dt)))
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ParameterError(f"T / dt = {steps} gives no finite step count")
+    n_steps = max(0, int(round(steps)))
     t0 = state0.t
 
     # the state and its force at the current step and the next, swapped

@@ -40,6 +40,9 @@ class GridSpec:
         if not abs(self.h - 2.0 * self.L / (n - 1)) <= 1e-12 * self.h:
             raise GridError(f"spacing h = {self.h} does not equal 2L/(n-1) for "
                             f"L = {self.L}, n = {n}")
+        # the operator and the H1 preconditioner divide by h^2
+        if not (self.h * self.h > 0.0 and np.isfinite(1.0 / (self.h * self.h))):
+            raise GridError(f"spacing h = {self.h} is too small: 1/h^2 overflows")
         if self.center != (n - 1) // 2:
             raise GridError(f"center index {self.center} is not (n-1)/2 for n = {n}")
         x = self.x

@@ -295,17 +295,26 @@ def test_exit_2_on_unwritable_artifact(tmp_path, capsys, command, text, taken):
 
 
 def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
-    # a bracket whose endpoints both decay cannot be bisected
-    text = (
-        "L = 15\nn = 301\ndt = 0.025\ngamma = -1\nz = 3\n"
-        "lambda_lo = -0.3\nlambda_hi = -0.25\nT_max = 60\n"
-    )
-    code, out = run(tmp_path, "shoot", text)
-    assert code == 3
-    blob = json.loads((out / "shoot.json").read_text())
-    assert blob["incomplete"] is True
-    assert "error" in blob and blob["config"]["gamma"] == -1.0
-    assert "failed" in capsys.readouterr().err
+    cases = [
+        # a bracket whose endpoints both decay cannot be bisected
+        ("shoot", "L = 15\nn = 301\ndt = 0.025\ngamma = -1\nz = 3\n"
+                  "lambda_lo = -0.3\nlambda_hi = -0.25\nT_max = 60\n",
+         "need one of each"),
+        # T / dt overflows: no finite step count
+        ("simulate", "L = 20\nn = 401\ndt = 0.05\nT = 1e308\n", "no finite step count"),
+        ("shoot", "L = 20\nn = 401\ndt = 0.05\nz = 3\nT_max = 1e308\n",
+         "no finite step count"),
+        # 1/h^2 overflows: the grid is refused before any operator is built
+        ("simulate", "L = 1e-300\nn = 101\ndt = 1e-305\n", "1/h^2 overflows"),
+        ("variational", "L = 1e-300\nn = 101\ndt = 1e-305\n", "1/h^2 overflows"),
+    ]
+    for i, (command, text, error) in enumerate(cases):
+        code, out = run(tmp_path, command, text, sub=f"out{i}")
+        assert code == 3
+        blob = json.loads((out / f"{command}.json").read_text())
+        assert blob["incomplete"] is True
+        assert error in blob["error"] and blob["config"]["gamma"] == -1.0
+        assert "failed" in capsys.readouterr().err
 
 
 _REAL_PRECONDITIONER = variational._h1_preconditioner

@@ -38,6 +38,8 @@ def test_grid_validation():
         make_grid(20.0, 400)  # even point count has no center node
     with pytest.raises(GridError):
         make_grid(-5.0, 401)
+    with pytest.raises(GridError):
+        make_grid(1e-300, 101)  # 1/h^2 overflows
 
 
 @pytest.mark.parametrize(
@@ -50,6 +52,8 @@ def test_grid_validation():
         {"x": np.linspace(-20.0, 20.0, 400)},  # wrong length
         {"x": make_grid(20.0, 401).x + 0.05},  # shifted off the origin
         {"L": -20.0, "h": -0.1},
+        # consistent, but 1/h^2 overflows
+        {"L": 1e-300, "h": 5e-303, "x": 5e-303 * (np.arange(401.0) - 200)},
     ],
 )
 def test_gridspec_rejects_inconsistent_fields(change):

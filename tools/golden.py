@@ -73,6 +73,9 @@ CASES = (
     ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
     ("config-cfl", "simulate", {"L": 10, "n": 201, "dt": 0.051}),
     ("config-nan-T", "simulate", {"L": 20, "n": 401, "T": "nan"}),
+    # numeric failures at the input: T / dt overflows, 1/h^2 overflows (exit 3)
+    ("simulate-huge-T", "simulate", {"L": 20, "n": 401, "dt": 0.05, "T": 1e308}),
+    ("simulate-tiny-grid", "simulate", {"L": 1e-300, "n": 101, "dt": 1e-305}),
 )
 
 
