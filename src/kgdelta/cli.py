@@ -25,9 +25,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import experiments, profiles, variational
+from . import experiments, modulation, profiles, variational
 from .errors import ConfigError, KgError
 from .evolution import (
+    CFL,
+    DEFAULT_CAP,
     EXIT_CONTAMINATION,
     discrete_stationary_profile,
     evolve,
@@ -78,8 +80,8 @@ def _key(default, *rules, key: str | None = None, derive=None):
                  metadata={"key": key, "rules": rules, "derive": derive})
 
 
-def _half_h(c: dict) -> float:
-    return 0.5 * (2.0 * c["L"] / (c["n"] - 1))
+def _cfl_bound(c: dict) -> float:
+    return CFL * (2.0 * c["L"] / (c["n"] - 1))
 
 
 _POSITIVE = (lambda v, c: v > 0, "must be positive")
@@ -103,18 +105,18 @@ class RunConfig:
     dt: float = _key(
         0.025,
         _POSITIVE_GOT,
-        (lambda v, c: not v > _half_h(c) * (1.0 + 1e-12),
-         lambda v, c: f"= {v} violates the CFL bound 0.5*h = {_half_h(c)}"),
+        (lambda v, c: not v > _cfl_bound(c) * (1.0 + 1e-12),
+         lambda v, c: f"= {v} violates the CFL bound {CFL}*h = {_cfl_bound(c)}"),
     )
     T: float = _key(10.0, _NONNEGATIVE)
     snapshot_stride: int = _key(10, _AT_LEAST_1)
-    blowup_cap: float = _key(1.0e3, _POSITIVE)
+    blowup_cap: float = _key(DEFAULT_CAP, _POSITIVE)
     mu: float = _key(None, (lambda v, c: 0 < v < 2 * c["alpha"],
                             "must lie in (0, 2*alpha), got {v}"),
-                     derive=lambda c: 0.1 * c["alpha"])
-    L_weight: float = _key(100.0, _NONNEGATIVE)
-    tube_radius: float = _key(0.3, _POSITIVE)
-    cert_margin: float = _key(2e-3, _NONNEGATIVE)
+                     derive=lambda c: modulation.MU_FACTOR * c["alpha"])
+    L_weight: float = _key(modulation.DEFAULT_L_WEIGHT, _NONNEGATIVE)
+    tube_radius: float = _key(modulation.DEFAULT_TUBE_RADIUS, _POSITIVE)
+    cert_margin: float = _key(experiments.CERT_MARGIN, _NONNEGATIVE)
     init: str = _key("qgamma", (lambda v, c: v in _INIT_CHOICES,
                                 f"must be one of {_INIT_CHOICES}, got {{v!r}}"))
     lam: float = _key(0.0, _UNIT_RANGE, key="lambda")  # "lambda" is a keyword

@@ -30,6 +30,7 @@ from .field import GridSpec, PhysParams, gradient_sq, h1_sq, l2_sq, trapezoid
 
 DEFAULT_TUBE_RADIUS = 0.3
 DEFAULT_L_WEIGHT = 100.0
+MU_FACTOR = 0.1  # default_mu as a fraction of alpha
 # Newton tolerance on |G| and iteration budget of fit_center
 FIT_TOL = 1e-10
 FIT_MAX_ITER = 50
@@ -37,7 +38,7 @@ FIT_MAX_ITER = 50
 
 def default_mu(params: PhysParams) -> float:
     """mu enters the twisted form; 'small enough' is pinned at alpha/10."""
-    return 0.1 * params.alpha
+    return MU_FACTOR * params.alpha
 
 
 @dataclass
