@@ -237,8 +237,11 @@ def _jdump(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(_jdump(obj) + "\n", newline="\n")
+def _write_summary(out: Path, command: str, cfg: RunConfig, fields: dict) -> None:
+    """<command>.json: the resolved config, the command's fields and the
+    ``incomplete`` flag, False unless the fields set it."""
+    obj = {"config": _config_obj(cfg), "incomplete": False, **fields}
+    (out / f"{command}.json").write_text(_jdump(obj) + "\n", newline="\n")
 
 
 def _write_csv(
@@ -275,24 +278,19 @@ def cmd_profile(cfg: RunConfig, out: Path) -> None:
     _write_csv(out / "profile.csv", cfg, columns, zip(*data))
 
     con = profiles.spectral_constants(params)
-    _write_json(
-        out / "profile.json",
-        {
-            "config": _config_obj(cfg),
-            "constants": {
-                "c_Q": con.c_Q,
-                "nu": con.nu,
-                "nu_plus": con.nu_plus,
-                "nu_minus": con.nu_minus,
-            },
-            "interaction_constants": {
-                f"c_{m}": profiles.interaction_constant_cm(m, params.p)
-                for m in (2, 3, 4)
-            },
-            "levels": variational.reference_levels(params),
-            "incomplete": False,
+    _write_summary(out, "profile", cfg, {
+        "constants": {
+            "c_Q": con.c_Q,
+            "nu": con.nu,
+            "nu_plus": con.nu_plus,
+            "nu_minus": con.nu_minus,
         },
-    )
+        "interaction_constants": {
+            f"c_{m}": profiles.interaction_constant_cm(m, params.p)
+            for m in (2, 3, 4)
+        },
+        "levels": variational.reference_levels(params),
+    })
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
@@ -318,21 +316,16 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     save_state(out / "final_state.csv", traj.final, params, grid,
                extra_header=echo_lines(cfg))
     mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
-    _write_json(
-        out / "simulate.json",
-        {
-            "config": _config_obj(cfg),
-            "exit": traj.exit,
-            "samples": len(traj.sample_times),
-            "sup_norm_H": traj.sup_norm_H,
-            "E_initial": traj.energies[0],
-            "E_final": traj.energies[-1],
-            "damping_total": traj.damping_integral,
-            "M_value": mw["M_value"],
-            "W_value": mw["W_value"],
-            "incomplete": False,
-        },
-    )
+    _write_summary(out, "simulate", cfg, {
+        "exit": traj.exit,
+        "samples": len(traj.sample_times),
+        "sup_norm_H": traj.sup_norm_H,
+        "E_initial": traj.energies[0],
+        "E_final": traj.energies[-1],
+        "damping_total": traj.damping_integral,
+        "M_value": mw["M_value"],
+        "W_value": mw["W_value"],
+    })
 
 
 def cmd_shoot(cfg: RunConfig, out: Path) -> None:
@@ -376,20 +369,15 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
             extra=[f"lambda = {_fmt(lam)}",
                    f"classification = {outc.classification}"],
         )
-    _write_json(
-        out / "shoot.json",
-        {
-            "config": _config_obj(cfg),
-            "lambda_star": res.lambda_star,
-            "bracket_width": res.bracket_width,
-            "bracket_lo": res.bracket_lo,
-            "bracket_hi": res.bracket_hi,
-            "decays_end": res.decays_end,
-            "converged": res.converged,
-            "probes": probe_rows,
-            "incomplete": False,
-        },
-    )
+    _write_summary(out, "shoot", cfg, {
+        "lambda_star": res.lambda_star,
+        "bracket_width": res.bracket_width,
+        "bracket_lo": res.bracket_lo,
+        "bracket_hi": res.bracket_hi,
+        "decays_end": res.decays_end,
+        "converged": res.converged,
+        "probes": probe_rows,
+    })
 
 
 def cmd_track(cfg: RunConfig, out: Path) -> None:
@@ -430,18 +418,13 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
         ],
         rows,
     )
-    _write_json(
-        out / "track.json",
-        {
-            "config": _config_obj(cfg),
-            "exit": traj.exit,
-            "n_frames": len(report.frames),
-            "n_valid": int(np.count_nonzero(report.valid_mask)),
-            "sup_half_log": report.sup_half_log,
-            "empty": report.empty,
-            "incomplete": False,
-        },
-    )
+    _write_summary(out, "track", cfg, {
+        "exit": traj.exit,
+        "n_frames": len(report.frames),
+        "n_valid": int(np.count_nonzero(report.valid_mask)),
+        "sup_half_log": report.sup_half_log,
+        "empty": report.empty,
+    })
 
 
 def cmd_variational(cfg: RunConfig, out: Path) -> None:
@@ -452,18 +435,13 @@ def cmd_variational(cfg: RunConfig, out: Path) -> None:
     )
     _write_csv(out / "iterates.csv", cfg, list(rep.history),
                zip(*rep.history.values()))
-    _write_json(
-        out / "variational.json",
-        {
-            "config": _config_obj(cfg),
-            "level_estimate": rep.level_estimate,
-            "reference_level": rep.reference_level,
-            "escaped": rep.escaped,
-            "iterations": rep.iterations,
-            "escape_diagnostic": rep.escape_diagnostic,
-            "incomplete": False,
-        },
-    )
+    _write_summary(out, "variational", cfg, {
+        "level_estimate": rep.level_estimate,
+        "reference_level": rep.reference_level,
+        "escaped": rep.escaped,
+        "iterations": rep.iterations,
+        "escape_diagnostic": rep.escape_diagnostic,
+    })
 
 
 _RUNNERS = {
@@ -480,14 +458,7 @@ def _run(command: str, cfg: RunConfig, out: Path) -> int:
     try:
         _RUNNERS[command](cfg, out)
     except KgError as exc:
-        _write_json(
-            out / f"{command}.json",
-            {
-                "config": _config_obj(cfg),
-                "incomplete": True,
-                "error": str(exc),
-            },
-        )
+        _write_summary(out, command, cfg, {"incomplete": True, "error": str(exc)})
         print(f"{command} failed: {exc}", file=sys.stderr)
         return 3
     return 0
