@@ -176,8 +176,6 @@ def test_drift_check_preconditions():
     fr = decompose(st, 5.0, 0, 1, PAR, grid)
     with pytest.raises(ParameterError):
         eigenmode_drift_check([fr, fr], PAR)
-    import dataclasses
-
     f0 = dataclasses.replace(fr, t=0.0)
     f1 = dataclasses.replace(fr, t=0.1)
     f2 = dataclasses.replace(fr, t=0.35)  # non-uniform
@@ -190,8 +188,6 @@ def test_drift_check_preconditions():
 
 def test_drift_check_recovers_linear_rates():
     # synthetic frames straight from the mode ODEs a' = rate * a
-    import dataclasses
-
     grid = _grid()
     st = State(u=soliton_Q(grid.x - 6.0, 3.0), v=np.zeros(grid.n))
     base = decompose(st, 6.0, 0, 1, PAR, grid)
