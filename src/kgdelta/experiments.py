@@ -10,11 +10,15 @@ functionals; a BlowsUp certificate is additionally confirmed by the run
 hitting the amplitude cap (or leaving floats) afterwards.
 
 The shooting family is u = e^lambda (Q(. - z) + varsigma Q(. + z)), v = 0;
-bisection over lambda locates the threshold lambda* between the two fates.
+a search over lambda locates the threshold lambda* between the two fates.
+Every probe is classified by its certificate; the next lambda is the zero of
+a secant through the probes' recorded K_gamma at a common sample time, with
+bisection as the fallback, so the bracket's ends stay certified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
@@ -45,6 +49,13 @@ WINDOW_NORM = 0.05
 
 # the exit label of a run the decay certificate stopped
 EXIT_CERTIFIED_DECAY = "CertifiedDecay"
+
+# bisect_threshold's steered step: the |K_gamma| up to which a sample is in
+# the linear regime, the overshoot factor toward a stale end, and the margin
+# (in units of tol) a steered point keeps from each end
+K_WINDOW = 0.05
+OVERSHOOT = 2.0
+EDGE = 0.45
 
 
 @dataclass
@@ -194,6 +205,33 @@ def classify_trajectory(
     )
 
 
+def _secant_point(lo_pts: list, hi_pts: list) -> float | None:
+    """The zero of K_gamma(T_s) in lambda, from the latest usable pair.
+
+    lo_pts and hi_pts hold (lambda, Trajectory) of the two innermost probes
+    on each side of the bracket.  For each pair, T_s is the latest common
+    sample at which the two K values differ and both lie within K_WINDOW of
+    0 (else sample 0), and the estimate is the zero of the line through
+    (lambda, K(T_s)).  Of the estimates strictly inside the bracket, the one
+    with the latest T_s wins (the first pair in order on a tie).
+    """
+    lo, hi = lo_pts[-1][0], hi_pts[-1][0]
+    pts = [lo_pts[-1], hi_pts[-1], *lo_pts[-2:-1], *hi_pts[-2:-1]]
+    best, best_j = None, -1
+    for (l1, t1), (l2, t2) in combinations(pts, 2):
+        m = min(len(t1.K_gamma), len(t2.K_gamma))
+        k1, k2 = t1.K_gamma[:m], t2.K_gamma[:m]
+        usable = ((t1.sample_times[:m] == t2.sample_times[:m]) & (k1 != k2)
+                  & (np.abs(k1) <= K_WINDOW) & (np.abs(k2) <= K_WINDOW))
+        j = int(np.flatnonzero(usable)[-1]) if usable.any() else 0
+        if k1[j] == k2[j]:
+            continue
+        est = l1 - float(k1[j]) * (l2 - l1) / float(k2[j] - k1[j])
+        if j > best_j and lo < est < hi:
+            best, best_j = est, j
+    return best
+
+
 def bisect_threshold(
     varsigma: int,
     z: float,
@@ -209,12 +247,23 @@ def bisect_threshold(
     blowup_cap: float = DEFAULT_CAP,
     cert_margin: float = CERT_MARGIN,
 ) -> ThresholdResult:
-    """Bisection in lambda between a decaying and a blowing-up endpoint.
+    """Steered search in lambda between a decaying and a blowing-up endpoint.
+
+    Every probe is classified by its energy certificate, so both ends of the
+    bracket stay certified; only the choice of the next lambda is steered.
+    Near the threshold K_gamma(T_s; lambda) is smooth in lambda with a slope
+    growing like e^{nu_+ T_s}, while K(T_s; lambda*) stays near the
+    soliton's value 0, so the zero of the secant through two probes' K at a
+    common sample time T_s (see `_secant_point`) lands close to lambda*.
+    After two probes on the same side the point overshoots toward the stale
+    end by OVERSHOOT times its distance from the last probe (at least
+    EDGE*tol); every point is kept EDGE*tol inside each end.  With no
+    estimate, or none strictly inside the bracket, the probe is the midpoint.
 
     Undetermined probes are re-run once with T_max doubled; a probe that
     stays Undetermined freezes the bracket (reported with converged=False)
     rather than guessing a side.  A bracket of two adjacent floats wider
-    than tol cannot be halved and also ends with converged=False.
+    than tol cannot be split and also ends with converged=False.
     """
     if varsigma == 0:
         if not params.gamma < 0.0:
@@ -265,21 +314,36 @@ def bisect_threshold(
     decays_end = "lo" if out_lo.classification == DECAYS else "hi"
     lo_kind = out_lo.classification
 
+    # (lambda, trajectory) of the certified probes on each side, innermost last
+    lo_pts = [(lambda_lo, out_lo.trajectory)]
+    hi_pts = [(lambda_hi, out_hi.trajectory)]
+    sides = [True, False]  # the side (lo: True) each certified probe fell on
     lo, hi = lambda_lo, lambda_hi
     converged = True
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
-            converged = False
-            break
-        out = classified(mid)
+        lam = _secant_point(lo_pts, hi_pts)
+        if lam is not None:
+            if sides[-1] == sides[-2]:  # one end is stale: overshoot toward it
+                last = lo if sides[-1] else hi
+                push = OVERSHOOT * max(abs(lam - last), EDGE * tol)
+                lam = lam + push if sides[-1] else lam - push
+            lam = min(max(lam, lo + EDGE * tol), hi - EDGE * tol)
+        if lam is None or not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+            if lam == lo or lam == hi:  # adjacent floats: tol is below their spacing
+                converged = False
+                break
+        out = classified(lam)
         if out.classification == UNDETERMINED:
             converged = False
             break
-        if out.classification == lo_kind:
-            lo = mid
+        on_lo = out.classification == lo_kind
+        (lo_pts if on_lo else hi_pts).append((lam, out.trajectory))
+        sides.append(on_lo)
+        if on_lo:
+            lo = lam
         else:
-            hi = mid
+            hi = lam
     return ThresholdResult(
         lambda_star=0.5 * (lo + hi),
         bracket_width=hi - lo,

@@ -198,8 +198,16 @@ def test_shoot_artifacts(tmp_path):
     assert blob["converged"] is True
     assert blob["bracket_width"] <= 1e-6
     assert abs(blob["lambda_star"]) <= 0.1
-    assert len(blob["probes"]) >= 10
-    assert (out / "probe_000.csv").exists()
+    probes = blob["probes"]
+    assert sorted(f.name for f in out.glob("probe_*.csv")) == [
+        f"probe_{i:03d}.csv" for i in range(len(probes))]
+    # each probe's verdict is the one its side of the final bracket certifies
+    lo_kind, hi_kind = (("Decays", "BlowsUp") if blob["decays_end"] == "lo"
+                        else ("BlowsUp", "Decays"))
+    for row in probes:
+        assert row["lambda"] <= blob["bracket_lo"] or row["lambda"] >= blob["bracket_hi"]
+        side = lo_kind if row["lambda"] <= blob["bracket_lo"] else hi_kind
+        assert row["classification"] == side
     # probe files echo their lambda and verdict
     head = (out / "probe_000.csv").read_text().splitlines()[:40]
     assert any("classification" in ln for ln in head if ln.startswith("#"))

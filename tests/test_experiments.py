@@ -127,6 +127,30 @@ def test_bisection_brackets_and_determinism():
     assert res2.bracket_width == res.bracket_width
 
 
+def test_steered_search_beats_bisection():
+    """The K_gamma(T_s) secant steps land next to lambda*: the certified
+    bracket overlaps the one plain bisection found for this case (28 probes,
+    232.4 time units simulated) and costs fewer probes and less time."""
+    grid = make_grid(20.0, 401)
+    res = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-8, dt=0.05)
+    bisect_lo, bisect_hi = -0.00011563003063201903, -0.00011562108993530272
+    assert res.converged and res.bracket_width <= 1e-8
+    assert res.bracket_lo < bisect_hi and bisect_lo < res.bracket_hi
+    assert len(res.probes) < 28
+    assert sum(out.trajectory.final.t for _, out in res.probes) < 232.0
+
+
+def test_steered_search_is_sign_blind():
+    # K_gamma is even in u and the flow odd, so u -> -u steers identically
+    grid = make_grid(20.0, 401)
+    plus = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-8, dt=0.05)
+    minus = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-8, dt=0.05,
+                             sign=-1)
+    lams = [np.array([lam for lam, _ in r.probes]).tobytes() for r in (plus, minus)]
+    assert lams[0] == lams[1]
+    assert (minus.bracket_lo, minus.bracket_hi) == (plus.bracket_lo, plus.bracket_hi)
+
+
 def test_bisection_stops_at_float_resolution():
     """A tol below the float spacing of the bracket cannot be met: the loop
     ends, unconverged, once lo and hi are adjacent floats, instead of
