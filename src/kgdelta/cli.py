@@ -318,6 +318,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
     _write_summary(out, "simulate", cfg, {
         "exit": traj.exit,
+        "t_final": traj.final.t,
         "samples": len(traj.sample_times),
         "sup_norm_H": traj.sup_norm_H,
         "E_initial": traj.energies[0],
@@ -420,6 +421,7 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
     )
     _write_summary(out, "track", cfg, {
         "exit": traj.exit,
+        "t_final": traj.final.t,
         "n_frames": len(report.frames),
         "n_valid": int(np.count_nonzero(report.valid_mask)),
         "sup_half_log": report.sup_half_log,

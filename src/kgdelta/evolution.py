@@ -224,6 +224,9 @@ def evolve(
 ) -> Trajectory:
     """Run the stepper to time T (or early exit) recording decimated samples.
 
+    The run takes round(T/dt) steps, so it ends at t0 + round(T/dt)*dt,
+    which differs from t0 + T when T is not a multiple of dt; the
+    Trajectory's final.t is the time actually reached.
     Samples (the Trajectory's arrays, observer calls, contamination checks)
     happen every snapshot_stride steps and at the initial and final states.
     Each observer gets one `Sample` per sample, carrying t, u, v and its

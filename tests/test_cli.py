@@ -179,6 +179,18 @@ def test_simulate_artifacts(tmp_path):
     assert grid.n == 301
 
 
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_t_final_is_the_time_reached(tmp_path, command):
+    """T = 3.01 is not a multiple of dt = 0.025: round(T/dt) = 120 steps end
+    the run at t = 3.0, and the summary says so."""
+    text = "L = 20\nn = 401\ndt = 0.025\nT = 3.01\ninit = q\nz = 4\n"
+    code, out = run(tmp_path, command, text)
+    assert code == 0
+    blob = json.loads((out / f"{command}.json").read_text())
+    assert blob["exit"] == "Completed"
+    assert blob["t_final"] == 120 * 0.025
+
+
 def test_simulate_determinism(tmp_path):
     text = TINY + "init = gaussian\nscale = 0.5\n"
     _, out1 = run(tmp_path, "simulate", text, sub="a")
