@@ -327,6 +327,10 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         # 1/h^2 overflows: the grid is refused before any operator is built
         ("simulate", "L = 1e-300\nn = 101\ndt = 1e-305\n", "1/h^2 overflows"),
         ("variational", "L = 1e-300\nn = 101\ndt = 1e-305\n", "1/h^2 overflows"),
+        # 1/h^2 is finite but its square, a product of operator entries, is not
+        ("simulate", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
+        ("variational", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
+        ("simulate", "L = 1e-140\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
     ]
     for i, (command, text, error) in enumerate(cases):
         code, out = run(tmp_path, command, text, sub=f"out{i}")
@@ -335,6 +339,17 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         assert blob["incomplete"] is True
         assert error in blob["error"] and blob["config"]["gamma"] == -1.0
         assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, extra", [("simulate", "T = 1e-51\n"),
+                                            ("variational", "max_iters = 50\n")])
+def test_tiny_accepted_grid_runs_without_float_warnings(tmp_path, command, extra):
+    """L = 1e-50 is just inside the spacing bound: (1/h^2)^2 = 6e206, so the
+    run ends without any floating-point warning (raised as errors here)."""
+    code, out = run(tmp_path, command, "L = 1e-50\nn = 101\ndt = 1e-52\n" + extra)
+    assert code == 0
+    assert json.loads((out / f"{command}.json").read_text())["incomplete"] is False
 
 
 _REAL_PRECONDITIONER = variational._h1_preconditioner

@@ -40,6 +40,10 @@ def test_grid_validation():
         make_grid(-5.0, 401)
     with pytest.raises(GridError):
         make_grid(1e-300, 101)  # 1/h^2 overflows
+    for L in (6e-153, 1e-140):
+        with pytest.raises(GridError, match=r"\(1/h\^2\)\^2 overflows"):
+            make_grid(L, 101)  # 1/h^2 is finite, its square is not
+    make_grid(1e-50, 101)  # (1/h^2)^2 = 6e206 is finite
 
 
 @pytest.mark.parametrize(
@@ -54,6 +58,8 @@ def test_grid_validation():
         {"L": -20.0, "h": -0.1},
         # consistent, but 1/h^2 overflows
         {"L": 1e-300, "h": 5e-303, "x": 5e-303 * (np.arange(401.0) - 200)},
+        # consistent, but (1/h^2)^2 overflows
+        {"L": 1e-140, "h": 5e-143, "x": 5e-143 * (np.arange(401.0) - 200)},
     ],
 )
 def test_gridspec_rejects_inconsistent_fields(change):
