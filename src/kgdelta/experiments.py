@@ -208,8 +208,9 @@ def classify_trajectory(
 def _secant_point(lo_pts: list, hi_pts: list) -> float | None:
     """The zero of K_gamma(T_s) in lambda, from the latest usable pair.
 
-    lo_pts and hi_pts hold (lambda, Trajectory) of the two innermost probes
-    on each side of the bracket.  For each pair, T_s is the latest common
+    lo_pts and hi_pts hold (lambda, Trajectory) of the certified probes on
+    each side of the bracket, innermost last; the pairs are drawn from the
+    two innermost of each side.  For each pair, T_s is the latest common
     sample at which the two K values differ and both lie within K_WINDOW of
     0 (else sample 0), and the estimate is the zero of the line through
     (lambda, K(T_s)).  Of the estimates strictly inside the bracket, the one
@@ -217,7 +218,7 @@ def _secant_point(lo_pts: list, hi_pts: list) -> float | None:
     """
     lo, hi = lo_pts[-1][0], hi_pts[-1][0]
     pts = [lo_pts[-1], hi_pts[-1], *lo_pts[-2:-1], *hi_pts[-2:-1]]
-    best, best_j = None, -1
+    best, best_ts = None, -np.inf
     for (l1, t1), (l2, t2) in combinations(pts, 2):
         m = min(len(t1.K_gamma), len(t2.K_gamma))
         k1, k2 = t1.K_gamma[:m], t2.K_gamma[:m]
@@ -227,8 +228,8 @@ def _secant_point(lo_pts: list, hi_pts: list) -> float | None:
         if k1[j] == k2[j]:
             continue
         est = l1 - float(k1[j]) * (l2 - l1) / float(k2[j] - k1[j])
-        if j > best_j and lo < est < hi:
-            best, best_j = est, j
+        if t1.sample_times[j] > best_ts and lo < est < hi:
+            best, best_ts = est, t1.sample_times[j]
     return best
 
 
