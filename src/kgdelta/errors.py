@@ -43,4 +43,4 @@ class OutOfTubeError(NumericError):
 
 
 class BracketError(NumericError):
-    """Bisection endpoints do not straddle the decay/blowup boundary."""
+    """The search bracket's endpoints do not straddle the decay/blowup boundary."""

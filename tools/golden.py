@@ -76,7 +76,7 @@ CASES = (
     # numeric failures at the input: T / dt overflows, 1/h^2 overflows (exit 3)
     ("simulate-huge-T", "simulate", {"L": 20, "n": 401, "dt": 0.05, "T": 1e308}),
     ("simulate-tiny-grid", "simulate", {"L": 1e-300, "n": 101, "dt": 1e-305}),
-    # 1/h^2 is finite but its square overflows (exit 3; once exit 0 with nan)
+    # 1/h^2 is finite but its square overflows (exit 3)
     ("simulate-tiny-grid-nan", "simulate", {"L": 6e-153, "n": 101, "dt": 1e-170}),
     ("variational-tiny-grid-nan", "variational",
      {"L": 6e-153, "n": 101, "dt": 1e-170}),
