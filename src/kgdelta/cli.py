@@ -25,7 +25,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import experiments, modulation, profiles, variational
+from . import experiments, profiles, variational
 from .errors import ConfigError, KgError
 from .evolution import (
     CFL,
@@ -68,16 +68,15 @@ _INITS = {
 _INIT_CHOICES = tuple(_INITS)
 
 
-def _key(default, *rules, key: str | None = None, derive=None):
+def _key(default, *rules, key: str | None = None):
     """One config key: its default and the rules (ok, text[, at]) it must pass.
 
     ok(v, c) sees the value v and all parsed values c by attribute.  A failed
     rule reports "<key> <text>" (text formatted with v, or called with (v, c))
     on the key's line, or on the line and under the name of key ``at``.
-    ``key`` renames the attribute; ``derive(c)`` replaces a None default.
+    ``key`` renames the attribute.
     """
-    return field(default=default,
-                 metadata={"key": key, "rules": rules, "derive": derive})
+    return field(default=default, metadata={"key": key, "rules": rules})
 
 
 def _cfl_bound(c: dict) -> float:
@@ -111,12 +110,6 @@ class RunConfig:
     T: float = _key(10.0, _NONNEGATIVE)
     snapshot_stride: int = _key(10, _AT_LEAST_1)
     blowup_cap: float = _key(DEFAULT_CAP, _POSITIVE)
-    mu: float = _key(None, (lambda v, c: 0 < v < 2 * c["alpha"],
-                            "must lie in (0, 2*alpha), got {v}"),
-                     derive=lambda c: modulation.MU_FACTOR * c["alpha"])
-    L_weight: float = _key(modulation.DEFAULT_L_WEIGHT, _NONNEGATIVE)
-    tube_radius: float = _key(modulation.DEFAULT_TUBE_RADIUS, _POSITIVE)
-    cert_margin: float = _key(experiments.CERT_MARGIN, _NONNEGATIVE)
     init: str = _key("qgamma", (lambda v, c: v in _INIT_CHOICES,
                                 f"must be one of {_INIT_CHOICES}, got {{v!r}}"))
     lam: float = _key(0.0, _UNIT_RANGE, key="lambda")  # "lambda" is a keyword
@@ -133,7 +126,6 @@ class RunConfig:
         (lambda v, c: c["lambda_lo"] < v, "must be below lambda_hi", "lambda_lo"),
     )
     tol: float = _key(1e-10, _POSITIVE)
-    descent_tol: float = _key(1e-9, _POSITIVE)
     T_max: float = _key(200.0, _POSITIVE)
     max_iters: int = _key(20000, _AT_LEAST_1)
     nonlinearity: int = _key(1, (lambda v, c: v in (0, 1), "must be 0 or 1"))
@@ -181,8 +173,6 @@ def parse_config(text: str) -> RunConfig:
 
     for key, f in schema.items():
         v = values[f.name]
-        if v is None:
-            v = values[f.name] = f.metadata["derive"](values)
         for ok, text, *at in f.metadata["rules"]:
             if not ok(v, values):
                 text = text(v, values) if callable(text) else text.format(v=v)
@@ -343,7 +333,6 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
         dt=cfg.dt,
         sign=cfg.sign,
         blowup_cap=cfg.blowup_cap,
-        cert_margin=cfg.cert_margin,
     )
     probe_rows = []
     for i, (lam, outc) in enumerate(res.probes):
@@ -395,16 +384,7 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
         snapshot_stride=cfg.snapshot_stride,
         blowup_cap=cfg.blowup_cap,
     )
-    report = experiments.track_center(
-        states,
-        cfg.varsigma,
-        cfg.sign,
-        params,
-        grid,
-        mu=cfg.mu,
-        L_weight=cfg.L_weight,
-        tube_radius=cfg.tube_radius,
-    )
+    report = experiments.track_center(states, cfg.varsigma, cfg.sign, params, grid)
     rows = [
         (fr.t, fr.z, fr.a_plus, fr.a_minus, fr.a_zero, fr.script_E, fr.script_G,
          fr.eps_norm_H, fr.z_dot_measured, fr.z_dot_predicted, fr.relative_gap)
@@ -432,9 +412,7 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
 def cmd_variational(cfg: RunConfig, out: Path) -> None:
     params, grid = cfg.params(), cfg.grid()
     u_init = _build_initial(cfg, params, grid).u
-    rep = variational.minimize_level(
-        params, grid, cfg.symmetry, u_init, cfg.max_iters, tol=cfg.descent_tol
-    )
+    rep = variational.minimize_level(params, grid, cfg.symmetry, u_init, cfg.max_iters)
     _write_csv(out / "iterates.csv", cfg, list(rep.history),
                zip(*rep.history.values()))
     _write_summary(out, "variational", cfg, {

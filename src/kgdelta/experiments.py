@@ -5,7 +5,7 @@ half-log law.
 Classification is by energy-level certificate: once the (dissipating) energy
 E_gamma drops below the sector's ground-state level minus a safety margin,
 the sign of K_gamma decides the fate — K >= 0 decays to zero, K < 0 blows up
-in finite time.  The margin m_cert absorbs quadrature error in both
+in finite time.  The margin CERT_MARGIN absorbs quadrature error in both
 functionals; a BlowsUp certificate is additionally confirmed by the run
 hitting the amplitude cap (or leaving floats) afterwards.
 
@@ -43,6 +43,7 @@ DECAYS = "Decays"
 BLOWS_UP = "BlowsUp"
 UNDETERMINED = "Undetermined"
 
+# the certificate's safety margin below the ground-state level
 CERT_MARGIN = 2e-3
 # track_center's frames with ||(eps, eta)||_H at most this are 'valid'
 WINDOW_NORM = 0.05
@@ -144,11 +145,10 @@ def classify_trajectory(
     *,
     dt: float | None = None,
     blowup_cap: float = DEFAULT_CAP,
-    cert_margin: float = CERT_MARGIN,
 ) -> ShotOutcome:
     """Evolve until an energy-level certificate decides the fate.
 
-    The level is n_gamma (free) or r_gamma (symmetry="even"); the margin is
+    The level is n_gamma (free) or r_gamma (symmetry="even"); CERT_MARGIN is
     subtracted before comparison with the energy of every sample (every 10
     steps, `evolve`'s default).  Decays ends the run at the certificate
     sample with the exit "CertifiedDecay"; BlowsUp waits for the
@@ -161,7 +161,7 @@ def classify_trajectory(
         dt = 0.5 * grid.h
     levels = variational.reference_levels(params)
     level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
-    threshold = level - cert_margin
+    threshold = level - CERT_MARGIN
 
     cert = {"time": float("nan"), "E": float("nan"), "K": float("nan")}
     certified = False
@@ -246,7 +246,6 @@ def bisect_threshold(
     dt: float | None = None,
     sign: int = 1,
     blowup_cap: float = DEFAULT_CAP,
-    cert_margin: float = CERT_MARGIN,
 ) -> ThresholdResult:
     """Steered search in lambda between a decaying and a blowing-up endpoint.
 
@@ -290,7 +289,6 @@ def bisect_threshold(
             symmetry,
             dt=dt,
             blowup_cap=blowup_cap,
-            cert_margin=cert_margin,
         )
 
     probes: list = []
@@ -372,10 +370,6 @@ def track_center(
     sign: int,
     params: PhysParams,
     grid: GridSpec,
-    *,
-    mu: float | None = None,
-    L_weight: float = modulation.DEFAULT_L_WEIGHT,
-    tube_radius: float = modulation.DEFAULT_TUBE_RADIUS,
 ) -> TrackReport:
     """Fit z(t) along recorded states and compare with the reduced ODE.
 
@@ -394,10 +388,7 @@ def track_center(
     frames: list = []
     for st in states:
         try:
-            frame = modulation.fit_center(
-                st, sigma, sign, guess, params, grid,
-                tube_radius=tube_radius, mu=mu, L_weight=L_weight,
-            )
+            frame = modulation.fit_center(st, sigma, sign, guess, params, grid)
         except (OutOfTubeError, NoConvergenceError):
             break
         frames.append(frame)

@@ -28,17 +28,15 @@ from . import profiles
 from .errors import NoConvergenceError, OutOfTubeError, ParameterError
 from .field import GridSpec, PhysParams, gradient_sq, h1_sq, l2_sq, trapezoid
 
-DEFAULT_TUBE_RADIUS = 0.3
-DEFAULT_L_WEIGHT = 100.0
-MU_FACTOR = 0.1  # default_mu as a fraction of alpha
+# the tube around the reference family that fit_center accepts, the weight of
+# the decaying modes in script_G, and the twist mu = MU_FACTOR * alpha of
+# script_E, which the proofs only need 'small enough' (0 < mu < 2 alpha)
+TUBE_RADIUS = 0.3
+L_WEIGHT = 100.0
+MU_FACTOR = 0.1
 # Newton tolerance on |G| and iteration budget of fit_center
 FIT_TOL = 1e-10
 FIT_MAX_ITER = 50
-
-
-def default_mu(params: PhysParams) -> float:
-    """mu enters the twisted form; 'small enough' is pinned at alpha/10."""
-    return MU_FACTOR * params.alpha
 
 
 @dataclass
@@ -80,17 +78,13 @@ def fit_center(
     z_guess: float,
     params: PhysParams,
     grid: GridSpec,
-    *,
-    tube_radius: float = DEFAULT_TUBE_RADIUS,
-    mu: float | None = None,
-    L_weight: float = DEFAULT_L_WEIGHT,
 ) -> ModulationFrame:
     """Newton-solve the orthogonality condition G(z) = 0 near z_guess and
     return the state's frame at the fitted center (see `decompose`).
 
     Raises NoConvergenceError after FIT_MAX_ITER iterations, OutOfTubeError when
-    the converged center leaves the trust interval around z_guess or the
-    residual norm exceeds the tube radius.
+    the converged center drifts more than TUBE_RADIUS from z_guess or the
+    residual norm ||(eps, eta)||_H exceeds TUBE_RADIUS.
     """
     if sigma not in (0, 1) or sign not in (-1, 1):
         raise ParameterError(f"sigma must be 0/1 and sign +-1, got {sigma}, {sign}")
@@ -128,14 +122,14 @@ def fit_center(
             f"center fit: |G| > {FIT_TOL} after {FIT_MAX_ITER} iterations"
         )
 
-    if abs(z - z_guess) > tube_radius:
+    if abs(z - z_guess) > TUBE_RADIUS:
         raise OutOfTubeError(
             f"fitted center {z} drifted {abs(z - z_guess):.3g} from the guess"
         )
-    frame = decompose(state, z, sigma, sign, params, grid, mu=mu, L_weight=L_weight)
-    if frame.eps_norm_H > tube_radius:
+    frame = decompose(state, z, sigma, sign, params, grid)
+    if frame.eps_norm_H > TUBE_RADIUS:
         raise OutOfTubeError(
-            f"residual norm {frame.eps_norm_H:.3g} exceeds tube {tube_radius}"
+            f"residual norm {frame.eps_norm_H:.3g} exceeds tube {TUBE_RADIUS}"
         )
     return frame
 
@@ -147,9 +141,6 @@ def decompose(
     sign: int,
     params: PhysParams,
     grid: GridSpec,
-    *,
-    mu: float | None = None,
-    L_weight: float = DEFAULT_L_WEIGHT,
 ) -> ModulationFrame:
     """Split the state into (eps, eta) = (u - R(z), v) and read off its frame.
 
@@ -158,14 +149,11 @@ def decompose(
     E = 1/2 int (d_x eps)^2 + (1 - rho mu) eps^2 + (eta + mu eps)^2
                - p (Q_+^{p-1} + sigma Q_-^{p-1}) eps^2   - gamma/2 u(0)^2,
 
-    rho = 2 alpha - mu, u(0) the trace of the full field; script_G adds
-    L_weight (a_minus^2 + a_zero^2).
+    mu = MU_FACTOR * alpha, rho = 2 alpha - mu, u(0) the trace of the full
+    field; script_G adds L_WEIGHT (a_minus^2 + a_zero^2).
     """
     alpha, p, gamma = params.alpha, params.p, params.gamma
-    if mu is None:
-        mu = default_mu(params)
-    if not 0.0 < mu < 2.0 * alpha:
-        raise ParameterError(f"mu must lie in (0, 2*alpha), got {mu}")
+    mu = MU_FACTOR * alpha
     con = profiles.spectral_constants(params)
     x = grid.x
     # each reference profile once: R(z) for eps, Q_pm^{p-1} for the potential
@@ -202,7 +190,7 @@ def decompose(
         a_minus=a_minus,
         a_zero=a_zero,
         script_E=script_E,
-        script_G=script_E + L_weight * (a_minus**2 + a_zero**2),
+        script_G=script_E + L_WEIGHT * (a_minus**2 + a_zero**2),
         eps_norm_H=float(np.sqrt(h1_sq(eps, grid) + l2_sq(eta, grid))),
         leading_term=leading,
         trace_term=trace,

@@ -47,6 +47,8 @@ from .field import GridSpec, PhysParams, action_terms, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
+# tol of the docstrings: the descent has stalled once |Delta J| < DESCENT_TOL
+DESCENT_TOL = 1e-9
 # a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
@@ -202,8 +204,6 @@ def minimize_level(
     symmetry: str,
     u_init: np.ndarray,
     max_iters: int = 20000,
-    *,
-    tol: float = 1e-9,
 ) -> MinimizationReport:
     """Projected descent for J_gamma on the Nehari set.
 
@@ -248,12 +248,12 @@ def minimize_level(
 
     for it in range(1, max_iters + 1):
         moved = None
-        if dJ < SLIDE_FACTOR * tol:
+        if dJ < SLIDE_FACTOR * DESCENT_TOL:
             # the gradient step slows down: try to translate instead; once it
             # has stalled, try to leave a saddle, and stop if nothing lowers J
             moved = _doubling_move(lambda k: _translate(u, k, grid, even),
                                    J_cur, params, grid)
-            if moved is None and dJ < tol:
+            if moved is None and dJ < DESCENT_TOL:
                 if even or params.gamma >= 0.0:
                     break
                 psi = grid.x * u

@@ -23,14 +23,14 @@ def test_defaults_and_comments():
     cfg = parse_config("# nothing but comments\n\n   # and blanks\n")
     assert cfg.p == 3.0 and cfg.alpha == 1.0 and cfg.gamma == -1.0
     assert cfg.L == 60.0 and cfg.n == 2401
-    assert cfg.mu == pytest.approx(0.1)  # materialized alpha/10
 
 
 def test_inline_values_and_mu_follows_alpha():
-    cfg = parse_config("alpha = 2.0\ngamma = 0.5\n")
-    assert cfg.mu == pytest.approx(0.2)
-    cfg = parse_config("alpha = 2.0\nmu = 0.7\n")
-    assert cfg.mu == 0.7
+    cfg = parse_config("alpha = 2.0  # inline comment\ngamma = 0.5\n")
+    assert cfg.alpha == 2.0 and cfg.gamma == 0.5
+    # mu is no key: the twist of script_E is modulation.MU_FACTOR * alpha
+    with pytest.raises(ConfigError):
+        parse_config("alpha = 2.0\nmu = 0.7\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -72,11 +72,6 @@ SCHEMA_CASES = [
     ("T = -1", 3, "T must be nonnegative"),
     ("snapshot_stride = 0", 3, "snapshot_stride must be >= 1"),
     ("blowup_cap = 0", 3, "blowup_cap must be positive"),
-    ("mu = 2", 3, "mu must lie in (0, 2*alpha), got 2.0"),
-    ("mu = 0.3\nalpha = 0.1", 3, "mu must lie in (0, 2*alpha), got 0.3"),
-    ("L_weight = -1", 3, "L_weight must be nonnegative"),
-    ("tube_radius = 0", 3, "tube_radius must be positive"),
-    ("cert_margin = -1", 3, "cert_margin must be nonnegative"),
     ("init = bessel", 3,
      "init must be one of ('qgamma', 'q', 'equilibrium', 'family', 'gaussian'), "
      "got 'bessel'"),
@@ -90,7 +85,6 @@ SCHEMA_CASES = [
     ("lambda_lo = 0.5", 3, "lambda_lo must be below lambda_hi"),
     ("lambda_hi = -0.1\nlambda_lo = 0.2", 4, "lambda_lo must be below lambda_hi"),
     ("tol = 0", 3, "tol must be positive"),
-    ("descent_tol = 0", 3, "descent_tol must be positive"),
     ("T_max = 0", 3, "T_max must be positive"),
     ("max_iters = 0", 3, "max_iters must be >= 1"),
     ("nonlinearity = 2", 3, "nonlinearity must be 0 or 1"),
@@ -112,7 +106,7 @@ def test_schema_messages_and_lines(body, line, message):
 
 
 # nan and +-inf are refused where a float is read, whatever the key's rules
-NON_FINITE_CASES = [("T", "nan"), ("L_weight", "nan"), ("cert_margin", "nan"),
+NON_FINITE_CASES = [("T", "nan"), ("z", "nan"), ("tol", "nan"),
                     ("scale", "nan"), ("blowup_cap", "inf"), ("T", "inf"),
                     ("scale", "-inf")]
 
@@ -282,8 +276,11 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
 
 
 def test_workers_is_an_unknown_key(tmp_path, capsys):
-    # retired keys: workers (the thread path) and seed (it had no reader)
-    for key, value in (("workers", 2), ("seed", 1)):
+    # retired keys: workers (the thread path), seed (it had no reader) and the
+    # tuning values the modulation, certificate and descent now fix
+    retired = (("workers", 2), ("seed", 1), ("mu", 0.1), ("L_weight", 100.0),
+               ("tube_radius", 0.3), ("cert_margin", 2e-3), ("descent_tol", 1e-9))
+    for key, value in retired:
         code, out = run(tmp_path, "shoot", f"# a retired key\n{key} = {value}\n", sub=key)
         assert code == 2
         assert f"line 2: unknown key '{key}'" in capsys.readouterr().err

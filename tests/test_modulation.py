@@ -7,13 +7,7 @@ import pytest
 from kgdelta.errors import NoConvergenceError, OutOfTubeError, ParameterError
 from kgdelta.evolution import evolve
 from kgdelta.field import PhysParams, State, make_grid, trapezoid
-from kgdelta.modulation import (
-    DEFAULT_L_WEIGHT,
-    decompose,
-    default_mu,
-    eigenmode_drift_check,
-    fit_center,
-)
+from kgdelta.modulation import decompose, eigenmode_drift_check, fit_center
 from kgdelta.profiles import (
     neutral_even_mode_phi,
     soliton_Q,
@@ -58,8 +52,8 @@ def test_fit_center_frame_is_decompose_at_the_fit(sigma, sign, z_true, guess):
     if sigma:
         u = u + soliton_Q(grid.x + z_true, 3.0)
     st = State(u=sign * u, v=0.01 * np.cos(s) * bump, t=1.5)
-    frame = fit_center(st, sigma, sign, guess, PAR, grid, mu=0.3, L_weight=7.0)
-    again = decompose(st, frame.z, sigma, sign, PAR, grid, mu=0.3, L_weight=7.0)
+    frame = fit_center(st, sigma, sign, guess, PAR, grid)
+    again = decompose(st, frame.z, sigma, sign, PAR, grid)
     for f in dataclasses.fields(frame):
         a, b = getattr(frame, f.name), getattr(again, f.name)
         assert np.array_equal(a, b, equal_nan=True), f.name
@@ -80,11 +74,6 @@ def test_fit_center_guard_rails():
     junk = State(u=np.ones(grid.n), v=np.zeros(grid.n))
     with pytest.raises((OutOfTubeError, NoConvergenceError)):
         fit_center(junk, 0, 1, 5.0, PAR, grid)
-
-
-def test_default_mu():
-    assert default_mu(PAR) == pytest.approx(0.1)
-    assert default_mu(PhysParams(3.0, 0.4, 0.0)) == pytest.approx(0.04)
 
 
 def test_decompose_amplitudes_synthetic():
@@ -131,10 +120,6 @@ def test_script_E_domain_and_positivity():
     grid = _grid()
     st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
     fr = decompose(st, 5.0, 0, 1, PAR, grid)
-    with pytest.raises(ParameterError):
-        decompose(st, 5.0, 0, 1, PAR, grid, mu=0.0)
-    with pytest.raises(ParameterError):
-        decompose(st, 5.0, 0, 1, PAR, grid, mu=2.0)
     # on the reference itself eps = 0 up to the trace: the form reduces to
     # -gamma/2 u(0)^2 which is positive for repulsive gamma
     assert fr.script_E > 0.0

@@ -153,10 +153,6 @@ def config_texts(draw):
         "T": draw(st.floats(0.0, 100.0)),
         "snapshot_stride": draw(st.integers(1, 50)),
         "blowup_cap": draw(st.floats(1.0, 1e6)),
-        "mu": draw(st.floats(0.01, 1.99)) * alpha,
-        "L_weight": draw(st.floats(0.0, 1e3)),
-        "tube_radius": draw(unit),
-        "cert_margin": draw(st.floats(0.0, 0.1)),
         "init": draw(st.sampled_from(["qgamma", "q", "equilibrium", "family",
                                       "gaussian"])),
         "lambda": draw(st.floats(-1.0, 1.0)),
@@ -166,7 +162,6 @@ def config_texts(draw):
         "scale": draw(st.floats(-5.0, 5.0)),
         "symmetry": draw(st.sampled_from(["none", "even"])),
         "tol": draw(unit),
-        "descent_tol": draw(unit),
         "T_max": draw(st.floats(1.0, 500.0)),
         "max_iters": draw(st.integers(1, 10**6)),
         "nonlinearity": draw(st.sampled_from([0, 1])),
