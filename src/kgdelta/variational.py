@@ -98,8 +98,10 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
         lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
     """
     quad, nonlin, _ = action_terms(u, params, grid)
-    if nonlin <= 0.0 or quad <= 0.0:
-        raise ParameterError("cannot project (near-)zero input onto the Nehari set")
+    # an overflowed term would make lambda* -inf (the zero function) or nan
+    if not (0.0 < nonlin < np.inf and 0.0 < quad < np.inf):
+        raise ParameterError(
+            "cannot project (near-)zero or overflowing input onto the Nehari set")
     lam = np.log(quad / nonlin) / (params.p - 1.0)
     return np.exp(lam) * u
 

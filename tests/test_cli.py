@@ -328,6 +328,9 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         ("simulate", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
         ("variational", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
         ("simulate", "L = 1e-140\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
+        # int |u|^{p+1} overflows: no Nehari projection of the start
+        ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n",
+         "cannot project u_init onto the Nehari set"),
     ]
     for i, (command, text, error) in enumerate(cases):
         code, out = run(tmp_path, command, text, sub=f"out{i}")

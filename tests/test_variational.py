@@ -72,6 +72,13 @@ def test_project_idempotent_and_guards():
             assert abs(functional_K_gamma(once, par, grid)) < 1e-10
     with pytest.raises(ParameterError):
         nehari_project(np.zeros(grid.n), P3, grid)
+    # ||u||_{p+1}^{p+1} overflows at 1e80 (its projection would be the zero
+    # function, J = 0) and both terms overflow at 1e160 (lambda* would be nan)
+    gauss = np.exp(-grid.x * grid.x)
+    for scale in (1e80, 1e160, -1e200):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ParameterError, match="overflowing"):
+            nehari_project(scale * gauss, P3, grid)
 
 
 # --------------------------------------------------------------------- levels

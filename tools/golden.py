@@ -82,6 +82,9 @@ CASES = (
     ("simulate-tiny-grid-nan", "simulate", {"L": 6e-153, "n": 101, "dt": 1e-170}),
     ("variational-tiny-grid-nan", "variational",
      {"L": 6e-153, "n": 101, "dt": 1e-170}),
+    # int |u|^{p+1} of the start overflows: no Nehari projection (exit 3)
+    ("variational-huge-scale", "variational",
+     {"L": 15, "n": 301, "init": "gaussian", "scale": 1e80}),
 )
 
 
