@@ -38,6 +38,7 @@ from .field import (
     GridSpec,
     PhysParams,
     State,
+    _fmt,
     diagnostics_MW,
     make_grid,
     save_state,
@@ -182,10 +183,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------- formatting
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
 
 def echo_lines(cfg: RunConfig) -> list[str]:
     """Sorted ``key = value`` lines of the fully-resolved config."""

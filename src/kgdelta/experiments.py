@@ -30,6 +30,7 @@ from .errors import (
     ParameterError,
 )
 from .evolution import (
+    CFL,
     DEFAULT_CAP,
     EXIT_BLOWUP_CAP,
     EXIT_NONFINITE,
@@ -158,7 +159,7 @@ def classify_trajectory(
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
     if dt is None:
-        dt = 0.5 * grid.h
+        dt = CFL * grid.h
     levels = variational.reference_levels(params)
     level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
     threshold = level - CERT_MARGIN

@@ -184,7 +184,8 @@ def diagnostics_MW(
 # snapshot I/O (CSV with an embedded parameter header)
 
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    """The one float format of every artifact: %.17g round-trips a double."""
+    return "%.17g" % x
 
 
 def save_state(
