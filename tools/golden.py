@@ -73,7 +73,7 @@ CASES = (
     ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
     ("config-cfl", "simulate", {"L": 10, "n": 201, "dt": 0.051}),
     ("config-nan-T", "simulate", {"L": 20, "n": 401, "T": "nan"}),
-    # mu is a module constant now, not a key
+    # mu is a module constant, not a key
     ("config-retired-key", "track", {"L": 20, "n": 401, "mu": 0.1}),
     # numeric failures at the input: T / dt overflows, 1/h^2 overflows (exit 3)
     ("simulate-huge-T", "simulate", {"L": 20, "n": 401, "dt": 0.05, "T": 1e308}),
