@@ -26,12 +26,12 @@ automatically the second-order Taylor bootstrap using u_tt(0) from the PDE.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import profiles
 from .errors import GridError, NoConvergenceError, ParameterError, SingularSystemError
@@ -47,8 +47,6 @@ CFL = 0.5  # dt <= CFL * h
 # Newton tolerance and iteration budget of discrete_stationary_profile
 PROFILE_TOL = 1e-12
 PROFILE_MAX_ITER = 50
-
-_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,6 +350,17 @@ def evolve(
     )
 
 
+@functools.cache
+def _gtsv():
+    """LAPACK dgtsv, resolved once per process on the first solve: importing
+    scipy.linalg is most of the package's import time, and only
+    `kg variational` and the `equilibrium` init solve tridiagonal systems."""
+    from scipy.linalg import get_lapack_funcs
+
+    gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+    return gtsv
+
+
 def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
     """x with T x = rhs, T tridiagonal with these diagonals: LAPACK gtsv on
@@ -361,7 +370,7 @@ def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
         if main[0] == 0.0:
             raise SingularSystemError("singular tridiagonal system: zero pivot in row 1")
         return rhs / main
-    _, _, _, x, info = _GTSV(sub, main, sup, rhs)
+    _, _, _, x, info = _gtsv()(sub, main, sup, rhs)
     if info > 0:
         raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")
     return x
