@@ -16,6 +16,7 @@ cannot be written, 3 numeric failure (a partial summary with an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ from .evolution import (
     evolve,
 )
 from .field import (
+    FLOAT_FORMAT,
     GridSpec,
     PhysParams,
     State,
@@ -142,9 +144,14 @@ def _name(f) -> str:
     return f.metadata["key"] or f.name
 
 
+@functools.cache
+def _schema() -> tuple[dict, dict]:
+    """key -> field of RunConfig, and attribute -> type, resolved once."""
+    return {_name(f): f for f in fields(RunConfig)}, get_type_hints(RunConfig)
+
+
 def parse_config(text: str) -> RunConfig:
-    schema = {_name(f): f for f in fields(RunConfig)}
-    types = get_type_hints(RunConfig)
+    schema, types = _schema()
     values = {f.name: f.default for f in schema.values()}
     lines: dict[str, int] = {}  # key -> line it was set on
 
@@ -238,8 +245,9 @@ def _write_csv(
     for e in extra or ():
         lines.append("# " + e)
     lines.append(",".join(columns))
+    row_format = ",".join([FLOAT_FORMAT] * len(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(row_format % tuple(row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -441,7 +449,9 @@ def _run(command: str, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main."""
     parser = argparse.ArgumentParser(
         prog="kg",
         description="Soliton laboratory for the damped Klein-Gordon equation "
@@ -452,7 +462,11 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     text = ""
     if args.config is not None:

@@ -183,9 +183,13 @@ def diagnostics_MW(
 # ---------------------------------------------------------------------------
 # snapshot I/O (CSV with an embedded parameter header)
 
+# the one float format of every artifact: %.17g round-trips a double
+FLOAT_FORMAT = "%.17g"
+_ROW3_FORMAT = ",".join([FLOAT_FORMAT] * 3)
+
+
 def _fmt(x: float) -> str:
-    """The one float format of every artifact: %.17g round-trips a double."""
-    return "%.17g" % x
+    return FLOAT_FORMAT % x
 
 
 def save_state(
@@ -208,10 +212,8 @@ def save_state(
     for entry in extra_header or ():
         lines.append("# " + entry)
     lines.append("x,u,v")
-    for j in range(grid.n):
-        lines.append(
-            "%s,%s,%s" % (_fmt(grid.x[j]), _fmt(state.u[j]), _fmt(state.v[j]))
-        )
+    for row in zip(grid.x, state.u, state.v):
+        lines.append(_ROW3_FORMAT % row)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
