@@ -190,7 +190,8 @@ def decompose(
         a_minus=a_minus,
         a_zero=a_zero,
         script_E=script_E,
-        script_G=script_E + L_WEIGHT * (a_minus**2 + a_zero**2),
+        # products, not Python-float powers, which raise OverflowError
+        script_G=script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
         eps_norm_H=float(np.sqrt(h1_sq(eps, grid) + l2_sq(eta, grid))),
         leading_term=leading,
         trace_term=trace,

@@ -95,6 +95,22 @@ def test_decompose_amplitudes_synthetic():
     assert fr.script_G >= fr.script_E - 1e-15
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_decompose_overflowing_amplitudes_give_inf():
+    """a_minus = 1e160 * ||phi||^2 is finite but its square is not: the frame
+    carries script_G = inf instead of raising OverflowError, and fit_center
+    refuses the state with a KgError that track_center stops on."""
+    grid = _grid()
+    z = 5.0
+    phi = neutral_even_mode_phi(grid.x - z, 3.0)
+    st = State(u=soliton_Q(grid.x - z, 3.0), v=1e160 * phi)
+    fr = decompose(st, z, 0, 1, PAR, grid)
+    assert np.isfinite(fr.a_minus) and abs(fr.a_minus) > 1e155
+    assert fr.script_G == np.inf and fr.eps_norm_H == np.inf
+    with pytest.raises((OutOfTubeError, NoConvergenceError)):
+        fit_center(st, 0, 1, z, PAR, grid)
+
+
 def test_amplitude_identities_random():
     # nu+ a+ - nu- a- = (nu+ - nu-) <eta, phi>   (cross terms cancel)
     #     a+ -     a- = (nu+ - nu-) <eps, phi>

@@ -85,6 +85,9 @@ CASES = (
     # int |u|^{p+1} of the start overflows: no Nehari projection (exit 3)
     ("variational-huge-scale", "variational",
      {"L": 15, "n": 301, "init": "gaussian", "scale": 1e80}),
+    # the modal amplitudes of the start overflow when squared
+    ("track-huge-scale-n3", "track",
+     {"L": 40, "n": 3, "init": "gaussian", "scale": 1e160, "p": 4, "T": 0}),
 )
 
 
