@@ -233,8 +233,9 @@ def evolve(
     An observer that returns an exit label ends the run at that sample with
     that label, ahead of any other exit there; observers after it do not see
     the sample.  The damping integral 2*alpha*int ||u_t||^2 accumulates every
-    step by the trapezoid rule in time.  Step failures become exit codes,
-    never raises.
+    step by the trapezoid rule in time.  A start whose E_gamma, K_gamma or
+    ||(u, v)||_H is not finite raises ParameterError before any sample is
+    recorded; step failures become exit codes, never raises.
     """
     _check_cfl(dt, grid)
     n = grid.n
@@ -285,6 +286,13 @@ def evolve(
         e = 0.5 * quad - lq / q
         kval = h1 - gamma * uc * uc - lq
         norm = math.sqrt(h1 + vsq)
+        if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
+                           and math.isfinite(norm)):
+            # a start whose functionals overflow has no dissipation ledger
+            raise ParameterError(
+                f"the initial state is not of finite energy: E = {e}, "
+                f"K = {kval}, ||(u, v)||_H = {norm}"
+            )
         t = t0 + k * dt
         times.append(t)
         energies.append(e)

@@ -331,6 +331,11 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         # int |u|^{p+1} overflows: no Nehari projection of the start
         ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n",
          "cannot project u_init onto the Nehari set"),
+        # E, K or ||(u, v)||_H of the start overflows: no sample 0
+        ("simulate", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e80\n",
+         "initial state is not of finite energy"),
+        ("track", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e200\n",
+         "initial state is not of finite energy"),
     ]
     for i, (command, text, error) in enumerate(cases):
         code, out = run(tmp_path, command, text, sub=f"out{i}")

@@ -185,6 +185,23 @@ def test_contamination_exit():
     assert traj.sample_times[-1] < 20.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u_scale, v_value", [(1e80, 0.0), (1e200, 0.0),
+                                              (1.0, np.nan), (1.0, np.inf)],
+                         ids=["E=-inf", "norm=inf", "v=nan", "v=inf"])
+def test_start_of_infinite_energy_is_refused(u_scale, v_value):
+    """A start whose E, K or ||(u, v)||_H is not finite raises before any
+    sample, so no run reports a ledger that starts at -inf or nan."""
+    grid = make_grid(15.0, 301)
+    v0 = np.zeros(grid.n)
+    v0[grid.center] = v_value
+    seen = []
+    with pytest.raises(ParameterError, match="not of finite energy"):
+        evolve(State(u=u_scale * np.exp(-grid.x ** 2), v=v0), 1.0, 0.025,
+               PAR_REP, grid, observers=[seen.append])
+    assert seen == []
+
+
 def test_observers_see_every_snapshot():
     grid = make_grid(10.0, 201)
     seen = []

@@ -85,6 +85,11 @@ CASES = (
     # int |u|^{p+1} of the start overflows: no Nehari projection (exit 3)
     ("variational-huge-scale", "variational",
      {"L": 15, "n": 301, "init": "gaussian", "scale": 1e80}),
+    # the start's energy is not finite: refused before sample 0 (exit 3)
+    ("simulate-huge-scale", "simulate",
+     {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e80}),
+    ("track-huge-scale", "track",
+     {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e200}),
     # the modal amplitudes of the start overflow when squared
     ("track-huge-scale-n3", "track",
      {"L": 40, "n": 3, "init": "gaussian", "scale": 1e160, "p": 4, "T": 0}),
