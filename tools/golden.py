@@ -90,7 +90,8 @@ CASES = (
      {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e80}),
     ("track-huge-scale", "track",
      {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e200}),
-    # the modal amplitudes of the start overflow when squared
+    # once an OverflowError in decompose (a_minus squared); the start's energy
+    # is not finite either, so evolve now refuses it first (exit 3)
     ("track-huge-scale-n3", "track",
      {"L": 40, "n": 3, "init": "gaussian", "scale": 1e160, "p": 4, "T": 0}),
 )
