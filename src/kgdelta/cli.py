@@ -4,10 +4,11 @@
 
 Config files are line-based ``key = value`` text with ``#`` comments, read
 against the schema ``RunConfig``; unknown keys, type mismatches, and
-constraint violations are reported with their line number.  Every artifact
-embeds the fully-resolved config (sorted ``# key = value`` lines in CSVs, a
-"config" object in JSON), floats are always printed with %.17g and JSON keys
-sorted, so identical config + build gives byte-identical outputs.
+constraint violations are reported with their line number.  This is the
+only module that reads or writes files.  Every artifact embeds the
+fully-resolved config (sorted ``# key = value`` lines in CSVs, a "config"
+object in JSON), floats are always printed with %.17g and JSON keys sorted,
+so identical config + build gives byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, unusable --out or an artifact that
 cannot be written, 3 numeric failure (a partial summary with an
@@ -35,16 +36,7 @@ from .evolution import (
     discrete_stationary_profile,
     evolve,
 )
-from .field import (
-    FLOAT_FORMAT,
-    GridSpec,
-    PhysParams,
-    State,
-    _fmt,
-    diagnostics_MW,
-    make_grid,
-    save_state,
-)
+from .field import GridSpec, PhysParams, State, diagnostics_MW, make_grid
 
 _SYMMETRY_CHOICES = ("none", "even")
 
@@ -191,6 +183,14 @@ def parse_config(text: str) -> RunConfig:
 
 # ---------------------------------------------------------------- formatting
 
+# the one float format of every artifact: %.17g round-trips a double
+FLOAT_FORMAT = "%.17g"
+
+
+def _fmt(x: float) -> str:
+    return FLOAT_FORMAT % x
+
+
 def echo_lines(cfg: RunConfig) -> list[str]:
     """Sorted ``key = value`` lines of the fully-resolved config."""
     return sorted(f"{key} = {_fmt(val) if isinstance(val, float) else val}"
@@ -241,6 +241,8 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, fields: dict) -> Non
 def _write_csv(
     path: Path, cfg: RunConfig, columns: list[str], rows, extra: list[str] | None = None
 ) -> None:
+    """The one CSV layout: the config echo and the extra lines as ``# ``
+    comments, the column line, then one %.17g line per row."""
     lines = ["# " + e for e in echo_lines(cfg)]
     for e in extra or ():
         lines.append("# " + e)
@@ -308,8 +310,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         zip(traj.sample_times, traj.energies, traj.norm_H1,
             traj.norm_L2_v, traj.u_center, traj.damping),
     )
-    save_state(out / "final_state.csv", traj.final, params, grid,
-               extra_header=echo_lines(cfg))
+    _write_csv(out / "final_state.csv", cfg, ["x", "u", "v"],
+               zip(grid.x, traj.final.u, traj.final.v),
+               extra=[f"t = {_fmt(traj.final.t)}"])
     mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
     _write_summary(out, "simulate", cfg, {
         "exit": traj.exit,
@@ -348,10 +351,7 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
                 "lambda": lam,
                 "classification": outc.classification,
                 "certificate_time": outc.certificate_time,
-                "E_gamma_at_cert": outc.certificate["E_gamma_at_cert"],
-                "K_gamma_at_cert": outc.certificate["K_gamma_at_cert"],
-                "level_used": outc.certificate["level_used"],
-                "symmetry": outc.certificate["symmetry"],
+                **outc.certificate,
                 "exit": traj.exit,
                 "contaminated": traj.exit == EXIT_CONTAMINATION,
             }

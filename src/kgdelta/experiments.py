@@ -164,14 +164,20 @@ def classify_trajectory(
     level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
     threshold = level - CERT_MARGIN
 
-    cert = {"time": float("nan"), "E": float("nan"), "K": float("nan")}
-    certified = False
+    certificate = {
+        "E_gamma_at_cert": float("nan"),
+        "K_gamma_at_cert": float("nan"),
+        "level_used": level,
+        "symmetry": symmetry,
+    }
+    certified, cert_time = False, float("nan")
 
     def watch(sample: Sample) -> str | None:
-        nonlocal certified
+        nonlocal certified, cert_time
         if not certified and sample.E < threshold:
-            certified = True
-            cert["time"], cert["E"], cert["K"] = sample.t, sample.E, sample.K
+            certified, cert_time = True, sample.t
+            certificate["E_gamma_at_cert"] = sample.E
+            certificate["K_gamma_at_cert"] = sample.K
             if sample.K >= 0.0:
                 return EXIT_CERTIFIED_DECAY
         return None
@@ -185,14 +191,7 @@ def classify_trajectory(
         observers=[watch],
         blowup_cap=blowup_cap,
     )
-    certificate = {
-        "E_gamma_at_cert": cert["E"],
-        "K_gamma_at_cert": cert["K"],
-        "level_used": level,
-        "symmetry": symmetry,
-    }
-
-    if certified and cert["K"] >= 0.0:
+    if certified and certificate["K_gamma_at_cert"] >= 0.0:
         classification = DECAYS
     elif certified and traj.exit in (EXIT_BLOWUP_CAP, EXIT_NONFINITE):
         classification = BLOWS_UP
@@ -200,7 +199,7 @@ def classify_trajectory(
         classification = UNDETERMINED
     return ShotOutcome(
         classification=classification,
-        certificate_time=cert["time"],
+        certificate_time=cert_time,
         certificate=certificate,
         trajectory=traj,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridError
+from .errors import GridError
 from .profiles import PhysParams
 
 
@@ -66,8 +66,13 @@ def make_grid(L: float, n: int) -> GridSpec:
         raise GridError(f"node count must be odd and >= 3, got {n}")
     h = 2.0 * L / (n - 1)
     center = (n - 1) // 2
-    # x = h*(j - center) keeps the grid exactly reflection-antisymmetric
-    x = h * (np.arange(n, dtype=float) - center)
+    try:
+        # x = h*(j - center) keeps the grid exactly reflection-antisymmetric
+        x = h * (np.arange(n, dtype=float) - center)
+    # numpy raises MemoryError for a node array it cannot allocate and
+    # ValueError for one whose size in bytes it cannot represent
+    except (MemoryError, ValueError) as exc:
+        raise GridError(f"cannot allocate {n} grid nodes: {exc}") from None
     return GridSpec(L=float(L), n=int(n), h=h, x=x, center=center)
 
 
@@ -179,73 +184,3 @@ def diagnostics_MW(
     )
     return {"M_value": m_value, "W_value": w_value}
 
-
-# ---------------------------------------------------------------------------
-# snapshot I/O (CSV with an embedded parameter header)
-
-# the one float format of every artifact: %.17g round-trips a double
-FLOAT_FORMAT = "%.17g"
-_ROW3_FORMAT = ",".join([FLOAT_FORMAT] * 3)
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT % x
-
-
-def save_state(
-    path,
-    state: State,
-    params: PhysParams,
-    grid: GridSpec,
-    extra_header: list[str] | None = None,
-) -> None:
-    """Write x, u, v columns; the header line carries t, p, alpha, gamma, L, n.
-
-    extra_header entries are emitted as additional '# '-prefixed lines (the
-    CLI uses this to echo the resolved config); load_state skips them.
-    """
-    lines = [
-        "# t=%s p=%s alpha=%s gamma=%s L=%s n=%d"
-        % (_fmt(state.t), _fmt(params.p), _fmt(params.alpha),
-           _fmt(params.gamma), _fmt(grid.L), grid.n),
-    ]
-    for entry in extra_header or ():
-        lines.append("# " + entry)
-    lines.append("x,u,v")
-    for row in zip(grid.x, state.u, state.v):
-        lines.append(_ROW3_FORMAT % row)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_state(path) -> tuple[State, PhysParams, GridSpec]:
-    """Inverse of save_state.
-
-    A header that lacks a field or does not parse raises ConfigError; data
-    rows whose count differs from the header's n raise GridError.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        line = fh.readline()
-        while line.startswith("#"):  # optional echo lines
-            line = fh.readline()
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unreadable data rows: {exc}") from None
-    try:
-        meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        t, n = float(meta["t"]), int(meta["n"])
-        p, alpha = float(meta["p"]), float(meta["alpha"])
-        gamma, L = float(meta["gamma"]), float(meta["L"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed state header {header!r}: {exc!r}") from None
-    params = PhysParams(p=p, alpha=alpha, gamma=gamma)
-    grid = make_grid(L, n)
-    if data.shape != (n, 3):
-        raise GridError(
-            f"{path}: expected {n} rows of x,u,v, got {data.shape[0]} rows of "
-            f"{data.shape[1]} columns"
-        )
-    state = State(u=data[:, 1].copy(), v=data[:, 2].copy(), t=t)
-    return state, params, grid

@@ -1,12 +1,14 @@
-"""Config parsing, artifact determinism, and exit codes."""
+"""Config parsing, artifact layout and determinism, and exit codes."""
 import json
+import re
 
 import numpy as np
 import pytest
 
 from kgdelta import evolution, variational
-from kgdelta.cli import main, parse_config
+from kgdelta.cli import _build_initial, echo_lines, main, parse_config
 from kgdelta.errors import ConfigError
+from kgdelta.field import make_grid
 
 
 def run(tmp_path, command, text, sub="out"):
@@ -15,6 +17,14 @@ def run(tmp_path, command, text, sub="out"):
     out = tmp_path / sub
     code = main([command, "--config", str(cfg), "--out", str(out)])
     return code, out
+
+
+def read_csv(path):
+    """A CSV artifact as (comment lines without "# ", column names, rows)."""
+    lines = path.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    rows = np.loadtxt(lines[k + 1:], delimiter=",", comments=None, ndmin=2)
+    return [ln[2:] for ln in lines[:k]], lines[k].split(","), rows
 
 
 # ------------------------------------------------------------------- parsing
@@ -165,12 +175,58 @@ def test_simulate_artifacts(tmp_path):
     blob = json.loads((out / "simulate.json").read_text())
     assert blob["incomplete"] is False
     assert "M_value" in blob and "W_value" in blob
-    # the final state snapshot can be reloaded
-    from kgdelta.field import load_state
+    # the final state is x, u, v on the config's grid at t = T
+    comments, columns, rows = read_csv(out / "final_state.csv")
+    assert "t = 2" in comments
+    assert columns == ["x", "u", "v"] and rows.shape == (301, 3)
 
-    st, par, grid = load_state(out / "final_state.csv")
-    assert st.t == pytest.approx(2.0)
-    assert grid.n == 301
+
+def test_final_state_round_trips_through_the_cli(tmp_path):
+    text = TINY + "init = qgamma\nscale = 0.9\n"
+    code, out = run(tmp_path, "simulate", text)
+    assert code == 0
+    cfg = parse_config(text)
+    params, grid = cfg.params(), make_grid(cfg.L, cfg.n)
+    final = evolution.evolve(
+        _build_initial(cfg, params, grid), cfg.T, cfg.dt, params, grid,
+        snapshot_stride=cfg.snapshot_stride, blowup_cap=cfg.blowup_cap,
+        with_nonlinearity=bool(cfg.nonlinearity)).final
+    comments, _, rows = read_csv(out / "final_state.csv")
+    # %.17g round-trips every double bit for bit
+    assert rows[:, 0].tobytes() == grid.x.tobytes()
+    assert rows[:, 1].tobytes() == final.u.tobytes()
+    assert rows[:, 2].tobytes() == final.v.tobytes()
+    t_lines = [c for c in comments if c.startswith("t = ")]
+    t_final = json.loads((out / "simulate.json").read_text())["t_final"]
+    assert len(t_lines) == 1 and float(t_lines[0][4:]) == t_final == final.t
+
+
+LAYOUT_CASES = [
+    ("profile", TINY, "profile.csv"),
+    ("simulate", TINY, "trajectory.csv"),
+    ("simulate", TINY, "final_state.csv"),
+    ("shoot", "L = 20\nn = 401\ndt = 0.05\nz = 3\ntol = 0.5\nT_max = 100\n",
+     "probe_000.csv"),
+    ("track", "L = 20\nn = 401\ndt = 0.05\nT = 1\ninit = q\nz = 4\n", "frames.csv"),
+    ("variational", "L = 15\nn = 301\ninit = q\nz = 3\nmax_iters = 20\n",
+     "iterates.csv"),
+]
+
+
+@pytest.mark.parametrize("command, text, name", LAYOUT_CASES,
+                         ids=[name for _, _, name in LAYOUT_CASES])
+def test_every_csv_has_one_layout(tmp_path, command, text, name):
+    """The config echo, then "# key = value" extras, one column line and
+    rows of that line's field count."""
+    code, out = run(tmp_path, command, text)
+    assert code == 0
+    lines = (out / name).read_text().splitlines()
+    echo = ["# " + e for e in echo_lines(parse_config(text))]
+    assert lines[:len(echo)] == echo
+    comments, columns, rows = read_csv(out / name)
+    assert all(re.fullmatch(r"\w+ = \S+", c) for c in comments[len(echo):])
+    assert all(re.fullmatch(r"\w+", c) for c in columns)
+    assert rows.shape[0] > 0 and rows.shape[1] == len(columns)
 
 
 @pytest.mark.parametrize("command", ["simulate", "track"])
@@ -328,6 +384,12 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         ("simulate", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
         ("variational", "L = 6e-153\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
         ("simulate", "L = 1e-140\nn = 101\ndt = 1e-170\n", "(1/h^2)^2 overflows"),
+        # the node array outgrows the address space (numpy's MemoryError) or
+        # its size in bytes overflows (numpy's ValueError)
+        ("simulate", "L = 5e14\nn = 1000000000000001\ndt = 0.5\nT = 1\n",
+         "cannot allocate 1000000000000001 grid nodes"),
+        ("track", f"L = {2.0**60}\nn = {2**61 + 1}\ndt = 0.5\nT = 1\n",
+         f"cannot allocate {2**61 + 1} grid nodes"),
         # int |u|^{p+1} overflows: no Nehari projection of the start
         ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n",
          "cannot project u_init onto the Nehari set"),

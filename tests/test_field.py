@@ -1,8 +1,8 @@
-"""Grid, quadrature, norms, energies, and snapshot round-trips."""
+"""Grid, quadrature, norms and energies."""
 import numpy as np
 import pytest
 
-from kgdelta.errors import ConfigError, GridError
+from kgdelta.errors import GridError
 from kgdelta.field import (
     GridSpec,
     PhysParams,
@@ -14,12 +14,10 @@ from kgdelta.field import (
     gradient_sq,
     h1_sq,
     l2_sq,
-    load_state,
     make_grid,
     norm_H,
     norm_H1,
     norm_L2,
-    save_state,
     trapezoid,
 )
 from kgdelta.profiles import soliton_Q
@@ -44,6 +42,15 @@ def test_grid_validation():
         with pytest.raises(GridError, match=r"\(1/h\^2\)\^2 overflows"):
             make_grid(L, 101)  # 1/h^2 is finite, its square is not
     make_grid(1e-50, 101)  # (1/h^2)^2 = 6e206 is finite
+
+
+@pytest.mark.parametrize("L, n", [(5e14, 10**15 + 1), (2.0**60, 2**61 + 1)],
+                         ids=["MemoryError", "ValueError"])
+def test_grid_too_large_to_allocate(L, n):
+    # both node arrays exceed the address space, so numpy refuses them before
+    # touching memory: 7 PiB is a MemoryError, 2^61 doubles overflow the size
+    with pytest.raises(GridError, match=f"cannot allocate {n} grid nodes"):
+        make_grid(L, n)
 
 
 @pytest.mark.parametrize(
@@ -200,68 +207,3 @@ def test_diagnostics_MW():
     w_expected = 0.5 * h1_sq(q, grid) + 0.5 * q[grid.center] ** 2
     assert out["W_value"] == pytest.approx(w_expected)
 
-
-# ------------------------------------------------------------------ snapshots
-
-def test_save_load_round_trip(tmp_path):
-    grid = make_grid(7.0, 141)
-    par = PhysParams(p=3.5, alpha=0.25, gamma=1.25)
-    rng = np.random.default_rng(59)
-    st = State(u=rng.standard_normal(grid.n), v=rng.standard_normal(grid.n), t=4.75)
-    path = tmp_path / "state.csv"
-    save_state(path, st, par, grid)
-    back, par2, grid2 = load_state(path)
-    # %.17g survives the float64 round trip bit-exactly
-    assert np.array_equal(back.u, st.u)
-    assert np.array_equal(back.v, st.v)
-    assert back.t == st.t
-    assert (par2.p, par2.alpha, par2.gamma) == (par.p, par.alpha, par.gamma)
-    assert grid2.n == grid.n and grid2.L == grid.L
-
-
-def test_save_state_extra_header(tmp_path):
-    grid = make_grid(5.0, 101)
-    par = PhysParams(3.0, 1.0, 0.0)
-    st = State(u=np.zeros(grid.n), v=np.zeros(grid.n))
-    path = tmp_path / "state.csv"
-    save_state(path, st, par, grid, extra_header=["run = smoke", "note = none"])
-    text = path.read_text()
-    assert "# run = smoke" in text
-    assert "# note = none" in text
-    back, _, _ = load_state(path)  # loader skips the extra lines
-    assert np.array_equal(back.u, st.u)
-
-
-def _saved_state(tmp_path):
-    grid = make_grid(5.0, 101)
-    path = tmp_path / "state.csv"
-    save_state(path, State(u=np.ones(grid.n), v=np.zeros(grid.n)),
-               PhysParams(3.0, 1.0, 0.0), grid)
-    return path, path.read_text().splitlines(keepends=True)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [
-        "# t=0 p=3 alpha=1 gamma=0 L=5\n",  # n missing
-        "# t=0 p=three alpha=1 gamma=0 L=5 n=101\n",
-        "# t=0 p=3 alpha=1 gamma=0 L=5 n=101.5\n",
-        "# t=0 p=3 alpha alpha=1 gamma=0 L=5 n=101\n",
-        "\n",
-    ],
-)
-def test_load_state_rejects_malformed_header(tmp_path, header):
-    path, lines = _saved_state(tmp_path)
-    path.write_text(header + "".join(lines[1:]))
-    with pytest.raises(ConfigError):
-        load_state(path)
-
-
-def test_load_state_rejects_truncated_file(tmp_path):
-    path, lines = _saved_state(tmp_path)
-    path.write_text("".join(lines[:-5]))  # header and column names intact
-    with pytest.raises(GridError):
-        load_state(path)
-    path.write_text("".join(lines[:-1]) + "1,2\n")  # a short last row
-    with pytest.raises(ConfigError):
-        load_state(path)

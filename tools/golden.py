@@ -94,6 +94,9 @@ CASES = (
     # is not finite either, so evolve now refuses it first (exit 3)
     ("track-huge-scale-n3", "track",
      {"L": 40, "n": 3, "init": "gaussian", "scale": 1e160, "p": 4, "T": 0}),
+    # a node array larger than the address space: refused by make_grid (exit 3)
+    ("simulate-huge-n", "simulate",
+     {"L": 5e14, "n": 1000000000000001, "dt": 0.5, "T": 1}),
 )
 
 
