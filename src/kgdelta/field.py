@@ -183,4 +183,3 @@ def diagnostics_MW(
         - 0.5 * params.gamma * u0 * u0
     )
     return {"M_value": m_value, "W_value": w_value}
-

@@ -42,15 +42,12 @@ def test_grid_validation():
         with pytest.raises(GridError, match=r"\(1/h\^2\)\^2 overflows"):
             make_grid(L, 101)  # 1/h^2 is finite, its square is not
     make_grid(1e-50, 101)  # (1/h^2)^2 = 6e206 is finite
-
-
-@pytest.mark.parametrize("L, n", [(5e14, 10**15 + 1), (2.0**60, 2**61 + 1)],
-                         ids=["MemoryError", "ValueError"])
-def test_grid_too_large_to_allocate(L, n):
-    # both node arrays exceed the address space, so numpy refuses them before
-    # touching memory: 7 PiB is a MemoryError, 2^61 doubles overflow the size
-    with pytest.raises(GridError, match=f"cannot allocate {n} grid nodes"):
-        make_grid(L, n)
+    # node arrays beyond the address space, refused before any memory is
+    # touched: numpy raises MemoryError for 7 PiB and ValueError for 2^61
+    # doubles, whose size in bytes overflows
+    for L, n in ((5e14, 10**15 + 1), (2.0**60, 2**61 + 1)):
+        with pytest.raises(GridError, match=f"cannot allocate {n} grid nodes"):
+            make_grid(L, n)
 
 
 @pytest.mark.parametrize(
@@ -206,4 +203,3 @@ def test_diagnostics_MW():
     assert out["M_value"] == pytest.approx(0.5 * l2_sq(q, grid) + 1.0 * 2.5)
     w_expected = 0.5 * h1_sq(q, grid) + 0.5 * q[grid.center] ** 2
     assert out["W_value"] == pytest.approx(w_expected)
-
