@@ -30,11 +30,12 @@ import numpy as np
 from . import experiments, profiles, variational
 from .errors import ConfigError, KgError
 from .evolution import (
-    CFL,
     DEFAULT_CAP,
     EXIT_CONTAMINATION,
     discrete_stationary_profile,
+    dt_bound_text,
     evolve,
+    max_stable_dt,
 )
 from .field import GridSpec, PhysParams, State, diagnostics_MW, make_grid
 
@@ -74,8 +75,8 @@ def _key(default, *rules, key: str | None = None):
     return field(default=default, metadata={"key": key, "rules": rules})
 
 
-def _cfl_bound(c: dict) -> float:
-    return CFL * (2.0 * c["L"] / (c["n"] - 1))
+def _h(c: dict) -> float:
+    return 2.0 * c["L"] / (c["n"] - 1)
 
 
 _POSITIVE = (lambda v, c: v > 0, "must be positive")
@@ -99,8 +100,8 @@ class RunConfig:
     dt: float = _key(
         0.025,
         _POSITIVE_GOT,
-        (lambda v, c: not v > _cfl_bound(c) * (1.0 + 1e-12),
-         lambda v, c: f"= {v} violates the CFL bound {CFL}*h = {_cfl_bound(c)}"),
+        (lambda v, c: not v > max_stable_dt(_h(c), c["gamma"]) * (1.0 + 1e-12),
+         lambda v, c: f"= {v} violates {dt_bound_text(_h(c), c['gamma'])}"),
     )
     T: float = _key(10.0, _NONNEGATIVE)
     snapshot_stride: int = _key(10, _AT_LEAST_1)

@@ -43,7 +43,7 @@ EXIT_CONTAMINATION = "BoundaryContamination"
 EXIT_NONFINITE = "NonFinite"
 
 DEFAULT_CAP = 1.0e3
-CFL = 0.5  # dt <= CFL * h
+CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
 # Newton tolerance and iteration budget of discrete_stationary_profile
 PROFILE_TOL = 1e-12
 PROFILE_MAX_ITER = 50
@@ -93,11 +93,34 @@ def build_operator(grid: GridSpec, params: PhysParams) -> DiscreteOperator:
     return DiscreteOperator(diag=diag, off_diag=-inv_h2, grid=grid)
 
 
-def _check_cfl(dt: float, grid: GridSpec) -> None:
-    if not 0 < dt <= CFL * grid.h * (1.0 + 1e-12):
-        raise ParameterError(
-            f"dt = {dt} violates the CFL bound {CFL} * h = {CFL * grid.h}"
-        )
+def max_stable_dt(h: float, gamma: float) -> float:
+    """The largest time step on spacing h at potential strength gamma:
+
+        min(CFL * h, 2 / sqrt(4/h^2 + 1 + max(0, -gamma)/h)).
+
+    The leapfrog step is stable for dt <= 2/sqrt(lambda_max(A)), and the
+    square root is the Gershgorin bound on lambda_max(A): the largest
+    diagonal entry plus twice |off-diagonal|.  A repulsive delta (gamma < 0)
+    raises the center entry by -gamma/h; on ordinary grids CFL * h is the
+    smaller term.  The second term is evaluated as 2h/sqrt(4 + h(h + g)),
+    which cannot divide by zero or overflow on tiny spacings.
+    """
+    g = max(0.0, -gamma)
+    return min(CFL * h, 2.0 * h / math.sqrt(4.0 + h * (h + g)))
+
+
+def dt_bound_text(h: float, gamma: float) -> str:
+    """max_stable_dt(h, gamma) as the config and evolve errors quote it."""
+    bound = max_stable_dt(h, gamma)
+    if bound == CFL * h:
+        return f"the CFL bound {CFL}*h = {bound}"
+    return (f"the stability bound 2/sqrt(4/h^2 + 1 - gamma/h) = {bound} "
+            f"(h = {h}, gamma = {gamma})")
+
+
+def _check_cfl(dt: float, grid: GridSpec, params: PhysParams) -> None:
+    if not 0 < dt <= max_stable_dt(grid.h, params.gamma) * (1.0 + 1e-12):
+        raise ParameterError(f"dt = {dt} violates {dt_bound_text(grid.h, params.gamma)}")
 
 
 class _Leapfrog:
@@ -237,7 +260,7 @@ def evolve(
     ||(u, v)||_H is not finite raises ParameterError before any sample is
     recorded; step failures become exit codes, never raises.
     """
-    _check_cfl(dt, grid)
+    _check_cfl(dt, grid, params)
     n = grid.n
     if len(state0.u) != n or len(state0.v) != n:
         raise GridError(
@@ -360,13 +383,32 @@ def evolve(
 
 @functools.cache
 def _gtsv():
-    """LAPACK dgtsv, resolved once per process on the first solve: importing
-    scipy.linalg is most of the package's import time, and only
-    `kg variational` and the `equilibrium` init solve tridiagonal systems."""
-    from scipy.linalg import get_lapack_funcs
+    """LAPACK dgtsv, resolved once per process on the first solve.
 
-    gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
-    return gtsv
+    It is the routine scipy.linalg.get_lapack_funcs(("gtsv",), ...) returns
+    for float64, loaded straight from SciPy's compiled `_flapack` extension:
+    importing the scipy.linalg package would take longer and hold more memory
+    than the rest of the program's startup, and only `kg variational` and the
+    `equilibrium` init solve tridiagonal systems.  No SciPy Python code runs;
+    the extension registers itself in sys.modules as scipy.linalg._flapack,
+    which a later `import scipy.linalg` reuses.  A missing SciPy or extension
+    raises ImportError.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("SciPy is not installed: no LAPACK gtsv for tridiagonal solves")
+    path = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"SciPy's LAPACK extension {path} is missing")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+    flapack = loader.create_module(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(flapack)
+    return flapack.dgtsv
 
 
 def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
@@ -428,7 +470,7 @@ def fit_linear_decay_rate(
 ) -> float:
     """Exponential decay rate of the linear (f disabled) damped flow.
 
-    Evolves (u0, 0) at dt = CFL * h with the nonlinearity off, then
+    Evolves (u0, 0) at dt = max_stable_dt with the nonlinearity off, then
     least-squares fits the slope of log ||(u, v)||_H over the tail window
     [T/2, T] and returns its negative.  Degenerate input (zero field,
     underflowed norms) yields NaN rather than raising.
@@ -436,7 +478,7 @@ def fit_linear_decay_rate(
     traj = evolve(
         State(u=np.asarray(u0, dtype=float).copy(), v=np.zeros(grid.n)),
         T,
-        CFL * grid.h,
+        max_stable_dt(grid.h, params.gamma),
         params,
         grid,
         with_nonlinearity=False,

@@ -30,13 +30,13 @@ from .errors import (
     ParameterError,
 )
 from .evolution import (
-    CFL,
     DEFAULT_CAP,
     EXIT_BLOWUP_CAP,
     EXIT_NONFINITE,
     Sample,
     Trajectory,
     evolve,
+    max_stable_dt,
 )
 from .field import GridSpec, PhysParams, State
 
@@ -159,7 +159,7 @@ def classify_trajectory(
     if symmetry not in ("even", "none"):
         raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
     if dt is None:
-        dt = CFL * grid.h
+        dt = max_stable_dt(grid.h, params.gamma)
     levels = variational.reference_levels(params)
     level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
     threshold = level - CERT_MARGIN

@@ -149,11 +149,21 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     each bitwise what h1_sq, lq_integral and l2_sq combine to."""
     _check_samples(u, grid)
     u = np.asarray(u)
+    h = grid.h
     d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
-    l2 = _trapezoid(u ** 2, grid.h)
+    # u^2 and |u|^(p+1) as the rows of one array, summed by one reduction:
+    # the row sums of a C-contiguous array are bitwise the 1-D sums
+    terms = np.empty((2, len(u)))
+    sq, pw = terms
+    np.multiply(u, u, out=sq)
+    np.power(np.abs(u, out=pw), params.p + 1.0, out=pw)
+    sq_sum, pw_sum = np.add.reduce(terms, axis=1).tolist()
+    # each row's _trapezoid, in its operation order
+    l2 = h * (sq_sum - 0.5 * (float(sq[0]) + float(sq[-1])))
+    lq = h * (pw_sum - 0.5 * (float(pw[0]) + float(pw[-1])))
     u0 = float(u[grid.center])
-    quad = (float(np.dot(d, d)) / grid.h + l2) - params.gamma * u0 * u0
-    return quad, _trapezoid(np.abs(u) ** (params.p + 1.0), grid.h), l2
+    quad = (float(np.dot(d, d)) / h + l2) - params.gamma * u0 * u0
+    return quad, lq, l2
 
 
 def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:

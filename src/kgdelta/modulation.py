@@ -96,11 +96,9 @@ def fit_center(
 
     z = float(z_guess)
     for _ in range(FIT_MAX_ITER):
-        q_r = profiles.soliton_Q(x - z, p)
-        qd_r = profiles.soliton_Q_deriv(x - z, p)
-        ref = q_r.copy()
-        if sigma:
-            ref += profiles.soliton_Q(x + z, p)
+        at_z = _reference(x, z, sigma, p)
+        (q_r, qd_r, _), left = at_z
+        ref = q_r + left[0] if sigma else q_r
         w = v + 2.0 * alpha * (u - sign * ref)
         g_val = trapezoid(w * qd_r, grid)
         if abs(g_val) <= FIT_TOL:
@@ -108,9 +106,7 @@ def fit_center(
         # d/dz of the quadrature: Q'(.-z) differentiates to -Q'' = -(Q - Q^p)
         qdd_r = q_r - q_r**p
         dg = -trapezoid(w * qdd_r, grid)
-        corr = qd_r.copy()
-        if sigma:
-            corr -= profiles.soliton_Q_deriv(x + z, p)
+        corr = qd_r - left[1] if sigma else qd_r
         dg += 2.0 * alpha * sign * trapezoid(corr * qd_r, grid)
         if dg == 0.0 or not np.isfinite(dg):
             raise NoConvergenceError("singular Jacobian in center fit")
@@ -126,12 +122,27 @@ def fit_center(
         raise OutOfTubeError(
             f"fitted center {z} drifted {abs(z - z_guess):.3g} from the guess"
         )
-    frame = decompose(state, z, sigma, sign, params, grid)
+    frame = decompose(state, z, sigma, sign, params, grid, _profiles=at_z)
     if frame.eps_norm_H > TUBE_RADIUS:
         raise OutOfTubeError(
             f"residual norm {frame.eps_norm_H:.3g} exceeds tube {TUBE_RADIUS}"
         )
     return frame
+
+
+def _soliton_at(x: np.ndarray, z: float, p: float):
+    """(Q, Q', log cosh(kappa s)) at s = x - z from one log-cosh evaluation;
+    Q and Q' are bitwise what soliton_Q and soliton_Q_deriv return there."""
+    ks = 0.5 * (p - 1.0) * (x - z)
+    lc = profiles._logcosh(ks)
+    q = profiles._q_of_logcosh(lc, p)
+    return q, -np.tanh(ks) * q, lc
+
+
+def _reference(x: np.ndarray, z: float, sigma: int, p: float):
+    """_soliton_at the right soliton, x - z, and for a pair (sigma = 1) at
+    the left one, x + z (else None)."""
+    return _soliton_at(x, z, p), _soliton_at(x, -z, p) if sigma else None
 
 
 def decompose(
@@ -141,6 +152,8 @@ def decompose(
     sign: int,
     params: PhysParams,
     grid: GridSpec,
+    *,
+    _profiles=None,
 ) -> ModulationFrame:
     """Split the state into (eps, eta) = (u - R(z), v) and read off its frame.
 
@@ -150,24 +163,24 @@ def decompose(
                - p (Q_+^{p-1} + sigma Q_-^{p-1}) eps^2   - gamma/2 u(0)^2,
 
     mu = MU_FACTOR * alpha, rho = 2 alpha - mu, u(0) the trace of the full
-    field; script_G adds L_WEIGHT (a_minus^2 + a_zero^2).
+    field; script_G adds L_WEIGHT (a_minus^2 + a_zero^2).  fit_center passes
+    as `_profiles` the `_reference` of its converged iterate, which is what
+    decompose would evaluate at z.
     """
     alpha, p, gamma = params.alpha, params.p, params.gamma
     mu = MU_FACTOR * alpha
     con = profiles.spectral_constants(params)
-    x = grid.x
     # each reference profile once: R(z) for eps, Q_pm^{p-1} for the potential
-    q_r = profiles.soliton_Q(x - z, p)
+    (q_r, qd_r, lc_r), left = _profiles or _reference(grid.x, z, sigma, p)
     ref = q_r
     pot = p * q_r ** (p - 1.0)
     if sigma:
-        q_l = profiles.soliton_Q(x + z, p)
+        q_l = left[0]
         ref = q_r + q_l
         pot = pot + p * q_l ** (p - 1.0)
     eps = state.u - sign * ref
     eta = state.v
-    phi_r = profiles.neutral_even_mode_phi(x - z, p)
-    qd_r = profiles.soliton_Q_deriv(x - z, p)
+    phi_r = profiles._phi_of_logcosh(lc_r, p)
     a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
     a_minus = trapezoid((eta - con.nu_plus * eps) * phi_r, grid)
     a_zero = trapezoid(eta * qd_r, grid)

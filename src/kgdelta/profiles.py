@@ -75,13 +75,22 @@ def _logcosh(t):
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
+def _q_of_logcosh(lc, p: float):
+    """Q's formula in lc = log cosh of its argument (kappa*x for Q)."""
+    return np.exp((math.log(0.5 * (p + 1.0)) - 2.0 * lc) / (p - 1.0))
+
+
+def _phi_of_logcosh(lc, p: float):
+    """phi's formula in lc = log cosh(kappa*x)."""
+    return np.exp(-(p + 1.0) / (p - 1.0) * lc)
+
+
 def soliton_Q(x, p: float):
     """Stationary profile Q of the gamma = 0 problem (even, positive)."""
     _check_p(p)
     x = np.asarray(x, dtype=float)
     kappa = 0.5 * (p - 1.0)
-    logq = (math.log(0.5 * (p + 1.0)) - 2.0 * _logcosh(kappa * x)) / (p - 1.0)
-    out = np.exp(logq)
+    out = _q_of_logcosh(_logcosh(kappa * x), p)
     return out if out.ndim else float(out)
 
 
@@ -112,9 +121,7 @@ def soliton_Q_gamma(x, params: PhysParams):
     half = 0.5 * params.gamma
     # artanh via the log form, stable for |gamma/2| < 1
     shift = 0.5 * math.log((1.0 + half) / (1.0 - half))
-    arg = kappa * np.abs(x) + shift
-    logq = (math.log(0.5 * (p + 1.0)) - 2.0 * _logcosh(arg)) / (p - 1.0)
-    out = np.exp(logq)
+    out = _q_of_logcosh(_logcosh(kappa * np.abs(x) + shift), p)
     return out if out.ndim else float(out)
 
 
@@ -127,7 +134,7 @@ def neutral_even_mode_phi(x, p: float):
     _check_p(p)
     x = np.asarray(x, dtype=float)
     kappa = 0.5 * (p - 1.0)
-    out = np.exp(-(p + 1.0) / (p - 1.0) * _logcosh(kappa * x))
+    out = _phi_of_logcosh(_logcosh(kappa * x), p)
     return out if out.ndim else float(out)
 
 

@@ -121,7 +121,10 @@ def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
     """(center_drift, mass_near_origin) of u, given l2 = ||u||^2."""
     if l2 == 0.0:
         return 0.0, 0.0
-    inside = u[np.abs(grid.x) <= MASS_WINDOW]
+    # the nodes with |x| <= MASS_WINDOW are the slice [n - hi, hi): the nodes
+    # are sorted and exactly antisymmetric about the center
+    hi = int(np.searchsorted(grid.x, MASS_WINDOW, side="right"))
+    inside = u[grid.n - hi:hi]
     return (abs(trapezoid(grid.x * u * u, grid)) / l2,
             grid.h * float(np.dot(inside, inside)) / l2)
 

@@ -67,6 +67,10 @@ def test_constraint_validation():
     with pytest.raises(ConfigError):
         parse_config("L = 10\nn = 201\ndt = 0.051\n")  # CFL: dt > h/2 = 0.05
     parse_config("L = 10\nn = 201\ndt = 0.05\n")  # boundary is legal
+    # the delta node's -gamma/h entry bounds dt once gamma < -239.95 at h = 0.05
+    parse_config("L = 20\nn = 801\ndt = 0.025\ngamma = -239.9\n")
+    with pytest.raises(ConfigError):
+        parse_config("L = 20\nn = 801\ndt = 0.025\ngamma = -240\n")
 
 
 # one invalid value per constrained key, on line 3 unless the case says
@@ -79,6 +83,9 @@ SCHEMA_CASES = [
     ("n = 2400", 3, "n must be an odd count >= 3, got 2400"),
     ("dt = 0", 3, "dt must be positive, got 0.0"),
     ("L = 10\nn = 201\ndt = 0.051", 5, "dt = 0.051 violates the CFL bound 0.5*h = 0.05"),
+    ("L = 20\nn = 801\ngamma = -280\ndt = 0.025", 6,
+     "dt = 0.025 violates the stability bound 2/sqrt(4/h^2 + 1 - gamma/h) = "
+     "0.02356858938878132 (h = 0.05, gamma = -280.0)"),
     ("T = -1", 3, "T must be nonnegative"),
     ("snapshot_stride = 0", 3, "snapshot_stride must be >= 1"),
     ("blowup_cap = 0", 3, "blowup_cap must be positive"),

@@ -12,6 +12,7 @@ from kgdelta.evolution import (
     evolve,
     fit_linear_decay_rate,
     linearized_residuals,
+    max_stable_dt,
     nonlinearity,
 )
 from kgdelta.field import (
@@ -288,6 +289,24 @@ def test_linear_decay_rates():
     assert k2 > 0.1  # repulsive delta only helps decay, but keep the bound loose
     # degenerate input reports NaN instead of raising
     assert np.isnan(fit_linear_decay_rate(PAR_FREE, grid, np.zeros(grid.n), 5.0))
+
+
+def test_time_step_bound_includes_the_delta_node():
+    """dt <= CFL*h on ordinary grids; where the delta node's -gamma/h entry
+    makes 2/sqrt(Gershgorin bound) smaller, that term bounds dt instead."""
+    grid = make_grid(20.0, 801)  # h = 0.05: the CFL term binds up to gamma = -239.95
+    assert max_stable_dt(grid.h, -239.9) == 0.5 * grid.h == max_stable_dt(grid.h, 1.9)
+    assert max_stable_dt(grid.h, -240.0) < 0.5 * grid.h
+    par = PhysParams(p=3.0, alpha=1.0, gamma=-280.0)
+    u0 = 0.1 * soliton_Q(grid.x - 5.0, 3.0)
+    with pytest.raises(ParameterError, match="stability bound"):
+        evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.025, par, grid)
+    # the default step of the linear fit follows the bound: at dt = CFL*h
+    # this run gained energy without bound
+    assert 0.9 < fit_linear_decay_rate(par, grid, u0, 10.0) < 1.1
+    # a tiny spacing neither divides by zero nor overflows
+    assert max_stable_dt(1e-200, -1.0) == 0.5e-200
+    assert 0.0 < max_stable_dt(1e-200, -1e300) < 0.5e-200
 
 
 def test_spectral_residuals_second_order():

@@ -1,12 +1,13 @@
 """Properties of the stepping kernel and the sample record over random
-(p, alpha, gamma, n, dt, stride) and random initial data, of the Nehari
-projection over random (p, gamma, n, u), and of the config schema over
-random valid configs."""
+(p, alpha, gamma, n, dt, stride) and random initial data, of linear runs at
+the stable step over random (gamma, h, dt), of the Nehari projection over
+random (p, gamma, n, u), and of the config schema over random valid
+configs."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kgdelta.cli import echo_lines, parse_config
-from kgdelta.evolution import evolve
+from kgdelta.cli import RunConfig, echo_lines, parse_config
+from kgdelta.evolution import build_operator, evolve, max_stable_dt
 from kgdelta.field import (
     PhysParams,
     State,
@@ -97,6 +98,41 @@ def test_ledger_closes_at_second_order(run):
 
 
 @FAST
+@given(gamma=st.floats(-1e3, 2.0, exclude_max=True), alpha=st.floats(1e-3, 3.0),
+       L=st.floats(1.0, 10.0), n=st.sampled_from([5, 21, 41, 81]),
+       fraction=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_linear_runs_at_the_stable_step_never_gain_energy(gamma, alpha, L, n,
+                                                          fraction, seed):
+    """At dt <= max_stable_dt, dt^2 lambda_max(A) <= 4, and the scheme's own
+    energy of a linear run,
+
+        F_{k+1/2} = h (||(u_{k+1} - u_k)/dt||^2 + <u_{k+1}, A u_k>) / 2,
+
+    never increases and stays nonnegative, so the run cannot grow.  (E_gamma
+    at the samples trades O(dt^2 lambda) with F and may rise above its
+    start.)  Rough data excite every mode, the delta node's included."""
+    params = PhysParams(p=3.0, alpha=alpha, gamma=gamma)
+    grid = make_grid(L, n)
+    dt = fraction * max_stable_dt(grid.h, gamma)
+    op = build_operator(grid, params)
+    interior = (np.diag(op.diag[1:-1]) + np.diag(np.full(n - 3, op.off_diag), 1)
+                + np.diag(np.full(n - 3, op.off_diag), -1))
+    assert dt * dt * np.linalg.eigvalsh(interior)[-1] <= 4.0
+    rng = np.random.default_rng(seed)
+    u0, v0 = rng.standard_normal(n), rng.standard_normal(n)
+    u0[[0, -1]] = v0[[0, -1]] = 0.0
+    us = []
+    evolve(State(u=u0, v=v0), 200 * dt, dt, params, grid, snapshot_stride=1,
+           observers=[lambda s: us.append(s.u.copy())], with_nonlinearity=False,
+           contamination_tol=np.inf)
+    assert len(us) == 201
+    F = np.array([0.5 * grid.h * (np.dot((b - a) / dt, (b - a) / dt)
+                                  + np.dot(b, op.apply(a)))
+                  for a, b in zip(us, us[1:])])
+    assert np.all(np.diff(F) <= 1e-10 * F[0]) and np.all(F >= -1e-10 * F[0])
+
+
+@FAST
 @given(runs())
 def test_sample_record_matches_field_functionals(run):
     params, grid = run[0], run[1]
@@ -143,8 +179,7 @@ def config_texts(draw):
     alpha = draw(st.floats(0.01, 5.0))
     lo = draw(st.floats(-1.0, 0.99))
     always = {
-        "L": L, "n": n, "dt": draw(unit) * 0.5 * (2.0 * L / (n - 1)),
-        "alpha": alpha, "lambda_lo": lo,
+        "L": L, "n": n, "alpha": alpha, "lambda_lo": lo,
         "lambda_hi": draw(st.floats(lo, 1.0, exclude_min=True)),
     }
     optional = {
@@ -168,6 +203,9 @@ def config_texts(draw):
     }
     chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
     values = {**always, **{key: optional[key] for key in chosen}}
+    # dt up to the stable step of the grid and of gamma, drawn or the default
+    gamma = values.get("gamma", RunConfig().gamma)
+    values["dt"] = draw(unit) * max_stable_dt(2.0 * L / (n - 1), gamma)
     lines = []
     for key in draw(st.permutations(sorted(values))):
         comment = "  # note" if draw(st.booleans()) else ""

@@ -1,4 +1,5 @@
-"""Startup cost: SciPy is loaded only by the ops that solve tridiagonal systems.
+"""Startup cost: SciPy's LAPACK extension is loaded only by the ops that solve
+tridiagonal systems, and the scipy.linalg package never is.
 
 Each check runs in a fresh interpreter, because the test process itself has
 imported SciPy long before.
@@ -22,25 +23,72 @@ CONFIGS = {
 }
 
 # argv: src, work dir, then the commands to run in order; prints, as JSON,
-# each op's exit code and whether scipy was loaded after it
+# the SciPy modules loaded by the import, each op's exit code and the SciPy
+# modules loaded after it, and how often gtsv was looked up
 SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
 import kgdelta.cli
-report = {"import": "scipy" in sys.modules, "ops": []}
+from kgdelta import evolution
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = {"import": scipy_modules(), "ops": []}
 work = Path(sys.argv[2])
 for i, command in enumerate(sys.argv[3:]):
     argv = [command, "--config", str(work / f"{command}.cfg"),
             "--out", str(work / f"{i}-{command}")]
-    report["ops"].append([kgdelta.cli.main(argv), "scipy" in sys.modules])
-report["linalg"] = "scipy.linalg" in sys.modules
+    report["ops"].append([kgdelta.cli.main(argv), scipy_modules()])
+report["gtsv_lookups"] = evolution._gtsv.cache_info().misses
+print(json.dumps(report))
+"""
+
+# argv: src, work dir; runs a descent, then imports scipy.linalg and compares
+# solve_tridiagonal with solve_banded on random systems
+SOLVE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+import numpy as np
+import kgdelta.cli
+from kgdelta.errors import SingularSystemError
+from kgdelta.evolution import solve_tridiagonal
+
+work = Path(sys.argv[2])
+report = {"exit": kgdelta.cli.main(["variational", "--config",
+                                    str(work / "variational.cfg"),
+                                    "--out", str(work / "descent")])}
+report["linalg_before"] = "scipy.linalg" in sys.modules
+from scipy.linalg import solve_banded
+
+rng = np.random.default_rng(5)
+m = 57
+equal = []
+for k in range(12):
+    sub, sup = rng.standard_normal(m - 1), rng.standard_normal(m - 1)
+    main = 4.0 + rng.random(m) if k % 2 else rng.standard_normal(m)
+    if k == 0:
+        main[0] = 0.0  # solvable only by swapping the first two rows
+    b = rng.standard_normal(m) * 10.0 ** rng.uniform(-6, 6)
+    ab = np.zeros((3, m))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, main, sub
+    x = solve_tridiagonal(sub, main, sup, b)
+    equal.append(bool(np.array_equal(x, solve_banded((1, 1), ab, b))
+                      and np.all(np.isfinite(x))))
+report["equal"] = equal
+try:
+    solve_tridiagonal(np.zeros(m - 1), np.zeros(m), np.zeros(m - 1), np.ones(m))
+    report["singular"] = None
+except SingularSystemError as exc:
+    report["singular"] = str(exc)
 print(json.dumps(report))
 """
 
 
-def _fresh(work: Path, *commands: str) -> dict:
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, SRC, str(work), *commands],
+def _fresh(script: str, work: Path, *commands: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", script, SRC, str(work), *commands],
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -53,14 +101,26 @@ def test_scipy_is_loaded_only_by_tridiagonal_solves(tmp_path):
     for command, text in CONFIGS.items():
         (tmp_path / f"{command}.cfg").write_text(text)
     shared = ("profile", "simulate", "shoot", "track", "variational", "variational")
-    report = _fresh(tmp_path, *shared)
-    assert report["import"] is False
-    assert report["ops"][:4] == [[0, False]] * 4
-    # the first descent resolves gtsv, the second reuses the cached routine
-    assert report["ops"][4:] == [[0, True]] * 2 and report["linalg"] is True
+    report = _fresh(SCRIPT, tmp_path, *shared)
+    assert report["import"] == []
+    assert report["ops"][:4] == [[0, []]] * 4
+    # the descents load the one LAPACK extension, never a SciPy package; the
+    # second reuses the routine the first looked up
+    assert report["ops"][4:] == [[0, ["scipy.linalg._flapack"]]] * 2
+    assert report["gtsv_lookups"] == 1
 
-    alone = _fresh(tmp_path, "variational")
-    assert alone["ops"] == [[0, True]]
+    alone = _fresh(SCRIPT, tmp_path, "variational")
+    assert alone["ops"] == [[0, ["scipy.linalg._flapack"]]]
     fresh = _artifacts(tmp_path / "0-variational")
     assert fresh and _artifacts(tmp_path / "4-variational") == fresh
     assert _artifacts(tmp_path / "5-variational") == fresh
+
+
+def test_tridiagonal_solve_is_solve_banded_after_a_descent(tmp_path):
+    """The routine loaded without scipy.linalg is the one scipy.linalg uses:
+    bitwise equal solves, a pivoting system included, after a descent."""
+    (tmp_path / "variational.cfg").write_text(CONFIGS["variational"])
+    report = _fresh(SOLVE_SCRIPT, tmp_path)
+    assert report["exit"] == 0 and report["linalg_before"] is False
+    assert report["equal"] == [True] * 12
+    assert report["singular"] == "singular tridiagonal system: zero pivot in row 1"

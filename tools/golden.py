@@ -75,6 +75,17 @@ CASES = (
     ("config-nan-T", "simulate", {"L": 20, "n": 401, "T": "nan"}),
     # mu is a module constant, not a key
     ("config-retired-key", "track", {"L": 20, "n": 401, "mu": 0.1}),
+    # the delta node's -gamma/h entry bounds dt below CFL*h (exit 2); once a
+    # run that gained energy (exit 0) and a blowup of small data (exit 0)
+    ("config-stiff-delta", "simulate",
+     {"L": 20, "n": 801, "dt": 0.025, "T": 20, "init": "q", "z": 5, "scale": 0.1,
+      "gamma": -280}),
+    ("config-stiffer-delta", "simulate",
+     {"L": 20, "n": 801, "dt": 0.025, "T": 20, "init": "q", "z": 5, "scale": 0.1,
+      "gamma": -1000}),
+    # once exit 0 with E_final = nan
+    ("config-huge-negative-gamma", "simulate",
+     {"L": 15, "n": 301, "T": 1, "init": "gaussian", "gamma": -1e300}),
     # numeric failures at the input: T / dt overflows, 1/h^2 overflows (exit 3)
     ("simulate-huge-T", "simulate", {"L": 20, "n": 401, "dt": 0.05, "T": 1e308}),
     ("simulate-tiny-grid", "simulate", {"L": 1e-300, "n": 101, "dt": 1e-305}),
