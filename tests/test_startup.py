@@ -1,15 +1,20 @@
 """Startup cost: SciPy's LAPACK extension is loaded only by the ops that solve
 tridiagonal systems, and the scipy.linalg package never is.
 
-Each check runs in a fresh interpreter, because the test process itself has
-imported SciPy long before.
+The checks of what is loaded run in a fresh interpreter, because the test
+process itself has imported SciPy long before.
 """
+import importlib.machinery
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kgdelta
+from kgdelta import evolution
 
 SRC = str(Path(kgdelta.__file__).resolve().parent.parent)
 
@@ -124,3 +129,20 @@ def test_tridiagonal_solve_is_solve_banded_after_a_descent(tmp_path):
     assert report["exit"] == 0 and report["linalg_before"] is False
     assert report["equal"] == [True] * 12
     assert report["singular"] == "singular tridiagonal system: zero pivot in row 1"
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
+    """No SciPy, or a SciPy without the LAPACK extension, is an ImportError."""
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations = [str(tmp_path)]
+    evolution._gtsv.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(importlib.util, "find_spec", lambda name: empty)
+            with pytest.raises(ImportError, match="_flapack"):
+                evolution._gtsv()
+            m.setattr(importlib.util, "find_spec", lambda name: None)
+            with pytest.raises(ImportError, match="not installed"):
+                evolution._gtsv()
+    finally:
+        evolution._gtsv.cache_clear()
