@@ -14,15 +14,16 @@ damping,
 
     (u+ - 2u0 + u-)/dt^2 + alpha (u+ - u-)/dt = -A u0 + f(u0),
 
-advanced here in the algebraically equivalent one-step form on (u, v):
+advanced here in an algebraically equivalent one-step form on (u, v) that
+carries the scaled force G = dt^2/2 (f(u) - A u):
 
-    g0 = -A u0 + f(u0)
-    u+ = u0 + dt (1 - alpha dt) v0 + dt^2/2 g0
-    v+ = ((u+ - u0)/dt + dt/2 g+) / (1 + alpha dt),   g+ = -A u+ + f(u+)
+    u+ = u0 + dt (1 - alpha dt) v0 + G0
+    v+ = ((u+ - u0) + G+) / (dt (1 + alpha dt))
 
 with v the centered velocity (u+ - u-)/(2 dt).  Substituting v0 eliminates
-u- and reproduces the two-level recurrence exactly; the first step is then
-automatically the second-order Taylor bootstrap using u_tt(0) from the PDE.
+u- and reproduces the two-level recurrence up to rounding; the first step is
+then automatically the second-order Taylor bootstrap using u_tt(0) from the
+PDE.
 """
 from __future__ import annotations
 
@@ -124,56 +125,64 @@ def _check_cfl(dt: float, grid: GridSpec, params: PhysParams) -> None:
 
 
 class _Leapfrog:
-    """The stepping kernel: one damped leapfrog step, in place.
+    """The stepping kernel: one damped leapfrog step, in place, in the
+    scaled-force form of the module docstring.
 
-    A step is drift (the position update) then kick (the force at the new
-    position and the velocity update).  Both write into caller-owned
+    A step is drift (the position update) then kick (the scaled force at the
+    new position and the velocity update).  Both write into caller-owned
     buffers, which must not alias their inputs; `work` is private scratch.
-    Every update keeps the operation order of the formulas in the module
-    docstring, so results are bitwise independent of the caller.
+    A force is one operator apply, one nonlinearity and two passes, and a
+    step has no divide.  dt^2/2 scales f - A u, not the stencil: rounded
+    products dt^2/2 * diag and dt^2/2 * off_diag would move the stencil's
+    mass term (2/h^2 + 1) - 2/h^2 by up to an ulp of dt^2/h^2, relative to
+    dt^2/2, which the unstable mode of near-threshold runs amplifies.
     """
 
     def __init__(self, operator: DiscreteOperator, params: PhysParams, dt: float,
                  with_nonlinearity: bool):
         a = params.alpha
+        self.c_g = 0.5 * dt * dt
         self.apply = operator.apply
         self.p = params.p if with_nonlinearity else None
-        self.dt = dt
         self.c_v = dt * (1.0 - a * dt)
-        self.c_g = 0.5 * dt * dt
-        self.half_dt = 0.5 * dt
-        self.damp = 1.0 + a * dt
+        self.k_v = 1.0 / (dt * (1.0 + a * dt))
         self.work = np.empty(operator.grid.n)
 
     def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """g = -A u + f(u) into out."""
+        """G = dt^2/2 (f(u) - A u) into out."""
         self.apply(u, out=out)
         if self.p is None:
-            return np.negative(out, out=out)
-        # f - A u rounds exactly as -A u + f: subtraction adds the negation
-        return np.subtract(nonlinearity(u, self.p, out=self.work), out, out=out)
+            return np.multiply(out, -self.c_g, out=out)
+        np.subtract(nonlinearity(u, self.p, out=self.work), out, out=out)
+        return np.multiply(out, self.c_g, out=out)
 
     def drift(self, u: np.ndarray, v: np.ndarray, g: np.ndarray,
               out: np.ndarray) -> float:
-        """u+ = u + dt (1 - alpha dt) v + dt^2/2 g into out; returns sup |u+|."""
+        """u+ = u + dt (1 - alpha dt) v + G into out; returns sup |u+|."""
         np.multiply(v, self.c_v, out=out)
-        np.add(u, out, out=out)
-        np.add(out, np.multiply(g, self.c_g, out=self.work), out=out)
+        np.add(out, u, out=out)
+        np.add(out, g, out=out)
         out[0] = 0.0
         out[-1] = 0.0
         return float(np.maximum.reduce(np.abs(out, out=self.work)))
 
     def kick(self, u: np.ndarray, u1: np.ndarray, g1: np.ndarray,
              v1: np.ndarray) -> None:
-        """g+ = force(u+) into g1, then v+ = ((u+ - u)/dt + dt/2 g+)/(1 + alpha dt)
+        """G+ = force(u+) into g1, then v+ = ((u+ - u) + G+)/(dt (1 + alpha dt))
         into v1."""
         self.force(u1, g1)
         np.subtract(u1, u, out=v1)
-        np.divide(v1, self.dt, out=v1)
-        np.add(v1, np.multiply(g1, self.half_dt, out=self.work), out=v1)
-        np.divide(v1, self.damp, out=v1)
+        np.add(v1, g1, out=v1)
+        np.multiply(v1, self.k_v, out=v1)
         v1[0] = 0.0
         v1[-1] = 0.0
+
+
+def _dot_l2_sq(w: np.ndarray, h: float) -> float:
+    """Trapezoid ||w||^2 from one np.dot: the ledger's per-step norm.  The
+    endpoint terms are float products, which overflow to inf, never raise."""
+    w0, w1 = float(w[0]), float(w[-1])
+    return h * (float(np.dot(w, w)) - 0.5 * (w0 * w0 + w1 * w1))
 
 
 @dataclass
@@ -191,10 +200,12 @@ class Trajectory:
 
     Every array has one entry per sample, in time order: the time, E_gamma,
     the damping integral, K_gamma, ||(u, v)||_H, ||u||_H1, ||v||_L2, u(0)
-    and the accumulated integral of ||u||^2.  Each value is bitwise what the
-    matching `field` functional returns on that sample.  damping[k]
+    and the accumulated integral of ||u||^2.  The sample arrays are bitwise
+    what the matching `field` functionals return on each sample.  damping[k]
     accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in time over
-    every step, not just the sampled ones), so that
+    every step, not just the sampled ones), and mass_integrals the integral
+    of ||u||^2 likewise; their per-step trapezoid norms come from one np.dot
+    each, so they agree with `field.l2_sq` to rounding.
     energies[k] - energies[0] + damping[k] ~ 0 is the discrete version of
     the dissipation identity.  final is the last recorded sample; after a
     NonFinite exit that is the last sample recorded before the failed step.
@@ -224,7 +235,7 @@ def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
     e = 0.0
     for sl in (slice(0, m), slice(grid.n - m, grid.n)):
         uu, vv = u[sl], v[sl]
-        d = np.diff(uu)
+        d = uu[1:] - uu[:-1]
         e += grid.h * (float(np.dot(uu, uu)) + float(np.dot(vv, vv)))
         e += float(np.dot(d, d)) / grid.h
     return e
@@ -277,8 +288,8 @@ def evolve(
     n_steps = max(0, int(round(steps)))
     t0 = state0.t
 
-    # the state and its force at the current step and the next, swapped
-    # after every step, plus scratch for the ledger and sample reductions
+    # the state and its scaled force at the current step and the next,
+    # swapped after every step, plus scratch for the sample reductions
     u = np.array(state0.u, dtype=float)
     v = np.array(state0.v, dtype=float)
     g = kernel.force(u, np.empty(n))
@@ -294,21 +305,22 @@ def evolve(
     sup_H = 0.0
     exit_code = EXIT_COMPLETED
 
-    vsq = _trapezoid(np.multiply(v, v, out=sq), h)
-    usq = _trapezoid(np.multiply(u, u, out=sq), h)
+    vsq = _dot_l2_sq(v, h)
+    usq = _dot_l2_sq(u, h)
 
     def record(k: int) -> bool:
         nonlocal sup_H, exit_code, final
-        # one pass: ||u||^2 and ||v||^2 come from the ledger, and E, K and
-        # the norms combine these terms in the order `field` uses
-        d = np.diff(u)
-        h1 = float(np.dot(d, d)) / h + usq
+        # E, K and the norms combine these terms in the order `field` uses
+        d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
+        l2_u = _trapezoid(np.multiply(u, u, out=sq), h)
+        l2_v = _trapezoid(np.multiply(v, v, out=sq), h)
+        h1 = float(np.dot(d, d)) / h + l2_u
         lq = _trapezoid(np.power(np.abs(u, out=sq), q, out=sq), h)
         uc = float(u[center])
-        quad = h1 + vsq - gamma * uc * uc
+        quad = h1 + l2_v - gamma * uc * uc
         e = 0.5 * quad - lq / q
         kval = h1 - gamma * uc * uc - lq
-        norm = math.sqrt(h1 + vsq)
+        norm = math.sqrt(h1 + l2_v)
         if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
                            and math.isfinite(norm)):
             # a start whose functionals overflow has no dissipation ledger
@@ -324,7 +336,7 @@ def evolve(
         ks.append(kval)
         norms.append(norm)
         h1s.append(math.sqrt(h1))
-        vnorms.append(math.sqrt(vsq))
+        vnorms.append(math.sqrt(l2_v))
         centers.append(uc)
         sup_H = max(sup_H, norm)
         np.copyto(last_u, u)
@@ -348,8 +360,8 @@ def evolve(
             exit_code = EXIT_NONFINITE
             break
         kernel.kick(u, u1, g1, v1)
-        v1sq = _trapezoid(np.multiply(v1, v1, out=sq), h)
-        u1sq = _trapezoid(np.multiply(u1, u1, out=sq), h)
+        v1sq = _dot_l2_sq(v1, h)
+        u1sq = _dot_l2_sq(u1, h)
         damping_acc += c_damp * (vsq + v1sq)
         mass_acc += c_mass * (usq + u1sq)
         u, u1 = u1, u

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kgdelta import evolution, variational
+from kgdelta import cli, evolution, variational
 from kgdelta.cli import _build_initial, echo_lines, main, parse_config
 from kgdelta.errors import ConfigError
 from kgdelta.field import make_grid
@@ -456,3 +456,20 @@ def test_singular_solve_exits_3(tmp_path, capsys, monkeypatch, command, text,
     assert blob["incomplete"] is True
     assert "singular" in blob["error"]
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_endpoint_start_exits_3(tmp_path, capsys, monkeypatch):
+    """A start with u[0] = 1e200 ends as exit 3 with the incomplete stub."""
+    def gaussian_with_huge_endpoint(cfg, params, grid):
+        u = np.exp(-grid.x * grid.x)
+        u[0] = 1e200
+        return u
+
+    monkeypatch.setitem(cli._INITS, "gaussian", gaussian_with_huge_endpoint)
+    code, out = run(tmp_path, "simulate", "L = 15\nn = 301\nT = 1\ninit = gaussian\n")
+    assert code == 3
+    blob = json.loads((out / "simulate.json").read_text())
+    assert blob["incomplete"] is True
+    assert "not of finite energy" in blob["error"]
+    assert "simulate failed" in capsys.readouterr().err

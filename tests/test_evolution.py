@@ -18,6 +18,7 @@ from kgdelta.evolution import (
 from kgdelta.field import (
     PhysParams,
     State,
+    l2_sq,
     make_grid,
     norm_H,
     norm_H1,
@@ -139,6 +140,47 @@ def test_energy_decays_and_ledger_closes():
     assert traj.exit == EXIT_COMPLETED
     # M's ingredient: the accumulated ||u||^2 history is increasing
     assert np.all(np.diff(traj.mass_integrals) >= 0.0)
+
+
+@pytest.mark.parametrize("with_nonlinearity", [True, False], ids=["f", "linear"])
+def test_steps_solve_the_two_level_recurrence(with_nonlinearity):
+    """Every interior state satisfies (u+ - 2u + u-)/dt^2 + alpha (u+ - u-)/dt
+    = -A u + f(u) to rounding, and the damping ledger is the trapezoid in time
+    of 2 alpha ||v||^2 over the same states."""
+    grid = make_grid(20.0, 401)
+    par = PhysParams(p=3.0, alpha=0.7, gamma=-1.0)
+    dt = 0.025
+    u0 = 0.9 * soliton_Q_gamma(grid.x, par)
+    v0 = 0.3 * np.exp(-(grid.x - 1.0) ** 2)
+    v0[[0, -1]] = 0.0
+    traj, states = _evolve_states(State(u=u0, v=v0), 2.0, dt, par, grid,
+                                  snapshot_stride=1, contamination_tol=np.inf,
+                                  with_nonlinearity=with_nonlinearity)
+    assert traj.exit == EXIT_COMPLETED and len(states) == 81
+    op = build_operator(grid, par)
+    worst = 0.0
+    for um, u, up in zip(states, states[1:], states[2:]):
+        au = op.apply(u.u)
+        force = nonlinearity(u.u, par.p) - au if with_nonlinearity else -au
+        res = ((up.u - 2.0 * u.u + um.u) / dt ** 2
+               + par.alpha * (up.u - um.u) / dt - force)
+        worst = max(worst, np.linalg.norm(res[1:-1]) / np.linalg.norm(au[1:-1]))
+    assert worst < 1e-10
+    vsq = np.array([l2_sq(s.v, grid) for s in states])
+    expect = np.concatenate(([0.0], np.cumsum(par.alpha * dt * (vsq[:-1] + vsq[1:]))))
+    assert np.all(np.abs(traj.damping - expect) <= 1e-12 * expect)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_start_with_a_huge_endpoint_is_refused():
+    """u[0] = 1e200 overflows ||u||^2 to inf: the ledger's endpoint products
+    give inf, never an OverflowError, and the start is refused as a
+    ParameterError."""
+    grid = make_grid(15.0, 301)
+    u0 = np.exp(-grid.x ** 2)
+    u0[0] = 1e200
+    with pytest.raises(ParameterError, match="not of finite energy"):
+        evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.025, PAR_REP, grid)
 
 
 def test_prepared_equilibrium_is_discretely_stationary():
