@@ -1,6 +1,7 @@
 """Golden artifacts: every `kg` subcommand on fixed small configs.
 
     python3 tools/golden.py OUT_DIR [--src SRC_DIR]
+    python3 tools/golden.py --compare OUT_A OUT_B [--rtol R]
 
 Runs each case below in-process through `kgdelta.cli.main`, imported from
 SRC_DIR (default: the `src/` next to this script), and writes each case's
@@ -15,12 +16,26 @@ artifacts exactly when
 
 prints nothing.  To compare against another checkout, point --src at its
 `src/`; this script needs nothing else from it.
+
+--compare checks two such directories for a change that may move the last
+bits of its numbers.  Both must hold the same files, with the same lines.
+Text outside numbers must match exactly: stdout.txt (which holds stderr
+too), exit_code.txt and the configs entirely, the comment and column lines
+of every CSV, and every key, string and non-finite value of every JSON.
+Each number is compared with its counterpart, and the difference is scaled
+by max(1, |largest value|) of its column: a CSV column, or a JSON key path
+with the list indices dropped.  The script prints, per file that is not
+byte-identical, the largest scaled difference and its column, and exits 1
+if a text or row count differs or a scaled difference exceeds --rtol.  The
+default --rtol 0 asks for byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import io
+import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -115,13 +130,149 @@ def config_text(cfg: dict) -> str:
     return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
 
 
+class Mismatch(Exception):
+    """Text, structure or a row count differs between the two files."""
+
+
+def _finite(text: str) -> float | None:
+    """text as a finite float, or None."""
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _csv_columns(text_a: str, text_b: str) -> dict:
+    """Column name -> [(a, b), ...] of the numbers of two CSV artifacts: the
+    data rows' fields, and the values of ``# key = value`` comment lines
+    under the column ``# key``."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        raise Mismatch(f"{len(lines_a)} vs {len(lines_b)} lines")
+    columns, pairs = None, {}
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        if la.startswith("#"):
+            key_a, _, fa = la.partition(" = ")
+            key_b, _, fb = lb.partition(" = ")
+            if key_a != key_b:
+                raise Mismatch(f"line {i}: {la!r} vs {lb!r}")
+            names, fields_a, fields_b = [key_a], [fa], [fb]
+        elif columns is None:
+            columns, names, fields_a, fields_b = la.split(","), [], [], []
+            if la != lb:
+                raise Mismatch(f"line {i}: {la!r} vs {lb!r}")
+        else:
+            names, fields_a, fields_b = columns, la.split(","), lb.split(",")
+            if not len(fields_a) == len(fields_b) == len(columns):
+                raise Mismatch(f"line {i}: field counts {len(fields_a)} vs "
+                               f"{len(fields_b)}")
+        for name, fa, fb in zip(names, fields_a, fields_b):
+            a, b = _finite(fa), _finite(fb)
+            if a is None or b is None:
+                if fa != fb:
+                    raise Mismatch(f"line {i}, {name}: {fa!r} vs {fb!r}")
+            else:
+                pairs.setdefault(name, []).append((a, b))
+    return pairs
+
+
+def _json_columns(a, b, path: str = "", pairs: dict | None = None) -> dict:
+    """Key path -> [(a, b), ...] of the numbers of two parsed JSON artifacts;
+    list indices are dropped from the paths, so a list is one column."""
+    pairs = {} if pairs is None else pairs
+    number = (int, float)
+    if isinstance(a, number) and isinstance(b, number) \
+            and not isinstance(a, bool) and not isinstance(b, bool):
+        pairs.setdefault(path, []).append((float(a), float(b)))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if sorted(a) != sorted(b):
+            raise Mismatch(f"{path or 'top level'}: keys {sorted(a)} vs {sorted(b)}")
+        for key in a:
+            _json_columns(a[key], b[key], f"{path}.{key}" if path else key, pairs)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch(f"{path}: {len(a)} vs {len(b)} entries")
+        for x, y in zip(a, b):
+            _json_columns(x, y, path + "[]", pairs)
+    elif type(a) is not type(b) or a != b:
+        raise Mismatch(f"{path}: {a!r} vs {b!r}")
+    return pairs
+
+
+def compare_file(path_a: Path, path_b: Path) -> tuple[float, str]:
+    """The largest scaled numeric difference between two artifacts and its
+    column; raises Mismatch where text or structure differs."""
+    text_a, text_b = path_a.read_text(), path_b.read_text()
+    if path_a.suffix == ".csv":
+        pairs = _csv_columns(text_a, text_b)
+    elif path_a.suffix == ".json":
+        pairs = _json_columns(json.loads(text_a), json.loads(text_b))
+    elif text_a != text_b:
+        raise Mismatch("text differs")
+    else:
+        pairs = {}
+    worst, where = 0.0, ""
+    for column, values in pairs.items():
+        scale = max(1.0, max(max(abs(a), abs(b)) for a, b in values))
+        diff = max(abs(a - b) for a, b in values) / scale
+        if diff > worst:
+            worst, where = diff, column
+    return worst, where
+
+
+def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
+    """Print the comparison of two golden directories; 0 if they agree."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    failed = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
+        failed += 1
+    identical, worst, where = 0, 0.0, ""
+    for rel in sorted(files_a & files_b):
+        path_a, path_b = dir_a / rel, dir_b / rel
+        if path_a.read_bytes() == path_b.read_bytes():
+            identical += 1
+            continue
+        try:
+            diff, column = compare_file(path_a, path_b)
+        except Mismatch as exc:
+            print(f"{rel}: FAIL, {exc}")
+            failed += 1
+            continue
+        bad = diff > rtol or rtol == 0.0
+        print(f"{rel}: {'FAIL, ' if bad else ''}largest scaled difference "
+              f"{diff:.3g} in column {column or '(none)'}")
+        failed += bad
+        if diff > worst:
+            worst, where = diff, f"{rel}: {column}"
+    print(f"{len(files_a | files_b)} files, {identical} byte-identical, "
+          f"{failed} failed at rtol {rtol:g}; largest scaled difference "
+          f"{worst:.3g}{f' ({where})' if where else ''}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("out", type=Path, help="directory for the artifacts")
+    parser.add_argument("out", type=Path, nargs="?", help="directory for the artifacts")
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the kgdelta package to run")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"),
+                        help="compare two artifact directories instead of writing one")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest scaled numeric difference --compare accepts")
     args = parser.parse_args(argv)
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either OUT_DIR or --compare OUT_A OUT_B")
+    if args.compare is not None:
+        if not args.rtol >= 0.0:
+            parser.error(f"--rtol must be >= 0, got {args.rtol}")
+        for d in args.compare:
+            if not d.is_dir():
+                parser.error(f"{d} is not a directory")
+        return compare(*args.compare, args.rtol)
     if not (args.src / "kgdelta" / "cli.py").is_file():
         parser.error(f"{args.src} holds no kgdelta package")
     sys.path.insert(0, str(args.src.resolve()))
