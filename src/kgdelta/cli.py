@@ -386,7 +386,7 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
         cfg.dt,
         params,
         grid,
-        observers=[lambda sample: states.append(sample.copy())],
+        observer=lambda sample: states.append(sample.copy()),
         snapshot_stride=cfg.snapshot_stride,
         blowup_cap=cfg.blowup_cap,
     )
@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     try:

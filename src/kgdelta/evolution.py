@@ -30,13 +30,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import profiles
 from .errors import GridError, NoConvergenceError, ParameterError, SingularSystemError
-from .field import GridSpec, PhysParams, State, _trapezoid, norm_L2
+from .field import GridSpec, PhysParams, State, norm_L2, sample_functionals
 
 EXIT_COMPLETED = "Completed"
 EXIT_BLOWUP_CAP = "BlowupCap"
@@ -73,7 +73,6 @@ class DiscreteOperator:
 
     diag: np.ndarray = dc_field(repr=False)
     off_diag: float
-    grid: GridSpec
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A u; out, when given, receives the result and must not alias u."""
@@ -91,7 +90,7 @@ def build_operator(grid: GridSpec, params: PhysParams) -> DiscreteOperator:
     inv_h2 = 1.0 / (grid.h * grid.h)
     diag = np.full(grid.n, 2.0 * inv_h2 + 1.0)
     diag[grid.center] -= params.gamma / grid.h
-    return DiscreteOperator(diag=diag, off_diag=-inv_h2, grid=grid)
+    return DiscreteOperator(diag=diag, off_diag=-inv_h2)
 
 
 def max_stable_dt(h: float, gamma: float) -> float:
@@ -146,7 +145,7 @@ class _Leapfrog:
         self.p = params.p if with_nonlinearity else None
         self.c_v = dt * (1.0 - a * dt)
         self.k_v = 1.0 / (dt * (1.0 + a * dt))
-        self.work = np.empty(operator.grid.n)
+        self.work = np.empty(len(operator.diag))
 
     def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """G = dt^2/2 (f(u) - A u) into out."""
@@ -199,9 +198,11 @@ class Trajectory:
     """Sample record of one run, with its dissipation ledger.
 
     Every array has one entry per sample, in time order: the time, E_gamma,
-    the damping integral, K_gamma, ||(u, v)||_H, ||u||_H1, ||v||_L2, u(0)
-    and the accumulated integral of ||u||^2.  The sample arrays are bitwise
-    what the matching `field` functionals return on each sample.  damping[k]
+    the damping integral, the accumulated integral of ||u||^2, K_gamma,
+    ||(u, v)||_H, ||u||_H1, ||v||_L2 and u(0); evolve builds them from one
+    row per sample.  The sample arrays are `field.sample_functionals` of
+    each sample, so bitwise what the matching `field` functionals return
+    on it.  damping[k]
     accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in time over
     every step, not just the sampled ones), and mass_integrals the integral
     of ||u||^2 likewise; their per-step trapezoid norms come from one np.dot
@@ -214,19 +215,22 @@ class Trajectory:
     sample_times: np.ndarray
     energies: np.ndarray
     damping: np.ndarray
-    final: Sample
-    exit: str
-    sup_norm_H: float
     mass_integrals: np.ndarray  # accumulated integral of ||u||^2 (for M)
     K_gamma: np.ndarray
     norm_H: np.ndarray
     norm_H1: np.ndarray
     norm_L2_v: np.ndarray
     u_center: np.ndarray
+    final: Sample
+    exit: str
 
     @property
     def damping_integral(self) -> float:
         return float(self.damping[-1])
+
+    @property
+    def sup_norm_H(self) -> float:
+        return float(max(self.norm_H))
 
 
 def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
@@ -247,7 +251,7 @@ def evolve(
     dt: float,
     params: PhysParams,
     grid: GridSpec,
-    observers: Sequence[Callable[[Sample], str | None]] | None = None,
+    observer: Callable[[Sample], str | None] | None = None,
     *,
     snapshot_stride: int = 10,
     blowup_cap: float = DEFAULT_CAP,
@@ -259,14 +263,15 @@ def evolve(
     The run takes round(T/dt) steps, so it ends at t0 + round(T/dt)*dt,
     which differs from t0 + T when T is not a multiple of dt; the
     Trajectory's final.t is the time actually reached.
-    Samples (the Trajectory's arrays, observer calls, contamination checks)
-    happen every snapshot_stride steps and at the initial and final states.
-    Each observer gets one `Sample` per sample, carrying t, u, v and its
-    E_gamma, K_gamma and ||(u, v)||_H; its u and v are buffers reused at the
-    next sample, so an observer that keeps states keeps `sample.copy()`.
-    An observer that returns an exit label ends the run at that sample with
-    that label, ahead of any other exit there; observers after it do not see
-    the sample.  The damping integral 2*alpha*int ||u_t||^2 accumulates every
+    Samples (the Trajectory's rows, observer calls, contamination checks)
+    happen every snapshot_stride steps and at the initial and final states;
+    each sample's functionals come from `field.sample_functionals`.
+    The observer, when given, gets one `Sample` per sample, carrying t, u, v
+    and its E_gamma, K_gamma and ||(u, v)||_H; its u and v are buffers reused
+    at the next sample, so an observer that keeps states keeps
+    `sample.copy()`.  An observer that returns an exit label ends the run at
+    that sample with that label, ahead of any other exit there.  The damping
+    integral 2*alpha*int ||u_t||^2 accumulates every
     step by the trapezoid rule in time.  A start whose E_gamma, K_gamma or
     ||(u, v)||_H is not finite raises ParameterError before any sample is
     recorded; step failures become exit codes, never raises.
@@ -278,8 +283,7 @@ def evolve(
             f"sample counts {len(state0.u)}, {len(state0.v)} do not match grid n = {n}"
         )
     kernel = _Leapfrog(build_operator(grid, params), params, dt, with_nonlinearity)
-    h, center, gamma = grid.h, grid.center, params.gamma
-    q = params.p + 1.0
+    h, center = grid.h, grid.center
     c_damp = 2.0 * params.alpha * dt * 0.5
     c_mass = dt * 0.5
     steps = T / dt
@@ -289,37 +293,26 @@ def evolve(
     t0 = state0.t
 
     # the state and its scaled force at the current step and the next,
-    # swapped after every step, plus scratch for the sample reductions
+    # swapped after every step
     u = np.array(state0.u, dtype=float)
     v = np.array(state0.v, dtype=float)
     g = kernel.force(u, np.empty(n))
-    u1, v1, g1, sq = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    u1, v1, g1 = np.empty(n), np.empty(n), np.empty(n)
     # the last recorded sample's state: the only state a run keeps
     last_u, last_v = np.empty(n), np.empty(n)
     final = None
 
-    times, energies, dampings, masses = [], [], [], []
-    ks, norms, h1s, vnorms, centers = [], [], [], [], []
+    rows = []  # one row of the Trajectory's arrays per sample
     damping_acc = 0.0
     mass_acc = 0.0
-    sup_H = 0.0
     exit_code = EXIT_COMPLETED
 
     vsq = _dot_l2_sq(v, h)
     usq = _dot_l2_sq(u, h)
 
     def record(k: int) -> bool:
-        nonlocal sup_H, exit_code, final
-        # E, K and the norms combine these terms in the order `field` uses
-        d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
-        l2_u = _trapezoid(np.multiply(u, u, out=sq), h)
-        l2_v = _trapezoid(np.multiply(v, v, out=sq), h)
-        h1 = float(np.dot(d, d)) / h + l2_u
-        lq = _trapezoid(np.power(np.abs(u, out=sq), q, out=sq), h)
-        uc = float(u[center])
-        quad = h1 + l2_v - gamma * uc * uc
-        e = 0.5 * quad - lq / q
-        kval = h1 - gamma * uc * uc - lq
+        nonlocal exit_code, final
+        e, kval, h1, l2_v = sample_functionals(u, v, params, grid)
         norm = math.sqrt(h1 + l2_v)
         if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
                            and math.isfinite(norm)):
@@ -329,24 +322,15 @@ def evolve(
                 f"K = {kval}, ||(u, v)||_H = {norm}"
             )
         t = t0 + k * dt
-        times.append(t)
-        energies.append(e)
-        dampings.append(damping_acc)
-        masses.append(mass_acc)
-        ks.append(kval)
-        norms.append(norm)
-        h1s.append(math.sqrt(h1))
-        vnorms.append(math.sqrt(l2_v))
-        centers.append(uc)
-        sup_H = max(sup_H, norm)
+        rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
+                     math.sqrt(l2_v), float(u[center])))
         np.copyto(last_u, u)
         np.copyto(last_v, v)
         final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
-        for obs in observers or ():
-            label = obs(final)
-            if label:
-                exit_code = label
-                return False
+        label = observer(final) if observer is not None else None
+        if label:
+            exit_code = label
+            return False
         if _outer_energy(u, v, grid) > contamination_tol:
             exit_code = EXIT_CONTAMINATION
             return False
@@ -377,20 +361,7 @@ def evolve(
         if k % snapshot_stride == 0 or k == n_steps:
             ok = record(k)
 
-    return Trajectory(
-        sample_times=np.asarray(times),
-        energies=np.asarray(energies),
-        damping=np.asarray(dampings),
-        final=final,
-        exit=exit_code,
-        sup_norm_H=sup_H,
-        mass_integrals=np.asarray(masses),
-        K_gamma=np.asarray(ks),
-        norm_H=np.asarray(norms),
-        norm_H1=np.asarray(h1s),
-        norm_L2_v=np.asarray(vnorms),
-        u_center=np.asarray(centers),
-    )
+    return Trajectory(*map(np.asarray, zip(*rows)), final=final, exit=exit_code)
 
 
 @functools.cache

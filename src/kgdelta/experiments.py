@@ -188,7 +188,7 @@ def classify_trajectory(
         dt,
         params,
         grid,
-        observers=[watch],
+        observer=watch,
         blowup_cap=blowup_cap,
     )
     if certified and certificate["K_gamma_at_cert"] >= 0.0:

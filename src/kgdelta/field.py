@@ -127,11 +127,6 @@ def norm_H1(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(h1_sq(u, grid)))
 
 
-def lq_integral(u: np.ndarray, q: float, grid: GridSpec) -> float:
-    """Integral of |u|^q (the functionals consume this, not the norm)."""
-    return trapezoid(np.abs(np.asarray(u)) ** q, grid)
-
-
 def norm_H(state: State, grid: GridSpec) -> float:
     """Norm of (u, v) in H = H^1 x L^2."""
     return float(np.sqrt(h1_sq(state.u, grid) + l2_sq(state.v, grid)))
@@ -139,14 +134,25 @@ def norm_H(state: State, grid: GridSpec) -> float:
 
 def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
     """E_gamma = (||u||_H1^2 + ||v||^2 - gamma*u(0)^2)/2 - ||u||_{p+1}^{p+1}/(p+1)."""
-    u0 = float(state.u[grid.center])
-    quad = h1_sq(state.u, grid) + l2_sq(state.v, grid) - params.gamma * u0 * u0
-    return 0.5 * quad - lq_integral(state.u, params.p + 1.0, grid) / (params.p + 1.0)
+    return sample_functionals(state.u, state.v, params, grid)[0]
+
+
+def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
+                       grid: GridSpec):
+    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
+    action_terms pass: the functionals evolve records at each sample, each
+    bitwise what h1_sq, l2_sq and functional_K_gamma return."""
+    quad, lq, _, h1 = action_terms(u, params, grid)
+    l2_v = l2_sq(v, grid)
+    u0 = float(u[grid.center])
+    e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0) - lq / (params.p + 1.0)
+    return e, quad - lq, h1, l2_v
 
 
 def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
-    """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2) in one pass,
-    each bitwise what h1_sq, lq_integral and l2_sq combine to."""
+    """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2, ||u||_H1^2) in
+    one pass, each bitwise what h1_sq, l2_sq and the trapezoid of |u|^(p+1)
+    combine to."""
     _check_samples(u, grid)
     u = np.asarray(u)
     h = grid.h
@@ -162,19 +168,19 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     l2 = h * (sq_sum - 0.5 * (float(sq[0]) + float(sq[-1])))
     lq = h * (pw_sum - 0.5 * (float(pw[0]) + float(pw[-1])))
     u0 = float(u[grid.center])
-    quad = (float(np.dot(d, d)) / h + l2) - params.gamma * u0 * u0
-    return quad, lq, l2
+    h1 = float(np.dot(d, d)) / h + l2
+    return h1 - params.gamma * u0 * u0, lq, l2, h1
 
 
 def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
     """Nehari functional K_gamma = ||u||_H1^2 - gamma*u(0)^2 - ||u||_{p+1}^{p+1}."""
-    quad, nonlin, _ = action_terms(u, params, grid)
+    quad, nonlin, _, _ = action_terms(u, params, grid)
     return quad - nonlin
 
 
 def functional_J_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
     """Static action J_gamma (the K-free part of the energy)."""
-    quad, nonlin, _ = action_terms(u, params, grid)
+    quad, nonlin, _, _ = action_terms(u, params, grid)
     return 0.5 * quad - nonlin / (params.p + 1.0)
 
 

@@ -97,7 +97,7 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
 
         lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
     """
-    quad, nonlin, _ = action_terms(u, params, grid)
+    quad, nonlin, _, _ = action_terms(u, params, grid)
     # an overflowed term would make lambda* -inf (the zero function) or nan
     if not (0.0 < nonlin < np.inf and 0.0 < quad < np.inf):
         raise ParameterError(
@@ -113,7 +113,7 @@ def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
         cand = nehari_project(u, params, grid)
     except ParameterError:
         return None, np.inf, None, None
-    quad, nonlin, l2 = action_terms(cand, params, grid)
+    quad, nonlin, l2, _ = action_terms(cand, params, grid)
     return cand, 0.5 * quad - nonlin / (params.p + 1.0), abs(quad - nonlin), l2
 
 

@@ -338,6 +338,15 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_exit_2_on_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"T = 1.0 # \xff\n")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "0xff" in err
+    assert "Traceback" not in err
+
+
 def test_workers_is_an_unknown_key(tmp_path, capsys):
     # retired keys: workers (the thread path), seed (it had no reader) and the
     # tuning values the modulation, certificate and descent now fix

@@ -32,7 +32,7 @@ PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)
 def _evolve_states(state0, *args, **kwargs):
     """evolve(), plus a copy of every sample its observer saw."""
     states = []
-    traj = evolve(state0, *args, observers=[lambda s: states.append(s.copy())],
+    traj = evolve(state0, *args, observer=lambda s: states.append(s.copy()),
                   **kwargs)
     return traj, states
 
@@ -241,7 +241,7 @@ def test_start_of_infinite_energy_is_refused(u_scale, v_value):
     seen = []
     with pytest.raises(ParameterError, match="not of finite energy"):
         evolve(State(u=u_scale * np.exp(-grid.x ** 2), v=v0), 1.0, 0.025,
-               PAR_REP, grid, observers=[seen.append])
+               PAR_REP, grid, observer=seen.append)
     assert seen == []
 
 
@@ -254,7 +254,7 @@ def test_observers_see_every_snapshot():
         0.05,
         PAR_FREE,
         grid,
-        observers=[lambda st: seen.append(st.t)],
+        observer=lambda st: seen.append(st.t),
         snapshot_stride=4,
     )
     assert seen == list(traj.sample_times)
@@ -286,7 +286,7 @@ def test_observer_label_ends_the_run():
     grid = make_grid(10.0, 201)
     state0 = State(u=np.exp(-grid.x ** 2), v=np.zeros(grid.n))
     observer, seen = _stop_at(0.6)
-    traj = evolve(state0, 2.0, 0.05, PAR_FREE, grid, [observer], snapshot_stride=4)
+    traj = evolve(state0, 2.0, 0.05, PAR_FREE, grid, observer=observer, snapshot_stride=4)
     _assert_ends_at_label(traj, seen, 0.6)
     assert len(seen) == 4  # t = 0, 0.2, 0.4, 0.6
     # the record up to the label is the uninterrupted run's record
@@ -303,7 +303,7 @@ def test_observer_label_wins_over_blowup_cap():
     assert capped.exit == EXIT_BLOWUP_CAP
     t_cap = capped.sample_times[-1]
     observer, seen = _stop_at(t_cap)
-    traj = evolve(state0, 60.0, 0.05, PAR_FREE, grid, [observer])
+    traj = evolve(state0, 60.0, 0.05, PAR_FREE, grid, observer=observer)
     _assert_ends_at_label(traj, seen, t_cap)
     assert np.array_equal(traj.final.u, capped.final.u)
 
@@ -317,7 +317,7 @@ def test_observer_label_wins_over_contamination():
     assert dirty.exit == EXIT_CONTAMINATION
     t_dirty = dirty.sample_times[-1]
     observer, seen = _stop_at(t_dirty)
-    traj = evolve(state0, 20.0, 0.025, par, grid, [observer], **kwargs)
+    traj = evolve(state0, 20.0, 0.025, par, grid, observer=observer, **kwargs)
     _assert_ends_at_label(traj, seen, t_dirty)
     assert np.array_equal(traj.sample_times, dirty.sample_times)
 

@@ -183,7 +183,7 @@ def test_track_center_stationary_profile():
     u_eq = discrete_stationary_profile(soliton_Q(grid.x - 5.0, 3.0), PAR0, grid)
     states = []
     evolve(State(u=u_eq, v=np.zeros(grid.n)), 5.0, 0.05, PAR0, grid,
-           observers=[lambda s: states.append(s.copy())], snapshot_stride=5)
+           observer=lambda s: states.append(s.copy()), snapshot_stride=5)
     rep = track_center(states, 0, 1, PAR0, grid)
     assert not rep.empty
     assert np.max(np.abs(rep.z - rep.z[0])) < 1e-4
@@ -197,7 +197,7 @@ def test_track_center_reports_shapes():
     grid = make_grid(25.0, 501)
     st0 = State(u=soliton_Q(grid.x - 4.0, 3.0), v=np.zeros(grid.n))
     states = []
-    evolve(st0, 6.0, 0.05, PAR_REP, grid, observers=[lambda s: states.append(s.copy())], snapshot_stride=5)
+    evolve(st0, 6.0, 0.05, PAR_REP, grid, observer=lambda s: states.append(s.copy()), snapshot_stride=5)
     rep = track_center(states, 0, 1, PAR_REP, grid)
     m = len(rep.times)
     assert m > 3

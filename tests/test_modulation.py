@@ -227,7 +227,7 @@ def test_tracked_soliton_dressing_physics():
     z0 = 4.0
     st0 = State(u=soliton_Q(grid.x - z0, 3.0), v=np.zeros(grid.n))
     states = []
-    evolve(st0, 12.0, 0.025, PAR, grid, observers=[lambda s: states.append(s.copy())], snapshot_stride=8)
+    evolve(st0, 12.0, 0.025, PAR, grid, observer=lambda s: states.append(s.copy()), snapshot_stride=8)
     rep = track_center(states, 0, 1, PAR, grid)  # stops itself at tube escape
     times, zs = rep.times, rep.z
     assert times[-1] >= 5.0, f"tube escape too early at t = {times[-1]}"

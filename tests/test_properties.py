@@ -17,6 +17,7 @@ from kgdelta.field import (
     l2_sq,
     make_grid,
     norm_H,
+    trapezoid,
 )
 from kgdelta.variational import nehari_project
 
@@ -58,7 +59,7 @@ def _evolve_samples(run, state0=None):
     def keep(s):
         samples.append((s.copy(), s.E, s.K, s.norm_H))
 
-    return _evolve(run, state0, observers=[keep]), samples
+    return _evolve(run, state0, observer=keep), samples
 
 
 @FAST
@@ -123,7 +124,7 @@ def test_linear_runs_at_the_stable_step_never_gain_energy(gamma, alpha, L, n,
     u0[[0, -1]] = v0[[0, -1]] = 0.0
     us = []
     evolve(State(u=u0, v=v0), 200 * dt, dt, params, grid, snapshot_stride=1,
-           observers=[lambda s: us.append(s.u.copy())], with_nonlinearity=False,
+           observer=lambda s: us.append(s.u.copy()), with_nonlinearity=False,
            contamination_tol=np.inf)
     assert len(us) == 201
     F = np.array([0.5 * grid.h * (np.dot((b - a) / dt, (b - a) / dt)
@@ -138,14 +139,21 @@ def test_sample_record_matches_field_functionals(run):
     params, grid = run[0], run[1]
     traj, samples = _evolve_samples(run)
     assert len(samples) == len(traj.sample_times)
+    q = params.p + 1.0
     for i, (s, E, K, nH) in enumerate(samples):
+        u0 = float(s.u[grid.center])
         assert traj.sample_times[i] == s.t
         assert traj.energies[i] == energy_E_gamma(s, params, grid) == E
+        # E_gamma's formula, term by term in its operation order
+        assert E == (0.5 * (h1_sq(s.u, grid) + l2_sq(s.v, grid)
+                            - params.gamma * u0 * u0)
+                     - trapezoid(np.abs(s.u) ** q, grid) / q)
         assert traj.K_gamma[i] == functional_K_gamma(s.u, params, grid) == K
         assert traj.norm_H[i] == norm_H(s, grid) == nH
         assert traj.norm_H1[i] == np.sqrt(h1_sq(s.u, grid))
         assert traj.norm_L2_v[i] == np.sqrt(l2_sq(s.v, grid))
-        assert traj.u_center[i] == s.u[grid.center]
+        assert traj.u_center[i] == u0
+    assert traj.sup_norm_H == np.max(traj.norm_H)
     # the run keeps its last sample, functionals included
     last, final = samples[-1], traj.final
     assert np.array_equal(final.u, last[0].u) and np.array_equal(final.v, last[0].v)
