@@ -29,15 +29,16 @@ import numpy as np
 
 from . import experiments, profiles, variational
 from .errors import ConfigError, KgError
-from .evolution import (
-    DEFAULT_CAP,
-    EXIT_CONTAMINATION,
-    discrete_stationary_profile,
+from .evolution import DEFAULT_CAP, EXIT_CONTAMINATION, discrete_stationary_profile, evolve
+from .field import (
+    GridSpec,
+    PhysParams,
+    State,
+    diagnostics_MW,
     dt_bound_text,
-    evolve,
+    make_grid,
     max_stable_dt,
 )
-from .field import GridSpec, PhysParams, State, diagnostics_MW, make_grid
 
 _SYMMETRY_CHOICES = ("none", "even")
 

@@ -1,13 +1,5 @@
-"""Time evolution: discrete spatial operator, damped leapfrog stepper, and
+"""Time evolution: the damped leapfrog stepper on `field`'s operator A, and
 the sample record of a run with its dissipation ledger.
-
-Spatial operator (tridiagonal, symmetric under index reflection):
-
-    (A u)_j = (-u_{j+1} + 2 u_j - u_{j-1})/h^2 + u_j,          j != center
-    (A u)_c = same - (gamma/h) u_c,
-
-the gamma/h nodal correction being the first-order realization of the
-derivative jump u'(0+) - u'(0-) = -gamma u(0) forced by the delta potential.
 
 Time discretization is the central-difference scheme with trapezoidal
 damping,
@@ -29,14 +21,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import profiles
 from .errors import GridError, NoConvergenceError, ParameterError, SingularSystemError
-from .field import GridSpec, PhysParams, State, norm_L2, sample_functionals
+from .field import (
+    DiscreteOperator,
+    GridSpec,
+    PhysParams,
+    State,
+    _dirichlet_form,
+    build_operator,
+    dt_bound_text,
+    max_stable_dt,
+    norm_L2,
+    sample_functionals,
+)
 
 EXIT_COMPLETED = "Completed"
 EXIT_BLOWUP_CAP = "BlowupCap"
@@ -44,7 +47,6 @@ EXIT_CONTAMINATION = "BoundaryContamination"
 EXIT_NONFINITE = "NonFinite"
 
 DEFAULT_CAP = 1.0e3
-CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
 # Newton tolerance and iteration budget of discrete_stationary_profile
 PROFILE_TOL = 1e-12
 PROFILE_MAX_ITER = 50
@@ -65,57 +67,6 @@ def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.n
         return np.multiply(out, u, out=out)
     np.power(out, p - 1.0, out=out)
     return np.multiply(out, u, out=out)
-
-
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """Tridiagonal A = -D_xx + 1 - (gamma/h) delta at the center node."""
-
-    diag: np.ndarray = dc_field(repr=False)
-    off_diag: float
-
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A u; out, when given, receives the result and must not alias u."""
-        out = np.multiply(self.diag, u, out=out)
-        # symmetric grouping keeps reflection equivariance exact in floats
-        neighbours = u[:-2] + u[2:]
-        neighbours *= self.off_diag
-        out[1:-1] += neighbours
-        out[0] += self.off_diag * u[1]
-        out[-1] += self.off_diag * u[-2]
-        return out
-
-
-def build_operator(grid: GridSpec, params: PhysParams) -> DiscreteOperator:
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    diag = np.full(grid.n, 2.0 * inv_h2 + 1.0)
-    diag[grid.center] -= params.gamma / grid.h
-    return DiscreteOperator(diag=diag, off_diag=-inv_h2)
-
-
-def max_stable_dt(h: float, gamma: float) -> float:
-    """The largest time step on spacing h at potential strength gamma:
-
-        min(CFL * h, 2 / sqrt(4/h^2 + 1 + max(0, -gamma)/h)).
-
-    The leapfrog step is stable for dt <= 2/sqrt(lambda_max(A)), and the
-    square root is the Gershgorin bound on lambda_max(A): the largest
-    diagonal entry plus twice |off-diagonal|.  A repulsive delta (gamma < 0)
-    raises the center entry by -gamma/h; on ordinary grids CFL * h is the
-    smaller term.  The second term is evaluated as 2h/sqrt(4 + h(h + g)),
-    which cannot divide by zero or overflow on tiny spacings.
-    """
-    g = max(0.0, -gamma)
-    return min(CFL * h, 2.0 * h / math.sqrt(4.0 + h * (h + g)))
-
-
-def dt_bound_text(h: float, gamma: float) -> str:
-    """max_stable_dt(h, gamma) as the config and evolve errors quote it."""
-    bound = max_stable_dt(h, gamma)
-    if bound == CFL * h:
-        return f"the CFL bound {CFL}*h = {bound}"
-    return (f"the stability bound 2/sqrt(4/h^2 + 1 - gamma/h) = {bound} "
-            f"(h = {h}, gamma = {gamma})")
 
 
 def _check_cfl(dt: float, grid: GridSpec, params: PhysParams) -> None:
@@ -239,9 +190,8 @@ def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
     e = 0.0
     for sl in (slice(0, m), slice(grid.n - m, grid.n)):
         uu, vv = u[sl], v[sl]
-        d = uu[1:] - uu[:-1]
         e += grid.h * (float(np.dot(uu, uu)) + float(np.dot(vv, vv)))
-        e += float(np.dot(d, d)) / grid.h
+        e += _dirichlet_form(uu, grid.h)
     return e
 
 
@@ -282,7 +232,7 @@ def evolve(
         raise GridError(
             f"sample counts {len(state0.u)}, {len(state0.v)} do not match grid n = {n}"
         )
-    kernel = _Leapfrog(build_operator(grid, params), params, dt, with_nonlinearity)
+    kernel = _Leapfrog(build_operator(grid, params.gamma), params, dt, with_nonlinearity)
     h, center = grid.h, grid.center
     c_damp = 2.0 * params.alpha * dt * 0.5
     c_mass = dt * 0.5
@@ -422,23 +372,23 @@ def discrete_stationary_profile(
     samples.  The Jacobian A - p|u|^(p-1) is tridiagonal; endpoints stay
     pinned at the Dirichlet value 0.
     """
-    operator = build_operator(grid, params)
+    operator = build_operator(grid, params.gamma)
+    off, main, _ = operator.interior_bands()
     u = u_init.astype(float).copy()
     u[0] = 0.0
     u[-1] = 0.0
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    off = np.full(grid.n - 3, operator.off_diag)
     for _ in range(PROFILE_MAX_ITER):
         res = operator.apply(u) - nonlinearity(u, params.p)
         res[0] = 0.0
         res[-1] = 0.0
         # applying A costs ~2/h^2 * eps * ||u|| of rounding, so on fine
         # grids the absolute tol is unreachable; accept that floor
-        floor = 8.0 * np.finfo(float).eps * 2.0 * inv_h2 * float(np.max(np.abs(u)))
+        floor = (8.0 * np.finfo(float).eps * (-2.0 * operator.off_diag)
+                 * float(np.max(np.abs(u))))
         if float(np.max(np.abs(res))) < max(PROFILE_TOL, floor):
             return u
-        jac_diag = operator.diag - params.p * np.abs(u) ** (params.p - 1.0)
-        u[1:-1] -= solve_tridiagonal(off, jac_diag[1:-1], off, res[1:-1])
+        jac_main = main - params.p * np.abs(u[1:-1]) ** (params.p - 1.0)
+        u[1:-1] -= solve_tridiagonal(off, jac_main, off, res[1:-1])
     raise NoConvergenceError(
         f"stationary-profile Newton did not reach {PROFILE_TOL} in "
         f"{PROFILE_MAX_ITER} iterations"
@@ -490,7 +440,7 @@ def linearized_residuals(z: float, grid: GridSpec, params: PhysParams) -> dict:
             f"profile at z = {z} overlaps the boundary of [-{grid.L}, {grid.L}]"
         )
     p = params.p
-    free = build_operator(grid, PhysParams(p=p, alpha=params.alpha, gamma=0.0))
+    free = build_operator(grid, 0.0)
     xs = grid.x - z
     potential = p * profiles.soliton_Q(xs, p) ** (p - 1.0)
     nu_sq = 0.25 * (p - 1.0) * (p + 3.0)

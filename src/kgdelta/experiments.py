@@ -36,9 +36,8 @@ from .evolution import (
     Sample,
     Trajectory,
     evolve,
-    max_stable_dt,
 )
-from .field import GridSpec, PhysParams, State
+from .field import GridSpec, PhysParams, State, max_stable_dt
 
 DECAYS = "Decays"
 BLOWS_UP = "BlowsUp"

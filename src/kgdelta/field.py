@@ -1,24 +1,40 @@
-"""Grid, state pairs, discrete norms, and the scalar functionals of the model.
+"""Grid, state pairs, the discrete operator, discrete norms, and the scalar
+functionals of the model.
 
 Discretization conventions, used consistently by every module downstream:
 
 * uniform grid on [-L, L] with an odd node count, so x = 0 is a node (the
   delta potential is a nodal term and needs one);
 * trapezoid quadrature for all integrals;
+* the spatial operator A is the 3-point stencil, tridiagonal and symmetric
+  under index reflection,
+
+      (A u)_j = (-u_{j+1} + 2 u_j - u_{j-1})/h^2 + u_j,          j != center
+      (A u)_c = same - (gamma/h) u_c,
+
+  the gamma/h nodal correction being the first-order realization of the
+  derivative jump u'(0+) - u'(0-) = -gamma u(0) forced by the delta
+  potential.  This module owns it: `build_operator` gives A, its
+  `interior_bands` are the tridiagonal systems other modules solve (the
+  Newton Jacobian of the stationary profile, the descent's H^1
+  preconditioner A at gamma = 0), and `max_stable_dt` is the leapfrog's
+  step bound from A's Gershgorin bound;
 * the H^1 gradient term is the staggered sum h * sum(((u_{j+1}-u_j)/h)^2),
-  i.e. the Dirichlet form of the 3-point Laplacian used by the evolution
-  operator, so the discrete energy the stepper dissipates is the same
-  quantity these functions report;
+  i.e. the Dirichlet form of A's 3-point Laplacian, so the discrete energy
+  the stepper dissipates is the same quantity these functions report;
 * the delta term is the exact nodal trace u(0), no smearing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError
 from .profiles import PhysParams
+
+CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
 
 
 @dataclass(frozen=True)
@@ -40,8 +56,8 @@ class GridSpec:
         if not abs(self.h - 2.0 * self.L / (n - 1)) <= 1e-12 * self.h:
             raise GridError(f"spacing h = {self.h} does not equal 2L/(n-1) for "
                             f"L = {self.L}, n = {n}")
-        # the operator and the H1 preconditioner divide by h^2, and products
-        # of two of their entries must stay finite as well
+        # build_operator's entries divide by h^2, and products of two of
+        # them (in the solves of its bands) must stay finite as well
         inv_h2 = 1.0 / (self.h * self.h) if self.h * self.h > 0.0 else np.inf
         if not np.isfinite(inv_h2):
             raise GridError(f"spacing h = {self.h} is too small: 1/h^2 overflows")
@@ -76,6 +92,63 @@ def make_grid(L: float, n: int) -> GridSpec:
     return GridSpec(L=float(L), n=int(n), h=h, x=x, center=center)
 
 
+@dataclass(frozen=True)
+class DiscreteOperator:
+    """Tridiagonal A = -D_xx + 1 - (gamma/h) delta at the center node."""
+
+    diag: np.ndarray = field(repr=False)
+    off_diag: float
+
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A u; out, when given, receives the result and must not alias u."""
+        out = np.multiply(self.diag, u, out=out)
+        # symmetric grouping keeps reflection equivariance exact in floats
+        neighbours = u[:-2] + u[2:]
+        neighbours *= self.off_diag
+        out[1:-1] += neighbours
+        out[0] += self.off_diag * u[1]
+        out[-1] += self.off_diag * u[-2]
+        return out
+
+    def interior_bands(self):
+        """(sub, main, super) diagonals of A on the interior nodes, Dirichlet
+        ends: the system a tridiagonal solve of A takes."""
+        off = np.full(len(self.diag) - 3, self.off_diag)
+        return off, self.diag[1:-1], off
+
+
+def build_operator(grid: GridSpec, gamma: float) -> DiscreteOperator:
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    diag = np.full(grid.n, 2.0 * inv_h2 + 1.0)
+    diag[grid.center] -= gamma / grid.h
+    return DiscreteOperator(diag=diag, off_diag=-inv_h2)
+
+
+def max_stable_dt(h: float, gamma: float) -> float:
+    """The largest time step on spacing h at potential strength gamma:
+
+        min(CFL * h, 2 / sqrt(4/h^2 + 1 + max(0, -gamma)/h)).
+
+    The leapfrog step is stable for dt <= 2/sqrt(lambda_max(A)), and the
+    square root is the Gershgorin bound on lambda_max(A): the largest
+    diagonal entry plus twice |off-diagonal|.  A repulsive delta (gamma < 0)
+    raises the center entry by -gamma/h; on ordinary grids CFL * h is the
+    smaller term.  The second term is evaluated as 2h/sqrt(4 + h(h + g)),
+    which cannot divide by zero or overflow on tiny spacings.
+    """
+    g = max(0.0, -gamma)
+    return min(CFL * h, 2.0 * h / math.sqrt(4.0 + h * (h + g)))
+
+
+def dt_bound_text(h: float, gamma: float) -> str:
+    """max_stable_dt(h, gamma) as the config and evolve errors quote it."""
+    bound = max_stable_dt(h, gamma)
+    if bound == CFL * h:
+        return f"the CFL bound {CFL}*h = {bound}"
+    return (f"the stability bound 2/sqrt(4/h^2 + 1 - gamma/h) = {bound} "
+            f"(h = {h}, gamma = {gamma})")
+
+
 @dataclass
 class State:
     """A pair (u, v) = (u, u_t) sampled on the grid, tagged with its time."""
@@ -104,6 +177,13 @@ def trapezoid(f: np.ndarray, grid: GridSpec) -> float:
     return _trapezoid(f, grid.h)
 
 
+def _dirichlet_form(u: np.ndarray, h: float) -> float:
+    """The staggered Dirichlet form h * sum(((u_{j+1}-u_j)/h)^2) of A's
+    3-point Laplacian."""
+    d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
+    return float(np.dot(d, d)) / h
+
+
 def l2_sq(u: np.ndarray, grid: GridSpec) -> float:
     return trapezoid(np.asarray(u) ** 2, grid)
 
@@ -111,8 +191,7 @@ def l2_sq(u: np.ndarray, grid: GridSpec) -> float:
 def gradient_sq(u: np.ndarray, grid: GridSpec) -> float:
     """Staggered discrete Dirichlet form: h * sum(((u_{j+1}-u_j)/h)^2)."""
     _check_samples(u, grid)
-    d = np.diff(np.asarray(u))
-    return float(np.dot(d, d)) / grid.h
+    return _dirichlet_form(np.asarray(u), grid.h)
 
 
 def h1_sq(u: np.ndarray, grid: GridSpec) -> float:
@@ -156,7 +235,6 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     _check_samples(u, grid)
     u = np.asarray(u)
     h = grid.h
-    d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
     # u^2 and |u|^(p+1) as the rows of one array, summed by one reduction:
     # the row sums of a C-contiguous array are bitwise the 1-D sums
     terms = np.empty((2, len(u)))
@@ -168,7 +246,7 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     l2 = h * (sq_sum - 0.5 * (float(sq[0]) + float(sq[-1])))
     lq = h * (pw_sum - 0.5 * (float(pw[0]) + float(pw[-1])))
     u0 = float(u[grid.center])
-    h1 = float(np.dot(d, d)) / h + l2
+    h1 = _dirichlet_form(u, h) + l2
     return h1 - params.gamma * u0 * u0, lq, l2, h1
 
 

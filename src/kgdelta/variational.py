@@ -42,8 +42,8 @@ import numpy as np
 
 from . import profiles
 from .errors import ParameterError
-from .evolution import build_operator, nonlinearity, solve_tridiagonal
-from .field import GridSpec, PhysParams, action_terms, l2_sq, trapezoid
+from .evolution import nonlinearity, solve_tridiagonal
+from .field import GridSpec, PhysParams, action_terms, build_operator, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
@@ -194,15 +194,6 @@ def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
     return best
 
 
-def _h1_preconditioner(grid: GridSpec):
-    """(sub, main, super) diagonals of the gamma-free form (-d_xx + 1) on the
-    interior nodes, Dirichlet ends."""
-    m = grid.n - 2
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    off = np.full(m - 1, -inv_h2)
-    return off, np.full(m, 2.0 * inv_h2 + 1.0), off
-
-
 def minimize_level(
     params: PhysParams,
     grid: GridSpec,
@@ -235,8 +226,9 @@ def minimize_level(
         u = 0.5 * (u + u[::-1])
 
     reference = reference_levels(params)["r_gamma" if even else "n_gamma"]
-    operator = build_operator(grid, params)
-    sub, main, sup = _h1_preconditioner(grid)
+    operator = build_operator(grid, params.gamma)
+    # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
+    sub, main, sup = build_operator(grid, 0.0).interior_bands()
 
     u, J_cur, K_cur, l2 = _projected(u, params, grid)
     if u is None:

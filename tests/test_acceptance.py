@@ -28,7 +28,6 @@ import pytest
 from kgdelta.errors import GridError  # noqa: F401  (re-exported sanity)
 from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
-    build_operator,
     discrete_stationary_profile,
     evolve,
     fit_linear_decay_rate,
@@ -44,6 +43,7 @@ from kgdelta.field import (
     GridSpec,
     PhysParams,
     State,
+    build_operator,
     energy_E_gamma,
     make_grid,
     norm_H,

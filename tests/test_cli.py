@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kgdelta import cli, evolution, variational
+from kgdelta import cli, evolution
 from kgdelta.cli import _build_initial, echo_lines, main, parse_config
 from kgdelta.errors import ConfigError
 from kgdelta.field import make_grid
@@ -435,30 +435,24 @@ def test_tiny_accepted_grid_runs_without_float_warnings(tmp_path, command, extra
     assert json.loads((out / f"{command}.json").read_text())["incomplete"] is False
 
 
-_REAL_PRECONDITIONER = variational._h1_preconditioner
 _REAL_SOLVE = evolution.solve_tridiagonal
 
 
-def _singular_preconditioner(grid):
-    sub, main, sup = _REAL_PRECONDITIONER(grid)
-    return sub, np.zeros_like(main), sup
-
-
-def _singular_newton_solve(sub, main, sup, rhs):
+def _singular_solve(sub, main, sup, rhs):
     return _REAL_SOLVE(sub, np.zeros_like(main), sup, rhs)
 
 
-@pytest.mark.parametrize("command, text, target, singular", [
+@pytest.mark.parametrize("command, text, target", [
     ("variational", "L = 15\nn = 301\ninit = q\nz = 3\n",
-     "kgdelta.variational._h1_preconditioner", _singular_preconditioner),
+     "kgdelta.variational.solve_tridiagonal"),
     ("simulate", "L = 20\nn = 401\nT = 1\ninit = equilibrium\n",
-     "kgdelta.evolution.solve_tridiagonal", _singular_newton_solve),
+     "kgdelta.evolution.solve_tridiagonal"),
 ])
 def test_singular_solve_exits_3(tmp_path, capsys, monkeypatch, command, text,
-                                target, singular):
+                                target):
     """A singular tridiagonal solve (descent preconditioner, stationary-profile
     Newton step) ends as a KgError: exit 3 and the incomplete stub."""
-    monkeypatch.setattr(target, singular)
+    monkeypatch.setattr(target, _singular_solve)
     code, out = run(tmp_path, command, text)
     assert code == 3
     blob = json.loads((out / f"{command}.json").read_text())

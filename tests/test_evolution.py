@@ -7,19 +7,19 @@ from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
     EXIT_COMPLETED,
     EXIT_CONTAMINATION,
-    build_operator,
     discrete_stationary_profile,
     evolve,
     fit_linear_decay_rate,
     linearized_residuals,
-    max_stable_dt,
     nonlinearity,
 )
 from kgdelta.field import (
     PhysParams,
     State,
+    build_operator,
     l2_sq,
     make_grid,
+    max_stable_dt,
     norm_H,
     norm_H1,
 )
@@ -39,7 +39,7 @@ def _evolve_states(state0, *args, **kwargs):
 
 def test_operator_is_symmetric_tridiagonal():
     grid = make_grid(5.0, 41)
-    op = build_operator(grid, PAR_REP)
+    op = build_operator(grid, PAR_REP.gamma)
     n = grid.n
     dense = np.zeros((n, n))
     eye = np.eye(n)
@@ -52,7 +52,7 @@ def test_operator_is_symmetric_tridiagonal():
         row[i - 1 : i + 2] = 0.0
         assert np.max(np.abs(row)) == 0.0
     # the delta lives only on the center diagonal entry
-    free = build_operator(grid, PAR_FREE)
+    free = build_operator(grid, PAR_FREE.gamma)
     diff = op.diag - free.diag
     expect = np.zeros(n)
     expect[grid.center] = -PAR_REP.gamma / grid.h
@@ -61,7 +61,7 @@ def test_operator_is_symmetric_tridiagonal():
 
 def test_operator_commutes_with_reflection():
     grid = make_grid(8.0, 161)
-    op = build_operator(grid, PhysParams(3.0, 1.0, -1.7))
+    op = build_operator(grid, -1.7)
     rng = np.random.default_rng(2)
     for _ in range(5):
         u = rng.standard_normal(grid.n)
@@ -157,7 +157,7 @@ def test_steps_solve_the_two_level_recurrence(with_nonlinearity):
                                   snapshot_stride=1, contamination_tol=np.inf,
                                   with_nonlinearity=with_nonlinearity)
     assert traj.exit == EXIT_COMPLETED and len(states) == 81
-    op = build_operator(grid, par)
+    op = build_operator(grid, par.gamma)
     worst = 0.0
     for um, u, up in zip(states, states[1:], states[2:]):
         au = op.apply(u.u)
@@ -188,7 +188,7 @@ def test_prepared_equilibrium_is_discretely_stationary():
     u_eq = discrete_stationary_profile(
         soliton_Q_gamma(grid.x, PAR_REP), PAR_REP, grid
     )
-    op = build_operator(grid, PAR_REP)
+    op = build_operator(grid, PAR_REP.gamma)
     res = op.apply(u_eq) - nonlinearity(u_eq, 3.0)
     assert float(np.max(np.abs(res[1:-1]))) < 1e-12
     # O(h) distance to the continuum profile, concentrated at the kink

@@ -7,15 +7,17 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kgdelta.cli import RunConfig, echo_lines, parse_config
-from kgdelta.evolution import build_operator, evolve, max_stable_dt
+from kgdelta.evolution import evolve
 from kgdelta.field import (
     PhysParams,
     State,
+    build_operator,
     energy_E_gamma,
     functional_K_gamma,
     h1_sq,
     l2_sq,
     make_grid,
+    max_stable_dt,
     norm_H,
     trapezoid,
 )
@@ -115,7 +117,7 @@ def test_linear_runs_at_the_stable_step_never_gain_energy(gamma, alpha, L, n,
     params = PhysParams(p=3.0, alpha=alpha, gamma=gamma)
     grid = make_grid(L, n)
     dt = fraction * max_stable_dt(grid.h, gamma)
-    op = build_operator(grid, params)
+    op = build_operator(grid, gamma)
     interior = (np.diag(op.diag[1:-1]) + np.diag(np.full(n - 3, op.off_diag), 1)
                 + np.diag(np.full(n - 3, op.off_diag), -1))
     assert dt * dt * np.linalg.eigvalsh(interior)[-1] <= 4.0

@@ -8,6 +8,7 @@ from kgdelta.evolution import solve_tridiagonal
 from kgdelta.experiments import initial_family
 from kgdelta.field import (
     PhysParams,
+    build_operator,
     functional_J_gamma,
     functional_K_gamma,
     make_grid,
@@ -15,7 +16,6 @@ from kgdelta.field import (
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 from kgdelta.variational import (
     ESCAPE_MASS_FRACTION,
-    _h1_preconditioner,
     center_drift,
     mass_near_origin,
     minimize_level,
@@ -316,7 +316,7 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
 
 def test_tridiagonal_solve_is_solve_banded_bitwise():
     grid = _grid()
-    sub, main, sup = _h1_preconditioner(grid)
+    sub, main, sup = build_operator(grid, 0.0).interior_bands()
     ab = np.zeros((3, main.size))
     ab[0, 1:], ab[1], ab[2, :-1] = sup, main, sub
     rng = np.random.default_rng(11)
