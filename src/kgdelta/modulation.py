@@ -211,58 +211,3 @@ def decompose(
         z_dot_predicted=leading + trace,
         t=float(state.t),
     )
-
-
-@dataclass
-class DriftReport:
-    """Finite-difference check of the eigenmode ODEs da/dt = rate * a + err."""
-
-    times: np.ndarray
-    residual_plus: np.ndarray
-    residual_minus: np.ndarray
-    residual_zero: np.ndarray
-    bound_scale: np.ndarray
-    rate_plus: float
-    rate_minus: float
-    rate_zero: float
-
-
-def _fit_rate(t: np.ndarray, a: np.ndarray) -> float:
-    if np.all(a > 0) or np.all(a < 0):
-        return float(np.polyfit(t, np.log(np.abs(a)), 1)[0])
-    return float("nan")
-
-
-def eigenmode_drift_check(frames, params: PhysParams) -> DriftReport:
-    """Compare da/dt against the linear rates nu_plus, nu_minus, -2 alpha.
-
-    Residuals are reported next to the error scale exp(-2z) + ||(eps,eta)||^2
-    of the modulation system; the frame stride must resolve the fastest rate
-    (|nu_plus| * stride <= 0.2) or the check is rejected.
-    """
-    if len(frames) < 3:
-        raise ParameterError("drift check needs at least 3 consecutive frames")
-    t = np.array([f.t for f in frames])
-    strides = np.diff(t)
-    if np.max(np.abs(strides - strides[0])) > 1e-9:
-        raise ParameterError("drift check needs a uniform frame stride")
-    con = profiles.spectral_constants(params)
-    if abs(con.nu_plus) * strides[0] > 0.2:
-        raise ParameterError(
-            f"stride {strides[0]} too coarse for rate {con.nu_plus}"
-        )
-    a_p = np.array([f.a_plus for f in frames])
-    a_m = np.array([f.a_minus for f in frames])
-    a_0 = np.array([f.a_zero for f in frames])
-    z = np.array([f.z for f in frames])
-    eps_n = np.array([f.eps_norm_H for f in frames])
-    return DriftReport(
-        times=t,
-        residual_plus=np.abs(np.gradient(a_p, t) - con.nu_plus * a_p),
-        residual_minus=np.abs(np.gradient(a_m, t) - con.nu_minus * a_m),
-        residual_zero=np.abs(np.gradient(a_0, t) + 2.0 * params.alpha * a_0),
-        bound_scale=np.exp(-2.0 * z) + eps_n**2,
-        rate_plus=_fit_rate(t, a_p),
-        rate_minus=_fit_rate(t, a_m),
-        rate_zero=_fit_rate(t, a_0),
-    )

@@ -7,7 +7,7 @@ import pytest
 from kgdelta.errors import NoConvergenceError, OutOfTubeError, ParameterError
 from kgdelta.evolution import evolve
 from kgdelta.field import PhysParams, State, make_grid, trapezoid
-from kgdelta.modulation import decompose, eigenmode_drift_check, fit_center
+from kgdelta.modulation import decompose, fit_center
 from kgdelta.profiles import (
     neutral_even_mode_phi,
     soliton_Q,
@@ -169,49 +169,6 @@ def test_relative_gap():
     assert fr.relative_gap == pytest.approx(0.1)
     fr = dataclasses.replace(fr, z_dot_measured=0.0, z_dot_predicted=0.0)
     assert fr.relative_gap == 0.0
-
-
-def test_drift_check_preconditions():
-    grid = _grid()
-    st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
-    fr = decompose(st, 5.0, 0, 1, PAR, grid)
-    with pytest.raises(ParameterError):
-        eigenmode_drift_check([fr, fr], PAR)
-    f0 = dataclasses.replace(fr, t=0.0)
-    f1 = dataclasses.replace(fr, t=0.1)
-    f2 = dataclasses.replace(fr, t=0.35)  # non-uniform
-    with pytest.raises(ParameterError):
-        eigenmode_drift_check([f0, f1, f2], PAR)
-    coarse = [dataclasses.replace(fr, t=0.5 * k) for k in range(4)]
-    with pytest.raises(ParameterError):  # |nu+| * 0.5 > 0.2
-        eigenmode_drift_check(coarse, PAR)
-
-
-def test_drift_check_recovers_linear_rates():
-    # synthetic frames straight from the mode ODEs a' = rate * a
-    grid = _grid()
-    st = State(u=soliton_Q(grid.x - 6.0, 3.0), v=np.zeros(grid.n))
-    base = decompose(st, 6.0, 0, 1, PAR, grid)
-    con = spectral_constants(PAR)
-    ts = np.arange(0.0, 1.0, 0.05)
-    frames = [
-        dataclasses.replace(
-            base,
-            t=float(t),
-            a_plus=1e-4 * np.exp(con.nu_plus * t),
-            a_minus=2e-3 * np.exp(con.nu_minus * t),
-            a_zero=5e-4 * np.exp(-2.0 * PAR.alpha * t),
-        )
-        for t in ts
-    ]
-    rep = eigenmode_drift_check(frames, PAR)
-    assert rep.rate_plus == pytest.approx(con.nu_plus, abs=2e-3)
-    assert rep.rate_minus == pytest.approx(con.nu_minus, abs=2e-2)
-    assert rep.rate_zero == pytest.approx(-2.0, abs=1e-2)
-    # interior residuals vanish up to the finite-difference truncation of
-    # np.gradient (second order in the stride)
-    assert np.max(rep.residual_plus[1:-1]) < 1e-6
-    assert rep.bound_scale.shape == ts.shape
 
 
 def test_tracked_soliton_dressing_physics():
