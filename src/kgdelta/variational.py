@@ -36,6 +36,7 @@ minimizer, and in the even sector it stops there: a pinned minimizer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +109,19 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
 
 def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
     """(P u, J_gamma, |K_gamma|, ||.||^2) of the Nehari projection P u; J is
-    inf where u cannot be projected, so that such a candidate is never taken."""
+    inf where u cannot be projected or P u's own terms are not finite, so
+    that such a candidate is never taken."""
     try:
         cand = nehari_project(u, params, grid)
     except ParameterError:
         return None, np.inf, None, None
     quad, nonlin, l2, _ = action_terms(cand, params, grid)
-    return cand, 0.5 * quad - nonlin / (params.p + 1.0), abs(quad - nonlin), l2
+    J = 0.5 * quad - nonlin / (params.p + 1.0)
+    # a huge -gamma u(0)^2 makes exp(lambda*) huge, and P u's terms overflow;
+    # J is finite exactly when quad and nonlin are (and so ||P u||^2)
+    if not math.isfinite(J):
+        return None, np.inf, None, None
+    return cand, J, abs(quad - nonlin), l2
 
 
 def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:

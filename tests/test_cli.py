@@ -409,6 +409,9 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         # int |u|^{p+1} overflows: no Nehari projection of the start
         ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n",
          "cannot project u_init onto the Nehari set"),
+        # the start's terms are finite, but its projection's overflow
+        ("variational", "L = 10\nn = 101\ndt = 1e-110\ngamma = -1e200\ninit = q\n"
+                        "z = 3\n", "cannot project u_init onto the Nehari set"),
         # E, K or ||(u, v)||_H of the start overflows: no sample 0
         ("simulate", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e80\n",
          "initial state is not of finite energy"),
@@ -420,7 +423,8 @@ def test_exit_3_writes_incomplete_marker(tmp_path, capsys):
         assert code == 3
         blob = json.loads((out / f"{command}.json").read_text())
         assert blob["incomplete"] is True
-        assert error in blob["error"] and blob["config"]["gamma"] == -1.0
+        gamma = float(re.search(r"gamma = (\S+)", text)[1]) if "gamma" in text else -1.0
+        assert error in blob["error"] and blob["config"]["gamma"] == gamma
         assert "failed" in capsys.readouterr().err
 
 
