@@ -5,7 +5,10 @@ Every number asserted here was frozen from an independent derivation
 implementation existed, so these tests are the ground truth the rest of the
 suite leans on.
 """
+import math
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from kgdelta.field import PhysParams
 from kgdelta.profiles import (
@@ -177,6 +180,22 @@ def test_spectral_constants():
         assert abs(c.nu_plus + c.nu_minus + 2.0 * alpha) < 1e-12
         assert abs(c.nu_plus * c.nu_minus + c.nu ** 2) < 1e-10
         assert c.nu_plus > 0.0 > c.nu_minus
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(2.0, 50.0, exclude_min=True), log_alpha=st.floats(-300.0, 300.0))
+def test_spectral_rates_hold_at_every_damping(p, log_alpha):
+    """nu_pm stay finite and keep their product -nu^2 and sum -2 alpha to
+    rounding for alpha log-uniform in [1e-300, 1e300]: -alpha + sqrt(alpha^2
+    + nu^2) lost nu_plus to cancellation at large alpha, and alpha^2
+    overflowed above about 1.3e154."""
+    alpha = 10.0 ** log_alpha
+    c = spectral_constants(PhysParams(p=p, alpha=alpha, gamma=0.0))
+    assert math.isfinite(c.nu_plus) and math.isfinite(c.nu_minus)
+    assert c.nu_plus > 0.0 > c.nu_minus
+    nu_sq = c.nu * c.nu
+    assert abs(c.nu_plus * c.nu_minus + nu_sq) <= 1e-15 * nu_sq
+    assert abs(c.nu_plus + c.nu_minus + 2.0 * alpha) <= 1e-15 * max(alpha, c.nu)
 
 
 def test_gauss_panels_known_integrals():
