@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kgdelta.cli import RunConfig, echo_lines, parse_config
 from kgdelta.evolution import evolve
 from kgdelta.field import (
+    CFL,
     PhysParams,
     State,
     build_operator,
@@ -133,6 +134,22 @@ def test_linear_runs_at_the_stable_step_never_gain_energy(gamma, alpha, L, n,
                                   + np.dot(b, op.apply(a)))
                   for a, b in zip(us, us[1:])])
     assert np.all(np.diff(F) <= 1e-10 * F[0]) and np.all(F >= -1e-10 * F[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_h=st.floats(-4.0, 1.5), k=st.integers(1, 400),
+       gamma=st.floats(-3.0, 2.0, exclude_max=True)
+       | st.floats(0.0, 6.0).map(lambda e: -(10.0 ** e)))
+def test_dt_bound_reads_the_operator_bands(log_h, k, gamma):
+    """max_stable_dt's second term is 2/sqrt of the Gershgorin bound on
+    lambda_max(A), max|diag| + 2|off_diag|, read off the bands of the
+    operator build_operator gives, so the bound follows any change of A."""
+    n = 2 * k + 1
+    grid = make_grid(0.5 * (n - 1) * 10.0 ** log_h, n)
+    op = build_operator(grid, gamma)
+    gershgorin = float(np.max(np.abs(op.diag))) + 2.0 * abs(op.off_diag)
+    expect = min(CFL * grid.h, 2.0 / np.sqrt(gershgorin))
+    assert abs(max_stable_dt(grid.h, gamma) - expect) <= 1e-15 * expect
 
 
 @FAST

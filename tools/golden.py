@@ -46,6 +46,8 @@ SHOOT_GRID = {"L": 20, "n": 401, "dt": 0.05, "tol": 1e-6, "T_max": 100}
 CASES = (
     ("profile-default", "profile", {}),
     ("profile-strong-delta", "profile", {"gamma": -2.5, "p": 4}),
+    # once nu_plus = inf and nu_minus = -inf: alpha^2 overflowed
+    ("profile-huge-alpha", "profile", {"alpha": 1e200}),
     ("simulate-qgamma", "simulate", {"L": 20, "n": 401, "T": 5, "scale": 0.9}),
     ("simulate-linear", "simulate",
      {"L": 20, "n": 401, "T": 5, "init": "gaussian", "nonlinearity": 0,
@@ -111,6 +113,10 @@ CASES = (
     # int |u|^{p+1} of the start overflows: no Nehari projection (exit 3)
     ("variational-huge-scale", "variational",
      {"L": 15, "n": 301, "init": "gaussian", "scale": 1e80}),
+    # the start's terms are finite but its projection's overflow (exit 3;
+    # once exit 0 with a nan level)
+    ("variational-huge-negative-gamma", "variational",
+     {"L": 10, "n": 101, "dt": 1e-110, "gamma": -1e200, "init": "q", "z": 3}),
     # the start's energy is not finite: refused before sample 0 (exit 3)
     ("simulate-huge-scale", "simulate",
      {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e80}),
