@@ -43,7 +43,6 @@ from kgdelta.field import (
     GridSpec,
     PhysParams,
     State,
-    build_operator,
     energy_E_gamma,
     make_grid,
     norm_H,
