@@ -73,6 +73,10 @@ CASES = (
     ("track", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4,
       "snapshot_stride": 5}),
+    # the even pair: the sigma = 1 path of fit_center and decompose
+    ("track-pair", "track",
+     {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "family", "varsigma": 1,
+      "z": 4.5, "gamma": -2.5, "snapshot_stride": 5}),
     ("variational-free", "variational",
      {"L": 15, "n": 301, "init": "q", "z": 3, "max_iters": 400}),
     ("variational-even", "variational",
