@@ -78,9 +78,7 @@ class ThresholdResult:
     converged: bool = True
 
 
-def _check_family(lam: float, varsigma: int, z: float, grid: GridSpec) -> None:
-    if varsigma not in (0, 1):
-        raise ParameterError(f"varsigma must be 0 or 1, got {varsigma}")
+def _check_family(lam: float, z: float, grid: GridSpec) -> None:
     if not -1.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [-1, 1], got {lam}")
     if not z + 10.0 < grid.L:
@@ -93,8 +91,8 @@ def initial_family(
     lam: float, varsigma: int, z: float, grid: GridSpec, params: PhysParams
 ) -> State:
     """Shooting initial data u = e^lambda (Q(.-z) + varsigma Q(.+z)), v = 0."""
-    _check_family(lam, varsigma, z, grid)
-    u = profiles.soliton_pair(grid.x, z, varsigma, params.p)
+    _check_family(lam, z, grid)
+    u = profiles.soliton_pair(grid.x, z, varsigma, params.p)[0]
     return State(u=np.exp(lam) * u, v=np.zeros(grid.n))
 
 
@@ -108,21 +106,19 @@ def scaling_curve(
     by Gauss panels on the real line rather than on the grid so that the
     derivative identities hold to quadrature precision.
     """
-    _check_family(lam, varsigma, z, grid)
+    _check_family(lam, z, grid)
     p, gamma = params.p, params.gamma
     half_width = z + 40.0
 
-    def pair_deriv(x):
-        out = profiles.soliton_Q_deriv(x - z, p)
-        return out + profiles.soliton_Q_deriv(x + z, p) if varsigma else out
+    def h1_density(x):
+        r, right, left = profiles.soliton_pair(x, z, varsigma, p)
+        r_x = right[1] + left[1] if varsigma else right[1]
+        return r**2 + r_x**2
 
-    h1 = profiles.gauss_panels(
-        lambda x: profiles.soliton_pair(x, z, varsigma, p) ** 2 + pair_deriv(x) ** 2,
-        -half_width, half_width,
-    )
-    trace_sq = ((1.0 + varsigma) * profiles.soliton_Q(z, p)) ** 2
+    h1 = profiles.gauss_panels(h1_density, -half_width, half_width)
+    trace_sq = profiles.soliton_pair(0.0, z, varsigma, p)[0] ** 2
     power = profiles.gauss_panels(
-        lambda x: np.abs(profiles.soliton_pair(x, z, varsigma, p)) ** (p + 1.0),
+        lambda x: np.abs(profiles.soliton_pair(x, z, varsigma, p)[0]) ** (p + 1.0),
         -half_width, half_width,
     )
 

@@ -2,12 +2,13 @@
 
 A state (u, v) near the reference family
 
-    R(z) = sign * (Q(. - z) + sigma * Q(. + z)),    sigma in {0, 1}
+    sign * R(z),    R(z) = Q(. - z) + sigma * Q(. + z),    sigma in {0, 1}
 
-is written as u = R(z) + eps, v = eta, with the center z fixed by the damped
+(built, with Q and Q' of each soliton, by `profiles.soliton_pair`) is written
+as u = sign * R(z) + eps, v = eta, with the center z fixed by the damped
 orthogonality condition
 
-    G(z) = integral (v + 2 alpha (u - R(z))) * Q'(. - z) = 0,
+    G(z) = integral (v + 2 alpha (u - sign * R(z))) * Q'(. - z) = 0,
 
 which makes the residual transverse to translation for the damped flow.  The
 residual is then resolved into the eigenmode amplitudes of the linearized
@@ -86,8 +87,8 @@ def fit_center(
     the converged center drifts more than TUBE_RADIUS from z_guess or the
     residual norm ||(eps, eta)||_H exceeds TUBE_RADIUS.
     """
-    if sigma not in (0, 1) or sign not in (-1, 1):
-        raise ParameterError(f"sigma must be 0/1 and sign +-1, got {sigma}, {sign}")
+    if sign not in (-1, 1):
+        raise ParameterError(f"sign must be +-1, got {sign}")
     if sigma == 1 and not z_guess > 2:
         raise ParameterError(f"pair decomposition needs z_guess > 2, got {z_guess}")
     p, alpha = params.p, params.alpha
@@ -96,9 +97,8 @@ def fit_center(
 
     z = float(z_guess)
     for _ in range(FIT_MAX_ITER):
-        at_z = _reference(x, z, sigma, p)
-        (q_r, qd_r, _), left = at_z
-        ref = q_r + left[0] if sigma else q_r
+        at_z = profiles.soliton_pair(x, z, sigma, p)
+        ref, (q_r, qd_r, _), left = at_z
         w = v + 2.0 * alpha * (u - sign * ref)
         g_val = trapezoid(w * qd_r, grid)
         if abs(g_val) <= FIT_TOL:
@@ -130,21 +130,6 @@ def fit_center(
     return frame
 
 
-def _soliton_at(x: np.ndarray, z: float, p: float):
-    """(Q, Q', log cosh(kappa s)) at s = x - z from one log-cosh evaluation;
-    Q and Q' are bitwise what soliton_Q and soliton_Q_deriv return there."""
-    ks = 0.5 * (p - 1.0) * (x - z)
-    lc = profiles._logcosh(ks)
-    q = profiles._q_of_logcosh(lc, p)
-    return q, -np.tanh(ks) * q, lc
-
-
-def _reference(x: np.ndarray, z: float, sigma: int, p: float):
-    """_soliton_at the right soliton, x - z, and for a pair (sigma = 1) at
-    the left one, x + z (else None)."""
-    return _soliton_at(x, z, p), _soliton_at(x, -z, p) if sigma else None
-
-
 def decompose(
     state,
     z: float,
@@ -164,20 +149,18 @@ def decompose(
 
     mu = MU_FACTOR * alpha, rho = 2 alpha - mu, u(0) the trace of the full
     field; script_G adds L_WEIGHT (a_minus^2 + a_zero^2).  fit_center passes
-    as `_profiles` the `_reference` of its converged iterate, which is what
-    decompose would evaluate at z.
+    as `_profiles` the `profiles.soliton_pair` of its converged iterate, which
+    is what decompose would evaluate at z.
     """
     alpha, p, gamma = params.alpha, params.p, params.gamma
     mu = MU_FACTOR * alpha
     con = profiles.spectral_constants(params)
     # each reference profile once: R(z) for eps, Q_pm^{p-1} for the potential
-    (q_r, qd_r, lc_r), left = _profiles or _reference(grid.x, z, sigma, p)
-    ref = q_r
+    ref, (q_r, qd_r, lc_r), left = _profiles or profiles.soliton_pair(
+        grid.x, z, sigma, p)
     pot = p * q_r ** (p - 1.0)
     if sigma:
-        q_l = left[0]
-        ref = q_r + q_l
-        pot = pot + p * q_l ** (p - 1.0)
+        pot = pot + p * left[0] ** (p - 1.0)
     eps = state.u - sign * ref
     eta = state.v
     phi_r = profiles._phi_of_logcosh(lc_r, p)
@@ -190,7 +173,7 @@ def decompose(
         (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
     )
     eps0 = float(eps[grid.center])
-    u0 = sign * (1.0 + sigma) * profiles.soliton_Q(z, p) + eps0
+    u0 = sign * float(ref[grid.center]) + eps0
     script_E = 0.5 * quad - 0.5 * gamma * u0 * u0
 
     denom = 2.0 * alpha * profiles.soliton_gradient_norm_sq(p)

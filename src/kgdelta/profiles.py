@@ -13,6 +13,9 @@ and for |gamma| < 2 the pinned analogue Q_gamma replaces (p-1)*x/2 by
 (p-1)*|x|/2 + artanh(gamma/2), which trades smoothness at the origin for the
 derivative jump Q_gamma'(0+) - Q_gamma'(0-) = -gamma*Q_gamma(0).
 
+The one soliton (sigma = 0) and the even pair (sigma = 1) are the family
+R(z) = Q(. - z) + sigma*Q(. + z), built only by `soliton_pair`.
+
 Everything here is a pure function of its value arguments; quadratures are
 composite Gauss-Legendre with certified truncation of the exponential tails.
 """
@@ -94,18 +97,30 @@ def soliton_Q(x, p: float):
     return out if out.ndim else float(out)
 
 
+def _soliton_at(x, z: float, p: float):
+    """(Q, Q', log cosh(kappa s)) at s = x - z from one log-cosh evaluation;
+    Q and Q' are bitwise what soliton_Q and soliton_Q_deriv return there."""
+    ks = 0.5 * (p - 1.0) * (x - z)
+    lc = _logcosh(ks)
+    q = _q_of_logcosh(lc, p)
+    return q, -np.tanh(ks) * q, lc
+
+
 def soliton_pair(x, z: float, sigma: int, p: float):
-    """Q(x - z), plus Q(x + z) when sigma is set: one soliton or an even pair."""
-    out = soliton_Q(x - z, p)
-    return out + soliton_Q(x + z, p) if sigma else out
+    """(R, right, left): R(z) = Q(. - z) + sigma*Q(. + z) for sigma in {0, 1},
+    right the `_soliton_at` of the soliton at z, left that at -z (else None)."""
+    _check_p(p)
+    if sigma not in (0, 1):
+        raise ParameterError(f"sigma must be 0 or 1, got {sigma}")
+    right = _soliton_at(x, z, p)
+    left = _soliton_at(x, -z, p) if sigma else None
+    return (right[0] + left[0] if sigma else right[0]), right, left
 
 
 def soliton_Q_deriv(x, p: float):
     """Analytic derivative Q'(x) = -Q(x) * tanh((p-1)*x/2) (odd, Q'(0) = 0)."""
     _check_p(p)
-    x = np.asarray(x, dtype=float)
-    kappa = 0.5 * (p - 1.0)
-    out = -np.tanh(kappa * x) * soliton_Q(x, p)
+    out = _soliton_at(np.asarray(x, dtype=float), 0.0, p)[1]
     return out if out.ndim else float(out)
 
 
