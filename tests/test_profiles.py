@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+import pytest
 
-from kgdelta.field import PhysParams
+from kgdelta.errors import ParameterError
+from kgdelta.field import PhysParams, make_grid
 from kgdelta.profiles import (
+    _phi_of_logcosh,
     gauss_panels,
     ground_state_action,
     interaction_constant_cm,
@@ -20,6 +23,7 @@ from kgdelta.profiles import (
     soliton_Q_deriv,
     soliton_Q_gamma,
     soliton_gradient_norm_sq,
+    soliton_pair,
     spectral_constants,
 )
 
@@ -196,6 +200,29 @@ def test_spectral_rates_hold_at_every_damping(p, log_alpha):
     nu_sq = c.nu * c.nu
     assert abs(c.nu_plus * c.nu_minus + nu_sq) <= 1e-15 * nu_sq
     assert abs(c.nu_plus + c.nu_minus + 2.0 * alpha) <= 1e-15 * max(alpha, c.nu)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(2.0, 10.0, exclude_min=True), z=st.floats(0.5, 8.0),
+       sigma=st.sampled_from((0, 1)), L=st.floats(1.0, 40.0),
+       half_n=st.integers(1, 1000))
+def test_soliton_pair_is_the_family(p, z, sigma, L, half_n):
+    """soliton_pair's R and the pieces beside it are bitwise the closed forms
+    of each soliton, on any odd grid: the one constructor of R(z)."""
+    grid = make_grid(L, 2 * half_n + 1)
+    x = grid.x
+    r, right, left = soliton_pair(x, z, sigma, p)
+    assert np.array_equal(r, soliton_Q(x - z, p) + sigma * soliton_Q(x + z, p))
+    assert np.array_equal(right[1], soliton_Q_deriv(x - z, p))
+    assert np.array_equal(_phi_of_logcosh(right[2], p), neutral_even_mode_phi(x - z, p))
+    if sigma:
+        assert np.array_equal(left[1], soliton_Q_deriv(x + z, p))
+    else:
+        assert left is None
+    # the trace R(z)(0) that decompose reads at the center node
+    assert r[grid.center] == (1.0 + sigma) * soliton_Q(z, p)
+    with pytest.raises(ParameterError):
+        soliton_pair(x, z, 2, p)
 
 
 def test_gauss_panels_known_integrals():
