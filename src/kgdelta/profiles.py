@@ -157,14 +157,14 @@ def spectral_constants(params: PhysParams) -> SpectralConstants:
     """nu, nu_plus, nu_minus and c_Q for the given (p, alpha).
 
     nu_pm = -alpha +- sqrt(alpha^2 + nu^2), with nu_plus in the form
-    nu^2/(alpha + sqrt(.)), which does not cancel at large alpha, and the
-    root as a hypot, which does not overflow.
+    nu * (nu/(alpha + sqrt(.))), which does not cancel at large alpha, the
+    root as a hypot and nu as a product of roots; none of them overflows.
     """
     p, alpha = params.p, params.alpha
-    nu = 0.5 * math.sqrt((p - 1.0) * (p + 3.0))
+    nu = 0.5 * math.sqrt(p - 1.0) * math.sqrt(p + 3.0)
     root = math.hypot(alpha, nu)
     return SpectralConstants(
-        nu=nu, nu_plus=nu * nu / (alpha + root), nu_minus=-alpha - root, c_Q=_c_Q(p)
+        nu=nu, nu_plus=nu * (nu / (alpha + root)), nu_minus=-alpha - root, c_Q=_c_Q(p)
     )
 
 

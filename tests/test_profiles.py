@@ -187,18 +187,19 @@ def test_spectral_constants():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(p=st.floats(2.0, 50.0, exclude_min=True), log_alpha=st.floats(-300.0, 300.0))
-def test_spectral_rates_hold_at_every_damping(p, log_alpha):
+@given(log_p2=st.floats(-12.0, 300.0), log_alpha=st.floats(-300.0, 300.0))
+def test_spectral_rates_hold_at_every_damping(log_p2, log_alpha):
     """nu_pm stay finite and keep their product -nu^2 and sum -2 alpha to
-    rounding for alpha log-uniform in [1e-300, 1e300]: -alpha + sqrt(alpha^2
-    + nu^2) lost nu_plus to cancellation at large alpha, and alpha^2
-    overflowed above about 1.3e154."""
+    rounding for p - 2 log-uniform in [1e-12, 1e300] and alpha in [1e-300,
+    1e300]: -alpha + sqrt(alpha^2 + nu^2) lost nu_plus to cancellation at
+    large alpha, and alpha^2 and (p-1)(p+3) overflowed above about 1.3e154.
+    nu^2 overflows there, so the product is checked as nu_plus*(nu_minus/nu)."""
+    p = 2.0 + 10.0 ** log_p2
     alpha = 10.0 ** log_alpha
     c = spectral_constants(PhysParams(p=p, alpha=alpha, gamma=0.0))
-    assert math.isfinite(c.nu_plus) and math.isfinite(c.nu_minus)
+    assert math.isfinite(c.nu) and math.isfinite(c.nu_plus) and math.isfinite(c.nu_minus)
     assert c.nu_plus > 0.0 > c.nu_minus
-    nu_sq = c.nu * c.nu
-    assert abs(c.nu_plus * c.nu_minus + nu_sq) <= 1e-15 * nu_sq
+    assert abs(c.nu_plus * (c.nu_minus / c.nu) + c.nu) <= 1e-15 * c.nu
     assert abs(c.nu_plus + c.nu_minus + 2.0 * alpha) <= 1e-15 * max(alpha, c.nu)
 
 

@@ -48,6 +48,8 @@ CASES = (
     ("profile-strong-delta", "profile", {"gamma": -2.5, "p": 4}),
     # once nu_plus = inf and nu_minus = -inf: alpha^2 overflowed
     ("profile-huge-alpha", "profile", {"alpha": 1e200}),
+    # once nu = inf and nu_plus = nan: (p-1)(p+3) overflowed
+    ("profile-huge-p", "profile", {"p": 1e300}),
     ("simulate-qgamma", "simulate", {"L": 20, "n": 401, "T": 5, "scale": 0.9}),
     ("simulate-linear", "simulate",
      {"L": 20, "n": 401, "T": 5, "init": "gaussian", "nonlinearity": 0,
