@@ -37,6 +37,7 @@ minimizer, and in the even sector it stops there: a pinned minimizer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ DESCENT_TOL = 1e-9
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
 HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
+# log of the largest double: nehari_project refuses terms that reach it
+LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -97,13 +100,20 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
     """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
 
         lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
+
+    Raises ParameterError when u's terms are zero or not finite, or when
+    those of exp(lambda*) u would overflow.
     """
     quad, nonlin, _, _ = action_terms(u, params, grid)
     # an overflowed term would make lambda* -inf (the zero function) or nan
     if not (0.0 < nonlin < np.inf and 0.0 < quad < np.inf):
         raise ParameterError(
             "cannot project (near-)zero or overflowing input onto the Nehari set")
-    lam = np.log(quad / nonlin) / (params.p - 1.0)
+    lam = float(np.log(quad / nonlin)) / (params.p - 1.0)
+    # P u's own terms are e^{2 lambda*} quad = e^{(p+1) lambda*} nonlin
+    if max(2.0 * lam + math.log(quad),
+           (params.p + 1.0) * lam + math.log(nonlin)) >= LOG_MAX:
+        raise ParameterError("the Nehari projection's terms overflow")
     return np.exp(lam) * u
 
 
@@ -117,8 +127,8 @@ def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
         return None, np.inf, None, None
     quad, nonlin, l2, _ = action_terms(cand, params, grid)
     J = 0.5 * quad - nonlin / (params.p + 1.0)
-    # a huge -gamma u(0)^2 makes exp(lambda*) huge, and P u's terms overflow;
-    # J is finite exactly when quad and nonlin are (and so ||P u||^2)
+    # nehari_project refuses P u whose terms overflow by their logs; J is
+    # finite exactly when quad and nonlin are (and so ||P u||^2)
     if not math.isfinite(J):
         return None, np.inf, None, None
     return cand, J, abs(quad - nonlin), l2

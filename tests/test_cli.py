@@ -439,6 +439,17 @@ def test_tiny_accepted_grid_runs_without_float_warnings(tmp_path, command, extra
     assert json.loads((out / f"{command}.json").read_text())["incomplete"] is False
 
 
+def test_overflowing_nehari_projection_exits_3_without_float_warnings(tmp_path):
+    """At gamma = -1e200 e^{lambda*} max|u| is finite but |P u|^{p+1} is
+    not: nehari_project refuses the projection from the logs of its terms,
+    before any array overflows (overflow raises here)."""
+    with np.errstate(over="raise", invalid="raise"):
+        code, out = run(tmp_path, "variational", "L = 10\nn = 101\ndt = 1e-110\n"
+                        "gamma = -1e200\ninit = q\nz = 3\n")
+    assert code == 3
+    assert json.loads((out / "variational.json").read_text())["incomplete"] is True
+
+
 _REAL_SOLVE = evolution.solve_tridiagonal
 
 
