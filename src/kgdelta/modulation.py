@@ -97,8 +97,7 @@ def fit_center(
 
     z = float(z_guess)
     for _ in range(FIT_MAX_ITER):
-        at_z = profiles.soliton_pair(x, z, sigma, p)
-        ref, (q_r, qd_r, _), left = at_z
+        ref, (q_r, qd_r, _), left = at_z = profiles.soliton_pair(x, z, sigma, p)
         w = v + 2.0 * alpha * (u - sign * ref)
         g_val = trapezoid(w * qd_r, grid)
         if abs(g_val) <= FIT_TOL:
@@ -156,8 +155,7 @@ def decompose(
     mu = MU_FACTOR * alpha
     con = profiles.spectral_constants(params)
     # each reference profile once: R(z) for eps, Q_pm^{p-1} for the potential
-    ref, (q_r, qd_r, lc_r), left = _profiles or profiles.soliton_pair(
-        grid.x, z, sigma, p)
+    ref, (q_r, qd_r, lc_r), left = _profiles or profiles.soliton_pair(grid.x, z, sigma, p)
     pot = p * q_r ** (p - 1.0)
     if sigma:
         pot = pot + p * left[0] ** (p - 1.0)

@@ -37,7 +37,6 @@ minimizer, and in the even sector it stops there: a pinned minimizer.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
 HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
 # log of the largest double: nehari_project refuses terms that reach it
-LOG_MAX = math.log(sys.float_info.max)
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -99,10 +98,9 @@ def reference_levels(params: PhysParams) -> dict:
 def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndarray:
     """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
 
-        lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1).
+        lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1),
 
-    Raises ParameterError when u's terms are zero or not finite, or when
-    those of exp(lambda*) u would overflow.
+    or raises ParameterError where u's terms or those of exp(lambda*) u overflow.
     """
     quad, nonlin, _, _ = action_terms(u, params, grid)
     # an overflowed term would make lambda* -inf (the zero function) or nan
@@ -111,8 +109,7 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
             "cannot project (near-)zero or overflowing input onto the Nehari set")
     lam = float(np.log(quad / nonlin)) / (params.p - 1.0)
     # P u's own terms are e^{2 lambda*} quad = e^{(p+1) lambda*} nonlin
-    if max(2.0 * lam + math.log(quad),
-           (params.p + 1.0) * lam + math.log(nonlin)) >= LOG_MAX:
+    if max(2 * lam + math.log(quad), (params.p + 1) * lam + math.log(nonlin)) >= LOG_MAX:
         raise ParameterError("the Nehari projection's terms overflow")
     return np.exp(lam) * u
 
