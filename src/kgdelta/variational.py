@@ -124,8 +124,8 @@ def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
         return None, np.inf, None, None
     quad, nonlin, l2, _ = action_terms(cand, params, grid)
     J = 0.5 * quad - nonlin / (params.p + 1.0)
-    # nehari_project refuses P u whose terms overflow by their logs; J is
-    # finite exactly when quad and nonlin are (and so ||P u||^2)
+    # J is finite exactly when quad and nonlin are (and so ||P u||^2); rounding
+    # can still overflow them just below nehari_project's LOG_MAX guard
     if not math.isfinite(J):
         return None, np.inf, None, None
     return cand, J, abs(quad - nonlin), l2
