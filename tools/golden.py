@@ -90,8 +90,11 @@ CASES = (
     ("variational-repulsive", "variational",
      {"L": 20, "n": 801, "init": "family", "varsigma": 1, "z": 4.5, "gamma": -2.5,
       "symmetry": "even"}),
+    # gamma = 1, non-integer p: stops at the pinned minimizer Q_gamma
+    ("variational-attractive", "variational",
+     {"L": 15, "n": 301, "init": "q", "z": 0.5, "gamma": 1, "p": 3.5}),
     # one interior unknown: 1x1 preconditioner solve
-    ("variational-n3", "variational", {"L": 1, "n": 3, "dt": 0.5}),
+    ("variational-n3","variational", {"L": 1, "n": 3, "dt": 0.5}),
     # config errors: the message, its line and exit 2 (keys are written sorted)
     ("config-unknown-key", "simulate", {"L": 20, "n": 401, "speed": 1}),
     ("config-cfl", "simulate", {"L": 10, "n": 201, "dt": 0.051}),
