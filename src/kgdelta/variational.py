@@ -95,6 +95,21 @@ def reference_levels(params: PhysParams) -> dict:
     return {"n_gamma": n_gamma, "r_gamma": r_gamma}
 
 
+def _nehari_lambda(quad: float, nonlin: float, p: float) -> float:
+    """lambda* = log(quad / nonlin) / (p-1) of a u whose action terms are
+    (quad, nonlin); raises ParameterError where those terms, or those of
+    exp(lambda*) u, overflow."""
+    # an overflowed term would make lambda* -inf (the zero function) or nan
+    if not (0.0 < nonlin < np.inf and 0.0 < quad < np.inf):
+        raise ParameterError(
+            "cannot project (near-)zero or overflowing input onto the Nehari set")
+    lam = float(np.log(quad / nonlin)) / (p - 1.0)
+    # P u's own terms are e^{2 lambda*} quad = e^{(p+1) lambda*} nonlin
+    if max(2 * lam + math.log(quad), (p + 1) * lam + math.log(nonlin)) >= LOG_MAX:
+        raise ParameterError("the Nehari projection's terms overflow")
+    return lam
+
+
 def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndarray:
     """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
 
@@ -103,32 +118,53 @@ def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndar
     or raises ParameterError where u's terms or those of exp(lambda*) u overflow.
     """
     quad, nonlin, _, _ = action_terms(u, params, grid)
-    # an overflowed term would make lambda* -inf (the zero function) or nan
-    if not (0.0 < nonlin < np.inf and 0.0 < quad < np.inf):
-        raise ParameterError(
-            "cannot project (near-)zero or overflowing input onto the Nehari set")
-    lam = float(np.log(quad / nonlin)) / (params.p - 1.0)
-    # P u's own terms are e^{2 lambda*} quad = e^{(p+1) lambda*} nonlin
-    if max(2 * lam + math.log(quad), (params.p + 1) * lam + math.log(nonlin)) >= LOG_MAX:
-        raise ParameterError("the Nehari projection's terms overflow")
-    return np.exp(lam) * u
+    return np.exp(_nehari_lambda(quad, nonlin, params.p)) * u
+
+
+def _score(v: np.ndarray, params: PhysParams, grid: GridSpec):
+    """(J_gamma(P v), lambda*) from v's own action terms, without forming P v;
+    (inf, None) where v cannot be projected or J is not finite."""
+    quad, nonlin, _, _ = action_terms(v, params, grid)
+    p = params.p
+    try:
+        lam = _nehari_lambda(quad, nonlin, p)
+        c = math.exp(lam)
+        # P v's terms c^2 quad and c^{p+1} nonlin, multiplied in an order
+        # whose partial products stay below P v's terms or v's
+        J = 0.5 * (c * quad * c) - c ** (p - 1.0) * nonlin * c * c / (p + 1.0)
+    except (ParameterError, OverflowError):
+        return np.inf, None
+    return (J, lam) if math.isfinite(J) else (np.inf, None)
+
+
+def _evaluated(w: np.ndarray, params: PhysParams, grid: GridSpec):
+    """(w, J_gamma, |K_gamma|, ||.||^2) of w from its own terms, each bitwise
+    what the public functionals give; J is inf where it is not finite."""
+    quad, nonlin, l2, _ = action_terms(w, params, grid)
+    J = 0.5 * quad - nonlin / (params.p + 1.0)
+    # J is finite exactly when quad and nonlin are (and so ||w||^2); rounding
+    # can still overflow them just below _nehari_lambda's LOG_MAX guard
+    if not math.isfinite(J):
+        return None, np.inf, None, None
+    return w, J, abs(quad - nonlin), l2
+
+
+def _accepted(v: np.ndarray, lam: float | None, params: PhysParams, grid: GridSpec):
+    """_evaluated of P v = exp(lambda*) v, given lambda* from v's score (None
+    where v cannot be projected)."""
+    if lam is None:
+        return None, np.inf, None, None
+    return _evaluated(np.exp(lam) * v, params, grid)
 
 
 def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
-    """(P u, J_gamma, |K_gamma|, ||.||^2) of the Nehari projection P u; J is
-    inf where u cannot be projected or P u's own terms are not finite, so
-    that such a candidate is never taken."""
+    """_evaluated of the Nehari projection P u, so that a candidate that
+    cannot be projected, or whose P u has no finite J, is never taken."""
     try:
         cand = nehari_project(u, params, grid)
     except ParameterError:
         return None, np.inf, None, None
-    quad, nonlin, l2, _ = action_terms(cand, params, grid)
-    J = 0.5 * quad - nonlin / (params.p + 1.0)
-    # J is finite exactly when quad and nonlin are (and so ||P u||^2); rounding
-    # can still overflow them just below nehari_project's LOG_MAX guard
-    if not math.isfinite(J):
-        return None, np.inf, None, None
-    return cand, J, abs(quad - nonlin), l2
+    return _evaluated(cand, params, grid)
 
 
 def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
@@ -244,7 +280,8 @@ def minimize_level(
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
     sub, main, sup = build_operator(grid, 0.0).interior_bands()
 
-    u, J_cur, K_cur, l2 = _projected(u, params, grid)
+    lam = _score(u, params, grid)[1]
+    u, J_cur, K_cur, l2 = _accepted(u, lam, params, grid)
     if u is None:
         raise ParameterError("cannot project u_init onto the Nehari set")
 
@@ -297,29 +334,32 @@ def minimize_level(
                 cand = u - s * g
                 if even:
                     cand = 0.5 * (cand + cand[::-1])
-                return _projected(cand, params, grid)
+                return (*_score(cand, params, grid), cand)
 
             # backtrack to a decrease, then expand while the decrease continues:
             # escape valleys flatten exponentially, so the accepted step must be
             # allowed to grow without bound or the iterates stall short of the
-            # drift/mass detectors.
+            # drift/mass detectors.  Trials are compared by their scores; only
+            # the accepted one is projected and evaluated.
             s = step
             trial = None
             while s > 1e-14:
                 cand = try_step(s)
-                if cand[1] < J_cur:
+                if cand[0] < J_cur:
                     trial = cand
                     break
                 s *= 0.5
             if trial is not None:
-                while s < 1e12 and (cand := try_step(2.0 * s))[1] < trial[1]:
+                while s < 1e12 and (cand := try_step(2.0 * s))[0] < trial[0]:
                     s *= 2.0
                     trial = cand
             else:
                 # line search exhausted: forced tiny step, counts toward divergence
                 trial = try_step(1e-14)
-                if trial[0] is None:
-                    break
+            _, lam, v = trial
+            trial = _accepted(v, lam, params, grid)
+            if trial[0] is None:
+                break
             J_new = trial[1]
 
             increases = increases + 1 if J_new >= J_cur else 0
