@@ -224,7 +224,8 @@ def evolve(
     integral 2*alpha*int ||u_t||^2 accumulates every
     step by the trapezoid rule in time.  A start whose E_gamma, K_gamma or
     ||(u, v)||_H is not finite raises ParameterError before any sample is
-    recorded; step failures become exit codes, never raises.
+    recorded; step failures become exit codes, never raises.  Neither prints
+    a floating-point warning.
     """
     _check_cfl(dt, grid, params)
     n = grid.n
@@ -242,76 +243,79 @@ def evolve(
     n_steps = max(0, int(round(steps)))
     t0 = state0.t
 
-    # the state and its scaled force at the current step and the next,
-    # swapped after every step
-    u = np.array(state0.u, dtype=float)
-    v = np.array(state0.v, dtype=float)
-    g = kernel.force(u, np.empty(n))
-    u1, v1, g1 = np.empty(n), np.empty(n), np.empty(n)
-    # the last recorded sample's state: the only state a run keeps
-    last_u, last_v = np.empty(n), np.empty(n)
-    final = None
+    # a state can overflow only where the start's finite check (in record(0))
+    # or the NonFinite exit detects it, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the state and its scaled force at the current step and the next,
+        # swapped after every step
+        u = np.array(state0.u, dtype=float)
+        v = np.array(state0.v, dtype=float)
+        g = kernel.force(u, np.empty(n))
+        u1, v1, g1 = np.empty(n), np.empty(n), np.empty(n)
+        # the last recorded sample's state: the only state a run keeps
+        last_u, last_v = np.empty(n), np.empty(n)
+        final = None
 
-    rows = []  # one row of the Trajectory's arrays per sample
-    damping_acc = 0.0
-    mass_acc = 0.0
-    exit_code = EXIT_COMPLETED
+        rows = []  # one row of the Trajectory's arrays per sample
+        damping_acc = 0.0
+        mass_acc = 0.0
+        exit_code = EXIT_COMPLETED
 
-    vsq = _dot_l2_sq(v, h)
-    usq = _dot_l2_sq(u, h)
+        vsq = _dot_l2_sq(v, h)
+        usq = _dot_l2_sq(u, h)
 
-    def record(k: int) -> bool:
-        nonlocal exit_code, final
-        e, kval, h1, l2_v = sample_functionals(u, v, params, grid)
-        norm = math.sqrt(h1 + l2_v)
-        if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
-                           and math.isfinite(norm)):
-            # a start whose functionals overflow has no dissipation ledger
-            raise ParameterError(
-                f"the initial state is not of finite energy: E = {e}, "
-                f"K = {kval}, ||(u, v)||_H = {norm}"
-            )
-        t = t0 + k * dt
-        rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
-                     math.sqrt(l2_v), float(u[center])))
-        np.copyto(last_u, u)
-        np.copyto(last_v, v)
-        final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
-        label = observer(final) if observer is not None else None
-        if label:
-            exit_code = label
-            return False
-        if _outer_energy(u, v, grid) > contamination_tol:
-            exit_code = EXIT_CONTAMINATION
-            return False
-        return True
+        def record(k: int) -> bool:
+            nonlocal exit_code, final
+            e, kval, h1, l2_v = sample_functionals(u, v, params, grid)
+            norm = math.sqrt(h1 + l2_v)
+            if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
+                               and math.isfinite(norm)):
+                # a start whose functionals overflow has no dissipation ledger
+                raise ParameterError(
+                    f"the initial state is not of finite energy: E = {e}, "
+                    f"K = {kval}, ||(u, v)||_H = {norm}"
+                )
+            t = t0 + k * dt
+            rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
+                         math.sqrt(l2_v), float(u[center])))
+            np.copyto(last_u, u)
+            np.copyto(last_v, v)
+            final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
+            label = observer(final) if observer is not None else None
+            if label:
+                exit_code = label
+                return False
+            if _outer_energy(u, v, grid) > contamination_tol:
+                exit_code = EXIT_CONTAMINATION
+                return False
+            return True
 
-    ok = record(0)
-    k = 0
-    while ok and k < n_steps:
-        sup = kernel.drift(u, v, g, u1)
-        if not math.isfinite(sup):
-            exit_code = EXIT_NONFINITE
-            break
-        kernel.kick(u, u1, g1, v1)
-        v1sq = _dot_l2_sq(v1, h)
-        u1sq = _dot_l2_sq(u1, h)
-        damping_acc += c_damp * (vsq + v1sq)
-        mass_acc += c_mass * (usq + u1sq)
-        u, u1 = u1, u
-        v, v1 = v1, v
-        g, g1 = g1, g
-        vsq, usq = v1sq, u1sq
-        k += 1
+        ok = record(0)
+        k = 0
+        while ok and k < n_steps:
+            sup = kernel.drift(u, v, g, u1)
+            if not math.isfinite(sup):
+                exit_code = EXIT_NONFINITE
+                break
+            kernel.kick(u, u1, g1, v1)
+            v1sq = _dot_l2_sq(v1, h)
+            u1sq = _dot_l2_sq(u1, h)
+            damping_acc += c_damp * (vsq + v1sq)
+            mass_acc += c_mass * (usq + u1sq)
+            u, u1 = u1, u
+            v, v1 = v1, v
+            g, g1 = g1, g
+            vsq, usq = v1sq, u1sq
+            k += 1
 
-        if sup > blowup_cap:
-            exit_code = EXIT_BLOWUP_CAP
-            record(k)  # the invariant wants the capped state on record
-            break
-        if k % snapshot_stride == 0 or k == n_steps:
-            ok = record(k)
+            if sup > blowup_cap:
+                exit_code = EXIT_BLOWUP_CAP
+                record(k)  # the invariant wants the capped state on record
+                break
+            if k % snapshot_stride == 0 or k == n_steps:
+                ok = record(k)
 
-    return Trajectory(*map(np.asarray, zip(*rows)), final=final, exit=exit_code)
+        return Trajectory(*map(np.asarray, zip(*rows)), final=final, exit=exit_code)
 
 
 @functools.cache

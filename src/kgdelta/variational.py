@@ -280,7 +280,9 @@ def minimize_level(
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
     sub, main, sup = build_operator(grid, 0.0).interior_bands()
 
-    lam = _score(u, params, grid)[1]
+    # u_init's own terms may overflow, and then the score refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _score(u, params, grid)[1]
     u, J_cur, K_cur, l2 = _accepted(u, lam, params, grid)
     if u is None:
         raise ParameterError("cannot project u_init onto the Nehari set")
