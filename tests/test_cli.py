@@ -450,6 +450,29 @@ def test_overflowing_nehari_projection_exits_3_without_float_warnings(tmp_path):
     assert json.loads((out / "variational.json").read_text())["incomplete"] is True
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, expected", [
+    # the golden simulate-nonfinite run: the state overflows, exit NonFinite
+    ("simulate", "L = 20\nn = 401\nT = 40\ninit = q\nz = 0.5\nscale = 1.5\n"
+                 "gamma = 0\nblowup_cap = 1e300\nsnapshot_stride = 7\n", 0),
+    # starts whose own terms overflow: refused before sample 0 or projection
+    ("simulate", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e80\n", 3),
+    ("track", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e200\n", 3),
+    ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n", 3),
+], ids=["simulate-nonfinite", "simulate-huge-scale", "track-huge-scale",
+        "variational-huge-scale"])
+def test_checked_overflows_print_no_float_warnings(tmp_path, command, text,
+                                                   expected):
+    """An overflow that a finite check or the NonFinite exit reports prints no
+    floating-point warning (raised as errors here)."""
+    code, out = run(tmp_path, command, text)
+    assert code == expected
+    blob = json.loads((out / f"{command}.json").read_text())
+    assert blob["incomplete"] is (expected == 3)
+    if expected == 0:
+        assert blob["exit"] == "NonFinite"
+
+
 _REAL_SOLVE = evolution.solve_tridiagonal
 
 

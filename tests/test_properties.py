@@ -1,12 +1,13 @@
 """Properties of the stepping kernel and the sample record over random
 (p, alpha, gamma, n, dt, stride) and random initial data, of linear runs at
-the stable step over random (gamma, h, dt), of the Nehari projection over
-random (p, gamma, n, u), and of the config schema over random valid
-configs."""
+the stable step over random (gamma, h, dt), of the Nehari projection and
+the descent's trial score over random (p, gamma, n, u), and of the config
+schema over random valid configs."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kgdelta.cli import RunConfig, echo_lines, parse_config
+from kgdelta.errors import ParameterError
 from kgdelta.evolution import evolve
 from kgdelta.field import (
     CFL,
@@ -14,6 +15,7 @@ from kgdelta.field import (
     State,
     build_operator,
     energy_E_gamma,
+    functional_J_gamma,
     functional_K_gamma,
     h1_sq,
     l2_sq,
@@ -22,7 +24,7 @@ from kgdelta.field import (
     norm_H,
     trapezoid,
 )
-from kgdelta.variational import nehari_project
+from kgdelta.variational import _score, nehari_project
 
 # small grids and short runs keep the whole module around a second; the
 # draws are derandomized so a failure reproduces on every run
@@ -195,6 +197,37 @@ def test_nehari_projection_is_idempotent(p, gamma, n, scale, center, seed):
     twice = nehari_project(once, params, grid)
     assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
     assert abs(functional_K_gamma(once, params, grid)) <= 1e-12 * h1_sq(once, grid)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(2.0, 10.0, exclude_min=True),
+       gamma=st.floats(-3.0, 2.0, exclude_max=True),
+       L=st.floats(5.0, 15.0), n=st.integers(1, 200).map(lambda k: 2 * k + 1),
+       bumps=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
+                                st.floats(0.3, 2.0)), min_size=1, max_size=3),
+       # moderate scales, and the zero, underflowing and overflowing ones
+       scale=st.one_of(st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+                       st.sampled_from([0.0, 1e-200, 1e80, 1e200])))
+def test_trial_score_is_the_projected_action(p, gamma, L, n, bumps, scale):
+    """The descent scores a trial v by J_gamma(P v) from v's own terms: it
+    agrees with the action of the projected array to 1e-13, and it is inf
+    exactly where v cannot be projected or P v's action is not finite."""
+    params = PhysParams(p=p, alpha=1.0, gamma=gamma)
+    grid = make_grid(L, n)
+    v = scale * sum(a * np.exp(-(((grid.x - c) / w) ** 2)) for a, c, w in bumps)
+    v[0] = v[-1] = 0.0
+    # the overflowing scales overflow u's own terms, as at a huge start
+    with np.errstate(over="ignore", invalid="ignore"):
+        score, lam = _score(v, params, grid)
+        try:
+            J = functional_J_gamma(nehari_project(v, params, grid), params, grid)
+        except ParameterError:
+            J = np.inf
+    if np.isfinite(J):
+        assert abs(score - J) <= 1e-13 * abs(J)
+        assert lam is not None
+    else:
+        assert score == np.inf and lam is None
 
 
 @st.composite

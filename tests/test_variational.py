@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from kgdelta import variational
 from kgdelta.errors import ParameterError, SingularSystemError
 from kgdelta.evolution import solve_tridiagonal
 from kgdelta.experiments import initial_family
@@ -312,6 +313,41 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
     assert h["K_residual"][-1] == abs(functional_K_gamma(u, par, grid))
     assert h["center_drift"][-1] == center_drift(u, grid)
     assert h["mass_near_origin"][-1] == mass_near_origin(u, grid)
+
+
+def test_descent_evaluates_only_accepted_trials(monkeypatch):
+    """One action_terms pass per scored trial, one per history row and two
+    per move candidate (its projection and its evaluation); an accepted
+    move's row is its candidate's evaluation.  Each trial used to take two
+    passes: its projection and the projected array's terms."""
+    counts = dict.fromkeys(("terms", "trials", "candidates", "moves"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(variational, fn.__name__, wrapped)
+
+    counting("terms", variational.action_terms)
+    counting("trials", variational._score)
+    counting("candidates", variational._projected)
+    doubling_move = variational._doubling_move
+
+    def counted_move(*args):
+        moved = doubling_move(*args)
+        counts["moves"] += moved is not None
+        return moved
+    monkeypatch.setattr(variational, "_doubling_move", counted_move)
+
+    # the golden variational-free descent: a slide that ends in an escape
+    grid = make_grid(15.0, 301)
+    rep = minimize_level(REP, grid, "none", soliton_Q(grid.x - 3.0, 3.0),
+                         max_iters=400)
+    rows = len(rep.history["iter"])
+    assert rep.escaped and counts["moves"] >= 1
+    assert counts["trials"] > 2 * rows  # the line search backtracks
+    assert counts["terms"] == (counts["trials"] + rows - counts["moves"]
+                               + 2 * counts["candidates"])
 
 
 def test_tridiagonal_solve_is_solve_banded_bitwise():
