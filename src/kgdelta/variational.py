@@ -54,7 +54,7 @@ DESCENT_TOL = 1e-9
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
 HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
-# log of the largest double: nehari_project refuses terms that reach it
+# log of the largest double: _nehari_lambda refuses terms that reach it
 LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -137,34 +137,21 @@ def _score(v: np.ndarray, params: PhysParams, grid: GridSpec):
     return (J, lam) if math.isfinite(J) else (np.inf, None)
 
 
-def _evaluated(w: np.ndarray, params: PhysParams, grid: GridSpec):
-    """(w, J_gamma, |K_gamma|, ||.||^2) of w from its own terms, each bitwise
-    what the public functionals give; J is inf where it is not finite."""
-    quad, nonlin, l2, _ = action_terms(w, params, grid)
+def _projected(v: np.ndarray, lam: float | None, params: PhysParams, grid: GridSpec):
+    """(P v, J_gamma, |K_gamma|, ||.||^2) of P v = exp(lambda*) v, given
+    lambda* from v's score, each from P v's own terms and so bitwise what the
+    public functionals give; J is inf where v cannot be projected (lambda* is
+    None) or P v's J is not finite, so that such a candidate is never taken."""
+    if lam is None:
+        return None, np.inf, None, None
+    cand = np.exp(lam) * v
+    quad, nonlin, l2, _ = action_terms(cand, params, grid)
     J = 0.5 * quad - nonlin / (params.p + 1.0)
-    # J is finite exactly when quad and nonlin are (and so ||w||^2); rounding
+    # J is finite exactly when quad and nonlin are (and so ||P v||^2); rounding
     # can still overflow them just below _nehari_lambda's LOG_MAX guard
     if not math.isfinite(J):
         return None, np.inf, None, None
-    return w, J, abs(quad - nonlin), l2
-
-
-def _accepted(v: np.ndarray, lam: float | None, params: PhysParams, grid: GridSpec):
-    """_evaluated of P v = exp(lambda*) v, given lambda* from v's score (None
-    where v cannot be projected)."""
-    if lam is None:
-        return None, np.inf, None, None
-    return _evaluated(np.exp(lam) * v, params, grid)
-
-
-def _projected(u: np.ndarray, params: PhysParams, grid: GridSpec):
-    """_evaluated of the Nehari projection P u, so that a candidate that
-    cannot be projected, or whose P u has no finite J, is never taken."""
-    try:
-        cand = nehari_project(u, params, grid)
-    except ParameterError:
-        return None, np.inf, None, None
-    return _evaluated(cand, params, grid)
+    return cand, J, abs(quad - nonlin), l2
 
 
 def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
@@ -234,7 +221,8 @@ def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
     J_best = J_cur
     k = 1
     while k < grid.center:
-        cand = _projected(move(k), params, grid)
+        v = move(k)
+        cand = _projected(v, _score(v, params, grid)[1], params, grid)
         if not cand[1] < J_best:
             break
         best, J_best = cand, cand[1]
@@ -283,7 +271,7 @@ def minimize_level(
     # u_init's own terms may overflow, and then the score refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _score(u, params, grid)[1]
-    u, J_cur, K_cur, l2 = _accepted(u, lam, params, grid)
+    u, J_cur, K_cur, l2 = _projected(u, lam, params, grid)
     if u is None:
         raise ParameterError("cannot project u_init onto the Nehari set")
 
@@ -359,7 +347,7 @@ def minimize_level(
                 # line search exhausted: forced tiny step, counts toward divergence
                 trial = try_step(1e-14)
             _, lam, v = trial
-            trial = _accepted(v, lam, params, grid)
+            trial = _projected(v, lam, params, grid)
             if trial[0] is None:
                 break
             J_new = trial[1]

@@ -316,29 +316,34 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
 
 
 def test_descent_evaluates_only_accepted_trials(monkeypatch):
-    """One action_terms pass per scored trial, one per history row and two
-    per move candidate (its projection and its evaluation); an accepted
-    move's row is its candidate's evaluation.  Each trial used to take two
-    passes: its projection and the projected array's terms."""
+    """One action_terms pass per scored trial (the start's score among
+    them), one per history row and two per move candidate (its score and
+    its evaluation), less one per accepted move, whose row is its
+    candidate's evaluation.  Each trial used to take two passes: its
+    projection and the projected array's terms."""
     counts = dict.fromkeys(("terms", "trials", "candidates", "moves"), 0)
-
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(variational, fn.__name__, wrapped)
-
-    counting("terms", variational.action_terms)
-    counting("trials", variational._score)
-    counting("candidates", variational._projected)
+    scored = ["trials"]  # what a _score call scores: a move's or a trial
+    action_terms, score = variational.action_terms, variational._score
     doubling_move = variational._doubling_move
 
+    def counted_terms(*args):
+        counts["terms"] += 1
+        return action_terms(*args)
+
+    def counted_score(*args):
+        counts[scored[0]] += 1
+        return score(*args)
+
     def counted_move(*args):
+        scored[0] = "candidates"
         moved = doubling_move(*args)
+        scored[0] = "trials"
         counts["moves"] += moved is not None
         return moved
-    monkeypatch.setattr(variational, "_doubling_move", counted_move)
 
+    monkeypatch.setattr(variational, "action_terms", counted_terms)
+    monkeypatch.setattr(variational, "_score", counted_score)
+    monkeypatch.setattr(variational, "_doubling_move", counted_move)
     # the golden variational-free descent: a slide that ends in an escape
     grid = make_grid(15.0, 301)
     rep = minimize_level(REP, grid, "none", soliton_Q(grid.x - 3.0, 3.0),
