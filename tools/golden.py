@@ -138,6 +138,8 @@ CASES = (
     # a node array larger than the address space: refused by make_grid (exit 3)
     ("simulate-huge-n", "simulate",
      {"L": 5e14, "n": 1000000000000001, "dt": 0.5, "T": 1}),
+    # the spacing 2L/(n-1) overflows to inf (exit 3)
+    ("simulate-huge-L", "simulate", {"L": 1e308, "n": 401, "T": 1}),
 )
 
 
