@@ -36,11 +36,10 @@ from .field import (
     State,
     diagnostics_MW,
     dt_bound_text,
+    dt_is_stable,
     make_grid,
-    max_stable_dt,
+    spacing,
 )
-
-_SYMMETRY_CHOICES = ("none", "even")
 
 
 def _rest_profile(x, params: PhysParams):
@@ -76,10 +75,6 @@ def _key(default, *rules, key: str | None = None):
     return field(default=default, metadata={"key": key, "rules": rules})
 
 
-def _h(c: dict) -> float:
-    return 2.0 * c["L"] / (c["n"] - 1)
-
-
 _POSITIVE = (lambda v, c: v > 0, "must be positive")
 _POSITIVE_GOT = (lambda v, c: v > 0, "must be positive, got {v}")
 # "not v < 0" rather than "v >= 0": these keys have always let nan through
@@ -101,8 +96,9 @@ class RunConfig:
     dt: float = _key(
         0.025,
         _POSITIVE_GOT,
-        (lambda v, c: not v > max_stable_dt(_h(c), c["gamma"]) * (1.0 + 1e-12),
-         lambda v, c: f"= {v} violates {dt_bound_text(_h(c), c['gamma'])}"),
+        (lambda v, c: dt_is_stable(v, spacing(c["L"], c["n"]), c["gamma"]),
+         lambda v, c: f"= {v} violates "
+                      f"{dt_bound_text(spacing(c['L'], c['n']), c['gamma'])}"),
     )
     T: float = _key(10.0, _NONNEGATIVE)
     snapshot_stride: int = _key(10, _AT_LEAST_1)
@@ -114,8 +110,8 @@ class RunConfig:
     z: float = _key(5.0, _POSITIVE_GOT)
     sign: int = _key(1, (lambda v, c: v in (-1, 1), "must be -1 or 1, got {v}"))
     scale: float = _key(1.0)
-    symmetry: str = _key("none", (lambda v, c: v in _SYMMETRY_CHOICES,
-                                  f"must be one of {_SYMMETRY_CHOICES}"))
+    symmetry: str = _key("none", (lambda v, c: v in variational.SYMMETRIES,
+                                  f"must be one of {variational.SYMMETRIES}"))
     lambda_lo: float = _key(-0.3, _UNIT_RANGE)
     lambda_hi: float = _key(
         0.3,

@@ -151,12 +151,9 @@ def classify_trajectory(
     cap/NonFinite confirmation.  Contamination before any certificate, or
     no certificate by T_max, yields Undetermined.
     """
-    if symmetry not in ("even", "none"):
-        raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
+    level = variational.sector_level(params, symmetry)
     if dt is None:
         dt = max_stable_dt(grid.h, params.gamma)
-    levels = variational.reference_levels(params)
-    level = levels["r_gamma"] if symmetry == "even" else levels["n_gamma"]
     threshold = level - CERT_MARGIN
 
     certificate = {

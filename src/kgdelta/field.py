@@ -37,59 +37,55 @@ from .profiles import PhysParams
 CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
 
 
+def spacing(L: float, n: int) -> float:
+    """The node spacing 2L/(n-1) of n nodes on [-L, L]."""
+    return 2.0 * L / (n - 1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric grid with an exact node at the origin."""
+    """Uniform symmetric grid of n nodes on [-L, L], with an exact node at the
+    origin; h, center and the nodes x follow from (L, n)."""
 
     L: float
     n: int
-    h: float
-    x: np.ndarray = field(repr=False)
-    center: int
+    h: float = field(init=False)
+    x: np.ndarray = field(init=False, repr=False)
+    center: int = field(init=False)
 
     def __post_init__(self):
-        n = self.n
+        L, n = self.L, self.n
         if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
             raise GridError(f"node count must be an odd integer >= 3, got {n!r}")
-        if not self.L > 0:
-            raise GridError(f"half-width L must be positive, got {self.L}")
-        if not abs(self.h - 2.0 * self.L / (n - 1)) <= 1e-12 * self.h:
-            raise GridError(f"spacing h = {self.h} does not equal 2L/(n-1) for "
-                            f"L = {self.L}, n = {n}")
+        if not L > 0:
+            raise GridError(f"half-width L must be positive, got {L}")
+        h = spacing(L, n)
+        if not math.isfinite(h):
+            raise GridError(f"half-width L = {L} is too large for n = {n}: "
+                            "the spacing h overflows")
         # build_operator's entries divide by h^2, and products of two of
         # them (in the solves of its bands) must stay finite as well
-        inv_h2 = 1.0 / (self.h * self.h) if self.h * self.h > 0.0 else np.inf
+        inv_h2 = 1.0 / (h * h) if h * h > 0.0 else np.inf
         if not np.isfinite(inv_h2):
-            raise GridError(f"spacing h = {self.h} is too small: 1/h^2 overflows")
+            raise GridError(f"spacing h = {h} is too small: 1/h^2 overflows")
         if not np.isfinite(inv_h2 * inv_h2):
-            raise GridError(f"spacing h = {self.h} is too small: (1/h^2)^2 overflows")
-        if self.center != (n - 1) // 2:
-            raise GridError(f"center index {self.center} is not (n-1)/2 for n = {n}")
-        x = self.x
-        if np.shape(x) != (n,):
-            raise GridError(f"node array has shape {np.shape(x)}, expected ({n},)")
-        if not np.allclose(x, self.h * (np.arange(n) - self.center),
-                           rtol=0.0, atol=1e-9 * self.L) or x[self.center] != 0.0:
-            raise GridError("nodes are not the uniform grid h*(j - center) "
-                            "with x = 0 at the center")
+            raise GridError(f"spacing h = {h} is too small: (1/h^2)^2 overflows")
+        center = (n - 1) // 2
+        try:
+            # x = h*(j - center) keeps the grid exactly reflection-antisymmetric
+            x = h * (np.arange(n, dtype=float) - center)
+        # numpy raises MemoryError for a node array it cannot allocate and
+        # ValueError for one whose size in bytes it cannot represent
+        except (MemoryError, ValueError) as exc:
+            raise GridError(f"cannot allocate {n} grid nodes: {exc}") from None
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "center", center)
 
 
 def make_grid(L: float, n: int) -> GridSpec:
     """Build the grid; n must be odd and >= 3 so the center node exists."""
-    if not L > 0:
-        raise GridError(f"half-width L must be positive, got {L}")
-    if n < 3 or n % 2 == 0:
-        raise GridError(f"node count must be odd and >= 3, got {n}")
-    h = 2.0 * L / (n - 1)
-    center = (n - 1) // 2
-    try:
-        # x = h*(j - center) keeps the grid exactly reflection-antisymmetric
-        x = h * (np.arange(n, dtype=float) - center)
-    # numpy raises MemoryError for a node array it cannot allocate and
-    # ValueError for one whose size in bytes it cannot represent
-    except (MemoryError, ValueError) as exc:
-        raise GridError(f"cannot allocate {n} grid nodes: {exc}") from None
-    return GridSpec(L=float(L), n=int(n), h=h, x=x, center=center)
+    return GridSpec(float(L), n)
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,11 @@ def max_stable_dt(h: float, gamma: float) -> float:
     """
     g = max(0.0, -gamma)
     return min(CFL * h, 2.0 * h / math.sqrt(4.0 + h * (h + g)))
+
+
+def dt_is_stable(dt: float, h: float, gamma: float) -> bool:
+    """Whether 0 < dt <= max_stable_dt(h, gamma), up to a relative 1e-12."""
+    return 0 < dt <= max_stable_dt(h, gamma) * (1.0 + 1e-12)
 
 
 def dt_bound_text(h: float, gamma: float) -> str:

@@ -53,6 +53,8 @@ DESCENT_TOL = 1e-9
 # a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
+# the two sectors: "none" is certified against n_gamma, "even" against r_gamma
+SYMMETRIES = ("none", "even")
 HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
 # log of the largest double: _nehari_lambda refuses terms that reach it
 LOG_MAX = math.log(np.finfo(float).max)
@@ -93,6 +95,14 @@ def reference_levels(params: PhysParams) -> dict:
     else:
         r_gamma = 2.0 * free_action
     return {"n_gamma": n_gamma, "r_gamma": r_gamma}
+
+
+def sector_level(params: PhysParams, symmetry: str) -> float:
+    """The reference level of a sector: n_gamma for symmetry "none", r_gamma
+    for "even"; raises ParameterError for any other symmetry."""
+    if symmetry not in SYMMETRIES:
+        raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
+    return reference_levels(params)["r_gamma" if symmetry == "even" else "n_gamma"]
 
 
 def _nehari_lambda(quad: float, nonlin: float, p: float) -> float:
@@ -249,8 +259,7 @@ def minimize_level(
     lowering J, on J increasing across 10 consecutive accepted steps
     (divergence abort), or at max_iters.
     """
-    if symmetry not in ("even", "none"):
-        raise ParameterError(f"symmetry must be 'even' or 'none', got {symmetry!r}")
+    reference = sector_level(params, symmetry)
     u = np.asarray(u_init, dtype=float).copy()
     if u.shape != grid.x.shape:
         raise ParameterError("u_init does not match the grid")
@@ -263,7 +272,6 @@ def minimize_level(
             raise ParameterError("even sector requires an even u_init")
         u = 0.5 * (u + u[::-1])
 
-    reference = reference_levels(params)["r_gamma" if even else "n_gamma"]
     operator = build_operator(grid, params.gamma)
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
     sub, main, sup = build_operator(grid, 0.0).interior_bands()

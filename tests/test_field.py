@@ -1,4 +1,6 @@
 """Grid, quadrature, norms and energies."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,25 +55,35 @@ def test_grid_validation():
 @pytest.mark.parametrize(
     "change",
     [
-        {"n": 400},  # even count: no center node
-        {"n": 401.0},  # not an integer
-        {"h": 0.2},  # spacing disagrees with 2L/(n-1)
-        {"center": 199},
-        {"x": np.linspace(-20.0, 20.0, 400)},  # wrong length
-        {"x": make_grid(20.0, 401).x + 0.05},  # shifted off the origin
-        {"L": -20.0, "h": -0.1},
-        # consistent, but 1/h^2 overflows
-        {"L": 1e-300, "h": 5e-303, "x": 5e-303 * (np.arange(401.0) - 200)},
-        # consistent, but (1/h^2)^2 overflows
-        {"L": 1e-140, "h": 5e-143, "x": 5e-143 * (np.arange(401.0) - 200)},
+        pytest.param({"n": 400}, id="change0"),  # even count: no center node
+        pytest.param({"n": 401.0}, id="change1"),  # not an integer
+        pytest.param({"L": -20.0}, id="change6"),
+        pytest.param({"L": 1e-300}, id="change7"),  # 1/h^2 overflows
+        pytest.param({"L": 1e-140}, id="change8"),  # (1/h^2)^2 overflows
     ],
 )
 def test_gridspec_rejects_inconsistent_fields(change):
-    good = make_grid(20.0, 401)
-    fields = {"L": good.L, "n": good.n, "h": good.h, "x": good.x, "center": good.center}
-    GridSpec(**fields)  # the consistent set is accepted
+    """GridSpec's only inputs are (L, n); h, center and x follow from them."""
+    fields = {"L": 20.0, "n": 401}
+    good = GridSpec(**fields)
+    assert (good.h, good.center) == (0.1, 200) and good.x.shape == (401,)
     with pytest.raises(GridError):
         GridSpec(**{**fields, **change})
+
+
+@pytest.mark.parametrize("L, n, message", [
+    # once an IndexError: a float count passed make_grid's own checks
+    (20.0, 401.0, r"node count must be an odd integer >= 3, got 401\.0"),
+    # once "spacing h ... does not equal 2L/(n-1)"
+    (20.0, 401.5, r"node count must be an odd integer >= 3, got 401\.5"),
+    # once a RuntimeWarning from inf * 0 at the center node
+    (1e308, 401, r"half-width L = 1e\+308 is too large for n = 401"),
+], ids=["float-n", "fractional-n", "huge-L"])
+def test_make_grid_refuses_outside_inputs_without_warning(L, n, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=message):
+            make_grid(L, n)
 
 
 def test_trapezoid_exact_on_linear():
