@@ -272,9 +272,11 @@ def diagnostics_MW(
     maintained by the evolution loop.
     """
     u0 = float(state.u[grid.center])
-    m_value = 0.5 * l2_sq(state.u, grid) + params.alpha * float(history)
+    l2_u = l2_sq(state.u, grid)
+    m_value = 0.5 * l2_u + params.alpha * float(history)
+    # h1_sq(u) + l2_sq(v), in its operation order
     w_value = (
-        0.5 * (h1_sq(state.u, grid) + l2_sq(state.v, grid))
+        0.5 * (gradient_sq(state.u, grid) + l2_u + l2_sq(state.v, grid))
         - 0.5 * params.gamma * u0 * u0
     )
     return {"M_value": m_value, "W_value": w_value}

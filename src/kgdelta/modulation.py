@@ -27,7 +27,7 @@ import numpy as np
 
 from . import profiles
 from .errors import NoConvergenceError, OutOfTubeError, ParameterError
-from .field import GridSpec, PhysParams, gradient_sq, h1_sq, l2_sq, trapezoid
+from .field import GridSpec, PhysParams, gradient_sq, l2_sq, trapezoid
 
 # the tube around the reference family that fit_center accepts, the weight of
 # the decaying modes in script_G, and the twist mu = MU_FACTOR * alpha of
@@ -167,7 +167,8 @@ def decompose(
     a_zero = trapezoid(eta * qd_r, grid)
 
     rho = 2.0 * alpha - mu
-    quad = gradient_sq(eps, grid) + trapezoid(
+    grad_eps = gradient_sq(eps, grid)
+    quad = grad_eps + trapezoid(
         (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
     )
     eps0 = float(eps[grid.center])
@@ -186,7 +187,8 @@ def decompose(
         script_E=script_E,
         # products, not Python-float powers, which raise OverflowError
         script_G=script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
-        eps_norm_H=float(np.sqrt(h1_sq(eps, grid) + l2_sq(eta, grid))),
+        # h1_sq(eps) + l2_sq(eta), in its operation order
+        eps_norm_H=float(np.sqrt(grad_eps + l2_sq(eps, grid) + l2_sq(eta, grid))),
         leading_term=leading,
         trace_term=trace,
         z_dot_predicted=leading + trace,

@@ -85,15 +85,12 @@ def _qgamma_action(params: PhysParams) -> float:
 def reference_levels(params: PhysParams) -> dict:
     """Closed-form levels {n_gamma, r_gamma} for the two sectors."""
     gamma = params.gamma
-    free_action = profiles.ground_state_action(params.p)
+    # gamma < 2 (PhysParams), so gamma >= 0 is the pinned case of both sectors
     if gamma >= 0.0:
-        n_gamma = _qgamma_action(params)
+        n_gamma = r_gamma = _qgamma_action(params)
     else:
-        n_gamma = free_action
-    if abs(gamma) < 2.0:
-        r_gamma = _qgamma_action(params)
-    else:
-        r_gamma = 2.0 * free_action
+        n_gamma = profiles.ground_state_action(params.p)
+        r_gamma = _qgamma_action(params) if gamma > -2.0 else 2.0 * n_gamma
     return {"n_gamma": n_gamma, "r_gamma": r_gamma}
 
 
