@@ -3,11 +3,13 @@
 the stable step over random (gamma, h, dt), of the Nehari projection and
 the descent's trial score over random (p, gamma, n, u), and of the config
 schema over random valid configs."""
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kgdelta.cli import RunConfig, echo_lines, parse_config
-from kgdelta.errors import ParameterError
+from kgdelta.errors import ConfigError, GridError, ParameterError
 from kgdelta.evolution import evolve
 from kgdelta.field import (
     CFL,
@@ -22,6 +24,7 @@ from kgdelta.field import (
     make_grid,
     max_stable_dt,
     norm_H,
+    spacing,
     trapezoid,
 )
 from kgdelta.variational import _score, nehari_project
@@ -154,6 +157,63 @@ def test_dt_bound_reads_the_operator_bands(log_h, k, gamma):
     assert abs(max_stable_dt(grid.h, gamma) - expect) <= 1e-15 * expect
 
 
+# L = +-m 10^k over every decade of the doubles, subnormals and overflow to
+# inf included; n an int, odd or even, or a float; about 1.5 s for both tests
+_HALF_WIDTHS = st.builds(lambda s, m, k: s * m * 10.0 ** k,
+                         st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+                         st.floats(1.0, 10.0, exclude_max=True), st.integers(-320, 308))
+_ODD = st.integers(1, 1200).map(lambda k: 2 * k + 1)
+_COUNTS = _ODD | _ODD | st.integers(3, 2401) | _ODD.map(float) | st.floats(3.0, 2401.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(L=_HALF_WIDTHS, n=_COUNTS)
+def test_make_grid_returns_the_exact_grid_or_refuses(L, n):
+    """make_grid raises GridError, or its grid has h = 2L/(n-1) and nodes
+    bitwise h*(j - center), exactly antisymmetric with x = 0 at the center;
+    it raises nothing else and prints no float warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = make_grid(L, n)
+        except GridError:
+            return
+    assert grid.h == 2.0 * L / (n - 1)
+    assert grid.x[grid.center] == 0.0
+    assert np.array_equal(grid.x, -grid.x[::-1])
+    expect = grid.h * (np.arange(n, dtype=float) - grid.center)
+    assert grid.x.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(L=st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0, exclude_max=True),
+                   st.integers(-3, 6)),
+       k=st.integers(1, 200),
+       gamma=st.floats(-3.0, 2.0, exclude_max=True)
+       | st.floats(0.0, 300.0).map(lambda e: -(10.0 ** e)))
+def test_config_accepts_a_dt_exactly_when_evolve_does(L, k, gamma):
+    """At the stable step's edge max_stable_dt * (1 + 1e-12) and at the next
+    float above it, parse_config and evolve take the same decision."""
+    n = 2 * k + 1
+    params, grid = PhysParams(p=3.0, alpha=1.0, gamma=gamma), make_grid(L, n)
+    edge = max_stable_dt(spacing(L, n), gamma) * (1.0 + 1e-12)
+    decisions = []
+    for dt in (edge, np.nextafter(edge, np.inf)):
+        try:
+            parse_config(f"L = {L!r}\nn = {n}\ngamma = {gamma!r}\ndt = {dt!r}\n")
+            config_accepts = True
+        except ConfigError:
+            config_accepts = False
+        try:
+            evolve(State(u=np.zeros(n), v=np.zeros(n)), 0.0, dt, params, grid)
+            evolve_accepts = True
+        except ParameterError:
+            evolve_accepts = False
+        assert config_accepts == evolve_accepts
+        decisions.append(evolve_accepts)
+    assert decisions == ([True, False] if edge > 0.0 else [False, False])
+
+
 @FAST
 @given(runs())
 def test_sample_record_matches_field_functionals(run):
@@ -265,7 +325,7 @@ def config_texts(draw):
     values = {**always, **{key: optional[key] for key in chosen}}
     # dt up to the stable step of the grid and of gamma, drawn or the default
     gamma = values.get("gamma", RunConfig().gamma)
-    values["dt"] = draw(unit) * max_stable_dt(2.0 * L / (n - 1), gamma)
+    values["dt"] = draw(unit) * max_stable_dt(spacing(L, n), gamma)
     lines = []
     for key in draw(st.permutations(sorted(values))):
         comment = "  # note" if draw(st.booleans()) else ""
