@@ -53,8 +53,7 @@ DESCENT_TOL = 1e-9
 # a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
-# the two sectors: "none" is certified against n_gamma, "even" against r_gamma
-SYMMETRIES = ("none", "even")
+SYMMETRIES = ("none", "even")  # the sectors of n_gamma and of r_gamma
 HISTORY_COLUMNS = ("iter", "J", "K_residual", "center_drift", "mass_near_origin")
 # log of the largest double: _nehari_lambda refuses terms that reach it
 LOG_MAX = math.log(np.finfo(float).max)
