@@ -274,6 +274,7 @@ def diagnostics_MW(
     u0 = float(state.u[grid.center])
     l2_u = l2_sq(state.u, grid)
     m_value = 0.5 * l2_u + params.alpha * float(history)
+    # h1_sq(u) + l2_sq(v), in its operation order
     w_value = (
         0.5 * (gradient_sq(state.u, grid) + l2_u + l2_sq(state.v, grid))
         - 0.5 * params.gamma * u0 * u0

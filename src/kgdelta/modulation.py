@@ -187,6 +187,7 @@ def decompose(
         script_E=script_E,
         # products, not Python-float powers, which raise OverflowError
         script_G=script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
+        # h1_sq(eps) + l2_sq(eta), in its operation order
         eps_norm_H=float(np.sqrt(grad_eps + l2_sq(eps, grid) + l2_sq(eta, grid))),
         leading_term=leading,
         trace_term=trace,
