@@ -255,7 +255,6 @@ def minimize_level(
     lowering J, on J increasing across 10 consecutive accepted steps
     (divergence abort), or at max_iters.
     """
-    reference = sector_level(params, symmetry)
     u = np.asarray(u_init, dtype=float).copy()
     if u.shape != grid.x.shape:
         raise ParameterError("u_init does not match the grid")
@@ -268,6 +267,7 @@ def minimize_level(
             raise ParameterError("even sector requires an even u_init")
         u = 0.5 * (u + u[::-1])
 
+    reference = sector_level(params, symmetry)
     operator = build_operator(grid, params.gamma)
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
     sub, main, sup = build_operator(grid, 0.0).interior_bands()
