@@ -79,6 +79,10 @@ CASES = (
     ("track-pair", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "family", "varsigma": 1,
       "z": 4.5, "gamma": -2.5, "snapshot_stride": 5}),
+    # nonlinearity = 0: the linear flow, in which the soliton disperses
+    ("track-linear", "track",
+     {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4,
+      "snapshot_stride": 5, "nonlinearity": 0}),
     ("variational-free", "variational",
      {"L": 15, "n": 301, "init": "q", "z": 3, "max_iters": 400}),
     ("variational-even", "variational",
@@ -140,6 +144,8 @@ CASES = (
      {"L": 5e14, "n": 1000000000000001, "dt": 0.5, "T": 1}),
     # the spacing 2L/(n-1) overflows to inf (exit 3)
     ("simulate-huge-L", "simulate", {"L": 1e308, "n": 401, "T": 1}),
+    # a node count beyond the float range (once raised OverflowError)
+    ("simulate-overflow-n", "simulate", {"L": 20, "n": 10**400 + 1, "T": 1}),
 )
 
 
