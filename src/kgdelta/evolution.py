@@ -19,7 +19,6 @@ PDE.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import profiles
-from .errors import GridError, NoConvergenceError, ParameterError, SingularSystemError
+from .errors import GridError, NoConvergenceError, ParameterError
 from .field import (
     DiscreteOperator,
     GridSpec,
@@ -315,51 +314,6 @@ def evolve(
         return Trajectory(*map(np.asarray, zip(*rows)), final=final, exit=exit_code)
 
 
-@functools.cache
-def _gtsv():
-    """LAPACK dgtsv, resolved once per process on the first solve.
-
-    It is the routine scipy.linalg.get_lapack_funcs(("gtsv",), ...) returns
-    for float64, loaded straight from SciPy's compiled `_flapack` extension:
-    importing the scipy.linalg package would take longer and hold more memory
-    than the rest of the program's startup, and only `kg variational` and the
-    `equilibrium` init solve tridiagonal systems.  No SciPy Python code runs;
-    the extension registers itself in sys.modules as scipy.linalg._flapack,
-    which a later `import scipy.linalg` reuses.  A missing SciPy or extension
-    raises ImportError.
-    """
-    import importlib.machinery
-    import importlib.util
-    import os
-
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("SciPy is not installed: no LAPACK gtsv for tridiagonal solves")
-    path = os.path.join(spec.submodule_search_locations[0], "linalg",
-                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if not os.path.isfile(path):
-        raise ImportError(f"SciPy's LAPACK extension {path} is missing")
-    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
-    flapack = loader.create_module(importlib.util.spec_from_loader(loader.name, loader))
-    loader.exec_module(flapack)
-    return flapack.dgtsv
-
-
-def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """x with T x = rhs, T tridiagonal with these diagonals: LAPACK gtsv on
-    copies of its inputs, bitwise what solve_banded((1, 1), ...) returns.  A
-    zero pivot raises SingularSystemError."""
-    if len(main) == 1:  # gtsv's wrapper refuses empty off-diagonals
-        if main[0] == 0.0:
-            raise SingularSystemError("singular tridiagonal system: zero pivot in row 1")
-        return rhs / main
-    _, _, _, x, info = _gtsv()(sub, main, sup, rhs)
-    if info > 0:
-        raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")
-    return x
-
-
 def discrete_stationary_profile(
     u_init: np.ndarray,
     params: PhysParams,
@@ -374,22 +328,18 @@ def discrete_stationary_profile(
     pinned at the Dirichlet value 0.
     """
     operator = build_operator(grid, params.gamma)
-    off, main, _ = operator.interior_bands()
     u = u_init.astype(float).copy()
     u[0] = 0.0
     u[-1] = 0.0
     for _ in range(PROFILE_MAX_ITER):
         res = operator.apply(u) - nonlinearity(u, params.p)
-        res[0] = 0.0
-        res[-1] = 0.0
         # applying A costs ~2/h^2 * eps * ||u|| of rounding, so on fine
         # grids the absolute tol is unreachable; accept that floor
         floor = (8.0 * np.finfo(float).eps * (-2.0 * operator.off_diag)
                  * float(np.max(np.abs(u))))
-        if float(np.max(np.abs(res))) < max(PROFILE_TOL, floor):
+        if float(np.max(np.abs(res[1:-1]))) < max(PROFILE_TOL, floor):
             return u
-        jac_main = main - params.p * np.abs(u[1:-1]) ** (params.p - 1.0)
-        u[1:-1] -= solve_tridiagonal(off, jac_main, off, res[1:-1])
+        u -= operator.solve(res, params.p * np.abs(u) ** (params.p - 1.0))
     raise NoConvergenceError(
         f"stationary-profile Newton did not reach {PROFILE_TOL} in "
         f"{PROFILE_MAX_ITER} iterations"

@@ -374,7 +374,7 @@ def track_center(
     report sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
     if states:
-        right = (states[0].u * sign)[grid.center:]
+        right = states[0].u[grid.center:]
         guess = float(grid.x[grid.center + int(np.argmax(np.abs(right)))])
 
     frames: list = []

@@ -14,11 +14,11 @@ Discretization conventions, used consistently by every module downstream:
 
   the gamma/h nodal correction being the first-order realization of the
   derivative jump u'(0+) - u'(0-) = -gamma u(0) forced by the delta
-  potential.  This module owns it: `build_operator` gives A, its
-  `interior_bands` are the tridiagonal systems other modules solve (the
-  Newton Jacobian of the stationary profile, the descent's H^1
-  preconditioner A at gamma = 0), and `max_stable_dt` is the leapfrog's
-  step bound from A's Gershgorin bound;
+  potential.  This module owns it: `build_operator` gives A, its `solve`
+  takes the Dirichlet systems (A - diag(s)) x = r that other modules pose
+  (the Newton step of the stationary profile, s = p|u|^(p-1); the descent's
+  H^1 preconditioner, A at gamma = 0 with s = 0) to LAPACK, and
+  `max_stable_dt` is the leapfrog's step bound from A's Gershgorin bound;
 * the H^1 gradient term is the staggered sum h * sum(((u_{j+1}-u_j)/h)^2),
   i.e. the Dirichlet form of A's 3-point Laplacian, so the discrete energy
   the stepper dissipates is the same quantity these functions report;
@@ -26,12 +26,13 @@ Discretization conventions, used consistently by every module downstream:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, SingularSystemError
 from .profiles import PhysParams
 
 CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
@@ -64,7 +65,7 @@ class GridSpec:
             raise GridError(f"half-width L = {L} is too large for n = {n}: "
                             "the spacing h overflows")
         # build_operator's entries divide by h^2, and products of two of
-        # them (in the solves of its bands) must stay finite as well
+        # them (in its solves) must stay finite as well
         inv_h2 = 1.0 / (h * h) if h * h > 0.0 else np.inf
         if not np.isfinite(inv_h2):
             raise GridError(f"spacing h = {h} is too small: 1/h^2 overflows")
@@ -106,11 +107,68 @@ class DiscreteOperator:
         out[-1] += self.off_diag * u[-2]
         return out
 
-    def interior_bands(self):
-        """(sub, main, super) diagonals of A on the interior nodes, Dirichlet
-        ends: the system a tridiagonal solve of A takes."""
-        off = np.full(len(self.diag) - 3, self.off_diag)
-        return off, self.diag[1:-1], off
+    @functools.cached_property
+    def _bands(self):
+        """(off-diagonal, main diagonal) of A on the interior nodes: the
+        Dirichlet system, built on the first solve."""
+        return np.full(len(self.diag) - 3, self.off_diag), self.diag[1:-1]
+
+    def solve(self, r: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        """x with (A - diag(s)) x = r on the interior nodes and x = 0 at both
+        walls, written into r and returned; s = None is s = 0.  r and s hold
+        one entry per node; their wall entries are not read.  A zero pivot
+        raises SingularSystemError."""
+        off, main = self._bands
+        if s is not None:
+            main = main - s[1:-1]
+        r[0] = r[-1] = 0.0
+        r[1:-1] = solve_tridiagonal(off, main, off, r[1:-1])
+        return r
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK dgtsv, resolved once per process on the first solve.
+
+    It is the routine scipy.linalg.get_lapack_funcs(("gtsv",), ...) returns
+    for float64, loaded straight from SciPy's compiled `_flapack` extension:
+    importing the scipy.linalg package would take longer and hold more memory
+    than the rest of the program's startup, and only `kg variational` and the
+    `equilibrium` init solve tridiagonal systems.  No SciPy Python code runs;
+    the extension registers itself in sys.modules as scipy.linalg._flapack,
+    which a later `import scipy.linalg` reuses.  A missing SciPy or extension
+    raises ImportError.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("SciPy is not installed: no LAPACK gtsv for tridiagonal solves")
+    path = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"SciPy's LAPACK extension {path} is missing")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+    flapack = loader.create_module(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
+def solve_tridiagonal(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """x with T x = rhs, T tridiagonal with these diagonals: LAPACK gtsv on
+    copies of its inputs, bitwise what solve_banded((1, 1), ...) returns.  A
+    zero pivot raises SingularSystemError."""
+    if len(main) == 1:  # gtsv's wrapper refuses empty off-diagonals
+        if main[0] == 0.0:
+            raise SingularSystemError("singular tridiagonal system: zero pivot in row 1")
+        return rhs / main
+    _, _, _, x, info = _gtsv()(sub, main, sup, rhs)
+    if info > 0:
+        raise SingularSystemError(f"singular tridiagonal system: zero pivot in row {info}")
+    return x
 
 
 def build_operator(grid: GridSpec, gamma: float) -> DiscreteOperator:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import profiles
 from .errors import ParameterError
-from .evolution import nonlinearity, solve_tridiagonal
+from .evolution import nonlinearity
 from .field import GridSpec, PhysParams, action_terms, build_operator, l2_sq, trapezoid
 
 ESCAPE_MASS_FRACTION = 0.05
@@ -172,14 +172,6 @@ def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
             grid.h * float(np.dot(inside, inside)) / l2)
 
 
-def center_drift(u: np.ndarray, grid: GridSpec) -> float:
-    return _detectors(u, l2_sq(u, grid), grid)[0]
-
-
-def mass_near_origin(u: np.ndarray, grid: GridSpec) -> float:
-    return _detectors(u, l2_sq(u, grid), grid)[1]
-
-
 def _escape_fired(drift: float, mass: float, grid: GridSpec) -> bool:
     return drift > grid.L / 3.0 or mass < ESCAPE_MASS_FRACTION
 
@@ -270,7 +262,7 @@ def minimize_level(
     reference = sector_level(params, symmetry)
     operator = build_operator(grid, params.gamma)
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
-    sub, main, sup = build_operator(grid, 0.0).interior_bands()
+    preconditioner = build_operator(grid, 0.0)
 
     # u_init's own terms may overflow, and then the score refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -309,9 +301,7 @@ def minimize_level(
             dJ = np.inf
             increases = 0
         else:
-            g = operator.apply(u) - nonlinearity(u, params.p)
-            g[0] = g[-1] = 0.0
-            g[1:-1] = solve_tridiagonal(sub, main, sup, g[1:-1])
+            g = preconditioner.solve(operator.apply(u) - nonlinearity(u, params.p))
 
             # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
             # so the step must track the inverse of the flattest curvature the

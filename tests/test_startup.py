@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import kgdelta
-from kgdelta import evolution
+from kgdelta import field
 
 SRC = str(Path(kgdelta.__file__).resolve().parent.parent)
 
@@ -35,7 +35,7 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
 import kgdelta.cli
-from kgdelta import evolution
+from kgdelta import field
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -46,7 +46,7 @@ for i, command in enumerate(sys.argv[3:]):
     argv = [command, "--config", str(work / f"{command}.cfg"),
             "--out", str(work / f"{i}-{command}")]
     report["ops"].append([kgdelta.cli.main(argv), scipy_modules()])
-report["gtsv_lookups"] = evolution._gtsv.cache_info().misses
+report["gtsv_lookups"] = field._gtsv.cache_info().misses
 print(json.dumps(report))
 """
 
@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 import kgdelta.cli
 from kgdelta.errors import SingularSystemError
-from kgdelta.evolution import solve_tridiagonal
+from kgdelta.field import solve_tridiagonal
 
 work = Path(sys.argv[2])
 report = {"exit": kgdelta.cli.main(["variational", "--config",
@@ -135,14 +135,14 @@ def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
     """No SciPy, or a SciPy without the LAPACK extension, is an ImportError."""
     empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     empty.submodule_search_locations = [str(tmp_path)]
-    evolution._gtsv.cache_clear()
+    field._gtsv.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(importlib.util, "find_spec", lambda name: empty)
             with pytest.raises(ImportError, match="_flapack"):
-                evolution._gtsv()
+                field._gtsv()
             m.setattr(importlib.util, "find_spec", lambda name: None)
             with pytest.raises(ImportError, match="not installed"):
-                evolution._gtsv()
+                field._gtsv()
     finally:
-        evolution._gtsv.cache_clear()
+        field._gtsv.cache_clear()

@@ -5,20 +5,20 @@ from scipy.linalg import solve_banded
 
 from kgdelta import variational
 from kgdelta.errors import ParameterError, SingularSystemError
-from kgdelta.evolution import solve_tridiagonal
 from kgdelta.experiments import initial_family
 from kgdelta.field import (
     PhysParams,
     build_operator,
     functional_J_gamma,
     functional_K_gamma,
+    l2_sq,
     make_grid,
+    solve_tridiagonal,
 )
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 from kgdelta.variational import (
     ESCAPE_MASS_FRACTION,
-    center_drift,
-    mass_near_origin,
+    _detectors,
     minimize_level,
     nehari_project,
     reference_levels,
@@ -311,8 +311,8 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
     h = rep.history
     assert h["J"][-1] == rep.level_estimate == functional_J_gamma(u, par, grid)
     assert h["K_residual"][-1] == abs(functional_K_gamma(u, par, grid))
-    assert h["center_drift"][-1] == center_drift(u, grid)
-    assert h["mass_near_origin"][-1] == mass_near_origin(u, grid)
+    assert (h["center_drift"][-1], h["mass_near_origin"][-1]) == _detectors(
+        u, l2_sq(u, grid), grid)
 
 
 def test_descent_evaluates_only_accepted_trials(monkeypatch):
@@ -356,15 +356,26 @@ def test_descent_evaluates_only_accepted_trials(monkeypatch):
 
 
 def test_tridiagonal_solve_is_solve_banded_bitwise():
+    """solve_tridiagonal, and the operator's Dirichlet solve with s = 0 (the
+    descent's preconditioner) and with a random s, are solve_banded bitwise;
+    the operator's solve leaves zero walls."""
     grid = _grid()
-    sub, main, sup = build_operator(grid, 0.0).interior_bands()
-    ab = np.zeros((3, main.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = sup, main, sub
+    operator = build_operator(grid, 0.0)
+    main = operator.diag[1:-1]
+    sub = sup = np.full(main.size - 1, operator.off_diag)
     rng = np.random.default_rng(11)
-    for _ in range(20):
+    for k in range(20):
+        s = rng.random(grid.n) if k % 2 else None
+        jac = main if s is None else main - s[1:-1]
+        ab = np.zeros((3, main.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, jac, sub
         b = rng.standard_normal(main.size) * 10.0 ** rng.uniform(-6, 6)
-        assert np.array_equal(solve_tridiagonal(sub, main, sup, b),
-                              solve_banded((1, 1), ab, b))
+        expected = solve_banded((1, 1), ab, b)
+        assert np.array_equal(solve_tridiagonal(sub, jac, sup, b), expected)
+        r = np.concatenate(([1.0], b, [-1.0]))
+        x = operator.solve(r, s)
+        assert x is r and x[0] == x[-1] == 0.0
+        assert np.array_equal(x[1:-1], expected)
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(sub, np.zeros_like(main), sup, np.ones(main.size))
     # one unknown (n = 3): empty off-diagonals
@@ -392,10 +403,13 @@ def test_escape_detectors():
     grid = _grid()
     q_centered = soliton_Q(grid.x, 3.0)
     q_far = soliton_Q(grid.x - 9.0, 3.0)
-    assert center_drift(q_centered, grid) < 1e-12
-    assert abs(center_drift(q_far, grid) - 9.0) < 0.05
-    assert mass_near_origin(q_centered, grid) > 0.99
-    assert mass_near_origin(q_far, grid) < 0.05
     pair = soliton_Q(grid.x - 9.0, 3.0) + soliton_Q(grid.x + 9.0, 3.0)
-    assert center_drift(pair, grid) < 1e-12  # even states never drift
-    assert mass_near_origin(pair, grid) < 0.05  # but they do vacate the window
+    drift, mass = _detectors(q_centered, l2_sq(q_centered, grid), grid)
+    assert drift < 1e-12
+    assert mass > 0.99
+    drift, mass = _detectors(q_far, l2_sq(q_far, grid), grid)
+    assert abs(drift - 9.0) < 0.05
+    assert mass < 0.05
+    drift, mass = _detectors(pair, l2_sq(pair, grid), grid)
+    assert drift < 1e-12  # even states never drift
+    assert mass < 0.05  # but they do vacate the window
