@@ -257,8 +257,16 @@ def _build_initial(cfg: RunConfig, params: PhysParams, grid: GridSpec) -> State:
     return State(u=_INITS[cfg.init](cfg, params, grid), v=np.zeros(grid.n))
 
 
-def cmd_profile(cfg: RunConfig, out: Path) -> None:
-    params, grid = cfg.params(), cfg.grid()
+def _evolve(cfg: RunConfig, params: PhysParams, grid: GridSpec, observer=None):
+    """The configured run: evolve from the configured start with the
+    config's T, dt, snapshot_stride, blowup_cap and nonlinearity switch."""
+    return evolve(_build_initial(cfg, params, grid), cfg.T, cfg.dt, params, grid,
+                  observer, snapshot_stride=cfg.snapshot_stride,
+                  blowup_cap=cfg.blowup_cap,
+                  with_nonlinearity=bool(cfg.nonlinearity))
+
+
+def cmd_profile(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
     x = grid.x
     columns = ["x", "Q", "Q_deriv", "phi"]
     data = [
@@ -288,19 +296,8 @@ def cmd_profile(cfg: RunConfig, out: Path) -> None:
     })
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    params, grid = cfg.params(), cfg.grid()
-    state0 = _build_initial(cfg, params, grid)
-    traj = evolve(
-        state0,
-        cfg.T,
-        cfg.dt,
-        params,
-        grid,
-        snapshot_stride=cfg.snapshot_stride,
-        blowup_cap=cfg.blowup_cap,
-        with_nonlinearity=bool(cfg.nonlinearity),
-    )
+def cmd_simulate(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
+    traj = _evolve(cfg, params, grid)
     _write_csv(
         out / "trajectory.csv",
         cfg,
@@ -325,8 +322,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     })
 
 
-def cmd_shoot(cfg: RunConfig, out: Path) -> None:
-    params, grid = cfg.params(), cfg.grid()
+def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
     res = experiments.bisect_threshold(
         cfg.varsigma,
         cfg.z,
@@ -373,20 +369,9 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> None:
     })
 
 
-def cmd_track(cfg: RunConfig, out: Path) -> None:
-    params, grid = cfg.params(), cfg.grid()
-    state0 = _build_initial(cfg, params, grid)
+def cmd_track(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
     states = []
-    traj = evolve(
-        state0,
-        cfg.T,
-        cfg.dt,
-        params,
-        grid,
-        observer=lambda sample: states.append(sample.copy()),
-        snapshot_stride=cfg.snapshot_stride,
-        blowup_cap=cfg.blowup_cap,
-    )
+    traj = _evolve(cfg, params, grid, lambda sample: states.append(sample.copy()))
     report = experiments.track_center(states, cfg.varsigma, cfg.sign, params, grid)
     rows = [
         (fr.t, fr.z, fr.a_plus, fr.a_minus, fr.a_zero, fr.script_E, fr.script_G,
@@ -412,8 +397,8 @@ def cmd_track(cfg: RunConfig, out: Path) -> None:
     })
 
 
-def cmd_variational(cfg: RunConfig, out: Path) -> None:
-    params, grid = cfg.params(), cfg.grid()
+def cmd_variational(cfg: RunConfig, params: PhysParams, grid: GridSpec,
+                    out: Path) -> None:
     u_init = _build_initial(cfg, params, grid).u
     rep = variational.minimize_level(params, grid, cfg.symmetry, u_init, cfg.max_iters)
     _write_csv(out / "iterates.csv", cfg, list(rep.history),
@@ -437,9 +422,10 @@ _RUNNERS = {
 
 
 def _run(command: str, cfg: RunConfig, out: Path) -> int:
-    """Run one subcommand into the existing directory out; its exit code."""
+    """Run one subcommand on the config's parameters and grid, built here
+    once, into the existing directory out; its exit code."""
     try:
-        _RUNNERS[command](cfg, out)
+        _RUNNERS[command](cfg, cfg.params(), cfg.grid(), out)
     except KgError as exc:
         _write_summary(out, command, cfg, {"incomplete": True, "error": str(exc)})
         print(f"{command} failed: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kgdelta import cli, evolution, field
+from kgdelta import cli, evolution, experiments, field
 from kgdelta.cli import _build_initial, echo_lines, main, parse_config
 from kgdelta.errors import ConfigError
 from kgdelta.field import make_grid
@@ -295,6 +295,32 @@ def test_track_artifacts(tmp_path):
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header.split(",")[0:2] == ["t", "z"]
     assert "relative_gap" in header
+
+
+def test_track_with_nonlinearity_0_steps_the_linear_flow(tmp_path, monkeypatch):
+    """nonlinearity = 0 switches the nonlinearity off in track as in simulate:
+    the states it fits are those of the linear flow, in which the soliton
+    disperses and only the first frame fits."""
+    text = ("L = 25\nn = 501\ndt = 0.05\nT = 6\ninit = q\nz = 4\n"
+            "snapshot_stride = 5\nnonlinearity = 0\n")
+    fitted = []
+    track_center = experiments.track_center
+
+    def recording_track_center(states, *args):
+        fitted.extend(states)
+        return track_center(states, *args)
+
+    monkeypatch.setattr(experiments, "track_center", recording_track_center)
+    code, out = run(tmp_path, "track", text)
+    assert code == 0
+    cfg = parse_config(text)
+    params, grid = cfg.params(), cfg.grid()
+    linear = evolution.evolve(
+        _build_initial(cfg, params, grid), cfg.T, cfg.dt, params, grid,
+        snapshot_stride=cfg.snapshot_stride, with_nonlinearity=False).final
+    assert fitted[-1].t == linear.t
+    assert np.array_equal(fitted[-1].u, linear.u)
+    assert json.loads((out / "track.json").read_text())["n_frames"] == 1
 
 
 def test_variational_artifacts(tmp_path):

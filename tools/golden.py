@@ -79,7 +79,8 @@ CASES = (
     ("track-pair", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "family", "varsigma": 1,
       "z": 4.5, "gamma": -2.5, "snapshot_stride": 5}),
-    # nonlinearity = 0: the linear flow, in which the soliton disperses
+    # nonlinearity = 0: the linear flow, in which the soliton disperses (once
+    # the nonlinear flow, 24 frames)
     ("track-linear", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4,
       "snapshot_stride": 5, "nonlinearity": 0}),
