@@ -31,6 +31,7 @@ from . import experiments, profiles, variational
 from .errors import ConfigError, KgError
 from .evolution import DEFAULT_CAP, EXIT_CONTAMINATION, discrete_stationary_profile, evolve
 from .field import (
+    MAX_NODES,
     GridSpec,
     PhysParams,
     State,
@@ -92,7 +93,8 @@ class RunConfig:
     gamma: float = _key(-1.0, (lambda v, c: v < 2, "must be below 2, got {v}"))
     L: float = _key(60.0, _POSITIVE_GOT)
     n: int = _key(2401, (lambda v, c: not (v < 3 or v % 2 == 0),
-                         "must be an odd count >= 3, got {v}"))
+                         "must be an odd count >= 3, got {v}"),
+                  (lambda v, c: v <= MAX_NODES, "must not exceed the largest float"))
     dt: float = _key(
         0.025,
         _POSITIVE_GOT,

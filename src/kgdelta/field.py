@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ from .errors import GridError, SingularSystemError
 from .profiles import PhysParams
 
 CFL = 0.5  # dt <= CFL * h: the Laplacian's part of max_stable_dt
+# the largest node count: spacing divides by n - 1, which must convert to a float
+MAX_NODES = sys.float_info.max
 
 
 def spacing(L: float, n: int) -> float:
@@ -58,6 +61,8 @@ class GridSpec:
         L, n = self.L, self.n
         if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
             raise GridError(f"node count must be an odd integer >= 3, got {n!r}")
+        if n > MAX_NODES:
+            raise GridError("node count n exceeds the largest float")
         if not L > 0:
             raise GridError(f"half-width L must be positive, got {L}")
         h = spacing(L, n)

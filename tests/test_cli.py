@@ -143,6 +143,16 @@ def test_simulate_with_nan_T_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_with_a_node_count_beyond_the_float_range_exits_2(tmp_path, capsys):
+    """Once an OverflowError traceback (exit 1) from the spacing in dt's rule."""
+    code, out = run(tmp_path, "simulate", f"L = 20\nn = {10**400 + 1}\nT = 1\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 2: n must not exceed the largest float\n"
+    assert not out.exists()
+
+
 def test_symmetry_and_init_whitelists():
     with pytest.raises(ConfigError):
         parse_config("symmetry = odd\n")

@@ -60,6 +60,8 @@ def test_grid_validation():
         pytest.param({"L": -20.0}, id="change6"),
         pytest.param({"L": 1e-300}, id="change7"),  # 1/h^2 overflows
         pytest.param({"L": 1e-140}, id="change8"),  # (1/h^2)^2 overflows
+        # n - 1 beyond the float range: once an OverflowError in spacing
+        pytest.param({"n": 10**400 + 1}, id="change9"),
     ],
 )
 def test_gridspec_rejects_inconsistent_fields(change):
@@ -78,7 +80,9 @@ def test_gridspec_rejects_inconsistent_fields(change):
     (20.0, 401.5, r"node count must be an odd integer >= 3, got 401\.5"),
     # once a RuntimeWarning from inf * 0 at the center node
     (1e308, 401, r"half-width L = 1e\+308 is too large for n = 401"),
-], ids=["float-n", "fractional-n", "huge-L"])
+    # once an OverflowError from spacing
+    (20.0, 10**400 + 1, "node count n exceeds the largest float"),
+], ids=["float-n", "fractional-n", "huge-L", "overflow-n"])
 def test_make_grid_refuses_outside_inputs_without_warning(L, n, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -145,7 +145,8 @@ CASES = (
      {"L": 5e14, "n": 1000000000000001, "dt": 0.5, "T": 1}),
     # the spacing 2L/(n-1) overflows to inf (exit 3)
     ("simulate-huge-L", "simulate", {"L": 1e308, "n": 401, "T": 1}),
-    # a node count beyond the float range (once raised OverflowError)
+    # a node count beyond the float range: refused on n's line (exit 2; once
+    # raised OverflowError)
     ("simulate-overflow-n", "simulate", {"L": 20, "n": 10**400 + 1, "T": 1}),
 )
 
