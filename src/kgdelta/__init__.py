@@ -4,11 +4,12 @@ with an attractive/repulsive delta potential at the origin:
     u_tt - u_xx + 2 alpha u_t + u - gamma delta_0 u = |u|^{p-1} u,
     p > 2, alpha > 0, gamma < 2.
 
-Submodules: closed-form soliton profiles (profiles), grid functionals and
-state I/O (field), the damped leapfrog evolution (evolution), modulation
-analysis around moving solitons (modulation), certified decay/blowup
-classification and threshold shooting (experiments), Nehari-level descent
-(variational), and the `kg` command line front-end (cli).
+Submodules: closed-form soliton profiles (profiles), the grid, the discrete
+operator with its solves and the grid functionals (field), the damped
+leapfrog evolution (evolution), modulation analysis around moving solitons
+(modulation), certified decay/blowup classification and threshold shooting
+(experiments), Nehari-level descent (variational), and the `kg` command
+line front-end (cli).
 """
 from .errors import (
     BracketError,
