@@ -61,6 +61,12 @@ CASES = (
     ("simulate-nonfinite", "simulate",
      {"L": 20, "n": 401, "T": 40, "init": "q", "z": 0.5, "scale": 1.5, "gamma": 0,
       "blowup_cap": 1e300, "snapshot_stride": 7}),
+    # the same two exits from an even start (scale * Q_gamma)
+    ("simulate-even-blowup", "simulate",
+     {"L": 20, "n": 401, "T": 40, "init": "qgamma", "scale": 1.5, "gamma": 0}),
+    ("simulate-even-nonfinite", "simulate",
+     {"L": 20, "n": 401, "T": 40, "init": "qgamma", "scale": 1.5, "gamma": 0,
+      "blowup_cap": 1e300, "snapshot_stride": 7}),
     ("simulate-contaminated", "simulate",
      {"L": 6, "n": 121, "T": 20, "init": "gaussian", "alpha": 0.01, "gamma": 0,
       "nonlinearity": 0}),
