@@ -59,10 +59,12 @@ class GridSpec:
 
     def __post_init__(self):
         L, n = self.L, self.n
-        if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
-            raise GridError(f"node count must be an odd integer >= 3, got {n!r}")
-        if n > MAX_NODES:
+        is_int = isinstance(n, (int, np.integer))
+        # before the message below: repr of an int of over 4300 digits raises
+        if is_int and n > MAX_NODES:
             raise GridError("node count n exceeds the largest float")
+        if not is_int or n < 3 or n % 2 == 0:
+            raise GridError(f"node count must be an odd integer >= 3, got {n!r}")
         if not L > 0:
             raise GridError(f"half-width L must be positive, got {L}")
         h = spacing(L, n)

@@ -62,6 +62,9 @@ def test_grid_validation():
         pytest.param({"L": 1e-140}, id="change8"),  # (1/h^2)^2 overflows
         # n - 1 beyond the float range: once an OverflowError in spacing
         pytest.param({"n": 10**400 + 1}, id="change9"),
+        # an even n whose repr exceeds the int-to-string digit limit: once a
+        # ValueError from the odd-count message
+        pytest.param({"n": 10**5000}, id="change10"),
     ],
 )
 def test_gridspec_rejects_inconsistent_fields(change):
@@ -82,7 +85,9 @@ def test_gridspec_rejects_inconsistent_fields(change):
     (1e308, 401, r"half-width L = 1e\+308 is too large for n = 401"),
     # once an OverflowError from spacing
     (20.0, 10**400 + 1, "node count n exceeds the largest float"),
-], ids=["float-n", "fractional-n", "huge-L", "overflow-n"])
+    # once a ValueError from formatting n in the odd-count message
+    (20.0, 10**5000, "node count n exceeds the largest float"),
+], ids=["float-n", "fractional-n", "huge-L", "overflow-n", "huge-even-n"])
 def test_make_grid_refuses_outside_inputs_without_warning(L, n, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
