@@ -130,6 +130,21 @@ def _dot_l2_sq(w: np.ndarray, h: float) -> float:
     return h * (float(np.dot(w, w)) - 0.5 * (w0 * w0 + w1 * w1))
 
 
+def _half_l2_sq(w: np.ndarray, h: float) -> float:
+    """_dot_l2_sq of an even array from its window w = [center - 1, n):
+    h (2 sum_{j > center} w_j^2 + w_center^2 - w_{n-1}^2), one np.dot."""
+    tail = w[2:]
+    wc, w1 = float(w[1]), float(w[-1])
+    return h * (2.0 * float(np.dot(tail, tail)) + wc * wc - w1 * w1)
+
+
+def _is_even(w: np.ndarray) -> bool:
+    """Whether w equals its reverse bit for bit: a -0.0 facing a 0.0 is not
+    even, since only a bitwise-even state provably stays so under the step."""
+    bits = w.view(np.uint64)
+    return bool(np.array_equal(bits, bits[::-1]))
+
+
 @dataclass
 class Sample(State):
     """A recorded state with the functionals evolve() computed for it."""
@@ -152,7 +167,8 @@ class Trajectory:
     accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in time over
     every step, not just the sampled ones), and mass_integrals the integral
     of ||u||^2 likewise; their per-step trapezoid norms come from one np.dot
-    each, so they agree with `field.l2_sq` to rounding.
+    each (over the right half, on an even run), so they agree with
+    `field.l2_sq` to rounding.
     energies[k] - energies[0] + damping[k] ~ 0 is the discrete version of
     the dissipation identity.  final is the last recorded sample; after a
     NonFinite exit that is the last sample recorded before the failed step.
@@ -221,6 +237,14 @@ def evolve(
     ||(u, v)||_H is not finite raises ParameterError before any sample is
     recorded; step failures become exit codes, never raises.  Neither prints
     a floating-point warning.
+
+    A start whose u and v each equal their reverse bit for bit stays so,
+    since A's symmetric grouping is exact; such a run steps the nodes
+    [center - 1, n) only, node center - 1 a ghost that copies center + 1
+    after every drift, and mirrors the right half into the left at each
+    sample.  Its samples, observer calls and exit are bitwise the full
+    grid's; only the damping and mass integrals, summed over the right
+    half, move in their last bits.
     """
     if not dt_is_stable(dt, grid.h, params.gamma):
         raise ParameterError(f"dt = {dt} violates {dt_bound_text(grid.h, params.gamma)}")
@@ -229,7 +253,7 @@ def evolve(
         raise GridError(
             f"sample counts {len(state0.u)}, {len(state0.v)} do not match grid n = {n}"
         )
-    kernel = _Leapfrog(build_operator(grid, params.gamma), params, dt, with_nonlinearity)
+    operator = build_operator(grid, params.gamma)
     h, center = grid.h, grid.center
     c_damp = 2.0 * params.alpha * dt * 0.5
     c_mass = dt * 0.5
@@ -242,12 +266,19 @@ def evolve(
     # a state can overflow only where the start's finite check (in record(0))
     # or the NonFinite exit detects it, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        # the state and its scaled force at the current step and the next,
-        # swapped after every step
         u = np.array(state0.u, dtype=float)
         v = np.array(state0.v, dtype=float)
-        g = kernel.force(u, np.empty(n))
-        u1, v1, g1 = np.empty(n), np.empty(n), np.empty(n)
+        # an even run steps the window [center - 1, n) of every buffer
+        even = _is_even(u) and _is_even(v)
+        lo = center - 1 if even else 0
+        kernel = _Leapfrog(DiscreteOperator(operator.diag[lo:], operator.off_diag),
+                           params, dt, with_nonlinearity)
+        l2_sq_step = _half_l2_sq if even else _dot_l2_sq
+        # the state and its scaled force at the current step and the next,
+        # swapped after every step
+        u, v = u[lo:], v[lo:]
+        g = kernel.force(u, np.empty(n - lo))
+        u1, v1, g1 = np.empty(n - lo), np.empty(n - lo), np.empty(n - lo)
         # the last recorded sample's state: the only state a run keeps
         last_u, last_v = np.empty(n), np.empty(n)
         final = None
@@ -257,12 +288,17 @@ def evolve(
         mass_acc = 0.0
         exit_code = EXIT_COMPLETED
 
-        vsq = _dot_l2_sq(v, h)
-        usq = _dot_l2_sq(u, h)
+        vsq = l2_sq_step(v, h)
+        usq = l2_sq_step(u, h)
 
         def record(k: int) -> bool:
             nonlocal exit_code, final
-            e, kval, h1, l2_v = sample_functionals(u, v, params, grid)
+            np.copyto(last_u[lo:], u)
+            np.copyto(last_v[lo:], v)
+            if even:  # the right half, mirrored
+                last_u[:center] = last_u[:center:-1]
+                last_v[:center] = last_v[:center:-1]
+            e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid)
             norm = math.sqrt(h1 + l2_v)
             if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
                                and math.isfinite(norm)):
@@ -273,15 +309,13 @@ def evolve(
                 )
             t = t0 + k * dt
             rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
-                         math.sqrt(l2_v), float(u[center])))
-            np.copyto(last_u, u)
-            np.copyto(last_v, v)
+                         math.sqrt(l2_v), float(last_u[center])))
             final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
             label = observer(final) if observer is not None else None
             if label:
                 exit_code = label
                 return False
-            if _outer_energy(u, v, grid) > contamination_tol:
+            if _outer_energy(last_u, last_v, grid) > contamination_tol:
                 exit_code = EXIT_CONTAMINATION
                 return False
             return True
@@ -293,9 +327,11 @@ def evolve(
             if not math.isfinite(sup):
                 exit_code = EXIT_NONFINITE
                 break
+            if even:
+                u1[0] = u1[2]  # the ghost
             kernel.kick(u, u1, g1, v1)
-            v1sq = _dot_l2_sq(v1, h)
-            u1sq = _dot_l2_sq(u1, h)
+            v1sq = l2_sq_step(v1, h)
+            u1sq = l2_sq_step(u1, h)
             damping_acc += c_damp * (vsq + v1sq)
             mass_acc += c_mass * (usq + u1sq)
             u, u1 = u1, u

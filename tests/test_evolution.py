@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from kgdelta import evolution
 from kgdelta.errors import ParameterError
 from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
@@ -124,6 +125,72 @@ def test_reflection_equivariance_exact():
     assert len(a) == len(b) == 11
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.u[::-1], sb.u)
+
+
+def _bitwise_even(w):
+    return w.tobytes() == w[::-1].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_even_starts_on_the_smallest_grids_equal_the_full_path(n, monkeypatch):
+    """At n = 3 the half-line window is the whole grid and its ghost is the
+    left wall; at n = 5 the ghost is the first interior node.  Both runs are
+    the full path's, state by state; the walls start nonzero."""
+    grid = make_grid(2.0, n)
+    rng = np.random.default_rng(n)
+    u0, v0 = 0.1 * rng.standard_normal((2, n))
+    start = State(u=u0 + u0[::-1], v=v0 + v0[::-1])
+    assert _bitwise_even(start.u) and _bitwise_even(start.v)
+    dt = max_stable_dt(grid.h, PAR_REP.gamma)
+    kw = dict(snapshot_stride=1, contamination_tol=np.inf)
+    half, half_s = _evolve_states(start, 30 * dt, dt, PAR_REP, grid, **kw)
+    monkeypatch.setattr(evolution, "_is_even", lambda w: False)
+    full, full_s = _evolve_states(start, 30 * dt, dt, PAR_REP, grid, **kw)
+    assert half.exit == full.exit == EXIT_COMPLETED and len(half_s) == len(full_s) == 31
+    for a, b in zip(half_s, full_s):
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+    for name in ("energies", "K_gamma", "norm_H"):
+        assert getattr(half, name).tobytes() == getattr(full, name).tobytes()
+    steps = np.arange(31)
+    for name in ("damping", "mass_integrals"):
+        a, b = getattr(half, name), getattr(full, name)
+        assert np.all(np.abs(a - b) <= 8.0 * np.finfo(float).eps * steps * b)
+
+
+def test_a_signed_zero_mismatch_takes_the_full_path(monkeypatch):
+    """A start even by value but with -0.0 facing 0.0 steps the full grid;
+    with the mismatch gone it steps the half-line."""
+    grid = make_grid(10.0, 201)
+    u0 = 0.5 * soliton_Q_gamma(grid.x, PAR_REP)
+    u0[0], u0[-1] = -0.0, 0.0
+    assert np.array_equal(u0, u0[::-1]) and not _bitwise_even(u0)
+    half_calls = []
+    half_l2_sq = evolution._half_l2_sq
+
+    def counted(w, h):
+        half_calls.append(len(w))
+        return half_l2_sq(w, h)
+
+    monkeypatch.setattr(evolution, "_half_l2_sq", counted)
+    evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.05, PAR_REP, grid)
+    assert half_calls == []
+    u0[0] = 0.0
+    evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.05, PAR_REP, grid)
+    assert half_calls and set(half_calls) == {grid.center + 2}
+
+
+def test_an_even_run_shows_its_observer_even_states():
+    """Through to the blowup cap, every sample an observer sees, and the
+    final one, is an exactly even array."""
+    grid = make_grid(20.0, 401)
+    u0 = 1.5 * soliton_Q_gamma(grid.x, PAR_FREE)
+    seen = []
+    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 40.0, 0.05, PAR_FREE, grid,
+                  observer=lambda s: seen.append(_bitwise_even(s.u)
+                                                 and _bitwise_even(s.v)))
+    assert traj.exit == EXIT_BLOWUP_CAP
+    assert len(seen) == len(traj.sample_times) > 2 and all(seen)
+    assert _bitwise_even(traj.final.u) and _bitwise_even(traj.final.v)
 
 
 def test_energy_decays_and_ledger_closes():

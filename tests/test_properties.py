@@ -1,13 +1,16 @@
 """Properties of the stepping kernel and the sample record over random
-(p, alpha, gamma, n, dt, stride) and random initial data, of linear runs at
-the stable step over random (gamma, h, dt), of the Nehari projection and
-the descent's trial score over random (p, gamma, n, u), and of the config
-schema over random valid configs."""
+(p, alpha, gamma, n, dt, stride) and random initial data (the half-line path
+of even starts among them), of linear runs at the stable step over random
+(gamma, h, dt), of the Nehari projection and the descent's trial score over
+random (p, gamma, n, u), and of the config schema over random valid
+configs."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgdelta import evolution
 from kgdelta.cli import RunConfig, echo_lines, parse_config
 from kgdelta.errors import ConfigError, GridError, ParameterError
 from kgdelta.evolution import evolve
@@ -87,6 +90,39 @@ def test_evolve_is_exactly_sign_and_reflection_equivariant(run):
     for (a, *_), (b, *_), (c, *_) in zip(base_s, flipped_s, mirrored_s):
         assert np.array_equal(b.u, -a.u) and np.array_equal(b.v, -a.v)
         assert np.array_equal(c.u, a.u[::-1]) and np.array_equal(c.v, a.v[::-1])
+
+
+def _bits(*values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@FAST
+@given(runs())
+def test_an_even_start_steps_on_the_half_line_bitwise(run):
+    """A bitwise-even start takes the half-line path: every observed state,
+    E, K, ||(u, v)||_H and the exit are bitwise the full-grid run's, and the
+    damping and mass integrals, whose per-step norms the half-line path sums
+    over the right half, agree to 8 eps per step taken."""
+    dt, state0 = run[2], run[-1]
+    u0, v0 = state0.u, state0.v
+    even = State(u=0.5 * (u0 + u0[::-1]), v=0.5 * (v0 + v0[::-1]))
+    assert evolution._is_even(even.u) and evolution._is_even(even.v)
+    half, half_s = _evolve_samples(run, even)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_is_even", lambda w: False)
+        full, full_s = _evolve_samples(run, even)
+    assert half.exit == full.exit and len(half_s) == len(full_s) >= 1
+    for (a, *fa), (b, *fb) in zip(half_s, full_s):
+        assert _bits(a.t, *fa) == _bits(b.t, *fb)
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+    for name in ("sample_times", "energies", "K_gamma", "norm_H", "norm_H1",
+                 "norm_L2_v", "u_center"):
+        assert getattr(half, name).tobytes() == getattr(full, name).tobytes()
+    steps = np.rint((full.sample_times - full.sample_times[0]) / dt)
+    eps = np.finfo(float).eps
+    for name in ("damping", "mass_integrals"):
+        a, b = getattr(half, name), getattr(full, name)
+        assert np.all(np.abs(a - b) <= 8.0 * eps * steps * np.abs(b))
 
 
 @FAST
