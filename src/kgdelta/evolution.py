@@ -239,11 +239,11 @@ def evolve(
     a floating-point warning.
 
     A start whose u and v each equal their reverse bit for bit stays so,
-    since A's symmetric grouping is exact; such a run steps the nodes
-    [center - 1, n) only, node center - 1 a ghost that copies center + 1
-    after every drift, and mirrors the right half into the left at each
-    sample.  Its samples, observer calls and exit are bitwise the full
-    grid's; only the damping and mass integrals, summed over the right
+    since A's symmetric grouping is exact.  Such a run steps only the nodes
+    [center - 1, n), where node center - 1 is a ghost that copies node
+    center + 1 after every drift, and at each sample mirrors the right half
+    into the left.  Its samples, observer calls and exit are bitwise the
+    full grid's; only the damping and mass integrals, summed over the right
     half, move in their last bits.
     """
     if not dt_is_stable(dt, grid.h, params.gamma):
@@ -277,8 +277,8 @@ def evolve(
         # the state and its scaled force at the current step and the next,
         # swapped after every step
         u, v = u[lo:], v[lo:]
-        g = kernel.force(u, np.empty(n - lo))
-        u1, v1, g1 = np.empty(n - lo), np.empty(n - lo), np.empty(n - lo)
+        g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
+        kernel.force(u, g)
         # the last recorded sample's state: the only state a run keeps
         last_u, last_v = np.empty(n), np.empty(n)
         final = None
