@@ -296,8 +296,8 @@ def evolve(
             np.copyto(last_u[lo:], u)
             np.copyto(last_v[lo:], v)
             if even:  # the right half, mirrored
-                last_u[:center] = last_u[:center:-1]
-                last_v[:center] = last_v[:center:-1]
+                last_u[:center] = u[:1:-1]
+                last_v[:center] = v[:1:-1]
             e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid)
             norm = math.sqrt(h1 + l2_v)
             if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
