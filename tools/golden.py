@@ -95,6 +95,10 @@ CASES = (
     ("variational-even", "variational",
      {"L": 15, "n": 301, "init": "family", "varsigma": 1, "z": 3.5,
       "symmetry": "even", "max_iters": 400}),
+    # the even descent from the prepared equilibrium (stops at r_gamma = 2.25)
+    ("variational-even-equilibrium", "variational",
+     {"L": 15, "n": 301, "init": "equilibrium", "symmetry": "even",
+      "max_iters": 400}),
     # free start on the pinned saddle Q_gamma, gamma = -1 (escapes at 4/3)
     ("variational-saddle", "variational", {"L": 15, "n": 601, "init": "qgamma"}),
     # gamma = -2.5 even pair (escapes at 2 J_0(Q) = 8/3)
