@@ -36,6 +36,7 @@ from .field import (
     build_operator,
     dt_bound_text,
     dt_is_stable,
+    is_even,
     max_stable_dt,
     norm_L2,
     sample_functionals,
@@ -136,13 +137,6 @@ def _half_l2_sq(w: np.ndarray, h: float) -> float:
     tail = w[2:]
     wc, w1 = float(w[1]), float(w[-1])
     return h * (2.0 * float(np.dot(tail, tail)) + wc * wc - w1 * w1)
-
-
-def _is_even(w: np.ndarray) -> bool:
-    """Whether w equals its reverse bit for bit: a -0.0 facing a 0.0 is not
-    even, since only a bitwise-even state provably stays so under the step."""
-    bits = w.view(np.uint64)
-    return bool(np.array_equal(bits, bits[::-1]))
 
 
 @dataclass
@@ -269,7 +263,7 @@ def evolve(
         u = np.array(state0.u, dtype=float)
         v = np.array(state0.v, dtype=float)
         # an even run steps the window [center - 1, n) of every buffer
-        even = _is_even(u) and _is_even(v)
+        even = is_even(u) and is_even(v)
         lo = center - 1 if even else 0
         kernel = _Leapfrog(DiscreteOperator(operator.diag[lo:], operator.off_diag),
                            params, dt, with_nonlinearity)
@@ -361,12 +355,14 @@ def discrete_stationary_profile(
     at the delta node, and the equilibrium is dynamically unstable, so any
     stationarity study must start from the discrete root rather than raw
     samples.  The Jacobian A - p|u|^(p-1) is tridiagonal; endpoints stay
-    pinned at the Dirichlet value 0.
+    pinned at the Dirichlet value 0.  From an even start every step mirrors
+    the right half into the left (the solve eliminates one way), so the
+    profile is exactly even and `evolve` steps it on the half-line.
     """
     operator = build_operator(grid, params.gamma)
     u = u_init.astype(float).copy()
-    u[0] = 0.0
-    u[-1] = 0.0
+    u[0] = u[-1] = 0.0
+    even = is_even(u)
     for _ in range(PROFILE_MAX_ITER):
         res = operator.apply(u) - nonlinearity(u, params.p)
         # applying A costs ~2/h^2 * eps * ||u|| of rounding, so on fine
@@ -376,6 +372,8 @@ def discrete_stationary_profile(
         if float(np.max(np.abs(res[1:-1]))) < max(PROFILE_TOL, floor):
             return u
         u -= operator.solve(res, params.p * np.abs(u) ** (params.p - 1.0))
+        if even:
+            u[:grid.center] = u[:grid.center:-1]
     raise NoConvergenceError(
         f"stationary-profile Newton did not reach {PROFILE_TOL} in "
         f"{PROFILE_MAX_ITER} iterations"

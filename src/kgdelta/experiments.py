@@ -3,11 +3,11 @@ shooting over the scaled soliton family, and center tracking against the
 half-log law.
 
 Classification is by energy-level certificate: once the (dissipating) energy
-E_gamma drops below the sector's ground-state level minus a safety margin,
-the sign of K_gamma decides the fate — K >= 0 decays to zero, K < 0 blows up
-in finite time.  The margin CERT_MARGIN absorbs quadrature error in both
-functionals; a BlowsUp certificate is additionally confirmed by the run
-hitting the amplitude cap (or leaving floats) afterwards.
+E_gamma drops below the ground-state level of the start's sector minus a
+safety margin, the sign of K_gamma decides the fate — K >= 0 decays to zero,
+K < 0 blows up in finite time.  The margin CERT_MARGIN absorbs quadrature
+error in both functionals; a BlowsUp certificate is additionally confirmed
+by the run hitting the amplitude cap (or leaving floats) afterwards.
 
 The shooting family is u = e^lambda (Q(. - z) + varsigma Q(. + z)), v = 0;
 a search over lambda locates the threshold lambda* between the two fates.
@@ -37,7 +37,7 @@ from .evolution import (
     Trajectory,
     evolve,
 )
-from .field import GridSpec, PhysParams, State, max_stable_dt
+from .field import GridSpec, PhysParams, State, is_even, max_stable_dt
 
 DECAYS = "Decays"
 BLOWS_UP = "BlowsUp"
@@ -137,20 +137,21 @@ def classify_trajectory(
     params: PhysParams,
     grid: GridSpec,
     T_max: float,
-    symmetry: str = "none",
     *,
     dt: float | None = None,
     blowup_cap: float = DEFAULT_CAP,
 ) -> ShotOutcome:
     """Evolve until an energy-level certificate decides the fate.
 
-    The level is n_gamma (free) or r_gamma (symmetry="even"); CERT_MARGIN is
+    The level is r_gamma when the start's u and v are even bit for bit
+    (`field.is_even`: the run then stays even), else n_gamma; CERT_MARGIN is
     subtracted before comparison with the energy of every sample (every 10
     steps, `evolve`'s default).  Decays ends the run at the certificate
     sample with the exit "CertifiedDecay"; BlowsUp waits for the
     cap/NonFinite confirmation.  Contamination before any certificate, or
     no certificate by T_max, yields Undetermined.
     """
+    symmetry = "even" if is_even(state0.u) and is_even(state0.v) else "none"
     level = variational.sector_level(params, symmetry)
     if dt is None:
         dt = max_stable_dt(grid.h, params.gamma)
@@ -243,6 +244,8 @@ def bisect_threshold(
 
     Every probe is classified by its energy certificate, so both ends of the
     bracket stay certified; only the choice of the next lambda is steered.
+    Its level follows from its data: an even pair (varsigma = 1) is bitwise
+    even and certified against r_gamma, a single soliton against n_gamma.
     Near the threshold K_gamma(T_s; lambda) is smooth in lambda with a slope
     growing like e^{nu_+ T_s}, while K(T_s; lambda*) stays near the
     soliton's value 0, so the zero of the secant through two probes' K at a
@@ -267,21 +270,13 @@ def bisect_threshold(
         raise ParameterError(f"varsigma must be 0 or 1, got {varsigma}")
     if not lambda_lo < lambda_hi:
         raise BracketError(f"empty bracket [{lambda_lo}, {lambda_hi}]")
-    symmetry = "even" if varsigma == 1 else "none"
 
     def probe(lam: float, horizon: float) -> ShotOutcome:
         state0 = initial_family(lam, varsigma, z, grid, params)
         if sign == -1:
             state0 = State(u=-state0.u, v=-state0.v, t=state0.t)
-        return classify_trajectory(
-            state0,
-            params,
-            grid,
-            horizon,
-            symmetry,
-            dt=dt,
-            blowup_cap=blowup_cap,
-        )
+        return classify_trajectory(state0, params, grid, horizon, dt=dt,
+                                   blowup_cap=blowup_cap)
 
     probes: list = []
 

@@ -22,7 +22,8 @@ Discretization conventions, used consistently by every module downstream:
 * the H^1 gradient term is the staggered sum h * sum(((u_{j+1}-u_j)/h)^2),
   i.e. the Dirichlet form of A's 3-point Laplacian, so the discrete energy
   the stepper dissipates is the same quantity these functions report;
-* the delta term is the exact nodal trace u(0), no smearing.
+* the delta term is the exact nodal trace u(0), no smearing;
+* a state is even when it equals its reverse bit for bit (`is_even`).
 """
 from __future__ import annotations
 
@@ -94,6 +95,13 @@ class GridSpec:
 def make_grid(L: float, n: int) -> GridSpec:
     """Build the grid; n must be odd and >= 3 so the center node exists."""
     return GridSpec(float(L), n)
+
+
+def is_even(w) -> bool:
+    """Whether w, as float64, equals its reverse bit for bit (a -0.0 facing a
+    0.0 does not): only such a state provably stays even under the step."""
+    bits = np.asarray(w, dtype=float).view(np.uint64)
+    return bool(np.array_equal(bits, bits[::-1]))
 
 
 @dataclass(frozen=True)

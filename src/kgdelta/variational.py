@@ -44,7 +44,8 @@ import numpy as np
 from . import profiles
 from .errors import ParameterError
 from .evolution import nonlinearity
-from .field import GridSpec, PhysParams, action_terms, build_operator, l2_sq, trapezoid
+from .field import (GridSpec, PhysParams, action_terms, build_operator, is_even,
+                    l2_sq, trapezoid)
 
 ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
@@ -239,8 +240,9 @@ def minimize_level(
 ) -> MinimizationReport:
     """Projected descent for J_gamma on the Nehari set.
 
-    symmetry "even" restricts to the even sector (iterates symmetrized every
-    step, reference level r_gamma); "none" minimizes freely against n_gamma.
+    symmetry "even" restricts to the even sector (u_init even bit for bit,
+    `field.is_even`, else ParameterError; trial steps symmetrized; reference
+    level r_gamma); "none" minimizes freely against n_gamma.
     An accepted translation move (tried once |Delta J| < SLIDE_FACTOR * tol)
     or saddle move (see the module docstring) is one iteration and one
     history row of its own.  Stops on escape, at |Delta J| < tol with no move
@@ -253,11 +255,8 @@ def minimize_level(
     if not np.any(u):
         raise ParameterError("u_init must be nonzero")
     even = symmetry == "even"
-    if even:
-        asym = float(np.max(np.abs(u - u[::-1])))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(u)))):
-            raise ParameterError("even sector requires an even u_init")
-        u = 0.5 * (u + u[::-1])
+    if even and not is_even(u):
+        raise ParameterError("even sector requires a u_init even bit for bit")
 
     reference = sector_level(params, symmetry)
     operator = build_operator(grid, params.gamma)

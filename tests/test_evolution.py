@@ -144,7 +144,7 @@ def test_even_starts_on_the_smallest_grids_equal_the_full_path(n, monkeypatch):
     dt = max_stable_dt(grid.h, PAR_REP.gamma)
     kw = dict(snapshot_stride=1, contamination_tol=np.inf)
     half, half_s = _evolve_states(start, 30 * dt, dt, PAR_REP, grid, **kw)
-    monkeypatch.setattr(evolution, "_is_even", lambda w: False)
+    monkeypatch.setattr(evolution, "is_even", lambda w: False)
     full, full_s = _evolve_states(start, 30 * dt, dt, PAR_REP, grid, **kw)
     assert half.exit == full.exit == EXIT_COMPLETED and len(half_s) == len(full_s) == 31
     for a, b in zip(half_s, full_s):
@@ -191,6 +191,23 @@ def test_an_even_run_shows_its_observer_even_states():
     assert traj.exit == EXIT_BLOWUP_CAP
     assert len(seen) == len(traj.sample_times) > 2 and all(seen)
     assert _bitwise_even(traj.final.u) and _bitwise_even(traj.final.v)
+
+
+@pytest.mark.parametrize("p, gamma", [(3.5, -1.0), (3.0, -1.0), (3.0, 0.5)])
+def test_the_stationary_profile_of_an_even_start_is_even(p, gamma, monkeypatch):
+    """The Newton's one-way solves once broke an even start's evenness (by up
+    to 5e-15 at these points); mirroring each step keeps the profile even bit
+    for bit, and evolve steps it on the half-line."""
+    grid = make_grid(20.0, 401)
+    par = PhysParams(p=p, alpha=1.0, gamma=gamma)
+    u_eq = discrete_stationary_profile(soliton_Q_gamma(grid.x, par), par, grid)
+    assert _bitwise_even(u_eq)
+    half_calls = []
+    half_l2_sq = evolution._half_l2_sq
+    monkeypatch.setattr(evolution, "_half_l2_sq",
+                        lambda w, h: half_calls.append(len(w)) or half_l2_sq(w, h))
+    evolve(State(u=u_eq, v=np.zeros(grid.n)), 1.0, 0.05, par, grid)
+    assert half_calls and set(half_calls) == {grid.center + 2}
 
 
 def test_energy_decays_and_ledger_closes():

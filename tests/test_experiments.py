@@ -16,6 +16,7 @@ from kgdelta.experiments import (
 )
 from kgdelta.field import PhysParams, State, energy_E_gamma, make_grid
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
+from kgdelta.variational import reference_levels
 
 PAR0 = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)
@@ -98,6 +99,40 @@ def test_discrete_equilibrium_stays_undetermined():
     out = classify_trajectory(State(u=u_eq, v=np.zeros(grid.n)), PAR_REP, grid, 20.0)
     assert out.classification == UNDETERMINED
     assert np.isnan(out.certificate_time)
+
+
+def test_the_certificate_reads_its_sector_from_the_start():
+    """r_gamma certifies exactly the starts whose u and v are even bit for
+    bit; the same u shifted by one node, or with a -0.0 facing a 0.0 at the
+    walls, is certified against n_gamma."""
+    grid = make_grid(20.0, 401)
+    levels = reference_levels(PAR_REP)
+    u = 0.5 * soliton_Q_gamma(grid.x, PAR_REP)
+    shifted = np.concatenate(([0.0], u[:-1]))
+    signed = u.copy()
+    signed[0], signed[-1] = -0.0, 0.0
+    for u0, sector in ((u, "even"), (shifted, "none"), (signed, "none")):
+        out = classify_trajectory(State(u=u0, v=np.zeros(grid.n)), PAR_REP, grid, 5.0)
+        level = levels["r_gamma" if sector == "even" else "n_gamma"]
+        assert out.certificate["symmetry"] == sector
+        assert out.certificate["level_used"] == level
+
+
+def test_a_pushed_soliton_blows_up_in_the_free_sector():
+    """A soliton pushed off the origin is not even, so its level is n_gamma:
+    its energy is above n_gamma at t = 0 (though below r_gamma), and the run
+    goes on to the cap.  No caller can name its sector: a symmetry flag of
+    "even" once certified this start Decays at t = 0."""
+    grid = make_grid(20.0, 401)
+    u = 0.9 * soliton_Q(grid.x - 5.0, 3.0)
+    start = State(u=u, v=0.6 * u)
+    with pytest.raises(TypeError):
+        classify_trajectory(start, PAR_REP, grid, 60.0, "even", dt=0.05)
+    out = classify_trajectory(start, PAR_REP, grid, 60.0, dt=0.05)
+    assert out.classification == BLOWS_UP
+    assert out.certificate["level_used"] == reference_levels(PAR_REP)["n_gamma"]
+    assert out.certificate_time > 0.0
+    assert out.trajectory.exit == EXIT_BLOWUP_CAP
 
 
 def test_confirmed_decay_norm_collapses():

@@ -15,6 +15,7 @@ from kgdelta.field import (
     functional_K_gamma,
     gradient_sq,
     h1_sq,
+    is_even,
     l2_sq,
     make_grid,
     norm_H,
@@ -93,6 +94,15 @@ def test_make_grid_refuses_outside_inputs_without_warning(L, n, message):
         warnings.simplefilter("error")
         with pytest.raises(GridError, match=message):
             make_grid(L, n)
+
+
+def test_is_even_compares_the_float64_bits():
+    assert is_even([1, 2, 1]) and is_even(np.array([0.5])) and is_even([])
+    assert not is_even([1.0, 2.0, np.nextafter(1.0, 2.0)])
+    assert not is_even([-0.0, 1.0, 0.0])  # equal by value, not by bits
+    assert is_even([np.nan, 1.0, np.nan])  # the same nan bits
+    u = np.arange(5.0)
+    assert is_even(u + u[::-1]) and is_even((u + u[::-1])[::2])
 
 
 def test_trapezoid_exact_on_linear():

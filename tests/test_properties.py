@@ -106,10 +106,10 @@ def test_an_even_start_steps_on_the_half_line_bitwise(run):
     dt, state0 = run[2], run[-1]
     u0, v0 = state0.u, state0.v
     even = State(u=0.5 * (u0 + u0[::-1]), v=0.5 * (v0 + v0[::-1]))
-    assert evolution._is_even(even.u) and evolution._is_even(even.v)
+    assert evolution.is_even(even.u) and evolution.is_even(even.v)
     half, half_s = _evolve_samples(run, even)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_is_even", lambda w: False)
+        mp.setattr(evolution, "is_even", lambda w: False)
         full, full_s = _evolve_samples(run, even)
     assert half.exit == full.exit and len(half_s) == len(full_s) >= 1
     for (a, *fa), (b, *fb) in zip(half_s, full_s):

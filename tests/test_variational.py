@@ -166,6 +166,17 @@ def test_minimize_guards():
         minimize_level(P3, grid, "even", soliton_Q(grid.x - 3.0, 3.0))
 
 
+def test_the_even_sector_refuses_a_start_one_ulp_from_even():
+    """The even descent takes its start as it is: even bit for bit, or
+    refused (a start within 1e-12 of even was once averaged)."""
+    grid = _grid()
+    u = soliton_Q_gamma(grid.x, REP)
+    minimize_level(REP, grid, "even", u, max_iters=1)
+    u[grid.center + 3] = np.nextafter(u[grid.center + 3], np.inf)
+    with pytest.raises(ParameterError, match="even"):
+        minimize_level(REP, grid, "even", u)
+
+
 def test_even_sector_converges_to_pinned_level():
     grid = _grid()
     rng = np.random.default_rng(5)
