@@ -157,12 +157,12 @@ class Trajectory:
     ||(u, v)||_H, ||u||_H1, ||v||_L2 and u(0); evolve builds them from one
     row per sample.  The sample arrays are `field.sample_functionals` of
     each sample, so bitwise what the matching `field` functionals return
-    on it.  damping[k]
-    accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid in time over
-    every step, not just the sampled ones), and mass_integrals the integral
-    of ||u||^2 likewise; their per-step trapezoid norms come from one np.dot
-    each (over the right half, on an even run), so they agree with
-    `field.l2_sq` to rounding.
+    on it, except that a linear run's E_gamma has no potential term.
+    damping[k] accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid
+    in time over every step, not just the sampled ones), and mass_integrals
+    the integral of ||u||^2 likewise; their per-step trapezoid norms come
+    from one np.dot each (over the right half, on an even run), so they
+    agree with `field.l2_sq` to rounding.
     energies[k] - energies[0] + damping[k] ~ 0 is the discrete version of
     the dissipation identity.  final is the last recorded sample; after a
     NonFinite exit that is the last sample recorded before the failed step.
@@ -293,6 +293,9 @@ def evolve(
                 last_u[:center] = u[:1:-1]
                 last_v[:center] = v[:1:-1]
             e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid)
+            u0 = float(last_u[center])
+            if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
+                e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
             norm = math.sqrt(h1 + l2_v)
             if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
                                and math.isfinite(norm)):
@@ -303,7 +306,7 @@ def evolve(
                 )
             t = t0 + k * dt
             rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
-                         math.sqrt(l2_v), float(last_u[center])))
+                         math.sqrt(l2_v), u0))
             final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
             label = observer(final) if observer is not None else None
             if label:

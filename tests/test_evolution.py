@@ -18,6 +18,8 @@ from kgdelta.field import (
     PhysParams,
     State,
     build_operator,
+    diagnostics_MW,
+    h1_sq,
     l2_sq,
     make_grid,
     max_stable_dt,
@@ -224,6 +226,26 @@ def test_energy_decays_and_ledger_closes():
     assert traj.exit == EXIT_COMPLETED
     # M's ingredient: the accumulated ||u||^2 history is increasing
     assert np.all(np.diff(traj.mass_integrals) >= 0.0)
+
+
+def test_a_linear_run_records_its_own_energy_and_ledger():
+    """With the nonlinearity off, E is the linear flow's energy
+    (||u||_H1^2 + ||v||^2 - gamma u(0)^2)/2, whose ledger closes; the
+    nonlinear E_gamma it once recorded left a residual of 0.218 here."""
+    grid = make_grid(20.0, 401)
+    par = PhysParams(p=3.0, alpha=1.0, gamma=1.5)
+    start = State(u=np.exp(-grid.x * grid.x), v=np.zeros(grid.n))
+    traj = evolve(start, 5.0, 0.025, par, grid, snapshot_stride=7,
+                  with_nonlinearity=False)
+    assert traj.exit == EXIT_COMPLETED
+    for st, e in ((start, traj.energies[0]), (traj.final, traj.energies[-1])):
+        u0 = st.u[grid.center]
+        assert e == 0.5 * (h1_sq(st.u, grid) + l2_sq(st.v, grid) - par.gamma * u0 * u0)
+    e = traj.energies
+    assert np.all(np.diff(e) <= 1e-12)
+    assert abs(e[-1] - e[0] + traj.damping_integral) <= 4e-3 * e[0]
+    w = diagnostics_MW(traj.final, par, grid, traj.mass_integrals[-1])["W_value"]
+    assert e[-1] == pytest.approx(w, rel=1e-14)
 
 
 @pytest.mark.parametrize("with_nonlinearity", [True, False], ids=["f", "linear"])
