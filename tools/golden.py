@@ -99,6 +99,11 @@ CASES = (
     ("variational-even-equilibrium", "variational",
      {"L": 15, "n": 301, "init": "equilibrium", "symmetry": "even",
       "max_iters": 400}),
+    # an even pair whose descent once stopped at J = 2.6633, short of r_gamma:
+    # the outward translation was its only move
+    ("variational-even-stall", "variational",
+     {"L": 15, "n": 601, "init": "family", "varsigma": 1, "z": 3.7900183011491833,
+      "gamma": -1, "symmetry": "even"}),
     # free start on the pinned saddle Q_gamma, gamma = -1 (escapes at 4/3)
     ("variational-saddle", "variational", {"L": 15, "n": 601, "init": "qgamma"}),
     # gamma = -2.5 even pair (escapes at 2 J_0(Q) = 8/3)
