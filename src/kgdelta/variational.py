@@ -20,19 +20,21 @@ the pair's outward drive ~13x, and |Delta J| drops below tol with the pair
 still near z = 5.  So once a gradient step lowers J by less than 100 tol, the
 next iteration tries a translation move (a collective-coordinate step in the
 spirit of the mountain-pass and local-minimax descents of Choi-McKenna 1993
-and Li-Zhou 2001): the iterate is shifted away from the origin by
-k = 1, 2, 4, ... grid nodes -- each half outward, mirrored, in the even
-sector; the whole iterate toward the side of its first moment int x u^2
-otherwise -- Nehari-projected, and accepted only on a strict decrease of J.
-A refused move costs no iteration: the gradient step is taken as usual.
+and Li-Zhou 2001): the iterate is shifted by k = 1, 2, 4, ... grid nodes
+toward +x, then toward -x (the even sector's halves outward, then inward),
+Nehari-projected, and accepted only on a strict decrease of J.  So J picks
+the side: an escaping bump or pair moves outward, and an even pair above
+r_gamma at |gamma| < 2 may merge inward onto Q_gamma.  A refused move costs
+no iteration: the gradient step is taken as usual.
 
 Where |Delta J| < tol and no shift lowers J, the free sector at gamma < 0
 may sit on the pinned saddle Q_gamma (an even start stays even).  Q_gamma is
 unstable there in the odd sector (Le Coz-Fukuizumi-Fibich-Ksherim-Sivan,
-Physica D 237 (2008), for NLS with a delta), so the descent first tries the
-Nehari-projected u + k SADDLE_STEP psi, psi = x u / ||x u||, doubling k as
-the translation move does.  For gamma >= 0, where Q_gamma is the free
-minimizer, and in the even sector it stops there: a pinned minimizer.
+Physica D 237 (2008), for NLS with a delta), so the free descent then tries
+the Nehari-projected u + k SADDLE_STEP psi, psi = x u / ||x u||, doubling k
+as the translation move does (at gamma >= 0, where Q_gamma is the free
+minimizer, J refuses it).  Where no shift, and in the free sector no tilt,
+lowers J, the descent stops: a pinned minimizer.
 """
 from __future__ import annotations
 
@@ -178,12 +180,15 @@ def _escape_fired(drift: float, mass: float, grid: GridSpec) -> bool:
 
 
 def _push(v: np.ndarray, k: int, h: float) -> np.ndarray:
-    """Shift v by k nodes toward its far end.
+    """Shift v by k nodes toward its far end, or by -k nodes toward its near
+    end for k < 0 (as _push of the reversed array).
 
     The k vacated nodes at the near end continue v[0] as an exponential tail,
     v[0] e^{-(k-j)h} at node j, rather than as a flat plateau at v[0]: a
     plateau adds ~v[0]^2 h to J per node and no shift would ever be accepted.
     """
+    if k < 0:
+        return _push(v[::-1], -k, h)[::-1]
     out = np.empty_like(v)
     out[k:] = v[:-k]
     out[:k] = v[0] * np.exp(-h * np.arange(k, 0, -1))
@@ -191,43 +196,38 @@ def _push(v: np.ndarray, k: int, h: float) -> np.ndarray:
 
 
 def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
-    """Move u away from the origin by k nodes; the wall nodes stay as they are.
-
-    even: each half moves outward and the left half mirrors the right, so the
-    result is exactly even.  Otherwise the whole iterate moves toward the side
-    of its first moment int x u^2.
+    """Shift u by k nodes toward +x (k < 0: toward -x); the wall nodes stay
+    as they are.  even: only the right half moves, outward or inward, and the
+    left half mirrors it, so the result is exactly even.
     """
     out = u.copy()
-    c = grid.center
+    lo = grid.center if even else 1
+    out[lo:-1] = _push(u[lo:-1], k, grid.h)
     if even:
-        out[c:-1] = _push(u[c:-1], k, grid.h)
-        out[:c] = out[:c:-1]
-    elif trapezoid(grid.x * u * u, grid) >= 0.0:
-        out[1:-1] = _push(u[1:-1], k, grid.h)
-    else:
-        out[1:-1] = _push(u[-2:0:-1], k, grid.h)[::-1]
+        out[:lo] = out[:lo:-1]
     return out
 
 
-def _doubling_move(move, J_cur: float, params: PhysParams, grid: GridSpec):
-    """The Nehari projection of move(k), k = 1, 2, 4, ... < grid.center, that
-    lowers J the most: k doubles while J strictly decreases, up to the first
-    candidate that fires an escape detector (driven further, the iterate
-    reaches the Dirichlet wall, where truncation lowers J artificially).
-    Returns it as _projected does, or None if no k lowers J.
+def _doubling_move(moves, J_cur: float, params: PhysParams, grid: GridSpec):
+    """The Nehari projection of move(k), over the moves in turn and
+    k = 1, 2, 4, ... < grid.center, that lowers J the most: for each move k
+    doubles while J strictly decreases below the best so far, and the search
+    ends at the first candidate that fires an escape detector (driven
+    further, the iterate reaches the Dirichlet wall, where truncation lowers
+    J artificially).  Returns it as _projected does, or None if none lowers J.
     """
-    best = None
-    J_best = J_cur
-    k = 1
-    while k < grid.center:
-        v = move(k)
-        cand = _projected(v, _score(v, params, grid)[1], params, grid)
-        if not cand[1] < J_best:
-            break
-        best, J_best = cand, cand[1]
-        if _escape_fired(*_detectors(cand[0], cand[3], grid), grid):
-            break
-        k *= 2
+    best, J_best = None, J_cur
+    for move in moves:
+        k = 1
+        while k < grid.center:
+            v = move(k)
+            cand = _projected(v, _score(v, params, grid)[1], params, grid)
+            if not cand[1] < J_best:
+                break
+            best, J_best = cand, cand[1]
+            if _escape_fired(*_detectors(cand[0], cand[3], grid), grid):
+                return best
+            k *= 2
     return best
 
 
@@ -284,14 +284,15 @@ def minimize_level(
         if dJ < SLIDE_FACTOR * DESCENT_TOL:
             # the gradient step slows down: try to translate instead; once it
             # has stalled, try to leave a saddle, and stop if nothing lowers J
-            moved = _doubling_move(lambda k: _translate(u, k, grid, even),
+            moved = _doubling_move((lambda k: _translate(u, k, grid, even),
+                                    lambda k: _translate(u, -k, grid, even)),
                                    J_cur, params, grid)
             if moved is None and dJ < DESCENT_TOL:
-                if even or params.gamma >= 0.0:
+                if even:
                     break
                 psi = grid.x * u
                 psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
-                moved = _doubling_move(lambda k: u + k * psi, J_cur, params, grid)
+                moved = _doubling_move((lambda k: u + k * psi,), J_cur, params, grid)
                 if moved is None:
                     break
         if moved is not None:

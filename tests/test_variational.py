@@ -280,6 +280,7 @@ def test_free_sector_keeps_the_attractive_minimizer():
 @pytest.mark.parametrize("shape, z", [
     ("free", 2.55), ("free", 3.2), ("free", 3.95),
     ("even", 3.05), ("even", 3.5), ("even", 3.95),
+    ("even", 3.7900183011491833),  # once stalled at J = 2.6633: no inward move
     ("strong", 4.05), ("strong", 4.5), ("strong", 4.95),
 ])
 def test_descend_shapes_escape_or_converge(shape, z):
