@@ -335,7 +335,6 @@ def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
         cfg.tol,
         cfg.T_max,
         dt=cfg.dt,
-        sign=cfg.sign,
         blowup_cap=cfg.blowup_cap,
     )
     probe_rows = []

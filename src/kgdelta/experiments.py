@@ -237,7 +237,6 @@ def bisect_threshold(
     T_max: float = 200.0,
     *,
     dt: float | None = None,
-    sign: int = 1,
     blowup_cap: float = DEFAULT_CAP,
 ) -> ThresholdResult:
     """Steered search in lambda between a decaying and a blowing-up endpoint.
@@ -272,10 +271,8 @@ def bisect_threshold(
         raise BracketError(f"empty bracket [{lambda_lo}, {lambda_hi}]")
 
     def probe(lam: float, horizon: float) -> ShotOutcome:
-        state0 = initial_family(lam, varsigma, z, grid, params)
-        if sign == -1:
-            state0 = State(u=-state0.u, v=-state0.v, t=state0.t)
-        return classify_trajectory(state0, params, grid, horizon, dt=dt,
+        return classify_trajectory(initial_family(lam, varsigma, z, grid, params),
+                                   params, grid, horizon, dt=dt,
                                    blowup_cap=blowup_cap)
 
     probes: list = []

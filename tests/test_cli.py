@@ -292,6 +292,25 @@ def test_shoot_artifacts(tmp_path):
     assert any("classification" in ln for ln in head if ln.startswith("#"))
 
 
+def test_shoot_is_sign_blind(tmp_path):
+    """The flow is exactly sign-equivariant and K_gamma even in u, so a shoot
+    from -R(z) writes what a shoot from R(z) writes, but for the echoed sign."""
+    text = ("L = 20\nn = 401\ndt = 0.05\ngamma = -1\nz = 3\n"
+            "tol = 1e-6\nT_max = 100\n")
+    outs = [run(tmp_path, "shoot", text + f"sign = {sign}\n", sub=f"sign{sign}")
+            for sign in (1, -1)]
+    assert [code for code, _ in outs] == [0, 0]
+    names = [sorted(f.name for f in out.iterdir()) for _, out in outs]
+    assert names[0] == names[1] and len(names[0]) == 15
+    for name in names[0]:
+        plus, minus = [(out / name).read_text().splitlines() for _, out in outs]
+        assert len(plus) == len(minus)
+        differ = [(a, b) for a, b in zip(plus, minus) if a != b]
+        assert len(differ) == 1, name
+        echo = differ[0][0]
+        assert "sign" in echo and differ[0][1] == echo.replace("1", "-1")
+
+
 def test_track_artifacts(tmp_path):
     text = (
         "L = 20\nn = 401\ndt = 0.025\nT = 4\ngamma = -1\n"

@@ -175,17 +175,6 @@ def test_steered_search_beats_bisection():
     assert sum(out.trajectory.final.t for _, out in res.probes) < 232.0
 
 
-def test_steered_search_is_sign_blind():
-    # K_gamma is even in u and the flow odd, so u -> -u steers identically
-    grid = make_grid(20.0, 401)
-    plus = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-8, dt=0.05)
-    minus = bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, 0.3, tol=1e-8, dt=0.05,
-                             sign=-1)
-    lams = [np.array([lam for lam, _ in r.probes]).tobytes() for r in (plus, minus)]
-    assert lams[0] == lams[1]
-    assert (minus.bracket_lo, minus.bracket_hi) == (plus.bracket_lo, plus.bracket_hi)
-
-
 def test_bisection_stops_at_float_resolution():
     """A tol below the float spacing of the bracket cannot be met: the loop
     ends, unconverged, once lo and hi are adjacent floats, instead of
