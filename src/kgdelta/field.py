@@ -12,13 +12,16 @@ Discretization conventions, used consistently by every module downstream:
       (A u)_j = (-u_{j+1} + 2 u_j - u_{j-1})/h^2 + u_j,          j != center
       (A u)_c = same - (gamma/h) u_c,
 
-  the gamma/h nodal correction being the first-order realization of the
-  derivative jump u'(0+) - u'(0-) = -gamma u(0) forced by the delta
-  potential.  This module owns it: `build_operator` gives A, its `solve`
-  takes the Dirichlet systems (A - diag(s)) x = r that other modules pose
-  (the Newton step of the stationary profile, s = p|u|^(p-1); the descent's
-  H^1 preconditioner, A at gamma = 0 with s = 0) to LAPACK, and
-  `max_stable_dt` is the leapfrog's step bound from A's Gershgorin bound;
+  the gamma/h nodal correction realizing the derivative jump
+  u'(0+) - u'(0-) = -gamma u(0) forced by the delta potential.  The
+  residual of sampled Q_gamma is O(h), at the kink node only, but the
+  discrete equilibrium (`evolution.discrete_stationary_profile`) converges
+  to Q_gamma at order 2, in H^1 and at u(0).  This module owns A:
+  `build_operator` gives A, its `solve` takes the Dirichlet systems
+  (A - diag(s)) x = r that other modules pose (the Newton step of the
+  stationary profile, s = p|u|^(p-1); the descent's H^1 preconditioner, A
+  at gamma = 0 with s = 0) to LAPACK, and `max_stable_dt` is the
+  leapfrog's step bound from A's Gershgorin bound;
 * the H^1 gradient term is the staggered sum h * sum(((u_{j+1}-u_j)/h)^2),
   i.e. the Dirichlet form of A's 3-point Laplacian, so the discrete energy
   the stepper dissipates is the same quantity these functions report;
