@@ -56,6 +56,9 @@ CASES = (
       "gamma": 1.5, "snapshot_stride": 7}),
     ("simulate-equilibrium-p3.5", "simulate",
      {"L": 20, "n": 401, "T": 5, "init": "equilibrium", "p": 3.5, "dt": 0.0375}),
+    # no pinned profile at |gamma| >= 2: the equilibrium start is refused (exit 3)
+    ("simulate-equilibrium-strong-delta", "simulate",
+     {"L": 20, "n": 401, "T": 1, "init": "equilibrium", "gamma": -2.5}),
     ("simulate-blowup", "simulate",
      {"L": 20, "n": 401, "T": 40, "init": "q", "z": 0.5, "scale": 1.5, "gamma": 0}),
     ("simulate-nonfinite", "simulate",
@@ -90,6 +93,14 @@ CASES = (
     ("track-linear", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4,
       "snapshot_stride": 5, "nonlinearity": 0}),
+    # the mirror of a family start: the flow steps -R(z), the fit reads R(z)
+    ("track-negative", "track",
+     {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "family", "z": 4,
+      "gamma": -1, "snapshot_stride": 5, "sign": -1}),
+    # the mirror of the `track` case's start (once 0 frames, exit 0)
+    ("track-negative-scale", "track",
+     {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4, "scale": -1,
+      "snapshot_stride": 5}),
     ("variational-free", "variational",
      {"L": 15, "n": 301, "init": "q", "z": 3, "max_iters": 400}),
     ("variational-even", "variational",
