@@ -373,7 +373,7 @@ def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
 def cmd_track(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
     states = []
     traj = _evolve(cfg, params, grid, lambda sample: states.append(sample.copy()))
-    report = experiments.track_center(states, cfg.varsigma, cfg.sign, params, grid)
+    report = experiments.track_center(states, cfg.varsigma, params, grid)
     rows = [
         (fr.t, fr.z, fr.a_plus, fr.a_minus, fr.a_zero, fr.script_E, fr.script_G,
          fr.eps_norm_H, fr.z_dot_measured, fr.z_dot_predicted, fr.relative_gap)

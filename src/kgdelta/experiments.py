@@ -351,28 +351,34 @@ class TrackReport:
 def track_center(
     states: list,
     sigma: int,
-    sign: int,
     params: PhysParams,
     grid: GridSpec,
 ) -> TrackReport:
     """Fit z(t) along recorded states and compare with the reduced ODE.
 
     states is a run's samples in time order, e.g. the `sample.copy()` of
-    each sample an `evolve` observer saw.  Fits are warm-started from the
-    previous frame; the series stops at the first frame that leaves the tube
-    (or where the fit fails).  Each frame gets the measured z' of the series
-    and its relative gap to the predicted one.  Frames are 'valid' for the
+    each sample an `evolve` observer saw.  The first guess of z is the peak
+    of |u| on the start's right half; where u is negative there, each state
+    (u, v, t) is fitted as (-u, -v, t), a state near +R(z), since the flow
+    is odd in (u, v).  Fits are warm-started from the previous frame; the
+    series stops at the first frame that leaves the tube (or where the fit
+    fails).  Each frame gets the measured z' of the series and its relative
+    gap to the predicted one.  Frames are 'valid' for the
     z' comparison while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log
     report sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
+    fitted = states
     if states:
         right = states[0].u[grid.center:]
-        guess = float(grid.x[grid.center + int(np.argmax(np.abs(right)))])
+        peak = grid.center + int(np.argmax(np.abs(right)))
+        guess = float(grid.x[peak])
+        if states[0].u[peak] < 0:
+            fitted = (State(-st.u, -st.v, st.t) for st in states)
 
     frames: list = []
-    for st in states:
+    for st in fitted:
         try:
-            frame = modulation.fit_center(st, sigma, sign, guess, params, grid)
+            frame = modulation.fit_center(st, sigma, guess, params, grid)
         except (OutOfTubeError, NoConvergenceError):
             break
         frames.append(frame)

@@ -2,13 +2,13 @@
 
 A state (u, v) near the reference family
 
-    sign * R(z),    R(z) = Q(. - z) + sigma * Q(. + z),    sigma in {0, 1}
+    R(z) = Q(. - z) + sigma * Q(. + z),    sigma in {0, 1}
 
 (built, with Q and Q' of each soliton, by `profiles.soliton_pair`) is written
-as u = sign * R(z) + eps, v = eta, with the center z fixed by the damped
+as u = R(z) + eps, v = eta, with the center z fixed by the damped
 orthogonality condition
 
-    G(z) = integral (v + 2 alpha (u - sign * R(z))) * Q'(. - z) = 0,
+    G(z) = integral (v + 2 alpha (u - R(z))) * Q'(. - z) = 0,
 
 which makes the residual transverse to translation for the damped flow.  The
 residual is then resolved into the eigenmode amplitudes of the linearized
@@ -18,6 +18,8 @@ problem,
 
 (a_plus grows like exp(nu_plus t), a_minus and a_0 decay), and into the
 twisted quadratic forms script-E and script-G used as Lyapunov functionals.
+The flow is odd in (u, v), so a state near -R(z) is read as the negated
+state near R(z); `experiments.track_center` does that negation.
 """
 from __future__ import annotations
 
@@ -75,20 +77,18 @@ class ModulationFrame:
 def fit_center(
     state,
     sigma: int,
-    sign: int,
     z_guess: float,
     params: PhysParams,
     grid: GridSpec,
 ) -> ModulationFrame:
-    """Newton-solve the orthogonality condition G(z) = 0 near z_guess and
-    return the state's frame at the fitted center (see `decompose`).
+    """Newton-solve the orthogonality condition G(z) = 0 near z_guess for a
+    state near +R(z) and return its frame at the fitted center (see
+    `decompose`).
 
     Raises NoConvergenceError after FIT_MAX_ITER iterations, OutOfTubeError when
     the converged center drifts more than TUBE_RADIUS from z_guess or the
     residual norm ||(eps, eta)||_H exceeds TUBE_RADIUS.
     """
-    if sign not in (-1, 1):
-        raise ParameterError(f"sign must be +-1, got {sign}")
     if sigma == 1 and not z_guess > 2:
         raise ParameterError(f"pair decomposition needs z_guess > 2, got {z_guess}")
     p, alpha = params.p, params.alpha
@@ -98,7 +98,7 @@ def fit_center(
     z = float(z_guess)
     for _ in range(FIT_MAX_ITER):
         ref, (q_r, qd_r, _), left = at_z = profiles.soliton_pair(x, z, sigma, p)
-        w = v + 2.0 * alpha * (u - sign * ref)
+        w = v + 2.0 * alpha * (u - ref)
         g_val = trapezoid(w * qd_r, grid)
         if abs(g_val) <= FIT_TOL:
             break
@@ -106,7 +106,7 @@ def fit_center(
         qdd_r = q_r - q_r**p
         dg = -trapezoid(w * qdd_r, grid)
         corr = qd_r - left[1] if sigma else qd_r
-        dg += 2.0 * alpha * sign * trapezoid(corr * qd_r, grid)
+        dg += 2.0 * alpha * trapezoid(corr * qd_r, grid)
         if dg == 0.0 or not np.isfinite(dg):
             raise NoConvergenceError("singular Jacobian in center fit")
         z -= g_val / dg
@@ -121,7 +121,7 @@ def fit_center(
         raise OutOfTubeError(
             f"fitted center {z} drifted {abs(z - z_guess):.3g} from the guess"
         )
-    frame = decompose(state, z, sigma, sign, params, grid, _profiles=at_z)
+    frame = decompose(state, z, sigma, params, grid, _profiles=at_z)
     if frame.eps_norm_H > TUBE_RADIUS:
         raise OutOfTubeError(
             f"residual norm {frame.eps_norm_H:.3g} exceeds tube {TUBE_RADIUS}"
@@ -133,13 +133,13 @@ def decompose(
     state,
     z: float,
     sigma: int,
-    sign: int,
     params: PhysParams,
     grid: GridSpec,
     *,
     _profiles=None,
 ) -> ModulationFrame:
-    """Split the state into (eps, eta) = (u - R(z), v) and read off its frame.
+    """Split a state near +R(z) into (eps, eta) = (u - R(z), v) and read off
+    its frame.
 
     script_E is the twisted quadratic form around the reference pair
 
@@ -159,7 +159,7 @@ def decompose(
     pot = p * q_r ** (p - 1.0)
     if sigma:
         pot = pot + p * left[0] ** (p - 1.0)
-    eps = state.u - sign * ref
+    eps = state.u - ref
     eta = state.v
     phi_r = profiles._phi_of_logcosh(lc_r, p)
     a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
@@ -172,7 +172,7 @@ def decompose(
         (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
     )
     eps0 = float(eps[grid.center])
-    u0 = sign * float(ref[grid.center]) + eps0
+    u0 = float(ref[grid.center]) + eps0
     script_E = 0.5 * quad - 0.5 * gamma * u0 * u0
 
     denom = 2.0 * alpha * profiles.soliton_gradient_norm_sq(p)

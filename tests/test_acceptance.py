@@ -241,7 +241,7 @@ def test_criterion_08_center_dynamics(say):
     st0 = initial_family(res.lambda_star, 0, 3.0, grid, PAR_REP)
     states = []
     evolve(st0, 30.0, 0.025, PAR_REP, grid, observer=lambda s: states.append(s.copy()), snapshot_stride=4)
-    rep = track_center(states, 0, 1, PAR_REP, grid)
+    rep = track_center(states, 0, PAR_REP, grid)
     elapsed = time.perf_counter() - t0
 
     eps = np.array([f.eps_norm_H for f in rep.frames])

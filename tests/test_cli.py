@@ -311,6 +311,29 @@ def test_shoot_is_sign_blind(tmp_path):
         assert "sign" in echo and differ[0][1] == echo.replace("1", "-1")
 
 
+@pytest.mark.parametrize("key, start", [
+    ("sign", "init = family\ngamma = -1\n"),
+    ("scale", "init = q\n"),
+], ids=["sign", "scale"])
+def test_track_is_sign_blind(tmp_path, key, start):
+    """track fits a start near -R(z) as its negation, which the odd flow makes
+    exact: -R(z) writes what R(z) writes, but for the echoed key."""
+    text = "L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n" + start
+    outs = [run(tmp_path, "track", text + f"{key} = {s}\n", sub=f"{key}{s}")
+            for s in (1, -1)]
+    assert [code for code, _ in outs] == [0, 0]
+    assert json.loads((outs[0][1] / "track.json").read_text())["n_frames"] == 24
+    names = [sorted(f.name for f in out.iterdir()) for _, out in outs]
+    assert names[0] == names[1] == ["frames.csv", "track.json"]
+    for name in names[0]:
+        plus, minus = [(out / name).read_text().splitlines() for _, out in outs]
+        assert len(plus) == len(minus)
+        differ = [(a, b) for a, b in zip(plus, minus) if a != b]
+        assert len(differ) == 1, name
+        echo = differ[0][0]
+        assert key in echo and differ[0][1] == echo.replace("1", "-1")
+
+
 def test_track_artifacts(tmp_path):
     text = (
         "L = 20\nn = 401\ndt = 0.025\nT = 4\ngamma = -1\n"

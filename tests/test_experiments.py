@@ -1,4 +1,6 @@
 """Shooting family, fate certificates, bisection, and center tracking."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ def test_track_center_stationary_profile():
     states = []
     evolve(State(u=u_eq, v=np.zeros(grid.n)), 5.0, 0.05, PAR0, grid,
            observer=lambda s: states.append(s.copy()), snapshot_stride=5)
-    rep = track_center(states, 0, 1, PAR0, grid)
+    rep = track_center(states, 0, PAR0, grid)
     assert not rep.empty
     assert np.max(np.abs(rep.z - rep.z[0])) < 1e-4
     assert abs(rep.z[0] - 5.0) < 1e-2
@@ -222,7 +224,7 @@ def test_track_center_reports_shapes():
     st0 = State(u=soliton_Q(grid.x - 4.0, 3.0), v=np.zeros(grid.n))
     states = []
     evolve(st0, 6.0, 0.05, PAR_REP, grid, observer=lambda s: states.append(s.copy()), snapshot_stride=5)
-    rep = track_center(states, 0, 1, PAR_REP, grid)
+    rep = track_center(states, 0, PAR_REP, grid)
     m = len(rep.times)
     assert m > 3
     assert rep.z.shape == (m,)
@@ -235,3 +237,19 @@ def test_track_center_reports_shapes():
     assert np.all(np.isfinite(measured))
     assert np.array_equal(measured, np.gradient(rep.z, rep.times))
     assert all(np.isfinite(f.relative_gap) for f in rep.frames)
+
+
+def test_track_center_is_sign_blind():
+    """The flow is odd in (u, v): the negated states are fitted as the states
+    themselves, so every frame of the negated list is the positive one's."""
+    grid = make_grid(25.0, 501)
+    st0 = initial_family(0.0, 0, 4.0, grid, PAR_REP)
+    states = []
+    evolve(st0, 6.0, 0.05, PAR_REP, grid, observer=lambda s: states.append(s.copy()),
+           snapshot_stride=5)
+    rep = track_center(states, 0, PAR_REP, grid)
+    neg = track_center([State(-s.u, -s.v, s.t) for s in states], 0, PAR_REP, grid)
+    assert len(rep.frames) == len(neg.frames) > 3
+    assert [repr(astuple(f)) for f in rep.frames] == [repr(astuple(f)) for f in neg.frames]
+    assert np.array_equal(rep.valid_mask, neg.valid_mask)
+    assert rep.sup_half_log == neg.sup_half_log

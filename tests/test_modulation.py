@@ -26,24 +26,21 @@ def test_fit_center_recovers_exact_translate():
     grid = _grid()
     for z_true in (3.7, 5.0, 6.25):
         st = State(u=soliton_Q(grid.x - z_true, 3.0), v=np.zeros(grid.n))
-        z = fit_center(st, 0, 1, z_true + 0.2, PAR, grid).z
+        z = fit_center(st, 0, z_true + 0.2, PAR, grid).z
         assert abs(z - z_true) < 1e-9
 
 
-def test_fit_center_pair_and_sign():
+def test_fit_center_recovers_exact_pair():
     grid = _grid()
     z_true = 4.4
     pair = soliton_Q(grid.x - z_true, 3.0) + soliton_Q(grid.x + z_true, 3.0)
-    z = fit_center(State(u=pair, v=np.zeros(grid.n)), 1, 1, 4.2, PAR, grid).z
-    assert abs(z - z_true) < 1e-9
-    z = fit_center(State(u=-pair, v=np.zeros(grid.n)), 1, -1, 4.2, PAR, grid).z
+    z = fit_center(State(u=pair, v=np.zeros(grid.n)), 1, 4.2, PAR, grid).z
     assert abs(z - z_true) < 1e-9
 
 
-@pytest.mark.parametrize("sigma, sign, z_true, guess", [(1, 1, 4.4, 4.2),
-                                                      (0, -1, 5.0, 5.2)],
-                         ids=["pair", "sign=-1"])
-def test_fit_center_frame_is_decompose_at_the_fit(sigma, sign, z_true, guess):
+@pytest.mark.parametrize("sigma, z_true, guess", [(1, 4.4, 4.2), (0, 5.0, 5.2)],
+                         ids=["pair", "single"])
+def test_fit_center_frame_is_decompose_at_the_fit(sigma, z_true, guess):
     """fit_center's frame is decompose at the fitted center, bit for bit."""
     grid = _grid()
     s = grid.x - z_true
@@ -51,9 +48,9 @@ def test_fit_center_frame_is_decompose_at_the_fit(sigma, sign, z_true, guess):
     u = soliton_Q(s, 3.0) + 0.02 * (1.0 + s) * bump
     if sigma:
         u = u + soliton_Q(grid.x + z_true, 3.0)
-    st = State(u=sign * u, v=0.01 * np.cos(s) * bump, t=1.5)
-    frame = fit_center(st, sigma, sign, guess, PAR, grid)
-    again = decompose(st, frame.z, sigma, sign, PAR, grid)
+    st = State(u=u, v=0.01 * np.cos(s) * bump, t=1.5)
+    frame = fit_center(st, sigma, guess, PAR, grid)
+    again = decompose(st, frame.z, sigma, PAR, grid)
     for f in dataclasses.fields(frame):
         a, b = getattr(frame, f.name), getattr(again, f.name)
         assert np.array_equal(a, b, equal_nan=True), f.name
@@ -64,16 +61,16 @@ def test_fit_center_guard_rails():
     grid = _grid()
     st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
     with pytest.raises(ParameterError):
-        fit_center(st, 2, 1, 5.0, PAR, grid)
+        fit_center(st, 2, 5.0, PAR, grid)
     with pytest.raises(ParameterError):
-        fit_center(st, 1, 1, 1.5, PAR, grid)  # pair fit needs z_guess > 2
+        fit_center(st, 1, 1.5, PAR, grid)  # pair fit needs z_guess > 2
     # a guess an entire soliton-width off leaves the trust tube
     with pytest.raises((OutOfTubeError, NoConvergenceError)):
-        fit_center(st, 0, 1, 8.5, PAR, grid)
+        fit_center(st, 0, 8.5, PAR, grid)
     # a state nowhere near the manifold fails the residual gate
     junk = State(u=np.ones(grid.n), v=np.zeros(grid.n))
     with pytest.raises((OutOfTubeError, NoConvergenceError)):
-        fit_center(junk, 0, 1, 5.0, PAR, grid)
+        fit_center(junk, 0, 5.0, PAR, grid)
 
 
 def test_decompose_amplitudes_synthetic():
@@ -86,7 +83,7 @@ def test_decompose_amplitudes_synthetic():
     c1, c2 = 0.013, -0.008
     u = soliton_Q(grid.x - z, 3.0) + c1 * phi
     st = State(u=u, v=c2 * phi)
-    fr = decompose(st, z, 0, 1, PAR, grid)
+    fr = decompose(st, z, 0, PAR, grid)
     assert fr.a_plus == pytest.approx((c2 - con.nu_minus * c1) * w, rel=1e-12)
     assert fr.a_minus == pytest.approx((c2 - con.nu_plus * c1) * w, rel=1e-12)
     # Q' is odd about z while phi is even: a_zero sees none of eta
@@ -104,11 +101,11 @@ def test_decompose_overflowing_amplitudes_give_inf():
     z = 5.0
     phi = neutral_even_mode_phi(grid.x - z, 3.0)
     st = State(u=soliton_Q(grid.x - z, 3.0), v=1e160 * phi)
-    fr = decompose(st, z, 0, 1, PAR, grid)
+    fr = decompose(st, z, 0, PAR, grid)
     assert np.isfinite(fr.a_minus) and abs(fr.a_minus) > 1e155
     assert fr.script_G == np.inf and fr.eps_norm_H == np.inf
     with pytest.raises((OutOfTubeError, NoConvergenceError)):
-        fit_center(st, 0, 1, z, PAR, grid)
+        fit_center(st, 0, z, PAR, grid)
 
 
 def test_amplitude_identities_random():
@@ -123,7 +120,7 @@ def test_amplitude_identities_random():
         eps = 0.02 * rng.standard_normal(grid.n) * np.exp(-0.25 * (grid.x - z) ** 2)
         eta = 0.02 * rng.standard_normal(grid.n) * np.exp(-0.25 * (grid.x - z) ** 2)
         st = State(u=soliton_Q(grid.x - z, 3.0) + eps, v=eta)
-        fr = decompose(st, z, 0, 1, PAR, grid)
+        fr = decompose(st, z, 0, PAR, grid)
         lhs1 = con.nu_plus * fr.a_plus - con.nu_minus * fr.a_minus
         rhs1 = (con.nu_plus - con.nu_minus) * trapezoid(eta * phi, grid)
         assert abs(lhs1 - rhs1) < 1e-12 * max(1.0, abs(rhs1))
@@ -135,7 +132,7 @@ def test_amplitude_identities_random():
 def test_script_E_domain_and_positivity():
     grid = _grid()
     st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
-    fr = decompose(st, 5.0, 0, 1, PAR, grid)
+    fr = decompose(st, 5.0, 0, PAR, grid)
     # on the reference itself eps = 0 up to the trace: the form reduces to
     # -gamma/2 u(0)^2 which is positive for repulsive gamma
     assert fr.script_E > 0.0
@@ -147,7 +144,7 @@ def test_predicted_zdot_leading_term():
     grid = _grid()
     z = 5.0
     st = State(u=soliton_Q(grid.x - z, 3.0), v=np.zeros(grid.n))
-    fr = decompose(st, z, 0, 1, PAR, grid)
+    fr = decompose(st, z, 0, PAR, grid)
     assert fr.leading_term == pytest.approx(3.0 * np.exp(-2.0 * z), rel=1e-12)
     # exact translate: eps(0) = -Q(z) (the missing mirror tail is absent here,
     # eps is zero), so the trace term vanishes with eps
@@ -157,14 +154,14 @@ def test_predicted_zdot_leading_term():
     assert np.isnan(fr.z_dot_measured) and np.isnan(fr.relative_gap)
     # pair sector gets the image charge: coefficient -gamma*2 - 2 = 0 at gamma=-1
     pair = soliton_Q(grid.x - z, 3.0) + soliton_Q(grid.x + z, 3.0)
-    fr2 = decompose(State(u=pair, v=np.zeros(grid.n)), z, 1, 1, PAR, grid)
+    fr2 = decompose(State(u=pair, v=np.zeros(grid.n)), z, 1, PAR, grid)
     assert abs(fr2.leading_term) < 1e-15
 
 
 def test_relative_gap():
     grid = _grid()
     st = State(u=soliton_Q(grid.x - 5.0, 3.0), v=np.zeros(grid.n))
-    fr = decompose(st, 5.0, 0, 1, PAR, grid)
+    fr = decompose(st, 5.0, 0, PAR, grid)
     fr = dataclasses.replace(fr, z_dot_measured=1.1, z_dot_predicted=1.0)
     assert fr.relative_gap == pytest.approx(0.1)
     fr = dataclasses.replace(fr, z_dot_measured=0.0, z_dot_predicted=0.0)
@@ -185,7 +182,7 @@ def test_tracked_soliton_dressing_physics():
     st0 = State(u=soliton_Q(grid.x - z0, 3.0), v=np.zeros(grid.n))
     states = []
     evolve(st0, 12.0, 0.025, PAR, grid, observer=lambda s: states.append(s.copy()), snapshot_stride=8)
-    rep = track_center(states, 0, 1, PAR, grid)  # stops itself at tube escape
+    rep = track_center(states, 0, PAR, grid)  # stops itself at tube escape
     times, zs = rep.times, rep.z
     assert times[-1] >= 5.0, f"tube escape too early at t = {times[-1]}"
     gaps = np.array([f.relative_gap for f in rep.frames])
