@@ -43,13 +43,6 @@ from .field import (
 )
 
 
-def _rest_profile(x, params: PhysParams):
-    """The pinned profile Q_gamma where it exists (|gamma| < 2), else Q."""
-    if abs(params.gamma) < 2.0:
-        return profiles.soliton_Q_gamma(x, params)
-    return profiles.soliton_Q(x, params.p)
-
-
 # init choice -> u(0) built from (cfg, params, grid); v(0) is always zero
 _INITS = {
     "qgamma": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q_gamma(
@@ -57,7 +50,7 @@ _INITS = {
     "q": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q(
         grid.x - cfg.z, params.p),
     "equilibrium": lambda cfg, params, grid: cfg.scale * discrete_stationary_profile(
-        _rest_profile(grid.x, params), params, grid),
+        profiles.soliton_Q_gamma(grid.x, params), params, grid),
     "family": lambda cfg, params, grid: cfg.sign * experiments.initial_family(
         cfg.lam, cfg.varsigma, cfg.z, grid, params).u,
     "gaussian": lambda cfg, params, grid: cfg.scale * np.exp(-grid.x * grid.x),

@@ -334,6 +334,24 @@ def test_track_is_sign_blind(tmp_path, key, start):
         assert key in echo and differ[0][1] == echo.replace("1", "-1")
 
 
+def test_equilibrium_start_needs_the_pinned_profile(tmp_path, monkeypatch):
+    """The equilibrium start polishes the pinned profile Q_gamma, which exists
+    only for |gamma| < 2: a stronger delta is refused before any Newton step
+    (exit 3 with the profile's own error)."""
+    def no_newton(*args):
+        raise AssertionError("stationary-profile Newton ran")
+
+    monkeypatch.setattr(cli, "discrete_stationary_profile", no_newton)
+    for gamma in (-2, -2.5, -10):
+        code, out = run(tmp_path, "simulate", "L = 20\nn = 401\nT = 1\n"
+                        f"init = equilibrium\ngamma = {gamma}\n", sub=f"g{gamma}")
+        assert code == 3
+        blob = json.loads((out / "simulate.json").read_text())
+        assert blob["incomplete"] is True
+        assert blob["error"] == (
+            f"pinned profile exists only for |gamma| < 2, got {float(gamma)}")
+
+
 def test_track_artifacts(tmp_path):
     text = (
         "L = 20\nn = 401\ndt = 0.025\nT = 4\ngamma = -1\n"
