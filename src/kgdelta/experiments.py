@@ -363,9 +363,9 @@ def track_center(
     is odd in (u, v).  Fits are warm-started from the previous frame; the
     series stops at the first frame that leaves the tube (or where the fit
     fails).  Each frame gets the measured z' of the series and its relative
-    gap to the predicted one.  Frames are 'valid' for the
-    z' comparison while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log
-    report sup_t [z(t) - log(max(t,1))/2] runs over those.
+    gap to the predicted one.  Frames are 'valid' for the z' comparison
+    while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
+    sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
     fitted = states
     if states:

@@ -292,23 +292,31 @@ def test_shoot_artifacts(tmp_path):
     assert any("classification" in ln for ln in head if ln.startswith("#"))
 
 
-def test_shoot_is_sign_blind(tmp_path):
-    """The flow is exactly sign-equivariant and K_gamma even in u, so a shoot
-    from -R(z) writes what a shoot from R(z) writes, but for the echoed sign."""
-    text = ("L = 20\nn = 401\ndt = 0.05\ngamma = -1\nz = 3\n"
-            "tol = 1e-6\nT_max = 100\n")
-    outs = [run(tmp_path, "shoot", text + f"sign = {sign}\n", sub=f"sign{sign}")
-            for sign in (1, -1)]
+def run_mirrored(tmp_path, command, text, key):
+    """Run `command` with key = 1 and key = -1; check that both exit 0 and
+    write the same files, equal line for line but for the echoed key, and
+    return the file names."""
+    outs = [run(tmp_path, command, text + f"{key} = {s}\n", sub=f"{key}{s}")
+            for s in (1, -1)]
     assert [code for code, _ in outs] == [0, 0]
     names = [sorted(f.name for f in out.iterdir()) for _, out in outs]
-    assert names[0] == names[1] and len(names[0]) == 15
+    assert names[0] == names[1]
     for name in names[0]:
         plus, minus = [(out / name).read_text().splitlines() for _, out in outs]
         assert len(plus) == len(minus)
         differ = [(a, b) for a, b in zip(plus, minus) if a != b]
         assert len(differ) == 1, name
         echo = differ[0][0]
-        assert "sign" in echo and differ[0][1] == echo.replace("1", "-1")
+        assert key in echo and differ[0][1] == echo.replace("1", "-1")
+    return names[0]
+
+
+def test_shoot_is_sign_blind(tmp_path):
+    """The flow is exactly sign-equivariant and K_gamma even in u, so a shoot
+    from -R(z) writes what a shoot from R(z) writes, but for the echoed sign."""
+    text = ("L = 20\nn = 401\ndt = 0.05\ngamma = -1\nz = 3\n"
+            "tol = 1e-6\nT_max = 100\n")
+    assert len(run_mirrored(tmp_path, "shoot", text, "sign")) == 15
 
 
 @pytest.mark.parametrize("key, start", [
@@ -319,19 +327,9 @@ def test_track_is_sign_blind(tmp_path, key, start):
     """track fits a start near -R(z) as its negation, which the odd flow makes
     exact: -R(z) writes what R(z) writes, but for the echoed key."""
     text = "L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n" + start
-    outs = [run(tmp_path, "track", text + f"{key} = {s}\n", sub=f"{key}{s}")
-            for s in (1, -1)]
-    assert [code for code, _ in outs] == [0, 0]
-    assert json.loads((outs[0][1] / "track.json").read_text())["n_frames"] == 24
-    names = [sorted(f.name for f in out.iterdir()) for _, out in outs]
-    assert names[0] == names[1] == ["frames.csv", "track.json"]
-    for name in names[0]:
-        plus, minus = [(out / name).read_text().splitlines() for _, out in outs]
-        assert len(plus) == len(minus)
-        differ = [(a, b) for a, b in zip(plus, minus) if a != b]
-        assert len(differ) == 1, name
-        echo = differ[0][0]
-        assert key in echo and differ[0][1] == echo.replace("1", "-1")
+    assert run_mirrored(tmp_path, "track", text, key) == ["frames.csv", "track.json"]
+    blob = json.loads((tmp_path / f"{key}1" / "track.json").read_text())
+    assert blob["n_frames"] == 24
 
 
 def test_equilibrium_start_needs_the_pinned_profile(tmp_path, monkeypatch):
