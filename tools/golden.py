@@ -103,6 +103,10 @@ CASES = (
       "snapshot_stride": 5}),
     ("variational-free", "variational",
      {"L": 15, "n": 301, "init": "q", "z": 3, "max_iters": 400}),
+    # the benchmark's free descend shape on its own grid: a bump that slides
+    # out to the drift detector at L/3
+    ("variational-free-slide", "variational",
+     {"L": 15, "n": 601, "init": "q", "z": 2.875, "gamma": -1}),
     ("variational-even", "variational",
      {"L": 15, "n": 301, "init": "family", "varsigma": 1, "z": 3.5,
       "symmetry": "even", "max_iters": 400}),
