@@ -17,15 +17,23 @@ within |x| <= 5.
 Along an escape valley the gradient step crawls and can stall before a
 detector fires: at gamma = -2.5 it carves a dip at the origin that weakens
 the pair's outward drive ~13x, and |Delta J| drops below tol with the pair
-still near z = 5.  So once a gradient step lowers J by less than 100 tol, the
-next iteration tries a translation move (a collective-coordinate step in the
-spirit of the mountain-pass and local-minimax descents of Choi-McKenna 1993
-and Li-Zhou 2001): the iterate is shifted by k = 1, 2, 4, ... grid nodes
-toward +x, then toward -x (the even sector's halves outward, then inward),
-Nehari-projected, and accepted only on a strict decrease of J.  So J picks
-the side: an escaping bump or pair moves outward, and an even pair above
-r_gamma at |gamma| < 2 may merge inward onto Q_gamma.  A refused move costs
-no iteration: the gradient step is taken as usual.
+still near z = 5.  So every iteration whose iterate fires no detector first
+tries a translation move (a collective-coordinate step in the spirit of the
+mountain-pass and local-minimax descents of Choi-McKenna 1993 and Li-Zhou
+2001): the iterate is shifted by k = 1, 2, 4, ... grid nodes toward +x, then
+toward -x (the even sector's halves outward, then inward), Nehari-projected,
+and accepted only on a strict decrease of J.  So J picks the side: an
+escaping bump or pair moves outward, and an even pair above r_gamma at
+|gamma| < 2 may merge inward onto Q_gamma.  A refused move costs no
+iteration: the gradient step is taken as usual.  A shift that fires a
+detector is cut back, by bisection, to the fewest nodes that fire, so the
+bump stops just past the detector rather than at the Dirichlet wall.
+
+A move that fires a detector is accepted but ends nothing: the translated
+iterate has not relaxed (a translated Q_gamma fires at J = 1.45, above the
+free level 4/3), so gradient steps relax it where it stands, and the escape
+is declared at an iterate that fires a detector right after a gradient step
+with |Delta J| < 100 tol.
 
 Where |Delta J| < tol and no shift lowers J, the free sector at gamma < 0
 may sit on the pinned saddle Q_gamma (an even start stays even).  Q_gamma is
@@ -53,7 +61,8 @@ ESCAPE_MASS_FRACTION = 0.05
 MASS_WINDOW = 5.0
 # tol of the docstrings: the descent has stalled once |Delta J| < DESCENT_TOL
 DESCENT_TOL = 1e-9
-# a gradient step with |Delta J| < SLIDE_FACTOR * tol triggers a translation move
+# a gradient step with |Delta J| < SLIDE_FACTOR * tol has relaxed the iterate:
+# if it fires an escape detector, the escape is declared
 SLIDE_FACTOR = 100.0
 SADDLE_STEP = 1e-3
 SYMMETRIES = ("none", "even")  # the sectors of n_gamma and of r_gamma
@@ -211,22 +220,38 @@ def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
 def _doubling_move(moves, J_cur: float, params: PhysParams, grid: GridSpec):
     """The Nehari projection of move(k), over the moves in turn and
     k = 1, 2, 4, ... < grid.center, that lowers J the most: for each move k
-    doubles while J strictly decreases below the best so far, and the search
-    ends at the first candidate that fires an escape detector (driven
-    further, the iterate reaches the Dirichlet wall, where truncation lowers
-    J artificially).  Returns it as _projected does, or None if none lowers J.
+    doubles while J strictly decreases below the best so far.  The first
+    candidate that fires an escape detector ends the search: a bisection
+    between k/2 and k returns the smallest node count whose candidate both
+    fires and lowers J (driven further, the iterate reaches the Dirichlet
+    wall, where truncation lowers J artificially).  Returns it as _projected
+    does, or None if none lowers J.
     """
+    def candidate(move, k):
+        v = move(k)
+        return _projected(v, _score(v, params, grid)[1], params, grid)
+
+    def fires(cand):
+        return _escape_fired(*_detectors(cand[0], cand[3], grid), grid)
+
     best, J_best = None, J_cur
     for move in moves:
         k = 1
         while k < grid.center:
-            v = move(k)
-            cand = _projected(v, _score(v, params, grid)[1], params, grid)
+            cand = candidate(move, k)
             if not cand[1] < J_best:
                 break
+            if fires(cand):
+                lo = k // 2
+                while k - lo > 1:
+                    mid = (lo + k) // 2
+                    trial = candidate(move, mid)
+                    if trial[1] < J_best and fires(trial):
+                        k, cand = mid, trial
+                    else:
+                        lo = mid
+                return cand
             best, J_best = cand, cand[1]
-            if _escape_fired(*_detectors(cand[0], cand[3], grid), grid):
-                return best
             k *= 2
     return best
 
@@ -243,11 +268,12 @@ def minimize_level(
     symmetry "even" restricts to the even sector (u_init even bit for bit,
     `field.is_even`, else ParameterError; trial steps symmetrized; reference
     level r_gamma); "none" minimizes freely against n_gamma.
-    An accepted translation move (tried once |Delta J| < SLIDE_FACTOR * tol)
-    or saddle move (see the module docstring) is one iteration and one
-    history row of its own.  Stops on escape, at |Delta J| < tol with no move
-    lowering J, on J increasing across 10 consecutive accepted steps
-    (divergence abort), or at max_iters.
+    An accepted translation move (tried at every iterate that fires no escape
+    detector) or saddle move (see the module docstring) is one iteration and
+    one history row of its own.  Stops on escape (a detector fires right
+    after a gradient step with |Delta J| < SLIDE_FACTOR * tol), at
+    |Delta J| < tol with no move lowering J, on J increasing across 10
+    consecutive accepted steps (divergence abort), or at max_iters.
     """
     u = np.asarray(u_init, dtype=float).copy()
     if u.shape != grid.x.shape:
@@ -271,6 +297,7 @@ def minimize_level(
         raise ParameterError("cannot project u_init onto the Nehari set")
 
     drift, mass = _detectors(u, l2, grid)
+    fired = _escape_fired(drift, mass, grid)
     rows = [(0, J_cur, K_cur, drift, mass)]  # the history, one row per iterate
 
     step = 1.0
@@ -281,9 +308,11 @@ def minimize_level(
 
     for it in range(1, max_iters + 1):
         moved = None
-        if dJ < SLIDE_FACTOR * DESCENT_TOL:
-            # the gradient step slows down: try to translate instead; once it
-            # has stalled, try to leave a saddle, and stop if nothing lowers J
+        # a slow gradient step at an iterate that fires has ended the run, so
+        # the slow-step trigger of the moves needs no clause of its own
+        if not fired:
+            # translate first; once the gradient step has stalled, try to
+            # leave a saddle, and stop if nothing lowers J
             moved = _doubling_move((lambda k: _translate(u, k, grid, even),
                                     lambda k: _translate(u, -k, grid, even)),
                                    J_cur, params, grid)
@@ -352,9 +381,12 @@ def minimize_level(
             step = s
 
         drift, mass = _detectors(u, l2, grid)
+        fired = _escape_fired(drift, mass, grid)
         rows.append((it, J_cur, K_cur, drift, mass))
 
-        if _escape_fired(drift, mass, grid):
+        # an escape is declared only once the bump has relaxed where it
+        # stands: a move that fires is followed by gradient steps
+        if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
             escaped = True
             break
         if increases >= 10:
