@@ -43,17 +43,16 @@ from .field import (
 )
 
 
-# init choice -> u(0) built from (cfg, params, grid); v(0) is always zero
+# init choice -> the profile of u(0), built from (cfg, params, grid);
+# u(0) is sign * scale times it and v(0) is always zero
 _INITS = {
-    "qgamma": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q_gamma(
-        grid.x, params),
-    "q": lambda cfg, params, grid: cfg.scale * profiles.soliton_Q(
-        grid.x - cfg.z, params.p),
-    "equilibrium": lambda cfg, params, grid: cfg.scale * discrete_stationary_profile(
+    "qgamma": lambda cfg, params, grid: profiles.soliton_Q_gamma(grid.x, params),
+    "q": lambda cfg, params, grid: profiles.soliton_Q(grid.x - cfg.z, params.p),
+    "equilibrium": lambda cfg, params, grid: discrete_stationary_profile(
         profiles.soliton_Q_gamma(grid.x, params), params, grid),
-    "family": lambda cfg, params, grid: cfg.sign * experiments.initial_family(
+    "family": lambda cfg, params, grid: experiments.initial_family(
         cfg.lam, cfg.varsigma, cfg.z, grid, params).u,
-    "gaussian": lambda cfg, params, grid: cfg.scale * np.exp(-grid.x * grid.x),
+    "gaussian": lambda cfg, params, grid: np.exp(-grid.x * grid.x),
 }
 _INIT_CHOICES = tuple(_INITS)
 
@@ -249,7 +248,8 @@ def _write_csv(
 # --------------------------------------------------------------- subcommands
 
 def _build_initial(cfg: RunConfig, params: PhysParams, grid: GridSpec) -> State:
-    return State(u=_INITS[cfg.init](cfg, params, grid), v=np.zeros(grid.n))
+    u = cfg.sign * cfg.scale * _INITS[cfg.init](cfg, params, grid)
+    return State(u=u, v=np.zeros(grid.n))
 
 
 def _evolve(cfg: RunConfig, params: PhysParams, grid: GridSpec, observer=None):

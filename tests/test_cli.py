@@ -292,10 +292,11 @@ def test_shoot_artifacts(tmp_path):
     assert any("classification" in ln for ln in head if ln.startswith("#"))
 
 
-def run_mirrored(tmp_path, command, text, key):
+def run_mirrored(tmp_path, command, text, key, negated=()):
     """Run `command` with key = 1 and key = -1; check that both exit 0 and
-    write the same files, equal line for line but for the echoed key, and
-    return the file names."""
+    write the same files, equal line for line but for the echoed key and the
+    CSV columns named in `negated`, whose numbers are negated in every row
+    (so those files must have rows that differ), and return the file names."""
     outs = [run(tmp_path, command, text + f"{key} = {s}\n", sub=f"{key}{s}")
             for s in (1, -1)]
     assert [code for code, _ in outs] == [0, 0]
@@ -305,9 +306,15 @@ def run_mirrored(tmp_path, command, text, key):
         plus, minus = [(out / name).read_text().splitlines() for _, out in outs]
         assert len(plus) == len(minus)
         differ = [(a, b) for a, b in zip(plus, minus) if a != b]
-        assert len(differ) == 1, name
         echo = differ[0][0]
         assert key in echo and differ[0][1] == echo.replace("1", "-1")
+        flip = [c in negated for c in next(
+            ln for ln in plus if not ln.startswith("#")).split(",")
+        ] if name.endswith(".csv") else []
+        assert (len(differ) > 1) == any(flip), name
+        for a, b in differ[1:]:
+            assert [float(y) for y in b.split(",")] == [
+                -float(x) if f else float(x) for x, f in zip(a.split(","), flip)]
     return names[0]
 
 
@@ -330,6 +337,20 @@ def test_track_is_sign_blind(tmp_path, key, start):
     assert run_mirrored(tmp_path, "track", text, key) == ["frames.csv", "track.json"]
     blob = json.loads((tmp_path / f"{key}1" / "track.json").read_text())
     assert blob["n_frames"] == 24
+
+
+@pytest.mark.parametrize("key, start", [
+    ("scale", "init = family\ngamma = -1\n"),
+    ("sign", "init = q\n"),
+], ids=["family-scale", "q-sign"])
+def test_simulate_mirrors_every_start(tmp_path, key, start):
+    """Every start is sign * scale times its profile, so a family start at
+    scale = -1 and a q start at sign = -1 write the mirror of their +1 twin:
+    u and v negated, all else equal but the echoed key (each key was once
+    ignored on the other key's starts)."""
+    text = "L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n" + start
+    assert run_mirrored(tmp_path, "simulate", text, key, ("u_at_0", "u", "v")) == [
+        "final_state.csv", "simulate.json", "trajectory.csv"]
 
 
 def test_equilibrium_start_needs_the_pinned_profile(tmp_path, monkeypatch):
