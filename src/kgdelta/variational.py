@@ -308,8 +308,7 @@ def minimize_level(
 
     for it in range(1, max_iters + 1):
         moved = None
-        # a slow gradient step at an iterate that fires has ended the run, so
-        # the slow-step trigger of the moves needs no clause of its own
+        # (at an iterate that fires, a slow gradient step has ended the run)
         if not fired:
             # translate first; once the gradient step has stalled, try to
             # leave a saddle, and stop if nothing lowers J
@@ -384,8 +383,7 @@ def minimize_level(
         fired = _escape_fired(drift, mass, grid)
         rows.append((it, J_cur, K_cur, drift, mass))
 
-        # an escape is declared only once the bump has relaxed where it
-        # stands: a move that fires is followed by gradient steps
+        # a move that fires ends nothing: gradient steps relax it first
         if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
             escaped = True
             break

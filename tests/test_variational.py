@@ -321,7 +321,7 @@ def test_descend_shapes_reach_their_level_in_few_iterations(shape_z):
     ends within 40 iterations (a bump crawling on gradient steps alone took
     up to 526), with its escape flag, at J within 5e-4 of the reference
     (an escape declared before the bump relaxed sat up to 1.7e-3 above
-    4/3).  60 draws, about 0.5 s."""
+    4/3).  60 draws, about 0.4 s."""
     shape, z = shape_z
     rep = _descend(shape, z)
     assert rep.iterations <= 40
