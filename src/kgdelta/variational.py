@@ -308,7 +308,7 @@ def minimize_level(
 
     for it in range(1, max_iters + 1):
         moved = None
-        # (at an iterate that fires, a slow gradient step has ended the run)
+        # past a detector, only gradient steps run until the iterate relaxes
         if not fired:
             # translate first; once the gradient step has stalled, try to
             # leave a saddle, and stop if nothing lowers J
