@@ -107,6 +107,10 @@ CASES = (
     # out to the drift detector at L/3
     ("variational-free-slide", "variational",
      {"L": 15, "n": 601, "init": "q", "z": 2.875, "gamma": -1}),
+    # cut by max_iters at an iterate past the drift detector (drift 5.05 > L/3),
+    # before the gradient steps have relaxed it
+    ("variational-cut", "variational",
+     {"L": 15, "n": 601, "init": "q", "z": 3, "gamma": -1, "max_iters": 2}),
     ("variational-even", "variational",
      {"L": 15, "n": 301, "init": "family", "varsigma": 1, "z": 3.5,
       "symmetry": "even", "max_iters": 400}),
