@@ -218,40 +218,44 @@ def _translate(u: np.ndarray, k: int, grid: GridSpec, even: bool) -> np.ndarray:
 
 
 def _doubling_move(moves, J_cur: float, params: PhysParams, grid: GridSpec):
-    """The Nehari projection of move(k), over the moves in turn and
-    k = 1, 2, 4, ... < grid.center, that lowers J the most: for each move k
-    doubles while J strictly decreases below the best so far.  The first
-    candidate that fires an escape detector ends the search: a bisection
-    between k/2 and k returns the smallest node count whose candidate both
-    fires and lowers J (driven further, the iterate reaches the Dirichlet
-    wall, where truncation lowers J artificially).  Returns it as _projected
-    does, or None if none lowers J.
+    """The move(k), over the moves in turn and k = 1, 2, 4, ... < grid.center,
+    whose Nehari projection lowers J the most, each candidate scored as a
+    line-search trial is: for each move k doubles while the score strictly
+    decreases below the best so far.  The first candidate that fires an
+    escape detector ends the search: a bisection between k/2 and k returns
+    the smallest node count whose candidate both fires and lowers J (driven
+    further, the iterate reaches the Dirichlet wall, where truncation lowers
+    J artificially).  Both detectors are ratios that the Nehari rescaling
+    leaves unchanged, so they read the candidate itself.  Returns the kept
+    candidate as a line-search trial (J, lambda*, v), or None if none
+    lowers J.
     """
     def candidate(move, k):
         v = move(k)
-        return _projected(v, _score(v, params, grid)[1], params, grid)
+        return (*_score(v, params, grid), v)
 
     def fires(cand):
-        return _escape_fired(*_detectors(cand[0], cand[3], grid), grid)
+        v = cand[2]
+        return _escape_fired(*_detectors(v, l2_sq(v, grid), grid), grid)
 
     best, J_best = None, J_cur
     for move in moves:
         k = 1
         while k < grid.center:
             cand = candidate(move, k)
-            if not cand[1] < J_best:
+            if not cand[0] < J_best:
                 break
             if fires(cand):
                 lo = k // 2
                 while k - lo > 1:
                     mid = (lo + k) // 2
                     trial = candidate(move, mid)
-                    if trial[1] < J_best and fires(trial):
+                    if trial[0] < J_best and fires(trial):
                         k, cand = mid, trial
                     else:
                         lo = mid
                 return cand
-            best, J_best = cand, cand[1]
+            best, J_best = cand, cand[0]
             k *= 2
     return best
 
@@ -307,28 +311,24 @@ def minimize_level(
     u_prev = g_prev = None
 
     for it in range(1, max_iters + 1):
-        moved = None
+        trial = None
         # past a detector, only gradient steps run until the iterate relaxes
         if not fired:
             # translate first; once the gradient step has stalled, try to
             # leave a saddle, and stop if nothing lowers J
-            moved = _doubling_move((lambda k: _translate(u, k, grid, even),
+            trial = _doubling_move((lambda k: _translate(u, k, grid, even),
                                     lambda k: _translate(u, -k, grid, even)),
                                    J_cur, params, grid)
-            if moved is None and dJ < DESCENT_TOL:
+            if trial is None and dJ < DESCENT_TOL:
                 if even:
                     break
                 psi = grid.x * u
                 psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
-                moved = _doubling_move((lambda k: u + k * psi,), J_cur, params, grid)
-                if moved is None:
+                trial = _doubling_move((lambda k: u + k * psi,), J_cur, params, grid)
+                if trial is None:
                     break
-        if moved is not None:
-            u, J_cur, K_cur, l2 = moved
-            u_prev = g_prev = None  # the secant pair spans the jump otherwise
-            dJ = np.inf
-            increases = 0
-        else:
+        moved = trial is not None
+        if not moved:
             g = preconditioner.solve(operator.apply(u) - nonlinearity(u, params.p))
 
             # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
@@ -351,10 +351,8 @@ def minimize_level(
             # backtrack to a decrease, then expand while the decrease continues:
             # escape valleys flatten exponentially, so the accepted step must be
             # allowed to grow without bound or the iterates stall short of the
-            # drift/mass detectors.  Trials are compared by their scores; only
-            # the accepted one is projected and evaluated.
+            # drift/mass detectors.  Trials are compared by their scores.
             s = step
-            trial = None
             while s > 1e-14:
                 cand = try_step(s)
                 if cand[0] < J_cur:
@@ -368,16 +366,21 @@ def minimize_level(
             else:
                 # line search exhausted: forced tiny step, counts toward divergence
                 trial = try_step(1e-14)
-            _, lam, v = trial
-            trial = _projected(v, lam, params, grid)
-            if trial[0] is None:
-                break
-            J_new = trial[1]
-
-            increases = increases + 1 if J_new >= J_cur else 0
-            dJ = abs(J_cur - J_new)
-            u, J_cur, K_cur, l2 = trial
             step = s
+
+        # the one projection of the iteration: the kept move or the accepted trial
+        _, lam, v = trial
+        new = _projected(v, lam, params, grid)
+        if new[0] is None:
+            break
+        if moved:
+            u_prev = g_prev = None  # the secant pair spans the jump otherwise
+            dJ = np.inf
+            increases = 0
+        else:
+            increases = increases + 1 if new[1] >= J_cur else 0
+            dJ = abs(J_cur - new[1])
+        u, J_cur, K_cur, l2 = new
 
         drift, mass = _detectors(u, l2, grid)
         fired = _escape_fired(drift, mass, grid)

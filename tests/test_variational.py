@@ -353,11 +353,11 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
 
 
 def test_descent_evaluates_only_accepted_trials(monkeypatch):
-    """One action_terms pass per scored trial (the start's score among
-    them), one per history row and two per move candidate (its score and
-    its evaluation), less one per accepted move, whose row is its
-    candidate's evaluation.  Each trial used to take two passes: its
-    projection and the projected array's terms."""
+    """One action_terms pass per scored trial (the start's score among them),
+    one per scored move candidate and one per history row: an iteration
+    projects and evaluates only the candidate it keeps, a move or the
+    accepted trial.  Each trial, and later each move candidate, used to take
+    two passes: its score and its projection's terms."""
     counts = dict.fromkeys(("terms", "trials", "candidates", "moves"), 0)
     scored = ["trials"]  # what a _score call scores: a move's or a trial
     action_terms, score = variational.action_terms, variational._score
@@ -381,16 +381,24 @@ def test_descent_evaluates_only_accepted_trials(monkeypatch):
     monkeypatch.setattr(variational, "action_terms", counted_terms)
     monkeypatch.setattr(variational, "_score", counted_score)
     monkeypatch.setattr(variational, "_doubling_move", counted_move)
+
+    def descend(grid, symmetry, u_init, **kwargs):
+        counts.update(dict.fromkeys(counts, 0))
+        rep = minimize_level(REP, grid, symmetry, u_init, **kwargs)
+        rows = len(rep.history["iter"])
+        assert counts["terms"] == counts["trials"] + counts["candidates"] + rows
+        return rep, rows
+
     # the golden variational-free descent: a slide that ends in an escape
     grid = make_grid(15.0, 301)
-    rep = minimize_level(REP, grid, "none", soliton_Q(grid.x - 3.0, 3.0),
-                         max_iters=400)
-    rows = len(rep.history["iter"])
+    rep, _ = descend(grid, "none", soliton_Q(grid.x - 3.0, 3.0), max_iters=400)
     assert rep.escaped and counts["moves"] >= 1
-    # the line search backtracks: more scored trials than gradient steps
+    # the golden variational-even-stall descent, whose line search backtracks:
+    # more scored trials than gradient steps
+    grid = make_grid(15.0, 601)
+    rep, rows = descend(grid, "even",
+                        initial_family(0.0, 1, 3.7900183011491833, grid, REP).u)
     assert counts["trials"] > rows - counts["moves"]
-    assert counts["terms"] == (counts["trials"] + rows - counts["moves"]
-                               + 2 * counts["candidates"])
 
 
 def test_tridiagonal_solve_is_solve_banded_bitwise():
