@@ -348,10 +348,9 @@ def minimize_level(
                     cand = 0.5 * (cand + cand[::-1])
                 return (*_score(cand, params, grid), cand)
 
-            # backtrack to a decrease, then expand while the decrease continues:
-            # escape valleys flatten exponentially, so the accepted step must be
-            # allowed to grow without bound or the iterates stall short of the
-            # drift/mass detectors.  Trials are compared by their scores.
+            # backtrack to the first trial whose score lowers J; the
+            # translation moves, not the step, carry a bump down a flat
+            # escape valley
             s = step
             while s > 1e-14:
                 cand = try_step(s)
@@ -359,10 +358,6 @@ def minimize_level(
                     trial = cand
                     break
                 s *= 0.5
-            if trial is not None:
-                while s < 1e12 and (cand := try_step(2.0 * s))[0] < trial[0]:
-                    s *= 2.0
-                    trial = cand
             else:
                 # line search exhausted: forced tiny step, counts toward divergence
                 trial = try_step(1e-14)
