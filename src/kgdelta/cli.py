@@ -401,6 +401,7 @@ def cmd_variational(cfg: RunConfig, params: PhysParams, grid: GridSpec,
         "level_estimate": rep.level_estimate,
         "reference_level": rep.reference_level,
         "escaped": rep.escaped,
+        "stop": rep.stop,
         "iterations": rep.iterations,
         "escape_diagnostic": rep.escape_diagnostic,
     })

@@ -21,13 +21,14 @@ still near z = 5.  So every iteration whose iterate fires no detector first
 tries a translation move (a collective-coordinate step in the spirit of the
 mountain-pass and local-minimax descents of Choi-McKenna 1993 and Li-Zhou
 2001): the iterate is shifted by k = 1, 2, 4, ... grid nodes toward +x, then
-toward -x (the even sector's halves outward, then inward), Nehari-projected,
-and accepted only on a strict decrease of J.  So J picks the side: an
-escaping bump or pair moves outward, and an even pair above r_gamma at
-|gamma| < 2 may merge inward onto Q_gamma.  A refused move costs no
-iteration: the gradient step is taken as usual.  A shift that fires a
-detector is cut back, by bisection, to the fewest nodes that fire, so the
-bump stops just past the detector rather than at the Dirichlet wall.
+toward -x (the even sector's halves outward, then inward), scored by the J
+of its Nehari projection as a line-search trial is, and accepted only on a
+strict decrease of J.  So J picks the side: an escaping bump or pair moves
+outward, and an even pair above r_gamma at |gamma| < 2 may merge inward onto
+Q_gamma.  A refused move costs no iteration: the gradient step is taken as
+usual.  A shift that fires a detector is cut back, by bisection, to the
+fewest nodes that fire, so the bump stops just past the detector rather
+than at the Dirichlet wall.
 
 A move that fires a detector is accepted but ends nothing: the translated
 iterate has not relaxed (a translated Q_gamma fires at J = 1.45, above the
@@ -77,6 +78,7 @@ class MinimizationReport:
     reference_level: float
     minimizer: np.ndarray | None
     escaped: bool
+    stop: str  # "escaped", "stalled", "max_iters", "diverged" or "unprojectable"
     escape_diagnostic: dict
     iterations: int
     history: dict
@@ -158,18 +160,17 @@ def _score(v: np.ndarray, params: PhysParams, grid: GridSpec):
 def _projected(v: np.ndarray, lam: float | None, params: PhysParams, grid: GridSpec):
     """(P v, J_gamma, |K_gamma|, ||.||^2) of P v = exp(lambda*) v, given
     lambda* from v's score, each from P v's own terms and so bitwise what the
-    public functionals give; J is inf where v cannot be projected (lambda* is
-    None) or P v's J is not finite, so that such a candidate is never taken."""
-    if lam is None:
-        return None, np.inf, None, None
-    cand = np.exp(lam) * v
-    quad, nonlin, l2, _ = action_terms(cand, params, grid)
-    J = 0.5 * quad - nonlin / (params.p + 1.0)
-    # J is finite exactly when quad and nonlin are (and so ||P v||^2); rounding
-    # can still overflow them just below _nehari_lambda's LOG_MAX guard
-    if not math.isfinite(J):
-        return None, np.inf, None, None
-    return cand, J, abs(quad - nonlin), l2
+    public functionals give; all None where v cannot be projected (lambda* is
+    None) or P v's J is not finite."""
+    if lam is not None:
+        cand = np.exp(lam) * v
+        quad, nonlin, l2, _ = action_terms(cand, params, grid)
+        J = 0.5 * quad - nonlin / (params.p + 1.0)
+        # J is finite exactly when quad and nonlin are (and so ||P v||^2);
+        # rounding can still overflow them just below _nehari_lambda's guard
+        if math.isfinite(J):
+            return cand, J, abs(quad - nonlin), l2
+    return None, None, None, None
 
 
 def _detectors(u: np.ndarray, l2: float, grid: GridSpec) -> tuple[float, float]:
@@ -274,10 +275,12 @@ def minimize_level(
     level r_gamma); "none" minimizes freely against n_gamma.
     An accepted translation move (tried at every iterate that fires no escape
     detector) or saddle move (see the module docstring) is one iteration and
-    one history row of its own.  Stops on escape (a detector fires right
-    after a gradient step with |Delta J| < SLIDE_FACTOR * tol), at
-    |Delta J| < tol with no move lowering J, on J increasing across 10
-    consecutive accepted steps (divergence abort), or at max_iters.
+    one history row of its own.  The report's stop says why it ended:
+    "escaped" (a detector fires right after a gradient step with |Delta J| <
+    SLIDE_FACTOR * tol; no minimizer is returned), "stalled" (|Delta J| < tol
+    and no move lowers J), "diverged" (J rises across 10 consecutive accepted
+    steps), "unprojectable" (the kept candidate's projection fails) or
+    "max_iters".
     """
     u = np.asarray(u_init, dtype=float).copy()
     if u.shape != grid.x.shape:
@@ -306,7 +309,7 @@ def minimize_level(
 
     step = 1.0
     increases = 0
-    escaped = False
+    stop = "max_iters"
     dJ = np.inf  # |Delta J| of the last gradient step
     u_prev = g_prev = None
 
@@ -319,14 +322,13 @@ def minimize_level(
             trial = _doubling_move((lambda k: _translate(u, k, grid, even),
                                     lambda k: _translate(u, -k, grid, even)),
                                    J_cur, params, grid)
-            if trial is None and dJ < DESCENT_TOL:
-                if even:
-                    break
+            if trial is None and dJ < DESCENT_TOL and not even:
                 psi = grid.x * u
                 psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
                 trial = _doubling_move((lambda k: u + k * psi,), J_cur, params, grid)
-                if trial is None:
-                    break
+            if trial is None and dJ < DESCENT_TOL:
+                stop = "stalled"
+                break
         moved = trial is not None
         if not moved:
             g = preconditioner.solve(operator.apply(u) - nonlinearity(u, params.p))
@@ -352,21 +354,17 @@ def minimize_level(
             # translation moves, not the step, carry a bump down a flat
             # escape valley
             s = step
-            while s > 1e-14:
-                cand = try_step(s)
-                if cand[0] < J_cur:
-                    trial = cand
-                    break
+            while s > 1e-14 and not (trial := try_step(s))[0] < J_cur:
                 s *= 0.5
-            else:
+            if not s > 1e-14:
                 # line search exhausted: forced tiny step, counts toward divergence
                 trial = try_step(1e-14)
             step = s
 
         # the one projection of the iteration: the kept move or the accepted trial
-        _, lam, v = trial
-        new = _projected(v, lam, params, grid)
+        new = _projected(trial[2], trial[1], params, grid)
         if new[0] is None:
+            stop = "unprojectable"
             break
         if moved:
             u_prev = g_prev = None  # the secant pair spans the jump otherwise
@@ -383,17 +381,19 @@ def minimize_level(
 
         # a move that fires ends nothing: gradient steps relax it first
         if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
-            escaped = True
+            stop = "escaped"
             break
         if increases >= 10:
+            stop = "diverged"
             break
 
     diagnostic = {"center_drift": drift, "mass_near_origin": mass}
     return MinimizationReport(
         level_estimate=J_cur,
         reference_level=reference,
-        minimizer=None if escaped else u,
-        escaped=escaped,
+        minimizer=None if stop == "escaped" else u,
+        escaped=stop == "escaped",
+        stop=stop,
         escape_diagnostic=diagnostic,
         iterations=rows[-1][0],
         history=dict(zip(HISTORY_COLUMNS, map(np.array, zip(*rows)))),

@@ -417,7 +417,7 @@ def test_variational_artifacts(tmp_path):
     code, out = run(tmp_path, "variational", text)
     assert code == 0
     blob = json.loads((out / "variational.json").read_text())
-    assert blob["escaped"] is True
+    assert blob["escaped"] is True and blob["stop"] == "escaped"
     assert abs(blob["level_estimate"] - 4.0 / 3.0) < 0.02
     lines = (out / "iterates.csv").read_text().splitlines()
     rows = sum(1 for ln in lines if not ln.startswith("#")) - 1  # the column line

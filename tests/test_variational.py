@@ -206,6 +206,20 @@ def test_free_sector_escapes_sideways():
     assert rep.level_estimate >= rep.reference_level - 2e-3
 
 
+def test_the_report_says_why_the_descent_stopped():
+    """A descent cut by max_iters at an iterate past the drift detector has
+    not escaped (the iterate has not relaxed), and its report says it was
+    cut; an escape and a stall at the pinned level say theirs."""
+    grid = _grid()
+    u0 = soliton_Q(grid.x - 3.0, 3.0)
+    cut = minimize_level(REP, grid, "none", u0, max_iters=2)
+    assert (cut.stop, cut.escaped, cut.iterations) == ("max_iters", False, 2)
+    assert cut.escape_diagnostic["center_drift"] > grid.L / 3.0
+    assert minimize_level(REP, grid, "none", u0).stop == "escaped"
+    pinned = minimize_level(REP, grid, "even", soliton_Q_gamma(grid.x, REP))
+    assert (pinned.stop, pinned.escaped) == ("stalled", False)
+
+
 @pytest.mark.parametrize("z", [2.625, 2.875, 3.375, 3.5, 3.625])
 def test_free_sector_escapes_past_a_stall(z):
     """From these starts the gradient step alone stalls at drift 4.6-5.0,
