@@ -44,7 +44,7 @@ from .field import (
 
 
 # init choice -> the profile of u(0), built from (cfg, params, grid);
-# u(0) is sign * scale times it and v(0) is always zero
+# u(0) is scale times it and v(0) is always zero
 _INITS = {
     "qgamma": lambda cfg, params, grid: profiles.soliton_Q_gamma(grid.x, params),
     "q": lambda cfg, params, grid: profiles.soliton_Q(grid.x - cfg.z, params.p),
@@ -102,7 +102,6 @@ class RunConfig:
     lam: float = _key(0.0, _UNIT_RANGE, key="lambda")  # "lambda" is a keyword
     varsigma: int = _key(0, (lambda v, c: v in (0, 1), "must be 0 or 1, got {v}"))
     z: float = _key(5.0, _POSITIVE_GOT)
-    sign: int = _key(1, (lambda v, c: v in (-1, 1), "must be -1 or 1, got {v}"))
     scale: float = _key(1.0)
     symmetry: str = _key("none", (lambda v, c: v in variational.SYMMETRIES,
                                   f"must be one of {variational.SYMMETRIES}"))
@@ -248,7 +247,7 @@ def _write_csv(
 # --------------------------------------------------------------- subcommands
 
 def _build_initial(cfg: RunConfig, params: PhysParams, grid: GridSpec) -> State:
-    u = cfg.sign * cfg.scale * _INITS[cfg.init](cfg, params, grid)
+    u = cfg.scale * _INITS[cfg.init](cfg, params, grid)
     return State(u=u, v=np.zeros(grid.n))
 
 

@@ -95,7 +95,6 @@ SCHEMA_CASES = [
     ("lambda = 1.5", 3, "lambda must lie in [-1, 1], got 1.5"),
     ("varsigma = 2", 3, "varsigma must be 0 or 1, got 2"),
     ("z = 0", 3, "z must be positive, got 0.0"),
-    ("sign = 0", 3, "sign must be -1 or 1, got 0"),
     ("symmetry = odd", 3, "symmetry must be one of ('none', 'even')"),
     ("lambda_lo = -2", 3, "lambda_lo must lie in [-1, 1], got -2.0"),
     ("lambda_hi = 2", 3, "lambda_hi must lie in [-1, 1], got 2.0"),
@@ -320,36 +319,36 @@ def run_mirrored(tmp_path, command, text, key, negated=()):
 
 def test_shoot_is_sign_blind(tmp_path):
     """The flow is exactly sign-equivariant and K_gamma even in u, so a shoot
-    from -R(z) writes what a shoot from R(z) writes, but for the echoed sign."""
+    from -R(z) writes what a shoot from R(z) writes, but for the echoed scale."""
     text = ("L = 20\nn = 401\ndt = 0.05\ngamma = -1\nz = 3\n"
             "tol = 1e-6\nT_max = 100\n")
-    assert len(run_mirrored(tmp_path, "shoot", text, "sign")) == 15
+    assert len(run_mirrored(tmp_path, "shoot", text, "scale")) == 15
 
 
-@pytest.mark.parametrize("key, start", [
-    ("sign", "init = family\ngamma = -1\n"),
-    ("scale", "init = q\n"),
-], ids=["sign", "scale"])
-def test_track_is_sign_blind(tmp_path, key, start):
+# a family start and a q start, each run at scale = 1 and at scale = -1
+MIRRORED_STARTS = pytest.mark.parametrize(
+    "start", ["init = family\ngamma = -1\n", "init = q\n"],
+    ids=["family-scale", "q-scale"])
+
+
+@MIRRORED_STARTS
+def test_track_is_sign_blind(tmp_path, start):
     """track fits a start near -R(z) as its negation, which the odd flow makes
-    exact: -R(z) writes what R(z) writes, but for the echoed key."""
+    exact: -R(z) writes what R(z) writes, but for the echoed scale."""
     text = "L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n" + start
-    assert run_mirrored(tmp_path, "track", text, key) == ["frames.csv", "track.json"]
-    blob = json.loads((tmp_path / f"{key}1" / "track.json").read_text())
+    assert run_mirrored(tmp_path, "track", text, "scale") == [
+        "frames.csv", "track.json"]
+    blob = json.loads((tmp_path / "scale1" / "track.json").read_text())
     assert blob["n_frames"] == 24
 
 
-@pytest.mark.parametrize("key, start", [
-    ("scale", "init = family\ngamma = -1\n"),
-    ("sign", "init = q\n"),
-], ids=["family-scale", "q-sign"])
-def test_simulate_mirrors_every_start(tmp_path, key, start):
-    """Every start is sign * scale times its profile, so a family start at
-    scale = -1 and a q start at sign = -1 write the mirror of their +1 twin:
-    u and v negated, all else equal but the echoed key (each key was once
-    ignored on the other key's starts)."""
+@MIRRORED_STARTS
+def test_simulate_mirrors_every_start(tmp_path, start):
+    """Every start is scale times its profile, so a family start and a q start
+    at scale = -1 write the mirror of their +1 twin: u and v negated, all else
+    equal but the echoed scale (a family start once ignored scale)."""
     text = "L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n" + start
-    assert run_mirrored(tmp_path, "simulate", text, key, ("u_at_0", "u", "v")) == [
+    assert run_mirrored(tmp_path, "simulate", text, "scale", ("u_at_0", "u", "v")) == [
         "final_state.csv", "simulate.json", "trajectory.csv"]
 
 
@@ -464,10 +463,12 @@ def test_exit_2_on_a_config_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_workers_is_an_unknown_key(tmp_path, capsys):
-    # retired keys: workers (the thread path), seed (it had no reader) and the
-    # tuning values the modulation, certificate and descent now fix
+    # retired keys: workers (the thread path), seed (it had no reader), the
+    # tuning values the modulation, certificate and descent now fix, and sign
+    # (a negative scale is the same start)
     retired = (("workers", 2), ("seed", 1), ("mu", 0.1), ("L_weight", 100.0),
-               ("tube_radius", 0.3), ("cert_margin", 2e-3), ("descent_tol", 1e-9))
+               ("tube_radius", 0.3), ("cert_margin", 2e-3), ("descent_tol", 1e-9),
+               ("sign", -1))
     for key, value in retired:
         code, out = run(tmp_path, "shoot", f"# a retired key\n{key} = {value}\n", sub=key)
         assert code == 2

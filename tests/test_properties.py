@@ -349,7 +349,6 @@ def config_texts(draw):
         "lambda": draw(st.floats(-1.0, 1.0)),
         "varsigma": draw(st.sampled_from([0, 1])),
         "z": draw(st.floats(0.1, 20.0)),
-        "sign": draw(st.sampled_from([-1, 1])),
         "scale": draw(st.floats(-5.0, 5.0)),
         "symmetry": draw(st.sampled_from(["none", "even"])),
         "tol": draw(unit),

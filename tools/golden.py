@@ -75,9 +75,9 @@ CASES = (
       "nonlinearity": 0}),
     ("simulate-family-odd-T", "simulate",
      {"L": 25, "n": 501, "T": 3.01, "init": "family", "varsigma": 1, "z": 4,
-      "lambda": -0.1, "sign": -1, "p": 4}),
+      "lambda": -0.1, "scale": -1, "p": 4}),
     ("shoot-free", "shoot", {**SHOOT_GRID, "gamma": -1, "z": 3}),
-    ("shoot-free-negative", "shoot", {**SHOOT_GRID, "gamma": -1, "z": 3, "sign": -1}),
+    ("shoot-free-negative", "shoot", {**SHOOT_GRID, "gamma": -1, "z": 3, "scale": -1}),
     ("shoot-even", "shoot", {**SHOOT_GRID, "gamma": -2.5, "varsigma": 1, "z": 4.5}),
     ("shoot-bad-bracket", "shoot",
      {**SHOOT_GRID, "gamma": -1, "z": 3, "lambda_lo": -0.3, "lambda_hi": -0.2}),
@@ -96,7 +96,7 @@ CASES = (
     # the mirror of a family start: the flow steps -R(z), the fit reads R(z)
     ("track-negative", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "family", "z": 4,
-      "gamma": -1, "snapshot_stride": 5, "sign": -1}),
+      "gamma": -1, "snapshot_stride": 5, "scale": -1}),
     # the mirror of the `track` case's start (once 0 frames, exit 0)
     ("track-negative-scale", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4, "scale": -1,
