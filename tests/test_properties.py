@@ -1,14 +1,14 @@
 """Properties of the stepping kernel and the sample record over random
 (p, alpha, gamma, n, dt, stride) and random initial data (the half-line path
 of even starts among them), of linear runs at the stable step over random
-(gamma, h, dt), of the Nehari projection and the descent's trial score over
-random (p, gamma, n, u), and of the config schema over random valid
+(gamma, h, dt), of the Nehari projection, the descent's trial score and its
+escape detectors over random (p, gamma, n, u), and of the config schema over random valid
 configs."""
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgdelta import evolution
 from kgdelta.cli import RunConfig, echo_lines, parse_config
@@ -30,7 +30,7 @@ from kgdelta.field import (
     spacing,
     trapezoid,
 )
-from kgdelta.variational import _score, nehari_project
+from kgdelta.variational import _detectors, _score, nehari_project
 
 # small grids and short runs keep the whole module around a second; the
 # draws are derandomized so a failure reproduces on every run
@@ -324,6 +324,31 @@ def test_trial_score_is_the_projected_action(p, gamma, L, n, bumps, scale):
         assert lam is not None
     else:
         assert score == np.inf and lam is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(2.0, 10.0, exclude_min=True),
+       gamma=st.floats(-3.0, 2.0, exclude_max=True),
+       L=st.floats(5.0, 15.0), n=st.integers(1, 200).map(lambda k: 2 * k + 1),
+       bumps=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-8.0, 8.0),
+                                st.floats(0.3, 2.0)), min_size=1, max_size=3),
+       scale=st.floats(-20.0, 20.0).map(lambda e: 10.0 ** e))
+def test_detectors_are_blind_to_the_nehari_rescaling(p, gamma, L, n, bumps, scale):
+    """Both escape detectors are ratios to ||u||^2, so a candidate v and its
+    projection P v = exp(lambda*) v agree on them to rounding: the descent
+    tests a move candidate for an escape before projecting it."""
+    params = PhysParams(p=p, alpha=1.0, gamma=gamma)
+    grid = make_grid(L, n)
+    v = scale * sum(a * np.exp(-(((grid.x - c) / w) ** 2)) for a, c, w in bumps)
+    v[0] = v[-1] = 0.0
+    try:
+        projected = nehari_project(v, params, grid)
+    except ParameterError:
+        assume(False)  # v is zero or its terms underflow: nothing to project
+    drift, mass = _detectors(v, l2_sq(v, grid), grid)
+    drift_p, mass_p = _detectors(projected, l2_sq(projected, grid), grid)
+    assert abs(drift - drift_p) <= 1e-13 * L
+    assert abs(mass - mass_p) <= 1e-13
 
 
 @st.composite
