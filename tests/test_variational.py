@@ -199,25 +199,11 @@ def test_free_sector_escapes_sideways():
     grid = _grid()
     u0 = soliton_Q(grid.x - 3.0, 3.0)
     rep = minimize_level(REP, grid, "none", u0)
-    assert rep.escaped
+    assert rep.escaped and rep.stop == "escaped"
     assert rep.minimizer is None
     assert rep.escape_diagnostic["center_drift"] > grid.L / 3.0
     assert abs(rep.level_estimate - 4.0 / 3.0) / (4.0 / 3.0) < 0.01
     assert rep.level_estimate >= rep.reference_level - 2e-3
-
-
-def test_the_report_says_why_the_descent_stopped():
-    """A descent cut by max_iters at an iterate past the drift detector has
-    not escaped (the iterate has not relaxed), and its report says it was
-    cut; an escape and a stall at the pinned level say theirs."""
-    grid = _grid()
-    u0 = soliton_Q(grid.x - 3.0, 3.0)
-    cut = minimize_level(REP, grid, "none", u0, max_iters=2)
-    assert (cut.stop, cut.escaped, cut.iterations) == ("max_iters", False, 2)
-    assert cut.escape_diagnostic["center_drift"] > grid.L / 3.0
-    assert minimize_level(REP, grid, "none", u0).stop == "escaped"
-    pinned = minimize_level(REP, grid, "even", soliton_Q_gamma(grid.x, REP))
-    assert (pinned.stop, pinned.escaped) == ("stalled", False)
 
 
 @pytest.mark.parametrize("z", [2.625, 2.875, 3.375, 3.5, 3.625])
@@ -350,7 +336,9 @@ def test_descend_shapes_reach_their_level_in_few_iterations(shape_z):
 ])
 def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
     """The fused per-candidate evaluation gives the last history row bitwise
-    what the public functionals give on the returned iterate."""
+    what the public functionals give on the returned iterate, and the report
+    says why the descent stopped: the cut run ends past the drift detector,
+    before the gradient steps have relaxed it, so it has not escaped."""
     grid = _grid()
     u0 = soliton_Q(grid.x - z, 3.0)
     if symmetry == "even":
@@ -359,7 +347,9 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
     u = rep.minimizer
     assert u is not None
     assert rep.iterations == max_iters or max_iters == 20000
+    assert rep.stop == ("max_iters" if max_iters == 2 else "stalled")
     h = rep.history
+    assert (h["center_drift"][-1] > grid.L / 3.0) == (max_iters == 2)
     assert h["J"][-1] == rep.level_estimate == functional_J_gamma(u, par, grid)
     assert h["K_residual"][-1] == abs(functional_K_gamma(u, par, grid))
     assert (h["center_drift"][-1], h["mass_near_origin"][-1]) == _detectors(
