@@ -2,8 +2,8 @@
 (p, alpha, gamma, n, dt, stride) and random initial data (the half-line path
 of even starts among them), of linear runs at the stable step over random
 (gamma, h, dt), of the Nehari projection, the descent's trial score and its
-escape detectors over random (p, gamma, n, u), and of the config schema over random valid
-configs."""
+escape detectors over random (p, gamma, n, u), and of the config schema over
+random valid configs."""
 import warnings
 
 import numpy as np

@@ -360,8 +360,7 @@ def test_descent_evaluates_only_accepted_trials(monkeypatch):
     """One action_terms pass per scored trial (the start's score among them),
     one per scored move candidate and one per history row: an iteration
     projects and evaluates only the candidate it keeps, a move or the
-    accepted trial.  Each trial, and later each move candidate, used to take
-    two passes: its score and its projection's terms."""
+    accepted trial."""
     counts = dict.fromkeys(("terms", "trials", "candidates", "moves"), 0)
     scored = ["trials"]  # what a _score call scores: a move's or a trial
     action_terms, score = variational.action_terms, variational._score
