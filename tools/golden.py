@@ -59,11 +59,17 @@ CASES = (
     # no pinned profile at |gamma| >= 2: the equilibrium start is refused (exit 3)
     ("simulate-equilibrium-strong-delta", "simulate",
      {"L": 20, "n": 401, "T": 1, "init": "equilibrium", "gamma": -2.5}),
+    # the pinned profile exists, but its Newton fails this close to -2 (exit 3)
+    ("simulate-equilibrium-near-minus-2", "simulate",
+     {"T": 1, "init": "equilibrium", "gamma": -1.999}),
     ("simulate-blowup", "simulate",
      {"L": 20, "n": 401, "T": 40, "init": "q", "z": 0.5, "scale": 1.5, "gamma": 0}),
     ("simulate-nonfinite", "simulate",
      {"L": 20, "n": 401, "T": 40, "init": "q", "z": 0.5, "scale": 1.5, "gamma": 0,
       "blowup_cap": 1e300, "snapshot_stride": 7}),
+    # blowup_cap^2 underflows to 0: the cap is tested on the exact sup |u|
+    ("simulate-cap-underflow", "simulate",
+     {"L": 20, "n": 401, "T": 1, "blowup_cap": 1e-170, "snapshot_stride": 1}),
     # the same two exits from an even start (scale * Q_gamma)
     ("simulate-even-blowup", "simulate",
      {"L": 20, "n": 401, "T": 40, "init": "qgamma", "scale": 1.5, "gamma": 0}),
