@@ -16,6 +16,10 @@ with v the centered velocity (u+ - u-)/(2 dt).  Substituting v0 eliminates
 u- and reproduces the two-level recurrence up to rounding; the first step is
 then automatically the second-order Taylor bootstrap using u_tt(0) from the
 PDE.
+
+`_Leapfrog`, the one stepping kernel, takes one whole step per call on two
+buffer slots that it swaps itself, and tests the blowup cap on the mass
+ledger's sum of squares of u+, with the exact sup |u+| only near the cap.
 """
 from __future__ import annotations
 
@@ -71,72 +75,111 @@ def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.n
 
 
 class _Leapfrog:
-    """The stepping kernel: one damped leapfrog step, in place, in the
-    scaled-force form of the module docstring.
+    """The stepping kernel: a run's state (u, v, G = force(u)) in the slot
+    `now`, advanced in place by one damped leapfrog step per `step` call
+    (the scaled-force form of the module docstring), with its dissipation
+    ledger.  `step` writes u+, v+ and G+ into the slot `next` and swaps the
+    two, and `work` is scratch, so a step allocates no array and has no
+    divide.  dt^2/2 scales f - A u, not the stencil: rounded products
+    dt^2/2 * diag and dt^2/2 * off_diag would move the stencil's mass term
+    (2/h^2 + 1) - 2/h^2 by up to an ulp of dt^2/h^2, relative to dt^2/2,
+    which the unstable mode of near-threshold runs amplifies.  An even run
+    steps the window of `evolve`.
 
-    A step is drift (the position update) then kick (the scaled force at the
-    new position and the velocity update).  Both write into caller-owned
-    buffers, which must not alias their inputs; `work` is private scratch.
-    A force is one operator apply, one nonlinearity and two passes, and a
-    step has no divide.  dt^2/2 scales f - A u, not the stencil: rounded
-    products dt^2/2 * diag and dt^2/2 * off_diag would move the stencil's
-    mass term (2/h^2 + 1) - 2/h^2 by up to an ulp of dt^2/h^2, relative to
-    dt^2/2, which the unstable mode of near-threshold runs amplifies.
+    The NonFinite and blowup_cap tests read the sum of squares of u+ that
+    the mass ledger takes anyway, a bound on sup |u+|^2, and take the exact
+    sup only when that sum is not finite or not below cap^2 (1 - 8 m eps),
+    m the window's node count: the margin covers the rounding of the
+    squares, their sum and cap^2.  A cap that is not positive, or whose
+    square is below the smallest normal float (underflow could hide a node
+    above it), always takes the exact sup; a cap^2 that overflows to inf is
+    safe, as a finite sum bounds the sup below sqrt(DBL_MAX).  So every
+    exit and its step are the exact sup's.
     """
 
-    def __init__(self, operator: DiscreteOperator, params: PhysParams, dt: float,
-                 with_nonlinearity: bool):
-        a = params.alpha
+    def __init__(self, u: np.ndarray, v: np.ndarray, grid: GridSpec,
+                 params: PhysParams, dt: float, with_nonlinearity: bool,
+                 blowup_cap: float):
+        a, n = params.alpha, grid.n
         self.c_g = 0.5 * dt * dt
-        self.apply = operator.apply
-        self.p = params.p if with_nonlinearity else None
         self.c_v = dt * (1.0 - a * dt)
         self.k_v = 1.0 / (dt * (1.0 + a * dt))
-        self.work = np.empty(len(operator.diag))
+        self.c_damp = 2.0 * a * dt * 0.5
+        self.c_mass = dt * 0.5
+        self.p = params.p if with_nonlinearity else None
+        self.h = grid.h
+        self.even = is_even(u) and is_even(v)
+        self.lo = lo = grid.center - 1 if self.even else 0
+        operator = build_operator(grid, params.gamma)
+        self.apply = DiscreteOperator(operator.diag[lo:], operator.off_diag).apply
+        m = n - lo
+        self.work = np.empty(m)
+        self.cap = blowup_cap
+        cap_sq = blowup_cap * blowup_cap
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        self.cap_sq = (cap_sq * (1.0 - 8.0 * m * eps)
+                       if blowup_cap > 0.0 and cap_sq >= tiny else 0.0)
+        # a slot: u, v, G and the arrays of u and v that _sums dots
+        tail = slice(2, None) if self.even else slice(None)
+        u, v = u[lo:], v[lo:]
+        g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
+        self.now = (u, v, g, u[tail], v[tail])
+        self.next = (u1, v1, g1, u1[tail], v1[tail])
+        self.force(u, g)
+        self.usq, self.vsq = self._sums(u, u[tail])[1], self._sums(v, v[tail])[1]
+        # the ledger: 2 alpha int ||u_t||^2 dt and int ||u||^2 dt
+        self.damping = self.mass = 0.0
+
+    def _sums(self, w: np.ndarray, tail: np.ndarray) -> tuple[float, float]:
+        """(a sum of squares bounding sup |w|^2, the trapezoid ||w||^2) of a
+        slot array, from one np.dot over its tail; on an even window, the
+        right half counts twice.  The endpoint terms are float products,
+        which overflow to inf, never raise."""
+        s, w1 = float(np.dot(tail, tail)), float(w[-1])
+        if self.even:
+            wc = float(w[1])
+            return s + wc * wc, self.h * (2.0 * s + wc * wc - w1 * w1)
+        w0 = float(w[0])
+        return s, self.h * (s - 0.5 * (w0 * w0 + w1 * w1))
 
     def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """G = dt^2/2 (f(u) - A u) into out."""
-        self.apply(u, out=out)
+        self.apply(u, out, self.work)
         if self.p is None:
             return np.multiply(out, -self.c_g, out=out)
         np.subtract(nonlinearity(u, self.p, out=self.work), out, out=out)
         return np.multiply(out, self.c_g, out=out)
 
-    def drift(self, u: np.ndarray, v: np.ndarray, g: np.ndarray,
-              out: np.ndarray) -> float:
-        """u+ = u + dt (1 - alpha dt) v + G into out; returns sup |u+|."""
-        np.multiply(v, self.c_v, out=out)
-        np.add(out, u, out=out)
-        np.add(out, g, out=out)
-        out[0] = 0.0
-        out[-1] = 0.0
-        return float(np.maximum.reduce(np.abs(out, out=self.work)))
-
-    def kick(self, u: np.ndarray, u1: np.ndarray, g1: np.ndarray,
-             v1: np.ndarray) -> None:
-        """G+ = force(u+) into g1, then v+ = ((u+ - u) + G+)/(dt (1 + alpha dt))
-        into v1."""
+    def step(self) -> str | None:
+        """One step and the slot swap, with the ledger's trapezoid in time.
+        Returns None, or the exit this step ends the run with: NonFinite
+        before the force, leaving the slots as they were, or BlowupCap after
+        the swap."""
+        (u, v, g, _, _), (u1, v1, g1, ut1, vt1) = self.now, self.next
+        stop = None
+        np.multiply(v, self.c_v, out=u1)
+        np.add(u1, u, out=u1)
+        np.add(u1, g, out=u1)
+        u1[-1] = 0.0
+        u1[0] = u1[2] if self.even else 0.0  # the ghost, or the wall
+        bound, usq = self._sums(u1, ut1)
+        if not bound < self.cap_sq:
+            sup = float(np.maximum.reduce(np.abs(u1, out=self.work)))
+            if not math.isfinite(sup):
+                return EXIT_NONFINITE
+            if sup > self.cap:
+                stop = EXIT_BLOWUP_CAP
         self.force(u1, g1)
         np.subtract(u1, u, out=v1)
         np.add(v1, g1, out=v1)
         np.multiply(v1, self.k_v, out=v1)
-        v1[0] = 0.0
-        v1[-1] = 0.0
-
-
-def _dot_l2_sq(w: np.ndarray, h: float) -> float:
-    """Trapezoid ||w||^2 from one np.dot: the ledger's per-step norm.  The
-    endpoint terms are float products, which overflow to inf, never raise."""
-    w0, w1 = float(w[0]), float(w[-1])
-    return h * (float(np.dot(w, w)) - 0.5 * (w0 * w0 + w1 * w1))
-
-
-def _half_l2_sq(w: np.ndarray, h: float) -> float:
-    """_dot_l2_sq of an even array from its window w = [center - 1, n):
-    h (2 sum_{j > center} w_j^2 + w_center^2 - w_{n-1}^2), one np.dot."""
-    tail = w[2:]
-    wc, w1 = float(w[1]), float(w[-1])
-    return h * (2.0 * float(np.dot(tail, tail)) + wc * wc - w1 * w1)
+        v1[0] = v1[-1] = 0.0
+        vsq = self._sums(v1, vt1)[1]
+        self.damping += self.c_damp * (self.vsq + vsq)
+        self.mass += self.c_mass * (self.usq + usq)
+        self.usq, self.vsq = usq, vsq
+        self.now, self.next = self.next, self.now
+        return stop
 
 
 @dataclass
@@ -247,10 +290,6 @@ def evolve(
         raise GridError(
             f"sample counts {len(state0.u)}, {len(state0.v)} do not match grid n = {n}"
         )
-    operator = build_operator(grid, params.gamma)
-    h, center = grid.h, grid.center
-    c_damp = 2.0 * params.alpha * dt * 0.5
-    c_mass = dt * 0.5
     steps = T / dt
     if not math.isfinite(steps):
         raise ParameterError(f"T / dt = {steps} gives no finite step count")
@@ -260,40 +299,26 @@ def evolve(
     # a state can overflow only where the start's finite check (in record(0))
     # or the NonFinite exit detects it, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.array(state0.u, dtype=float)
-        v = np.array(state0.v, dtype=float)
-        # an even run steps the window [center - 1, n) of every buffer
-        even = is_even(u) and is_even(v)
-        lo = center - 1 if even else 0
-        kernel = _Leapfrog(DiscreteOperator(operator.diag[lo:], operator.off_diag),
-                           params, dt, with_nonlinearity)
-        l2_sq_step = _half_l2_sq if even else _dot_l2_sq
-        # the state and its scaled force at the current step and the next,
-        # swapped after every step
-        u, v = u[lo:], v[lo:]
-        g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
-        kernel.force(u, g)
+        kernel = _Leapfrog(np.array(state0.u, dtype=float),
+                           np.array(state0.v, dtype=float), grid, params, dt,
+                           with_nonlinearity, blowup_cap)
         # the last recorded sample's state: the only state a run keeps
         last_u, last_v = np.empty(n), np.empty(n)
         final = None
 
         rows = []  # one row of the Trajectory's arrays per sample
-        damping_acc = 0.0
-        mass_acc = 0.0
         exit_code = EXIT_COMPLETED
-
-        vsq = l2_sq_step(v, h)
-        usq = l2_sq_step(u, h)
 
         def record(k: int) -> bool:
             nonlocal exit_code, final
-            np.copyto(last_u[lo:], u)
-            np.copyto(last_v[lo:], v)
-            if even:  # the right half, mirrored
-                last_u[:center] = u[:1:-1]
-                last_v[:center] = v[:1:-1]
+            u, v = kernel.now[:2]
+            np.copyto(last_u[kernel.lo:], u)
+            np.copyto(last_v[kernel.lo:], v)
+            if kernel.even:  # the right half, mirrored
+                last_u[:grid.center] = u[:1:-1]
+                last_v[:grid.center] = v[:1:-1]
             e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid)
-            u0 = float(last_u[center])
+            u0 = float(last_u[grid.center])
             if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
                 e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
             norm = math.sqrt(h1 + l2_v)
@@ -305,8 +330,8 @@ def evolve(
                     f"K = {kval}, ||(u, v)||_H = {norm}"
                 )
             t = t0 + k * dt
-            rows.append((t, e, damping_acc, mass_acc, kval, norm, math.sqrt(h1),
-                         math.sqrt(l2_v), u0))
+            rows.append((t, e, kernel.damping, kernel.mass, kval, norm,
+                         math.sqrt(h1), math.sqrt(l2_v), u0))
             final = Sample(u=last_u, v=last_v, t=t, E=e, K=kval, norm_H=norm)
             label = observer(final) if observer is not None else None
             if label:
@@ -320,26 +345,14 @@ def evolve(
         ok = record(0)
         k = 0
         while ok and k < n_steps:
-            sup = kernel.drift(u, v, g, u1)
-            if not math.isfinite(sup):
-                exit_code = EXIT_NONFINITE
+            stop = kernel.step()
+            if stop == EXIT_NONFINITE:
+                exit_code = stop
                 break
-            if even:
-                u1[0] = u1[2]  # the ghost
-            kernel.kick(u, u1, g1, v1)
-            v1sq = l2_sq_step(v1, h)
-            u1sq = l2_sq_step(u1, h)
-            damping_acc += c_damp * (vsq + v1sq)
-            mass_acc += c_mass * (usq + u1sq)
-            u, u1 = u1, u
-            v, v1 = v1, v
-            g, g1 = g1, g
-            vsq, usq = v1sq, u1sq
             k += 1
-
-            if sup > blowup_cap:
-                exit_code = EXIT_BLOWUP_CAP
-                record(k)  # the invariant wants the capped state on record
+            if stop:  # BlowupCap: the invariant wants the capped state on record
+                exit_code = stop
+                record(k)
                 break
             if k % snapshot_stride == 0 or k == n_steps:
                 ok = record(k)

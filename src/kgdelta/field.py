@@ -114,15 +114,20 @@ class DiscreteOperator:
     diag: np.ndarray = field(repr=False)
     off_diag: float
 
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A u; out, when given, receives the result and must not alias u."""
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+        """A u; out, when given, receives the result.  scratch, when given, is
+        a caller-owned buffer of u's length that the call overwrites, so a
+        call with both allocates no array.  Neither may alias u or the other."""
         out = np.multiply(self.diag, u, out=out)
-        # symmetric grouping keeps reflection equivariance exact in floats
-        neighbours = u[:-2] + u[2:]
-        neighbours *= self.off_diag
-        out[1:-1] += neighbours
-        out[0] += self.off_diag * u[1]
-        out[-1] += self.off_diag * u[-2]
+        scratch = np.empty(len(u)) if scratch is None else scratch
+        # symmetric grouping keeps reflection equivariance exact in floats;
+        # the wall rows take their one neighbour through the same buffer
+        np.add(u[:-2], u[2:], out=scratch[1:-1])
+        scratch[0] = u[1]
+        scratch[-1] = u[-2]
+        scratch *= self.off_diag
+        out += scratch
         return out
 
     @functools.cached_property

@@ -159,6 +159,20 @@ def test_even_starts_on_the_smallest_grids_equal_the_full_path(n, monkeypatch):
         assert np.all(np.abs(a - b) <= 8.0 * np.finfo(float).eps * steps * b)
 
 
+def _kernel_windows(monkeypatch) -> list:
+    """The node count of each stepping kernel evolve builds from now on: the
+    whole grid, or center + 2 on the half-line path."""
+    windows, leapfrog = [], evolution._Leapfrog
+
+    def counted(*args):
+        kernel = leapfrog(*args)
+        windows.append(len(kernel.now[0]))
+        return kernel
+
+    monkeypatch.setattr(evolution, "_Leapfrog", counted)
+    return windows
+
+
 def test_a_signed_zero_mismatch_takes_the_full_path(monkeypatch):
     """A start even by value but with -0.0 facing 0.0 steps the full grid;
     with the mismatch gone it steps the half-line."""
@@ -166,19 +180,12 @@ def test_a_signed_zero_mismatch_takes_the_full_path(monkeypatch):
     u0 = 0.5 * soliton_Q_gamma(grid.x, PAR_REP)
     u0[0], u0[-1] = -0.0, 0.0
     assert np.array_equal(u0, u0[::-1]) and not _bitwise_even(u0)
-    half_calls = []
-    half_l2_sq = evolution._half_l2_sq
-
-    def counted(w, h):
-        half_calls.append(len(w))
-        return half_l2_sq(w, h)
-
-    monkeypatch.setattr(evolution, "_half_l2_sq", counted)
+    windows = _kernel_windows(monkeypatch)
     evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.05, PAR_REP, grid)
-    assert half_calls == []
+    assert windows == [grid.n]
     u0[0] = 0.0
     evolve(State(u=u0, v=np.zeros(grid.n)), 1.0, 0.05, PAR_REP, grid)
-    assert half_calls and set(half_calls) == {grid.center + 2}
+    assert windows == [grid.n, grid.center + 2]
 
 
 def test_an_even_run_shows_its_observer_even_states():
@@ -204,12 +211,9 @@ def test_the_stationary_profile_of_an_even_start_is_even(p, gamma, monkeypatch):
     par = PhysParams(p=p, alpha=1.0, gamma=gamma)
     u_eq = discrete_stationary_profile(soliton_Q_gamma(grid.x, par), par, grid)
     assert _bitwise_even(u_eq)
-    half_calls = []
-    half_l2_sq = evolution._half_l2_sq
-    monkeypatch.setattr(evolution, "_half_l2_sq",
-                        lambda w, h: half_calls.append(len(w)) or half_l2_sq(w, h))
+    windows = _kernel_windows(monkeypatch)
     evolve(State(u=u_eq, v=np.zeros(grid.n)), 1.0, 0.05, par, grid)
-    assert half_calls and set(half_calls) == {grid.center + 2}
+    assert windows == [grid.center + 2]
 
 
 def test_energy_decays_and_ledger_closes():
