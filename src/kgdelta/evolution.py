@@ -114,33 +114,33 @@ class _Leapfrog:
         self.apply = DiscreteOperator(operator.diag[lo:], operator.off_diag).apply
         m = n - lo
         self.work = np.empty(m)
-        self.cap = blowup_cap
-        cap_sq = blowup_cap * blowup_cap
+        self.cap, cap_sq = blowup_cap, blowup_cap * blowup_cap
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         self.cap_sq = (cap_sq * (1.0 - 8.0 * m * eps)
                        if blowup_cap > 0.0 and cap_sq >= tiny else 0.0)
-        # a slot: u, v, G and the arrays of u and v that _sums dots
+        # a slot: u, v, G and the tails of u and v that the ledger dots
         tail = slice(2, None) if self.even else slice(None)
         u, v = u[lo:], v[lo:]
         g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
         self.now = (u, v, g, u[tail], v[tail])
         self.next = (u1, v1, g1, u1[tail], v1[tail])
         self.force(u, g)
-        self.usq, self.vsq = self._sums(u, u[tail])[1], self._sums(v, v[tail])[1]
+        # a stepped array's norm: h (c2 tail.tail + w[ic]^2), w[ic] its center or a 0 wall
+        self.c2, self.ic = (2.0, 1) if self.even else (1.0, -1)
+        self.usq, self.vsq = self._l2_sq(u, u[tail]), self._l2_sq(v, v[tail])
         # the ledger: 2 alpha int ||u_t||^2 dt and int ||u||^2 dt
         self.damping = self.mass = 0.0
 
-    def _sums(self, w: np.ndarray, tail: np.ndarray) -> tuple[float, float]:
-        """(a sum of squares bounding sup |w|^2, the trapezoid ||w||^2) of a
-        slot array, from one np.dot over its tail; on an even window, the
-        right half counts twice.  The endpoint terms are float products,
-        which overflow to inf, never raise."""
+    def _l2_sq(self, w: np.ndarray, tail: np.ndarray) -> float:
+        """The trapezoid ||w||^2 of a start's array, walls included, from one
+        np.dot over its tail.  The endpoint terms are float products, which
+        overflow to inf, never raise."""
         s, w1 = float(np.dot(tail, tail)), float(w[-1])
         if self.even:
             wc = float(w[1])
-            return s + wc * wc, self.h * (2.0 * s + wc * wc - w1 * w1)
+            return self.h * (2.0 * s + wc * wc - w1 * w1)
         w0 = float(w[0])
-        return s, self.h * (s - 0.5 * (w0 * w0 + w1 * w1))
+        return self.h * (s - 0.5 * (w0 * w0 + w1 * w1))
 
     def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """G = dt^2/2 (f(u) - A u) into out."""
@@ -162,8 +162,8 @@ class _Leapfrog:
         np.add(u1, g, out=u1)
         u1[-1] = 0.0
         u1[0] = u1[2] if self.even else 0.0  # the ghost, or the wall
-        bound, usq = self._sums(u1, ut1)
-        if not bound < self.cap_sq:
+        s, uc = float(np.dot(ut1, ut1)), float(u1[self.ic])
+        if not s + uc * uc < self.cap_sq:
             sup = float(np.maximum.reduce(np.abs(u1, out=self.work)))
             if not math.isfinite(sup):
                 return EXIT_NONFINITE
@@ -174,7 +174,9 @@ class _Leapfrog:
         np.add(v1, g1, out=v1)
         np.multiply(v1, self.k_v, out=v1)
         v1[0] = v1[-1] = 0.0
-        vsq = self._sums(v1, vt1)[1]
+        usq = self.h * (self.c2 * s + uc * uc)
+        s, vc = float(np.dot(vt1, vt1)), float(v1[self.ic])
+        vsq = self.h * (self.c2 * s + vc * vc)
         self.damping += self.c_damp * (self.vsq + vsq)
         self.mass += self.c_mass * (self.usq + usq)
         self.usq, self.vsq = usq, vsq
