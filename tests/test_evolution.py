@@ -71,6 +71,45 @@ def test_operator_commutes_with_reflection():
         assert np.array_equal(op.apply(u[::-1]), op.apply(u)[::-1])
 
 
+@pytest.mark.parametrize("n, even", [(3, False), (3, True), (161, False), (161, True)])
+def test_apply_into_caller_buffers_is_bitwise_apply(n, even):
+    """apply(u, out, scratch) overwrites a dirty scratch and is bitwise apply(u)
+    and the stencil's own grouping, walls included, on the whole grid and on
+    the window [center - 1, n) that an even run steps."""
+    grid = make_grid(8.0, n)
+    op = build_operator(grid, -1.7)
+    if even:
+        op = evolution.DiscreteOperator(op.diag[grid.center - 1:], op.off_diag)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u = rng.standard_normal(len(op.diag))
+        expect = op.diag * u
+        expect[1:-1] += (u[:-2] + u[2:]) * op.off_diag
+        expect[0] += op.off_diag * u[1]
+        expect[-1] += op.off_diag * u[-2]
+        out, scratch = np.full_like(u, np.nan), np.full_like(u, np.nan)
+        assert op.apply(u, out, scratch) is out
+        assert out.tobytes() == op.apply(u).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("cap", [evolution.DEFAULT_CAP, 0.3])
+def test_evolve_applies_the_operator_once_per_step_and_once_before(even, cap,
+                                                                    monkeypatch):
+    """One apply per step taken plus one before the first: the count a
+    benchmark tracer reads steps from, to completion and to the blowup cap."""
+    grid = make_grid(10.0, 201)
+    u0 = 0.5 * soliton_Q(grid.x - (0.0 if even else 1.0), 3.0)
+    calls, apply = [], evolution.DiscreteOperator.apply
+    monkeypatch.setattr(evolution.DiscreteOperator, "apply",
+                        lambda self, *a: calls.append(1) or apply(self, *a))
+    traj = evolve(State(u=u0, v=np.zeros(grid.n)), 2.0, 0.05, PAR_REP, grid,
+                  blowup_cap=cap, contamination_tol=np.inf)
+    steps = round((traj.final.t - traj.sample_times[0]) / 0.05)
+    assert traj.exit == (EXIT_COMPLETED if cap > 1.0 else EXIT_BLOWUP_CAP)
+    assert steps == (40 if cap > 1.0 else 1) and len(calls) == steps + 1
+
+
 def test_cfl_guard():
     grid = make_grid(10.0, 201)  # h = 0.1
     st = State(u=np.zeros(grid.n), v=np.zeros(grid.n))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kgdelta import evolution
 from kgdelta.cli import RunConfig, echo_lines, parse_config
 from kgdelta.errors import ConfigError, GridError, ParameterError
-from kgdelta.evolution import evolve
+from kgdelta.evolution import EXIT_BLOWUP_CAP, EXIT_COMPLETED, EXIT_NONFINITE, evolve
 from kgdelta.field import (
     CFL,
     PhysParams,
@@ -27,6 +27,7 @@ from kgdelta.field import (
     make_grid,
     max_stable_dt,
     norm_H,
+    sample_functionals,
     spacing,
     trapezoid,
 )
@@ -123,6 +124,108 @@ def test_an_even_start_steps_on_the_half_line_bitwise(run):
     for name in ("damping", "mass_integrals"):
         a, b = getattr(half, name), getattr(full, name)
         assert np.all(np.abs(a - b) <= 8.0 * eps * steps * np.abs(b))
+
+
+TRAJECTORY_ARRAYS = ("sample_times", "energies", "damping", "mass_integrals", "K_gamma",
+                     "norm_H", "norm_H1", "norm_L2_v", "u_center")
+
+
+def _reference_run(state0, n_steps, dt, params, grid, stride, cap, nonlinear):
+    """evolve's stepping loop before one step became one kernel call: drift,
+    the exact sup |u+| at every step, kick, on the window of an even start,
+    with today's operator grouping and ledger norms.  Returns the rows
+    (t, E, damping, mass, K, ||(u, v)||_H, ||u||_H1, ||v||, u(0)), the last
+    recorded (u, v), the exit and the sup of every step taken."""
+    h, a, center = grid.h, params.alpha, grid.center
+    u, v = np.array(state0.u, dtype=float), np.array(state0.v, dtype=float)
+    even = evolution.is_even(u) and evolution.is_even(v)
+    lo = center - 1 if even else 0
+    op = build_operator(grid, params.gamma)
+    diag, off = op.diag[lo:], op.off_diag
+    c_g, c_v, k_v = 0.5 * dt * dt, dt * (1.0 - a * dt), 1.0 / (dt * (1.0 + a * dt))
+
+    def force(u):
+        g, nb = diag * u, (u[:-2] + u[2:]) * off
+        g[1:-1] += nb
+        g[0] += off * u[1]
+        g[-1] += off * u[-2]
+        return (evolution.nonlinearity(u, params.p) - g) * c_g if nonlinear else g * -c_g
+
+    def sq(w):
+        t, wc, w0, w1 = (w[2:] if even else w), float(w[1]), float(w[0]), float(w[-1])
+        if even:
+            return h * (2.0 * float(np.dot(t, t)) + wc * wc - w1 * w1)
+        return h * (float(np.dot(t, t)) - 0.5 * (w0 * w0 + w1 * w1))
+
+    def record(k):
+        fu, fv = np.empty(grid.n), np.empty(grid.n)
+        fu[lo:], fv[lo:] = u, v
+        if even:
+            fu[:center], fv[:center] = u[:1:-1], v[:1:-1]
+        e, kval, h1, l2_v = sample_functionals(fu, fv, params, grid)
+        u0 = float(fu[center])
+        e = e if nonlinear else 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
+        rows.append((state0.t + k * dt, e, damping, mass, kval, np.sqrt(h1 + l2_v),
+                     np.sqrt(h1), np.sqrt(l2_v), u0))
+        return fu, fv
+
+    u, v = u[lo:], v[lo:]
+    g, usq, vsq, damping, mass, rows, sups = force(u), sq(u), sq(v), 0.0, 0.0, [], []
+    last = record(0)
+    for k in range(1, n_steps + 1):
+        u1 = v * c_v + u + g
+        u1[0] = u1[-1] = 0.0
+        sups.append(float(np.max(np.abs(u1))))
+        if not np.isfinite(sups[-1]):
+            return rows, last, EXIT_NONFINITE, sups
+        if even:
+            u1[0] = u1[2]
+        g = force(u1)
+        v1 = (u1 - u + g) * k_v
+        v1[0] = v1[-1] = 0.0
+        damping += (2.0 * a * dt * 0.5) * (vsq + sq(v1))
+        mass += (dt * 0.5) * (usq + sq(u1))
+        u, v, usq, vsq = u1, v1, sq(u1), sq(v1)
+        if sups[-1] > cap:
+            return rows, record(k), EXIT_BLOWUP_CAP, sups
+        if k % stride == 0 or k == n_steps:
+            last = record(k)
+    return rows, last, EXIT_COMPLETED, sups
+
+
+@FAST
+@given(runs(), st.booleans(), st.booleans(), st.booleans(),
+       st.sampled_from([None, -2, 2]), st.floats(0.0, 1.0, exclude_max=True))
+def test_evolve_equals_the_drift_kick_reference_bitwise(run, even, nonlinear, rough,
+                                                        ulps, where):
+    """Free and even starts, p in {3, 4, 3.5}, linear and nonlinear runs, a
+    bump or noise up to the walls: every Trajectory array, the final state
+    and the exit are the reference loop's bit for bit.  A cap 2 ulps either
+    side of one step's sup, at snapshot_stride 1, has the sum-of-squares
+    test fire BlowupCap on the step the exact sup fires it on."""
+    params, grid, dt, n_steps, stride, state0 = run
+    if rough:
+        state0 = State(u=0.1 * np.cos(7.0 * grid.x) + state0.v, v=state0.u[::-1].copy())
+    if even:
+        u0, v0 = state0.u, state0.v
+        state0 = State(u=0.5 * (u0 + u0[::-1]), v=0.5 * (v0 + v0[::-1]))
+    cap = evolution.DEFAULT_CAP
+    if ulps is not None:
+        sups = _reference_run(state0, n_steps, dt, params, grid, 1, np.inf, nonlinear)[3]
+        cap, stride = sups[int(where * len(sups))], 1
+        for _ in range(abs(ulps)):
+            cap = float(np.nextafter(cap, np.sign(ulps) * np.inf))
+    rows, last, exit_, _ = _reference_run(state0, n_steps, dt, params, grid, stride,
+                                          cap, nonlinear)
+    traj = evolve(state0, n_steps * dt, dt, params, grid, snapshot_stride=stride,
+                  blowup_cap=cap, with_nonlinearity=nonlinear,
+                  contamination_tol=np.inf)
+    assert traj.exit == exit_
+    ref = np.array(rows).T
+    for name, column in zip(TRAJECTORY_ARRAYS, ref):
+        assert getattr(traj, name).tobytes() == column.tobytes(), name
+    assert traj.final.u.tobytes() == last[0].tobytes()
+    assert traj.final.v.tobytes() == last[1].tobytes()
 
 
 @FAST
