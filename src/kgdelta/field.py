@@ -119,16 +119,15 @@ class DiscreteOperator:
         """A u; out, when given, receives the result.  scratch, when given, is
         a caller-owned buffer of u's length that the call overwrites, so a
         call with both allocates no array.  Neither may alias u or the other."""
-        out = np.multiply(self.diag, u, out=out)
+        out = np.multiply(self.diag, u, out)
         scratch = np.empty(len(u)) if scratch is None else scratch
         # symmetric grouping keeps reflection equivariance exact in floats;
         # the wall rows take their one neighbour through the same buffer
-        np.add(u[:-2], u[2:], out=scratch[1:-1])
+        np.add(u[:-2], u[2:], scratch[1:-1])
         scratch[0] = u[1]
         scratch[-1] = u[-2]
-        scratch *= self.off_diag
-        out += scratch
-        return out
+        np.multiply(scratch, self.off_diag, scratch)
+        return np.add(out, scratch, out)
 
     @functools.cached_property
     def _bands(self):
