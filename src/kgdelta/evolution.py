@@ -118,8 +118,8 @@ class _Leapfrog:
         self.work = np.empty(m)
         self.cap, cap_sq = blowup_cap, blowup_cap * blowup_cap
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        self.cap_sq = (cap_sq * (1.0 - 8.0 * m * eps)
-                       if blowup_cap > 0.0 and cap_sq >= tiny else 0.0)
+        self.safe_sq = (cap_sq * (1.0 - 8.0 * m * eps)
+                        if blowup_cap > 0.0 and cap_sq >= tiny else 0.0)
         # a slot: u, v, G and the tails of u and v that the ledger dots
         tail = slice(2, None) if self.even else slice(None)
         u, v = u[lo:], v[lo:]
@@ -164,7 +164,7 @@ class _Leapfrog:
         u1[-1] = 0.0
         u1[0] = u1[2] if self.even else 0.0  # the ghost, or the wall
         s, uc = float(ut1.dot(ut1)), float(u1[self.ic])
-        if not s + uc * uc < self.cap_sq:
+        if not s + uc * uc < self.safe_sq:
             sup = float(np.maximum.reduce(np.abs(u1, out=self.work)))
             if not math.isfinite(sup):
                 return EXIT_NONFINITE
