@@ -116,10 +116,11 @@ class _Leapfrog:
         self.apply = DiscreteOperator(operator.diag[lo:], operator.off_diag).apply
         m = n - lo
         self.work = np.empty(m)
-        self.cap, cap_sq = blowup_cap, blowup_cap * blowup_cap
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        self.safe_sq = (cap_sq * (1.0 - 8.0 * m * eps)
-                        if blowup_cap > 0.0 and cap_sq >= tiny else 0.0)
+        fi = np.finfo(float)
+        c = float(min(blowup_cap, float(fi.max)))  # an int cap of any size, as a float
+        self.cap, cap_sq = blowup_cap, c * c
+        self.safe_sq = (cap_sq * (1.0 - 8.0 * m * fi.eps)
+                        if blowup_cap > 0.0 and cap_sq >= fi.tiny else 0.0)
         # a slot: u, v, G and the tails of u and v that the ledger dots
         tail = slice(2, None) if self.even else slice(None)
         u, v = u[lo:], v[lo:]
@@ -308,7 +309,6 @@ def evolve(
         # the last recorded sample's state: the only state a run keeps
         last_u, last_v = np.empty(n), np.empty(n)
         final = None
-
         rows = []  # one row of the Trajectory's arrays per sample
         exit_code = EXIT_COMPLETED
 
