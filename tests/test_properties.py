@@ -228,6 +228,25 @@ def test_evolve_equals_the_drift_kick_reference_bitwise(run, even, nonlinear, ro
     assert traj.final.v.tobytes() == last[1].tobytes()
 
 
+@pytest.mark.parametrize("cap", [10**400, 10**200, 1e300, np.inf, np.nan, -10.0, 0.0,
+                                 5e-324, 1e-170, 0.4])
+@pytest.mark.parametrize("even", [False, True])
+def test_caps_off_the_sum_of_squares_test_take_the_exact_sup(cap, even):
+    """Caps whose square overflows (an int beyond the float range among them),
+    is NaN, underflows or belongs to a cap that is not positive: evolve's
+    exits and records are the reference loop's bit for bit."""
+    params, grid = PhysParams(p=3.0, alpha=0.5, gamma=-1.0), make_grid(8.0, 81)
+    u0 = 0.5 * np.exp(-(grid.x - (0.0 if even else 1.0)) ** 2)
+    state0 = State(u=u0, v=0.1 * u0)
+    rows, last, exit_, _ = _reference_run(state0, 20, 0.05, params, grid, 1, cap, True)
+    traj = evolve(state0, 1.0, 0.05, params, grid, snapshot_stride=1, blowup_cap=cap,
+                  contamination_tol=np.inf)
+    assert traj.exit == exit_ == (EXIT_BLOWUP_CAP if cap <= 0.4 else EXIT_COMPLETED)
+    for name, column in zip(TRAJECTORY_ARRAYS, np.array(rows).T):
+        assert getattr(traj, name).tobytes() == column.tobytes(), name
+    assert traj.final.u.tobytes() == last[0].tobytes()
+
+
 @FAST
 @given(runs())
 def test_ledger_closes_at_second_order(run):
