@@ -117,7 +117,7 @@ class _Leapfrog:
         m = n - lo
         self.work = np.empty(m)
         fi = np.finfo(float)
-        c = float(min(blowup_cap, float(fi.max)))  # an int cap of any size, as a float
+        c = float(min(abs(blowup_cap), float(fi.max)))  # any int cap, as a float
         self.cap, cap_sq = blowup_cap, c * c
         self.safe_sq = (cap_sq * (1.0 - 8.0 * m * fi.eps)
                         if blowup_cap > 0.0 and cap_sq >= fi.tiny else 0.0)

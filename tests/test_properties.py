@@ -1,6 +1,7 @@
 """Properties of the stepping kernel and the sample record over random
 (p, alpha, gamma, n, dt, stride) and random initial data (the half-line path
-of even starts among them), of linear runs at the stable step over random
+of even starts among them, and a reference copy of the drift/kick loop the
+kernel replaced), of linear runs at the stable step over random
 (gamma, h, dt), of the Nehari projection, the descent's trial score and its
 escape detectors over random (p, gamma, n, u), and of the config schema over
 random valid configs."""
@@ -228,8 +229,8 @@ def test_evolve_equals_the_drift_kick_reference_bitwise(run, even, nonlinear, ro
     assert traj.final.v.tobytes() == last[1].tobytes()
 
 
-@pytest.mark.parametrize("cap", [10**400, 10**200, 1e300, np.inf, np.nan, -10.0, 0.0,
-                                 5e-324, 1e-170, 0.4])
+@pytest.mark.parametrize("cap", [10**400, -10**400, 10**200, 1e300, np.inf, np.nan, -10.0,
+                                 0.0, 5e-324, 1e-170, 0.4])
 @pytest.mark.parametrize("even", [False, True])
 def test_caps_off_the_sum_of_squares_test_take_the_exact_sup(cap, even):
     """Caps whose square overflows (an int beyond the float range among them),
