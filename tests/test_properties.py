@@ -134,7 +134,7 @@ TRAJECTORY_ARRAYS = ("sample_times", "energies", "damping", "mass_integrals", "K
 def _reference_run(state0, n_steps, dt, params, grid, stride, cap, nonlinear):
     """evolve's stepping loop before one step became one kernel call: drift,
     the exact sup |u+| at every step, kick, on the window of an even start,
-    with today's operator grouping and ledger norms.  Returns the rows
+    with the stencil's grouping and the ledger's norms.  Returns the rows
     (t, E, damping, mass, K, ||(u, v)||_H, ||u||_H1, ||v||, u(0)), the last
     recorded (u, v), the exit and the sup of every step taken."""
     h, a, center = grid.h, params.alpha, grid.center
