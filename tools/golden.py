@@ -107,6 +107,15 @@ CASES = (
     ("track-negative-scale", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4, "scale": -1,
       "snapshot_stride": 5}),
+    # a pair that drifts inward until the next guess is z <= 2 (once exit 3
+    # after 39 fitted frames, none of them written)
+    ("track-pair-inward", "track",
+     {"L": 20, "n": 801, "T": 6, "init": "family", "varsigma": 1, "z": 2.2,
+      "lambda": -0.05, "gamma": -0.5, "snapshot_stride": 4}),
+    # the first guess, the peak node x = 2, is already z <= 2 (once exit 3)
+    ("track-pair-first-guess", "track",
+     {"L": 20, "n": 401, "T": 6, "init": "family", "varsigma": 1, "z": 2.05,
+      "lambda": -0.05, "gamma": -0.5, "snapshot_stride": 4}),
     ("variational-free", "variational",
      {"L": 15, "n": 301, "init": "q", "z": 3, "max_iters": 400}),
     # the benchmark's free descend shape on its own grid: a bump that slides
