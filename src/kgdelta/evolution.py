@@ -236,14 +236,14 @@ class Trajectory:
         return float(max(self.norm_H))
 
 
-def _outer_energy(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
-    """H-type energy carried by the outer 10% of the domain (contamination)."""
-    m = max(2, grid.n // 10)
+def _outer_energy(outer: list, h: float, scratch: np.ndarray) -> float:
+    """H-type energy carried by the outer 10% of the domain (contamination):
+    outer holds the (u, v) slices of its two ends, and scratch receives the
+    differences of u."""
     e = 0.0
-    for sl in (slice(0, m), slice(grid.n - m, grid.n)):
-        uu, vv = u[sl], v[sl]
-        e += grid.h * (float(np.dot(uu, uu)) + float(np.dot(vv, vv)))
-        e += _dirichlet_form(uu, grid.h)
+    for uu, vv in outer:
+        e += h * (float(np.dot(uu, uu)) + float(np.dot(vv, vv)))
+        e += _dirichlet_form(uu, h, scratch[1:len(uu)])
     return e
 
 
@@ -306,8 +306,11 @@ def evolve(
         kernel = _Leapfrog(np.array(state0.u, dtype=float),
                            np.array(state0.v, dtype=float), grid, params, dt,
                            with_nonlinearity, blowup_cap)
-        # the last recorded sample's state: the only state a run keeps
-        last_u, last_v = np.empty(n), np.empty(n)
+        # the last recorded sample's state: the only state a run keeps, and
+        # the buffers and contamination slices of its functionals
+        last_u, last_v, scratch = np.empty(n), np.empty(n), np.empty((4, n))
+        m = max(2, n // 10)
+        outer = [(last_u[sl], last_v[sl]) for sl in (slice(0, m), slice(n - m, n))]
         final = None
         rows = []  # one row of the Trajectory's arrays per sample
         exit_code = EXIT_COMPLETED
@@ -320,7 +323,8 @@ def evolve(
             if kernel.even:  # the right half, mirrored
                 last_u[:grid.center] = u[:1:-1]
                 last_v[:grid.center] = v[:1:-1]
-            e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid)
+            e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid,
+                                                  scratch)
             u0 = float(last_u[grid.center])
             if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
                 e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
@@ -340,7 +344,7 @@ def evolve(
             if label:
                 exit_code = label
                 return False
-            if _outer_energy(last_u, last_v, grid) > contamination_tol:
+            if _outer_energy(outer, grid.h, scratch[3]) > contamination_tol:
                 exit_code = EXIT_CONTAMINATION
                 return False
             return True

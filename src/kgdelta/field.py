@@ -258,10 +258,17 @@ def trapezoid(f: np.ndarray, grid: GridSpec) -> float:
     return _trapezoid(f, grid.h)
 
 
-def _dirichlet_form(u: np.ndarray, h: float) -> float:
+def _trapezoids(rows: np.ndarray, h: float) -> list:
+    """The _trapezoid of each row of a C-contiguous array, from one reduction:
+    its row sums are bitwise the 1-D sums."""
+    return [h * (s - 0.5 * (float(f[0]) + float(f[-1])))
+            for s, f in zip(np.add.reduce(rows, axis=1).tolist(), rows)]
+
+
+def _dirichlet_form(u: np.ndarray, h: float, out: np.ndarray | None = None) -> float:
     """The staggered Dirichlet form h * sum(((u_{j+1}-u_j)/h)^2) of A's
-    3-point Laplacian."""
-    d = u[1:] - u[:-1]  # np.diff, without its Python wrapper
+    3-point Laplacian; out, when given, receives the differences."""
+    d = np.subtract(u[1:], u[:-1], out)  # np.diff, without its Python wrapper
     return float(np.dot(d, d)) / h
 
 
@@ -298,37 +305,37 @@ def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
 
 
 def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
-                       grid: GridSpec):
+                       grid: GridSpec, scratch: np.ndarray | None = None):
     """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
     action_terms pass: the functionals evolve records at each sample, each
-    bitwise what h1_sq, l2_sq and functional_K_gamma return."""
-    quad, lq, _, h1 = action_terms(u, params, grid)
-    l2_v = l2_sq(v, grid)
+    bitwise what h1_sq, l2_sq and functional_K_gamma return.  scratch, when
+    given, is a caller-owned (4, n) buffer that the call overwrites."""
+    quad, lq, _, h1, l2_v = action_terms(u, params, grid, v, scratch)
     u0 = float(u[grid.center])
     e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0) - lq / (params.p + 1.0)
     return e, quad - lq, h1, l2_v
 
 
-def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
+def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec,
+                 v: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2, ||u||_H1^2) in
     one pass, each bitwise what h1_sq, l2_sq and the trapezoid of |u|^(p+1)
-    combine to."""
+    combine to, and l2_sq(v) after them when v is given.  scratch, when
+    given, is a caller-owned (4, n) buffer that the call overwrites."""
     _check_samples(u, grid)
     u = np.asarray(u)
-    h = grid.h
-    # u^2 and |u|^(p+1) as the rows of one array, summed by one reduction:
-    # the row sums of a C-contiguous array are bitwise the 1-D sums
-    terms = np.empty((2, len(u)))
-    sq, pw = terms
-    np.multiply(u, u, out=sq)
-    np.power(np.abs(u, out=pw), params.p + 1.0, out=pw)
-    sq_sum, pw_sum = np.add.reduce(terms, axis=1).tolist()
-    # each row's _trapezoid, in its operation order
-    l2 = h * (sq_sum - 0.5 * (float(sq[0]) + float(sq[-1])))
-    lq = h * (pw_sum - 0.5 * (float(pw[0]) + float(pw[-1])))
+    k = 2 if v is None else 3
+    buf = np.empty((k + 1, len(u))) if scratch is None else scratch
+    # u^2, |u|^(p+1) and v^2 as the rows of one array, summed by one reduction
+    terms = buf[:k]
+    np.multiply(u, u, terms[0])
+    np.power(np.abs(u, terms[1]), params.p + 1.0, terms[1])
+    if v is not None:
+        np.multiply(v, v, terms[2])
+    l2, lq, *l2_v = _trapezoids(terms, grid.h)
     u0 = float(u[grid.center])
-    h1 = _dirichlet_form(u, h) + l2
-    return h1 - params.gamma * u0 * u0, lq, l2, h1
+    h1 = _dirichlet_form(u, grid.h, buf[k, 1:]) + l2
+    return (h1 - params.gamma * u0 * u0, lq, l2, h1, *l2_v)
 
 
 def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
