@@ -360,9 +360,10 @@ def track_center(
     each sample an `evolve` observer saw.  The first guess of z is the peak
     of |u| on the start's right half; where u is negative there, each state
     (u, v, t) is fitted as (-u, -v, t), a state near +R(z), since the flow
-    is odd in (u, v).  Fits are warm-started from the previous frame; the
-    series stops at the first frame that leaves the tube (or where the fit
-    fails).  Each frame gets the measured z' of the series and its relative
+    is odd in (u, v).  Fits are warm-started from the previous frame, whose
+    converged `profiles.soliton_pair` is the next fit's first iterate; the
+    series stops at the first frame that leaves the tube, where the fit
+    fails, or where an even pair's guess is z <= 2.  Each frame gets the measured z' of the series and its relative
     gap to the predicted one.  Frames are 'valid' for the z' comparison
     while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
     sup_t [z(t) - log(max(t,1))/2] runs over those.
@@ -376,9 +377,12 @@ def track_center(
             fitted = (State(-st.u, -st.v, st.t) for st in states)
 
     frames: list = []
+    at_guess = [None]  # the soliton_pair at guess, once a fit has converged there
     for st in fitted:
+        if sigma == 1 and not guess > 2:  # the pair fit needs z > 2
+            break
         try:
-            frame = modulation.fit_center(st, sigma, guess, params, grid)
+            frame = modulation.fit_center(st, sigma, guess, params, grid, at_guess)
         except (OutOfTubeError, NoConvergenceError):
             break
         frames.append(frame)

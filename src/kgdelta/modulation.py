@@ -29,7 +29,7 @@ import numpy as np
 
 from . import profiles
 from .errors import NoConvergenceError, OutOfTubeError, ParameterError
-from .field import GridSpec, PhysParams, gradient_sq, l2_sq, trapezoid
+from .field import GridSpec, PhysParams, _dirichlet_form, _trapezoids, trapezoid
 
 # the tube around the reference family that fit_center accepts, the weight of
 # the decaying modes in script_G, and the twist mu = MU_FACTOR * alpha of
@@ -80,10 +80,16 @@ def fit_center(
     z_guess: float,
     params: PhysParams,
     grid: GridSpec,
+    at_guess: list | None = None,
 ) -> ModulationFrame:
     """Newton-solve the orthogonality condition G(z) = 0 near z_guess for a
     state near +R(z) and return its frame at the fitted center (see
     `decompose`).
+
+    at_guess, when given, is a caller-owned one-item list: on entry None or
+    `profiles.soliton_pair` at z_guess, which the first iterate then takes
+    as is; on a converged fit, the soliton_pair at its center.  So a series
+    whose next guess is this frame's z evaluates no profile twice.
 
     Raises NoConvergenceError after FIT_MAX_ITER iterations, OutOfTubeError when
     the converged center drifts more than TUBE_RADIUS from z_guess or the
@@ -96,26 +102,31 @@ def fit_center(
     u, v = state.u, state.v
 
     z = float(z_guess)
+    at_z = at_guess[0] if at_guess else None
+    w, prod = np.empty(grid.n), np.empty(grid.n)  # the Newton products
     for _ in range(FIT_MAX_ITER):
-        ref, (q_r, qd_r, _), left = at_z = profiles.soliton_pair(x, z, sigma, p)
-        w = v + 2.0 * alpha * (u - ref)
-        g_val = trapezoid(w * qd_r, grid)
+        ref, (q_r, qd_r, _), left = at_z = at_z or profiles.soliton_pair(x, z, sigma, p)
+        np.add(v, np.multiply(np.subtract(u, ref, w), 2.0 * alpha, w), w)
+        g_val = trapezoid(np.multiply(w, qd_r, prod), grid)
         if abs(g_val) <= FIT_TOL:
             break
         # d/dz of the quadrature: Q'(.-z) differentiates to -Q'' = -(Q - Q^p)
-        qdd_r = q_r - q_r**p
-        dg = -trapezoid(w * qdd_r, grid)
-        corr = qd_r - left[1] if sigma else qd_r
-        dg += 2.0 * alpha * trapezoid(corr * qd_r, grid)
+        qdd_r = np.subtract(q_r, np.power(q_r, p, prod), prod)
+        dg = -trapezoid(np.multiply(w, qdd_r, prod), grid)
+        corr = np.subtract(qd_r, left[1], prod) if sigma else qd_r
+        dg += 2.0 * alpha * trapezoid(np.multiply(corr, qd_r, prod), grid)
         if dg == 0.0 or not np.isfinite(dg):
             raise NoConvergenceError("singular Jacobian in center fit")
         z -= g_val / dg
+        at_z = None
         if not np.isfinite(z):
             raise NoConvergenceError("center fit diverged")
     else:
         raise NoConvergenceError(
             f"center fit: |G| > {FIT_TOL} after {FIT_MAX_ITER} iterations"
         )
+    if at_guess is not None:
+        at_guess[0] = at_z
 
     if abs(z - z_guess) > TUBE_RADIUS:
         raise OutOfTubeError(
@@ -162,15 +173,23 @@ def decompose(
     eps = state.u - ref
     eta = state.v
     phi_r = profiles._phi_of_logcosh(lc_r, p)
-    a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
-    a_minus = trapezoid((eta - con.nu_plus * eps) * phi_r, grid)
-    a_zero = trapezoid(eta * qd_r, grid)
-
     rho = 2.0 * alpha - mu
-    grad_eps = gradient_sq(eps, grid)
-    quad = grad_eps + trapezoid(
-        (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
-    )
+    # the six integrands, each in its own operation order, as the rows of
+    # one array summed by one reduction; the last row is scratch
+    rows = np.empty((7, grid.n))
+    i_plus, i_minus, i_zero, i_quad, eps_sq, eta_sq, tmp = rows
+    np.multiply(eps, eps, eps_sq)
+    np.multiply(eta, eta, eta_sq)
+    for row, nu in ((i_plus, con.nu_minus), (i_minus, con.nu_plus)):
+        np.multiply(np.subtract(eta, np.multiply(eps, nu, row), row), phi_r, row)
+    np.multiply(eta, qd_r, i_zero)
+    # (1 - rho mu) eps^2 + (eta + mu eps)^2 - pot eps^2
+    np.add(eta, np.multiply(eps, mu, i_quad), i_quad)
+    np.add(np.multiply(eps_sq, 1.0 - rho * mu, tmp), np.square(i_quad, i_quad), i_quad)
+    np.subtract(i_quad, np.multiply(pot, eps_sq, tmp), i_quad)
+    a_plus, a_minus, a_zero, quad, l2_eps, l2_eta = _trapezoids(rows[:6], grid.h)
+    grad_eps = _dirichlet_form(eps, grid.h, tmp[1:])
+    quad = grad_eps + quad
     eps0 = float(eps[grid.center])
     u0 = float(ref[grid.center]) + eps0
     script_E = 0.5 * quad - 0.5 * gamma * u0 * u0
@@ -188,7 +207,7 @@ def decompose(
         # products, not Python-float powers, which raise OverflowError
         script_G=script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
         # h1_sq(eps) + l2_sq(eta), in its operation order
-        eps_norm_H=float(np.sqrt(grad_eps + l2_sq(eps, grid) + l2_sq(eta, grid))),
+        eps_norm_H=float(np.sqrt(grad_eps + l2_eps + l2_eta)),
         leading_term=leading,
         trace_term=trace,
         z_dot_predicted=leading + trace,

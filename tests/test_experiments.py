@@ -4,7 +4,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from kgdelta.errors import BracketError, ParameterError
+from kgdelta import modulation, profiles
+from kgdelta.errors import (BracketError, NoConvergenceError, OutOfTubeError,
+                             ParameterError)
 from kgdelta.evolution import EXIT_BLOWUP_CAP, discrete_stationary_profile, evolve
 from kgdelta.experiments import (
     BLOWS_UP,
@@ -16,7 +18,7 @@ from kgdelta.experiments import (
     scaling_curve,
     track_center,
 )
-from kgdelta.field import PhysParams, State, energy_E_gamma, make_grid
+from kgdelta.field import PhysParams, State, energy_E_gamma, make_grid, trapezoid
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 from kgdelta.variational import reference_levels
 
@@ -253,3 +255,102 @@ def test_track_center_is_sign_blind():
     assert [repr(astuple(f)) for f in rep.frames] == [repr(astuple(f)) for f in neg.frames]
     assert np.array_equal(rep.valid_mask, neg.valid_mask)
     assert rep.sup_half_log == neg.sup_half_log
+
+
+def _old_fit_center(st, sigma, z_guess, params, grid, evals):
+    """fit_center as it was before profile reuse: a fresh soliton_pair at
+    every Newton iterate (counted in evals[0]) and one more in decompose."""
+    z = float(z_guess)
+    for _ in range(modulation.FIT_MAX_ITER):
+        ref, (q_r, qd_r, _), left = profiles.soliton_pair(grid.x, z, sigma, params.p)
+        evals[0] += 1
+        w = st.v + 2.0 * params.alpha * (st.u - ref)
+        g_val = trapezoid(w * qd_r, grid)
+        if abs(g_val) <= modulation.FIT_TOL:
+            break
+        dg = -trapezoid(w * (q_r - q_r**params.p), grid)
+        corr = qd_r - left[1] if sigma else qd_r
+        dg += 2.0 * params.alpha * trapezoid(corr * qd_r, grid)
+        if dg == 0.0 or not np.isfinite(dg):
+            raise NoConvergenceError("singular Jacobian")
+        z -= g_val / dg
+        if not np.isfinite(z):
+            raise NoConvergenceError("diverged")
+    else:
+        raise NoConvergenceError("no convergence")
+    if abs(z - z_guess) > modulation.TUBE_RADIUS:
+        raise OutOfTubeError("drifted")
+    frame = modulation.decompose(st, z, sigma, params, grid)
+    if frame.eps_norm_H > modulation.TUBE_RADIUS:
+        raise OutOfTubeError("residual")
+    return frame
+
+
+def _old_track_frames(states, sigma, params, grid):
+    """track_center's frames by the old loop, with the number of Newton
+    iterates and of fit attempts it made."""
+    right = states[0].u[grid.center:]
+    peak = grid.center + int(np.argmax(np.abs(right)))
+    guess = float(grid.x[peak])
+    if states[0].u[peak] < 0:
+        states = [State(-s.u, -s.v, s.t) for s in states]
+    frames, evals, attempts = [], [0], 0
+    for st in states:
+        if sigma == 1 and not guess > 2:
+            break
+        attempts += 1
+        try:
+            frame = _old_fit_center(st, sigma, guess, params, grid, evals)
+        except (OutOfTubeError, NoConvergenceError):
+            break
+        frames.append(frame)
+        guess = frame.z
+    z = np.array([f.z for f in frames])
+    zdot = np.gradient(z, [f.t for f in frames]) if len(frames) >= 2 else [np.nan]
+    for f, zd in zip(frames, zdot):
+        f.z_dot_measured = float(zd)
+    return frames, evals[0], attempts
+
+
+@pytest.mark.parametrize("gamma, sigma, z, lam, scale, T, stride", [
+    (-1.0, 0, 3.0, 0.01, 1.0, 10.0, 4),  # the single wave, leaving the tube
+    (-1.0, 0, 3.0, 0.01, -1.0, 10.0, 4),  # its mirror: the states are negated
+    (-2.5, 1, 4.5, 0.0, 1.0, 6.0, 5),  # the even pair, leaving the tube
+    (-0.5, 1, 2.2, -0.05, 1.0, 6.0, 4),  # a pair drifting inward to z <= 2
+], ids=["single", "negated", "pair", "pair-inward"])
+def test_track_center_reuses_profiles_bitwise(monkeypatch, gamma, sigma, z, lam,
+                                              scale, T, stride):
+    """Each fit starts from the previous fit's converged soliton_pair: the
+    frames are the old loop's bit for bit, with one profile evaluation fewer
+    per fit after the first."""
+    params = PhysParams(p=3.0, alpha=1.0, gamma=gamma)
+    grid = make_grid(20.0, 401)
+    st0 = initial_family(lam, sigma, z, grid, params)
+    states = []
+    evolve(State(scale * st0.u, st0.v), T, 0.05, params, grid,
+           observer=lambda s: states.append(s.copy()), snapshot_stride=stride)
+    old, old_evals, attempts = _old_track_frames(states, sigma, params, grid)
+    assert 3 < len(old) < len(states)  # the series ends before the run does
+
+    calls = []
+    pair = profiles.soliton_pair
+    monkeypatch.setattr(profiles, "soliton_pair",
+                        lambda *args: calls.append(args[1]) or pair(*args))
+    rep = track_center(states, sigma, params, grid)
+    assert [repr(astuple(f)) for f in rep.frames] == [repr(astuple(f)) for f in old]
+    assert len(calls) == old_evals - (attempts - 1)
+    # only the inward pair's series ends where the next guess is z <= 2
+    assert (rep.z[-1] <= 2.0) == (z < 3.0)
+
+
+def test_a_pair_series_ends_at_a_guess_of_at_most_2():
+    """The pair fit refuses z_guess <= 2; track_center ends the series there,
+    and an even pair whose peak node is x = 2 fits no frame."""
+    grid = make_grid(20.0, 401)
+    params = PhysParams(p=3.0, alpha=1.0, gamma=-0.5)
+    st0 = initial_family(-0.05, 1, 2.05, grid, params)
+    assert grid.x[grid.center + int(np.argmax(st0.u[grid.center:]))] == 2.0
+    rep = track_center([st0], 1, params, grid)
+    assert rep.empty and rep.frames == [] and np.isnan(rep.sup_half_log)
+    with pytest.raises(ParameterError):
+        modulation.fit_center(st0, 1, 2.0, params, grid)

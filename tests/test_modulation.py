@@ -3,11 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kgdelta import profiles
 from kgdelta.errors import NoConvergenceError, OutOfTubeError, ParameterError
 from kgdelta.evolution import evolve
-from kgdelta.field import PhysParams, State, make_grid, trapezoid
-from kgdelta.modulation import decompose, fit_center
+from kgdelta.field import PhysParams, State, gradient_sq, l2_sq, make_grid, trapezoid
+from kgdelta.modulation import L_WEIGHT, MU_FACTOR, decompose, fit_center
 from kgdelta.profiles import (
     neutral_even_mode_phi,
     soliton_Q,
@@ -199,3 +201,64 @@ def test_tracked_soliton_dressing_physics():
     # feedback factor 2/(2-gamma) = 2/3)
     slope = np.polyfit(times, np.exp(2.0 * zs), 1)[0]
     assert abs(slope - 4.0) < 0.8, f"measured slope {slope}"
+
+
+def _old_decompose(state, z, sigma, params, grid):
+    """The integrals of decompose in their old operation order, one
+    trapezoid, gradient_sq or l2_sq call each: (a_plus, a_minus, a_zero,
+    script_E, script_G, eps_norm_H)."""
+    alpha, p, gamma = params.alpha, params.p, params.gamma
+    mu = MU_FACTOR * alpha
+    con = spectral_constants(params)
+    ref, (q_r, qd_r, lc_r), left = profiles.soliton_pair(grid.x, z, sigma, p)
+    pot = p * q_r ** (p - 1.0)
+    if sigma:
+        pot = pot + p * left[0] ** (p - 1.0)
+    eps, eta = state.u - ref, state.v
+    phi_r = profiles._phi_of_logcosh(lc_r, p)
+    a_plus = trapezoid((eta - con.nu_minus * eps) * phi_r, grid)
+    a_minus = trapezoid((eta - con.nu_plus * eps) * phi_r, grid)
+    a_zero = trapezoid(eta * qd_r, grid)
+    rho = 2.0 * alpha - mu
+    grad_eps = gradient_sq(eps, grid)
+    quad = grad_eps + trapezoid(
+        (1.0 - rho * mu) * eps**2 + (eta + mu * eps) ** 2 - pot * eps**2, grid
+    )
+    u0 = float(ref[grid.center]) + float(eps[grid.center])
+    script_E = 0.5 * quad - 0.5 * gamma * u0 * u0
+    return (a_plus, a_minus, a_zero, script_E,
+            script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
+            float(np.sqrt(grad_eps + l2_sq(eps, grid) + l2_sq(eta, grid))))
+
+
+# 150 derandomized draws take about 0.5 s
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([3.0, 4.0, 2.5, 5.7]),
+       alpha=st.one_of(st.floats(0.05, 5.0), st.floats(1e100, 1e300)),
+       gamma=st.floats(-3.0, 1.9), sigma=st.sampled_from([0, 1]),
+       z=st.floats(2.05, 8.0), n=st.sampled_from([41, 101, 401]),
+       eps_amp=st.sampled_from([0.0, 1e-3, 0.1]),
+       eta_amp=st.sampled_from([0.0, 1e-2, 1e160]),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_is_the_old_integrals_bitwise(p, alpha, gamma, sigma, z, n,
+                                                eps_amp, eta_amp, seed):
+    """decompose's fused integrals are bitwise the one-call-per-integral
+    ones, overflows included: huge alpha makes the twist rho mu inf, and
+    eta = 1e160 phi squares past the float range, so nan and inf land in the
+    same fields."""
+    params = PhysParams(p=p, alpha=alpha, gamma=gamma)
+    grid = make_grid(20.0, n)
+    rng = np.random.default_rng(seed)
+    bump = np.exp(-0.25 * (grid.x - z) ** 2)
+    u = profiles.soliton_pair(grid.x, z, sigma, p)[0]
+    u = u + eps_amp * rng.standard_normal(n) * bump
+    v = eta_amp * (neutral_even_mode_phi(grid.x - z, p)
+                   + 0.1 * rng.standard_normal(n) * bump)
+    state = State(u=u, v=v, t=0.5)
+    with np.errstate(all="ignore"):
+        frame = decompose(state, z, sigma, params, grid)
+        old = _old_decompose(state, z, sigma, params, grid)
+    new = (frame.a_plus, frame.a_minus, frame.a_zero, frame.script_E,
+           frame.script_G, frame.eps_norm_H)
+    assert np.array_equal(np.array(new).view(np.uint64), np.array(old).view(np.uint64)), \
+        (new, old)
