@@ -216,6 +216,7 @@ def interaction_constant_cm(m: float, p: float) -> float:
     return cq * integral
 
 
+@lru_cache(maxsize=16)
 def ground_state_action(p: float) -> float:
     """Action J_0(Q) = (1/2 - 1/(p+1)) * ||Q||_{p+1}^{p+1} (valid as K_0(Q) = 0)."""
     _check_p(p)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,7 @@ class MinimizationReport:
     history: dict
 
 
+@lru_cache(maxsize=16)
 def _qgamma_action(params: PhysParams) -> float:
     """J_gamma(Q_gamma) = (1/2 - 1/(p+1)) * ||Q_gamma||_{p+1}^{p+1}.
 
