@@ -242,7 +242,7 @@ def _outer_energy(outer: list, h: float, scratch: np.ndarray) -> float:
     differences of u."""
     e = 0.0
     for uu, vv in outer:
-        e += h * (float(np.dot(uu, uu)) + float(np.dot(vv, vv)))
+        e += h * (float(uu.dot(uu)) + float(vv.dot(vv)))
         e += _dirichlet_form(uu, h, scratch[1:len(uu)])
     return e
 

@@ -269,7 +269,7 @@ def _dirichlet_form(u: np.ndarray, h: float, out: np.ndarray | None = None) -> f
     """The staggered Dirichlet form h * sum(((u_{j+1}-u_j)/h)^2) of A's
     3-point Laplacian; out, when given, receives the differences."""
     d = np.subtract(u[1:], u[:-1], out)  # np.diff, without its Python wrapper
-    return float(np.dot(d, d)) / h
+    return float(d.dot(d)) / h
 
 
 def l2_sq(u: np.ndarray, grid: GridSpec) -> float:
