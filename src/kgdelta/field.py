@@ -259,10 +259,12 @@ def trapezoid(f: np.ndarray, grid: GridSpec) -> float:
 
 
 def _trapezoids(rows: np.ndarray, h: float) -> list:
-    """The _trapezoid of each row of a C-contiguous array, from one reduction:
-    its row sums are bitwise the 1-D sums."""
-    return [h * (s - 0.5 * (float(f[0]) + float(f[-1])))
-            for s, f in zip(np.add.reduce(rows, axis=1).tolist(), rows)]
+    """The _trapezoid of each row of a C-contiguous array of at least two
+    columns, from one reduction: its row sums are bitwise the 1-D sums, and
+    the end columns are read as Python floats, as _trapezoid reads them."""
+    ends = rows[:, ::rows.shape[1] - 1].tolist()
+    return [h * (s - 0.5 * (f0 + f1))
+            for s, (f0, f1) in zip(np.add.reduce(rows, axis=1).tolist(), ends)]
 
 
 def _dirichlet_form(u: np.ndarray, h: float, out: np.ndarray | None = None) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import profiles
 from .errors import NoConvergenceError, OutOfTubeError, ParameterError
-from .field import GridSpec, PhysParams, _dirichlet_form, _trapezoids, trapezoid
+from .field import GridSpec, PhysParams, _dirichlet_form, _trapezoid, _trapezoids
 
 # the tube around the reference family that fit_center accepts, the weight of
 # the decaying modes in script_G, and the twist mu = MU_FACTOR * alpha of
@@ -98,23 +98,23 @@ def fit_center(
     if sigma == 1 and not z_guess > 2:
         raise ParameterError(f"pair decomposition needs z_guess > 2, got {z_guess}")
     p, alpha = params.p, params.alpha
-    x = grid.x
-    u, v = state.u, state.v
+    x, u, v, h = grid.x, state.u, state.v, grid.h
 
     z = float(z_guess)
     at_z = at_guess[0] if at_guess else None
-    w, prod = np.empty(grid.n), np.empty(grid.n)  # the Newton products
+    # the Newton products; _trapezoid needs no length check on these buffers
+    w, prod = np.empty(grid.n), np.empty(grid.n)
     for _ in range(FIT_MAX_ITER):
         ref, (q_r, qd_r, _), left = at_z = at_z or profiles.soliton_pair(x, z, sigma, p)
         np.add(v, np.multiply(np.subtract(u, ref, w), 2.0 * alpha, w), w)
-        g_val = trapezoid(np.multiply(w, qd_r, prod), grid)
+        g_val = _trapezoid(np.multiply(w, qd_r, prod), h)
         if abs(g_val) <= FIT_TOL:
             break
         # d/dz of the quadrature: Q'(.-z) differentiates to -Q'' = -(Q - Q^p)
         qdd_r = np.subtract(q_r, np.power(q_r, p, prod), prod)
-        dg = -trapezoid(np.multiply(w, qdd_r, prod), grid)
+        dg = -_trapezoid(np.multiply(w, qdd_r, prod), h)
         corr = np.subtract(qd_r, left[1], prod) if sigma else qd_r
-        dg += 2.0 * alpha * trapezoid(np.multiply(corr, qd_r, prod), grid)
+        dg += 2.0 * alpha * _trapezoid(np.multiply(corr, qd_r, prod), h)
         if dg == 0.0 or not np.isfinite(dg):
             raise NoConvergenceError("singular Jacobian in center fit")
         z -= g_val / dg
