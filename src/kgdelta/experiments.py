@@ -363,8 +363,8 @@ def track_center(
     is odd in (u, v).  Fits are warm-started from the previous frame, whose
     converged `profiles.soliton_pair` is the next fit's first iterate; the
     series stops at the first frame that leaves the tube, where the fit
-    fails, or where an even pair's guess is z <= 2.  Each frame gets the measured z' of the series and its relative
-    gap to the predicted one.  Frames are 'valid' for the z' comparison
+    fails, or where an even pair's guess is z <= 2.  Each frame gets the
+    measured z' of the series and its relative gap to the predicted one.  Frames are 'valid' for the z' comparison
     while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
     sup_t [z(t) - log(max(t,1))/2] runs over those.
     """
