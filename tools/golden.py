@@ -2,6 +2,7 @@
 
     python3 tools/golden.py OUT_DIR [--src SRC_DIR]
     python3 tools/golden.py --compare OUT_A OUT_B [--rtol R]
+    python3 tools/golden.py --digests FILE [--src SRC_DIR]
 
 Runs each case below in-process through `kgdelta.cli.main`, imported from
 SRC_DIR (default: the `src/` next to this script), and writes each case's
@@ -28,15 +29,26 @@ with the list indices dropped.  The script prints, per file that is not
 byte-identical, the largest scaled difference and its column, and exits 1
 if a text or row count differs or a scaled difference exceeds --rtol.  The
 default --rtol 0 asks for byte-identical files.
+
+--digests runs the cases into a temporary directory and writes FILE: a
+header naming the Python, NumPy, SciPy and BLAS the artifacts came from,
+then one ``sha256  path`` line per file, sorted by path.  The tree keeps
+such a file in `tests/golden.sha256`, which `tests/test_golden_digests.py`
+checks the current source against.  np.dot runs through the BLAS, whose
+kernels can differ between builds and CPUs, so the digests hold for the
+environment the header names.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
+import platform
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -327,36 +339,15 @@ def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("out", type=Path, nargs="?", help="directory for the artifacts")
-    parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src",
-                        help="directory holding the kgdelta package to run")
-    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"),
-                        help="compare two artifact directories instead of writing one")
-    parser.add_argument("--rtol", type=float, default=0.0,
-                        help="largest scaled numeric difference --compare accepts")
-    args = parser.parse_args(argv)
-    if (args.out is None) == (args.compare is None):
-        parser.error("give either OUT_DIR or --compare OUT_A OUT_B")
-    if args.compare is not None:
-        if not args.rtol >= 0.0:
-            parser.error(f"--rtol must be >= 0, got {args.rtol}")
-        for d in args.compare:
-            if not d.is_dir():
-                parser.error(f"{d} is not a directory")
-        return compare(*args.compare, args.rtol)
-    if not (args.src / "kgdelta" / "cli.py").is_file():
-        parser.error(f"{args.src} holds no kgdelta package")
-    sys.path.insert(0, str(args.src.resolve()))
+def run_cases(out: Path) -> None:
+    """Run every case through the importable `kgdelta.cli` into out/<case>/."""
     from kgdelta import cli
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for name, cmd, cfg in CASES:
-        case = args.out / name
+        case = out / name
         case.mkdir()
-        config = args.out / f"{name}.cfg"
+        config = out / f"{name}.cfg"
         config.write_text(config_text(cfg))
         stdout = io.StringIO()
         # warnings name source lines, which differ between trees by design
@@ -370,6 +361,76 @@ def main(argv=None) -> int:
         (case / "stdout.txt").write_text(stdout.getvalue())
         (case / "exit_code.txt").write_text(f"{code}\n")
         print(f"{name}: exit {code}")
+
+
+def environment() -> dict:
+    """The versions the artifacts' last bits may depend on, by name."""
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def digests(out: Path) -> dict:
+    """Relative path -> sha256 of every file under out."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()}
+
+
+def digest_text(env: dict, files: dict) -> str:
+    """The digest file: ``# key value`` header lines, then sorted
+    ``sha256  path`` lines, as sha256sum writes them."""
+    return ("".join(f"# {key} {value}\n" for key, value in env.items())
+            + "".join(f"{files[rel]}  {rel}\n" for rel in sorted(files)))
+
+
+def read_digests(text: str) -> tuple[dict, dict]:
+    """(environment, files) of a digest file's text."""
+    env, files = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" ")
+            env[key] = value
+        elif line:
+            digest, _, rel = line.partition("  ")
+            files[rel] = digest
+    return env, files
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("out", type=Path, nargs="?", help="directory for the artifacts")
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the kgdelta package to run")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"),
+                        help="compare two artifact directories instead of writing one")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest scaled numeric difference --compare accepts")
+    parser.add_argument("--digests", type=Path, metavar="FILE",
+                        help="write the artifacts' digests to FILE instead")
+    args = parser.parse_args(argv)
+    if [args.out, args.compare, args.digests].count(None) != 2:
+        parser.error("give one of OUT_DIR, --compare OUT_A OUT_B or --digests FILE")
+    if args.compare is not None:
+        if not args.rtol >= 0.0:
+            parser.error(f"--rtol must be >= 0, got {args.rtol}")
+        for d in args.compare:
+            if not d.is_dir():
+                parser.error(f"{d} is not a directory")
+        return compare(*args.compare, args.rtol)
+    if not (args.src / "kgdelta" / "cli.py").is_file():
+        parser.error(f"{args.src} holds no kgdelta package")
+    sys.path.insert(0, str(args.src.resolve()))
+    if args.digests is None:
+        run_cases(args.out)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cases(Path(tmp))
+        args.digests.write_text(digest_text(environment(), digests(Path(tmp))))
     return 0
 
 
