@@ -17,9 +17,10 @@ u- and reproduces the two-level recurrence up to rounding; the first step is
 then automatically the second-order Taylor bootstrap using u_tt(0) from the
 PDE.
 
-`_Leapfrog`, the one stepping kernel, takes one whole step per call on two
-buffer slots that it swaps itself, and tests the blowup cap on the mass
-ledger's sum of squares of u+, with the exact sup |u+| only near the cap.
+`_Leapfrog`, the one stepping kernel, takes the steps from one sample to the
+next in one call on two buffer slots that it swaps itself, and tests the
+blowup cap on the mass ledger's sum of squares of u+, with the exact sup
+|u+| only near the cap.
 """
 from __future__ import annotations
 
@@ -75,13 +76,13 @@ def nonlinearity(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.n
 
 
 class _Leapfrog:
-    """The stepping kernel: a run's state (u, v, G = force(u)) in the slot
-    `now`, advanced in place by one damped leapfrog step per `step` call
-    (the scaled-force form of the module docstring), with its dissipation
-    ledger.  `step` writes u+, v+ and G+ into the slot `next` and swaps the
-    two, and `work` is scratch, so a step allocates no array and has no
-    divide.  Its ufuncs take `out` positionally and its constants as 0-d
-    arrays, which NumPy parses faster than keywords and floats.  dt^2/2
+    """The stepping kernel: a run's state (u, v, G = dt^2/2 (f(u) - A u)) in
+    the slot `now`, advanced in place by `advance(k)`, k damped leapfrog
+    steps (the scaled-force form of the module docstring) with their
+    dissipation ledger.  Each step writes u+, v+ and G+ into the slot `next`
+    and swaps the two, and `work` is scratch, so a step allocates no array
+    and has no divide.  Its ufuncs take `out` positionally and its constants
+    as 0-d arrays, which NumPy parses faster than keywords and floats.  dt^2/2
     scales f - A u, not the stencil: rounded products dt^2/2 * diag and
     dt^2/2 * off_diag would move the stencil's mass term (2/h^2 + 1) -
     2/h^2 by up to an ulp of dt^2/h^2, relative to dt^2/2, which the
@@ -106,20 +107,16 @@ class _Leapfrog:
         self.c_g = np.array(0.5 * dt * dt * (1.0 if with_nonlinearity else -1.0))
         self.c_v = np.array(dt * (1.0 - a * dt))
         self.k_v = np.array(1.0 / (dt * (1.0 + a * dt)))
-        self.c_damp = 2.0 * a * dt * 0.5
-        self.c_mass = dt * 0.5
-        self.p = params.p if with_nonlinearity else None
-        self.h = grid.h
+        self.c_damp, self.c_mass = 2.0 * a * dt * 0.5, dt * 0.5
+        self.p, self.h = (params.p if with_nonlinearity else None), grid.h
         self.even = is_even(u) and is_even(v)
         self.lo = lo = grid.center - 1 if self.even else 0
         operator = build_operator(grid, params.gamma)
         self.apply = DiscreteOperator(operator.diag[lo:], operator.off_diag).apply
-        m = n - lo
-        self.work = np.empty(m)
-        fi = np.finfo(float)
+        self.work, fi = np.empty(n - lo), np.finfo(float)
         c = float(min(abs(blowup_cap), float(fi.max)))  # any int cap, as a float
         self.cap, cap_sq = blowup_cap, c * c
-        self.safe_sq = (cap_sq * (1.0 - 8.0 * m * fi.eps)
+        self.safe_sq = (cap_sq * (1.0 - 8.0 * len(self.work) * fi.eps)
                         if blowup_cap > 0.0 and cap_sq >= fi.tiny else 0.0)
         # a slot: u, v, G and the tails of u and v that the ledger dots
         tail = slice(2, None) if self.even else slice(None)
@@ -127,7 +124,10 @@ class _Leapfrog:
         g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
         self.now = (u, v, g, u[tail], v[tail])
         self.next = (u1, v1, g1, u1[tail], v1[tail])
-        self.force(u, g)
+        self.apply(u, g, self.work)  # G = dt^2/2 (f(u) - A u)
+        if self.p is not None:
+            np.subtract(nonlinearity(u, self.p, self.work), g, g)
+        np.multiply(g, self.c_g, g)
         # a stepped array's norm: h (c2 tail.tail + w[ic]^2), w[ic] its center or a 0 wall
         self.c2, self.ic = (2.0, 1) if self.even else (1.0, -1)
         self.usq, self.vsq = self._l2_sq(u, u[tail]), self._l2_sq(v, v[tail])
@@ -145,45 +145,47 @@ class _Leapfrog:
         w0 = float(w[0])
         return self.h * (s - 0.5 * (w0 * w0 + w1 * w1))
 
-    def force(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """G = dt^2/2 (f(u) - A u) into out."""
-        self.apply(u, out, self.work)
-        if self.p is not None:
-            np.subtract(nonlinearity(u, self.p, self.work), out, out)
-        return np.multiply(out, self.c_g, out)
-
-    def step(self) -> str | None:
-        """One step and the slot swap, with the ledger's trapezoid in time.
-        Returns None, or the exit this step ends the run with: NonFinite
-        before the force, leaving the slots as they were, or BlowupCap after
-        the swap."""
-        (u, v, g, _, _), (u1, v1, g1, ut1, vt1) = self.now, self.next
-        stop = None
-        np.multiply(v, self.c_v, u1)
-        np.add(u1, u, u1)
-        np.add(u1, g, u1)
-        u1[-1] = 0.0
-        u1[0] = u1[2] if self.even else 0.0  # the ghost, or the wall
-        s, uc = float(ut1.dot(ut1)), float(u1[self.ic])
-        if not s + uc * uc < self.safe_sq:
-            sup = float(np.maximum.reduce(np.abs(u1, out=self.work)))
-            if not math.isfinite(sup):
-                return EXIT_NONFINITE
-            if sup > self.cap:
-                stop = EXIT_BLOWUP_CAP
-        self.force(u1, g1)
-        np.subtract(u1, u, v1)
-        np.add(v1, g1, v1)
-        np.multiply(v1, self.k_v, v1)
-        v1[0] = v1[-1] = 0.0
-        usq = self.h * (self.c2 * s + uc * uc)
-        s, vc = float(vt1.dot(vt1)), float(v1[self.ic])
-        vsq = self.h * (self.c2 * s + vc * vc)
-        self.damping += self.c_damp * (self.vsq + vsq)
-        self.mass += self.c_mass * (self.usq + usq)
-        self.usq, self.vsq = usq, vsq
-        self.now, self.next = self.next, self.now
-        return stop
+    def advance(self, k: int) -> tuple:
+        """Up to k steps on locals, written back at the end.  Returns (steps
+        taken, None or the exit the last step ends the run with): NonFinite
+        before the force, leaving the slots as they were and not taken, or
+        BlowupCap after the swap, taken."""
+        now, nxt, apply, p, work, even, ic, h, c2, c_v, c_g, k_v = (
+            self.now, self.next, self.apply, self.p, self.work, self.even, self.ic,
+            self.h, self.c2, self.c_v, self.c_g, self.k_v)
+        usq, vsq, damping, mass = self.usq, self.vsq, self.damping, self.mass
+        stop, taken = None, 0
+        while stop is None and taken < k:
+            (u, v, g, _, _), (u1, v1, g1, ut1, vt1) = now, nxt
+            np.multiply(v, c_v, u1)
+            np.add(u1, u, u1)
+            np.add(u1, g, u1)
+            u1[-1] = 0.0
+            u1[0] = u1[2] if even else 0.0  # the ghost, or the wall
+            s, uc = float(ut1.dot(ut1)), float(u1[ic])
+            if not s + uc * uc < self.safe_sq:
+                sup = float(np.maximum.reduce(np.abs(u1, out=work)))
+                if not math.isfinite(sup):
+                    stop = EXIT_NONFINITE
+                    break
+                if sup > self.cap:
+                    stop = EXIT_BLOWUP_CAP
+            apply(u1, g1, work)  # G+, as __init__ forms G
+            if p is not None:
+                np.subtract(nonlinearity(u1, p, work), g1, g1)
+            np.multiply(g1, c_g, g1)
+            np.subtract(u1, u, v1)
+            np.add(v1, g1, v1)
+            np.multiply(v1, k_v, v1)
+            v1[0] = v1[-1] = 0.0
+            s1, vc = float(vt1.dot(vt1)), float(v1[ic])
+            usq1, vsq1 = h * (c2 * s + uc * uc), h * (c2 * s1 + vc * vc)
+            damping += self.c_damp * (vsq + vsq1)
+            mass += self.c_mass * (usq + usq1)
+            usq, vsq, now, nxt, taken = usq1, vsq1, nxt, now, taken + 1
+        self.now, self.next = now, nxt
+        self.usq, self.vsq, self.damping, self.mass = usq, vsq, damping, mass
+        return taken, stop
 
 
 @dataclass
@@ -324,7 +326,7 @@ def evolve(
                 last_u[:grid.center] = u[:1:-1]
                 last_v[:grid.center] = v[:1:-1]
             e, kval, h1, l2_v = sample_functionals(last_u, last_v, params, grid,
-                                                  scratch)
+                                                  scratch, kernel.even)
             u0 = float(last_u[grid.center])
             if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
                 e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
@@ -349,20 +351,17 @@ def evolve(
                 return False
             return True
 
-        ok = record(0)
-        k = 0
-        while ok and k < n_steps:
-            stop = kernel.step()
-            if stop == EXIT_NONFINITE:
+        ok, k = record(0), 0
+        while ok and k < n_steps:  # one kernel call to the next sample
+            taken, stop = kernel.advance(min(snapshot_stride - k % snapshot_stride,
+                                             n_steps - k))
+            k += taken
+            if stop:  # the invariant wants a capped state on record, not a NonFinite one
                 exit_code = stop
+                if stop == EXIT_BLOWUP_CAP:
+                    record(k)
                 break
-            k += 1
-            if stop:  # BlowupCap: the invariant wants the capped state on record
-                exit_code = stop
-                record(k)
-                break
-            if k % snapshot_stride == 0 or k == n_steps:
-                ok = record(k)
+            ok = record(k)
 
         return Trajectory(*map(np.asarray, zip(*rows)), final=final, exit=exit_code)
 

@@ -114,6 +114,9 @@ class DiscreteOperator:
     diag: np.ndarray = field(repr=False)
     off_diag: float
 
+    def __post_init__(self):  # off_diag as a 0-d array, a faster ufunc operand
+        object.__setattr__(self, "_off", np.array(self.off_diag))
+
     def apply(self, u: np.ndarray, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:
         """A u; out, when given, receives the result.  scratch, when given, is
@@ -126,7 +129,7 @@ class DiscreteOperator:
         np.add(u[:-2], u[2:], scratch[1:-1])
         scratch[0] = u[1]
         scratch[-1] = u[-2]
-        np.multiply(scratch, self.off_diag, scratch)
+        np.multiply(scratch, self._off, scratch)
         return np.add(out, scratch, out)
 
     @functools.cached_property
@@ -307,31 +310,40 @@ def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
 
 
 def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
-                       grid: GridSpec, scratch: np.ndarray | None = None):
+                       grid: GridSpec, scratch: np.ndarray | None = None,
+                       even: bool = False):
     """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
     action_terms pass: the functionals evolve records at each sample, each
     bitwise what h1_sq, l2_sq and functional_K_gamma return.  scratch, when
-    given, is a caller-owned (4, n) buffer that the call overwrites."""
-    quad, lq, _, h1, l2_v = action_terms(u, params, grid, v, scratch)
+    given, is a caller-owned (4, n) buffer that the call overwrites; even
+    says that u equals its reverse bit for bit."""
+    quad, lq, _, h1, l2_v = action_terms(u, params, grid, v, scratch, even)
     u0 = float(u[grid.center])
     e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0) - lq / (params.p + 1.0)
     return e, quad - lq, h1, l2_v
 
 
 def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec,
-                 v: np.ndarray | None = None, scratch: np.ndarray | None = None):
+                 v: np.ndarray | None = None, scratch: np.ndarray | None = None,
+                 even: bool = False):
     """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2, ||u||_H1^2) in
     one pass, each bitwise what h1_sq, l2_sq and the trapezoid of |u|^(p+1)
     combine to, and l2_sq(v) after them when v is given.  scratch, when
-    given, is a caller-owned (4, n) buffer that the call overwrites."""
+    given, is a caller-owned (4, n) buffer that the call overwrites.  even
+    says that u equals its reverse bit for bit: |u|^(p+1) is then taken on the
+    right half and mirrored, bitwise, as each entry is the same ufunc on the
+    same value (u^2 and v^2 cost about what the mirror's copy would)."""
     _check_samples(u, grid)
     u = np.asarray(u)
     k = 2 if v is None else 3
     buf = np.empty((k + 1, len(u))) if scratch is None else scratch
     # u^2, |u|^(p+1) and v^2 as the rows of one array, summed by one reduction
-    terms = buf[:k]
+    c, terms = (grid.center if even else 0), buf[:k]
     np.multiply(u, u, terms[0])
-    np.power(np.abs(u, terms[1]), params.p + 1.0, terms[1])
+    q = terms[1, c:]  # an even u's |u|^(p+1): the right half's, then mirrored
+    np.power(np.abs(u[c:], q), params.p + 1.0, q)
+    if even:
+        terms[1, :c] = q[:0:-1]
     if v is not None:
         np.multiply(v, v, terms[2])
     l2, lq, *l2_v = _trapezoids(terms, grid.h)
