@@ -87,13 +87,10 @@ class RunConfig:
     n: int = _key(2401, (lambda v, c: not (v < 3 or v % 2 == 0),
                          "must be an odd count >= 3, got {v}"),
                   (lambda v, c: v <= MAX_NODES, "must not exceed the largest float"))
-    dt: float = _key(
-        0.025,
-        _POSITIVE_GOT,
-        (lambda v, c: dt_is_stable(v, spacing(c["L"], c["n"]), c["gamma"]),
-         lambda v, c: f"= {v} violates "
-                      f"{dt_bound_text(spacing(c['L'], c['n']), c['gamma'])}"),
-    )
+    dt: float = _key(0.025, _POSITIVE_GOT, (
+        lambda v, c: dt_is_stable(v, spacing(c["L"], c["n"]), c["gamma"]),
+        lambda v, c: f"= {v} violates "
+                     f"{dt_bound_text(spacing(c['L'], c['n']), c['gamma'])}"))
     T: float = _key(10.0, _NONNEGATIVE)
     snapshot_stride: int = _key(10, _AT_LEAST_1)
     blowup_cap: float = _key(DEFAULT_CAP, _POSITIVE)
@@ -106,11 +103,8 @@ class RunConfig:
     symmetry: str = _key("none", (lambda v, c: v in variational.SYMMETRIES,
                                   f"must be one of {variational.SYMMETRIES}"))
     lambda_lo: float = _key(-0.3, _UNIT_RANGE)
-    lambda_hi: float = _key(
-        0.3,
-        _UNIT_RANGE,
-        (lambda v, c: c["lambda_lo"] < v, "must be below lambda_hi", "lambda_lo"),
-    )
+    lambda_hi: float = _key(0.3, _UNIT_RANGE, (lambda v, c: c["lambda_lo"] < v,
+                                               "must be below lambda_hi", "lambda_lo"))
     tol: float = _key(1e-10, _POSITIVE)
     T_max: float = _key(200.0, _POSITIVE)
     max_iters: int = _key(20000, _AT_LEAST_1)
@@ -230,17 +224,16 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, fields: dict) -> Non
 
 
 def _write_csv(
-    path: Path, cfg: RunConfig, columns: list[str], rows, extra: list[str] | None = None
+    path: Path, cfg: RunConfig, columns: list[str], data, extra: list[str] | None = None
 ) -> None:
     """The one CSV layout: the config echo and the extra lines as ``# ``
-    comments, the column line, then one %.17g line per row."""
-    lines = ["# " + e for e in echo_lines(cfg)]
-    for e in extra or ():
-        lines.append("# " + e)
+    comments, the column line, then one %.17g line per row of the columns in
+    data.  Each column is formatted from Python floats (tolist), which %
+    formats faster than NumPy scalars, to the same text."""
+    lines = ["# " + e for e in [*echo_lines(cfg), *(extra or ())]]
     lines.append(",".join(columns))
     row_format = ",".join([FLOAT_FORMAT] * len(columns))
-    for row in rows:
-        lines.append(row_format % tuple(row))
+    lines += [row_format % row for row in zip(*(np.asarray(c).tolist() for c in data))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -272,7 +265,7 @@ def cmd_profile(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -
     if abs(params.gamma) < 2.0:
         columns.append("Q_gamma")
         data.append(profiles.soliton_Q_gamma(x, params))
-    _write_csv(out / "profile.csv", cfg, columns, zip(*data))
+    _write_csv(out / "profile.csv", cfg, columns, data)
 
     con = profiles.spectral_constants(params)
     _write_summary(out, "profile", cfg, {
@@ -296,11 +289,11 @@ def cmd_simulate(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) 
         out / "trajectory.csv",
         cfg,
         ["t", "E_gamma", "H1_norm", "L2_v_norm", "u_at_0", "damping_integral"],
-        zip(traj.sample_times, traj.energies, traj.norm_H1,
-            traj.norm_L2_v, traj.u_center, traj.damping),
+        [traj.sample_times, traj.energies, traj.norm_H1,
+         traj.norm_L2_v, traj.u_center, traj.damping],
     )
     _write_csv(out / "final_state.csv", cfg, ["x", "u", "v"],
-               zip(grid.x, traj.final.u, traj.final.v),
+               [grid.x, traj.final.u, traj.final.v],
                extra=[f"t = {_fmt(traj.final.t)}"])
     mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
     _write_summary(out, "simulate", cfg, {
@@ -318,17 +311,8 @@ def cmd_simulate(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) 
 
 def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
     res = experiments.bisect_threshold(
-        cfg.varsigma,
-        cfg.z,
-        params,
-        grid,
-        cfg.lambda_lo,
-        cfg.lambda_hi,
-        cfg.tol,
-        cfg.T_max,
-        dt=cfg.dt,
-        blowup_cap=cfg.blowup_cap,
-    )
+        cfg.varsigma, cfg.z, params, grid, cfg.lambda_lo, cfg.lambda_hi, cfg.tol,
+        cfg.T_max, dt=cfg.dt, blowup_cap=cfg.blowup_cap)
     probe_rows = []
     for i, (lam, outc) in enumerate(res.probes):
         traj = outc.trajectory
@@ -347,7 +331,7 @@ def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
             out / f"probe_{i:03d}.csv",
             cfg,
             ["t", "E_gamma", "K_gamma", "norm_H"],
-            zip(traj.sample_times, traj.energies, traj.K_gamma, traj.norm_H),
+            [traj.sample_times, traj.energies, traj.K_gamma, traj.norm_H],
             extra=[f"lambda = {_fmt(lam)}",
                    f"classification = {outc.classification}"],
         )
@@ -378,7 +362,7 @@ def cmd_track(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
             "t", "z", "a_plus", "a_minus", "a_zero", "script_E", "script_G",
             "eps_norm_H", "zdot_measured", "zdot_predicted", "relative_gap",
         ],
-        rows,
+        zip(*rows),
     )
     _write_summary(out, "track", cfg, {
         "exit": traj.exit,
@@ -394,8 +378,7 @@ def cmd_variational(cfg: RunConfig, params: PhysParams, grid: GridSpec,
                     out: Path) -> None:
     u_init = _build_initial(cfg, params, grid).u
     rep = variational.minimize_level(params, grid, cfg.symmetry, u_init, cfg.max_iters)
-    _write_csv(out / "iterates.csv", cfg, list(rep.history),
-               zip(*rep.history.values()))
+    _write_csv(out / "iterates.csv", cfg, list(rep.history), rep.history.values())
     _write_summary(out, "variational", cfg, {
         "level_estimate": rep.level_estimate,
         "reference_level": rep.reference_level,
