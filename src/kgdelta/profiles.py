@@ -73,14 +73,19 @@ def _check_p(p: float) -> None:
 
 
 def _logcosh(t):
-    # log(cosh(t)) without overflow: |t| + log1p(exp(-2|t|)) - log(2)
-    a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    # log(cosh(t)) without overflow: |t| + log1p(exp(-2|t|)) - log(2), in place
+    # in two fresh arrays ([...] makes a scalar result a 0-d array)
+    a = np.abs(t)[...]
+    e = np.multiply(a, -2.0)[...]
+    np.log1p(np.exp(e, e), e)
+    return np.subtract(np.add(a, e, a), math.log(2.0), a)
 
 
 def _q_of_logcosh(lc, p: float):
-    """Q's formula in lc = log cosh of its argument (kappa*x for Q)."""
-    return np.exp((math.log(0.5 * (p + 1.0)) - 2.0 * lc) / (p - 1.0))
+    """Q's formula in lc = log cosh of its argument (kappa*x for Q), in place
+    in one fresh array."""
+    q = np.multiply(lc, 2.0)[...]
+    return np.exp(np.divide(np.subtract(math.log(0.5 * (p + 1.0)), q, q), p - 1.0, q), q)
 
 
 def _phi_of_logcosh(lc, p: float):
@@ -99,11 +104,12 @@ def soliton_Q(x, p: float):
 
 def _soliton_at(x, z: float, p: float):
     """(Q, Q', log cosh(kappa s)) at s = x - z from one log-cosh evaluation;
-    Q and Q' are bitwise what soliton_Q and soliton_Q_deriv return there."""
-    ks = 0.5 * (p - 1.0) * (x - z)
-    lc = _logcosh(ks)
+    Q and Q' are bitwise what soliton_Q and soliton_Q_deriv return there; Q'
+    is written in place in the array of x - z."""
+    ks = np.subtract(x, z)[...]
+    lc = _logcosh(np.multiply(ks, 0.5 * (p - 1.0), ks))
     q = _q_of_logcosh(lc, p)
-    return q, -np.tanh(ks) * q, lc
+    return q, np.multiply(np.negative(np.tanh(ks, ks), ks), q, ks), lc
 
 
 def soliton_pair(x, z: float, sigma: int, p: float):
