@@ -229,6 +229,44 @@ def test_evolve_equals_the_drift_kick_reference_bitwise(run, even, nonlinear, ro
     assert traj.final.v.tobytes() == last[1].tobytes()
 
 
+@FAST
+@given(runs(), st.booleans(), st.booleans(), st.sampled_from([None, -2, 2]),
+       st.floats(0.0, 1.0, exclude_max=True), st.integers(2, 7), st.integers(20, 60))
+def test_exits_inside_a_sample_interval_equal_the_reference_bitwise(
+        run, even, nonlinear, ulps, where, stride, decades):
+    """Exits that fall between two samples, inside one kernel call: a cap 2
+    ulps either side of one step's sup, or (ulps None) a nonlinear start of
+    sup 10^decades that overflows a few steps in, at a stride >= 2.  Every
+    Trajectory array, the final state and the exit are the reference loop's
+    bit for bit.  (About 1 s.)"""
+    params, grid, dt, n_steps, _, state0 = run
+    if even:
+        u0, v0 = state0.u, state0.v
+        state0 = State(u=0.5 * (u0 + u0[::-1]), v=0.5 * (v0 + v0[::-1]))
+    cap, n_steps = np.inf, max(n_steps, 2 * stride)
+    with np.errstate(all="ignore"):  # the reference loop warns of its overflows
+        if ulps is None:
+            nonlinear = True
+            scale = 10.0 ** decades / float(np.max(np.abs(state0.u)))
+            state0 = State(u=scale * state0.u, v=scale * state0.v)
+        else:
+            sups = _reference_run(state0, n_steps, dt, params, grid, 1, np.inf,
+                                  nonlinear)[3]
+            cap = sups[int(where * len(sups))]
+            for _ in range(abs(ulps)):
+                cap = float(np.nextafter(cap, np.sign(ulps) * np.inf))
+        rows, last, exit_, _ = _reference_run(state0, n_steps, dt, params, grid,
+                                              stride, cap, nonlinear)
+    traj = evolve(state0, n_steps * dt, dt, params, grid, snapshot_stride=stride,
+                  blowup_cap=cap, with_nonlinearity=nonlinear,
+                  contamination_tol=np.inf)
+    assert traj.exit == exit_
+    for name, column in zip(TRAJECTORY_ARRAYS, np.array(rows).T):
+        assert getattr(traj, name).tobytes() == column.tobytes(), name
+    assert traj.final.u.tobytes() == last[0].tobytes()
+    assert traj.final.v.tobytes() == last[1].tobytes()
+
+
 @pytest.mark.parametrize("cap", [10**400, -10**400, 10**200, 1e300, np.inf, np.nan, -10.0,
                                  0.0, 5e-324, 1e-170, 0.4])
 @pytest.mark.parametrize("even", [False, True])
