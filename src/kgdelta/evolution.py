@@ -150,9 +150,10 @@ class _Leapfrog:
         taken, None or the exit the last step ends the run with): NonFinite
         before the force, leaving the slots as they were and not taken, or
         BlowupCap after the swap, taken."""
-        now, nxt, apply, p, work, even, ic, h, c2, c_v, c_g, k_v = (
-            self.now, self.next, self.apply, self.p, self.work, self.even, self.ic,
-            self.h, self.c2, self.c_v, self.c_g, self.k_v)
+        (now, nxt, apply, p, work, even, ic, h, c2, c_v, c_g, k_v, safe_sq, cap, c_damp,
+         c_mass) = (self.now, self.next, self.apply, self.p, self.work, self.even,
+                    self.ic, self.h, self.c2, self.c_v, self.c_g, self.k_v,
+                    self.safe_sq, self.cap, self.c_damp, self.c_mass)
         usq, vsq, damping, mass = self.usq, self.vsq, self.damping, self.mass
         stop, taken = None, 0
         while stop is None and taken < k:
@@ -163,12 +164,12 @@ class _Leapfrog:
             u1[-1] = 0.0
             u1[0] = u1[2] if even else 0.0  # the ghost, or the wall
             s, uc = float(ut1.dot(ut1)), float(u1[ic])
-            if not s + uc * uc < self.safe_sq:
+            if not s + uc * uc < safe_sq:
                 sup = float(np.maximum.reduce(np.abs(u1, out=work)))
                 if not math.isfinite(sup):
                     stop = EXIT_NONFINITE
                     break
-                if sup > self.cap:
+                if sup > cap:
                     stop = EXIT_BLOWUP_CAP
             apply(u1, g1, work)  # G+, as __init__ forms G
             if p is not None:
@@ -180,8 +181,8 @@ class _Leapfrog:
             v1[0] = v1[-1] = 0.0
             s1, vc = float(vt1.dot(vt1)), float(v1[ic])
             usq1, vsq1 = h * (c2 * s + uc * uc), h * (c2 * s1 + vc * vc)
-            damping += self.c_damp * (vsq + vsq1)
-            mass += self.c_mass * (usq + usq1)
+            damping += c_damp * (vsq + vsq1)
+            mass += c_mass * (usq + usq1)
             usq, vsq, now, nxt, taken = usq1, vsq1, nxt, now, taken + 1
         self.now, self.next = now, nxt
         self.usq, self.vsq, self.damping, self.mass = usq, vsq, damping, mass
