@@ -224,16 +224,14 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, fields: dict) -> Non
 
 
 def _write_csv(
-    path: Path, cfg: RunConfig, columns: list[str], data, extra: list[str] | None = None
+    path: Path, cfg: RunConfig, columns: list[str], rows, extra: list[str] | None = None
 ) -> None:
     """The one CSV layout: the config echo and the extra lines as ``# ``
-    comments, the column line, then one %.17g line per row of the columns in
-    data.  Each column is formatted from Python floats (tolist), which %
-    formats faster than NumPy scalars, to the same text."""
+    comments, the column line, then one %.17g line per row."""
     lines = ["# " + e for e in [*echo_lines(cfg), *(extra or ())]]
     lines.append(",".join(columns))
     row_format = ",".join([FLOAT_FORMAT] * len(columns))
-    lines += [row_format % row for row in zip(*(np.asarray(c).tolist() for c in data))]
+    lines += [row_format % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -265,7 +263,7 @@ def cmd_profile(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -
     if abs(params.gamma) < 2.0:
         columns.append("Q_gamma")
         data.append(profiles.soliton_Q_gamma(x, params))
-    _write_csv(out / "profile.csv", cfg, columns, data)
+    _write_csv(out / "profile.csv", cfg, columns, zip(*data))
 
     con = profiles.spectral_constants(params)
     _write_summary(out, "profile", cfg, {
@@ -289,11 +287,11 @@ def cmd_simulate(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) 
         out / "trajectory.csv",
         cfg,
         ["t", "E_gamma", "H1_norm", "L2_v_norm", "u_at_0", "damping_integral"],
-        [traj.sample_times, traj.energies, traj.norm_H1,
-         traj.norm_L2_v, traj.u_center, traj.damping],
+        zip(traj.sample_times, traj.energies, traj.norm_H1,
+            traj.norm_L2_v, traj.u_center, traj.damping),
     )
     _write_csv(out / "final_state.csv", cfg, ["x", "u", "v"],
-               [grid.x, traj.final.u, traj.final.v],
+               zip(grid.x, traj.final.u, traj.final.v),
                extra=[f"t = {_fmt(traj.final.t)}"])
     mw = diagnostics_MW(traj.final, params, grid, traj.mass_integrals[-1])
     _write_summary(out, "simulate", cfg, {
@@ -331,7 +329,7 @@ def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
             out / f"probe_{i:03d}.csv",
             cfg,
             ["t", "E_gamma", "K_gamma", "norm_H"],
-            [traj.sample_times, traj.energies, traj.K_gamma, traj.norm_H],
+            zip(traj.sample_times, traj.energies, traj.K_gamma, traj.norm_H),
             extra=[f"lambda = {_fmt(lam)}",
                    f"classification = {outc.classification}"],
         )
@@ -362,7 +360,7 @@ def cmd_track(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
             "t", "z", "a_plus", "a_minus", "a_zero", "script_E", "script_G",
             "eps_norm_H", "zdot_measured", "zdot_predicted", "relative_gap",
         ],
-        zip(*rows),
+        rows,
     )
     _write_summary(out, "track", cfg, {
         "exit": traj.exit,
@@ -378,7 +376,8 @@ def cmd_variational(cfg: RunConfig, params: PhysParams, grid: GridSpec,
                     out: Path) -> None:
     u_init = _build_initial(cfg, params, grid).u
     rep = variational.minimize_level(params, grid, cfg.symmetry, u_init, cfg.max_iters)
-    _write_csv(out / "iterates.csv", cfg, list(rep.history), rep.history.values())
+    _write_csv(out / "iterates.csv", cfg, list(rep.history),
+               zip(*rep.history.values()))
     _write_summary(out, "variational", cfg, {
         "level_estimate": rep.level_estimate,
         "reference_level": rep.reference_level,
