@@ -118,10 +118,10 @@ class _Leapfrog:
         self.cap, cap_sq = blowup_cap, c * c
         self.safe_sq = (cap_sq * (1.0 - 8.0 * len(self.work) * fi.eps)
                         if blowup_cap > 0.0 and cap_sq >= fi.tiny else 0.0)
-        # a slot: u, v, G and the tails of u and v that the ledger dots
+        # a slot: u, v, G and the tails the ledger dots; fresh arrays, aligned when even
         tail = slice(2, None) if self.even else slice(None)
-        u, v = u[lo:], v[lo:]
-        g, u1, v1, g1 = (np.empty(n)[lo:] for _ in range(4))
+        u, v = u[lo:].copy(), v[lo:].copy()
+        g, u1, v1, g1 = (np.empty(n - lo) for _ in range(4))
         self.now = (u, v, g, u[tail], v[tail])
         self.next = (u1, v1, g1, u1[tail], v1[tail])
         self.apply(u, g, self.work)  # G = dt^2/2 (f(u) - A u)
@@ -155,15 +155,15 @@ class _Leapfrog:
                     self.ic, self.h, self.c2, self.c_v, self.c_g, self.k_v,
                     self.safe_sq, self.cap, self.c_damp, self.c_mass)
         usq, vsq, damping, mass = self.usq, self.vsq, self.damping, self.mass
-        stop, taken = None, 0
+        mul, add, sub, f, stop, taken = np.multiply, np.add, np.subtract, nonlinearity, None, 0
         while stop is None and taken < k:
             (u, v, g, _, _), (u1, v1, g1, ut1, vt1) = now, nxt
-            np.multiply(v, c_v, u1)
-            np.add(u1, u, u1)
-            np.add(u1, g, u1)
+            mul(v, c_v, u1)
+            add(u1, u, u1)
+            add(u1, g, u1)
             u1[-1] = 0.0
             u1[0] = u1[2] if even else 0.0  # the ghost, or the wall
-            s, uc = float(ut1.dot(ut1)), float(u1[ic])
+            s, uc = float(ut1.dot(ut1)), u1.item(ic)
             if not s + uc * uc < safe_sq:
                 sup = float(np.maximum.reduce(np.abs(u1, out=work)))
                 if not math.isfinite(sup):
@@ -173,13 +173,13 @@ class _Leapfrog:
                     stop = EXIT_BLOWUP_CAP
             apply(u1, g1, work)  # G+, as __init__ forms G
             if p is not None:
-                np.subtract(nonlinearity(u1, p, work), g1, g1)
-            np.multiply(g1, c_g, g1)
-            np.subtract(u1, u, v1)
-            np.add(v1, g1, v1)
-            np.multiply(v1, k_v, v1)
+                sub(f(u1, p, work), g1, g1)
+            mul(g1, c_g, g1)
+            sub(u1, u, v1)
+            add(v1, g1, v1)
+            mul(v1, k_v, v1)
             v1[0] = v1[-1] = 0.0
-            s1, vc = float(vt1.dot(vt1)), float(v1[ic])
+            s1, vc = float(vt1.dot(vt1)), v1.item(ic)
             usq1, vsq1 = h * (c2 * s + uc * uc), h * (c2 * s1 + vc * vc)
             damping += c_damp * (vsq + vsq1)
             mass += c_mass * (usq + usq1)
@@ -306,8 +306,8 @@ def evolve(
     # a state can overflow only where the start's finite check (in record(0))
     # or the NonFinite exit detects it, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _Leapfrog(np.array(state0.u, dtype=float),
-                           np.array(state0.v, dtype=float), grid, params, dt,
+        kernel = _Leapfrog(np.asarray(state0.u, dtype=float),
+                           np.asarray(state0.v, dtype=float), grid, params, dt,
                            with_nonlinearity, blowup_cap)
         # the last recorded sample's state: the only state a run keeps, and
         # the buffers and contamination slices of its functionals
