@@ -238,7 +238,7 @@ def test_exits_inside_a_sample_interval_equal_the_reference_bitwise(
     ulps either side of one step's sup, or (ulps None) a nonlinear start of
     sup 10^decades that overflows a few steps in, at a stride >= 2.  Every
     Trajectory array, the final state and the exit are the reference loop's
-    bit for bit.  (About 1 s.)"""
+    bit for bit.  (About 0.2 s.)"""
     params, grid, dt, n_steps, _, state0 = run
     if even:
         u0, v0 = state0.u, state0.v
