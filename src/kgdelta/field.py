@@ -332,7 +332,7 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec,
     given, is a caller-owned (4, n) buffer that the call overwrites.  even
     says that u equals its reverse bit for bit: |u|^(p+1) is then taken on the
     right half and mirrored, bitwise, as each entry is the same ufunc on the
-    same value (u^2 and v^2 cost about what the mirror's copy would)."""
+    same value (u^2 and v^2 on the whole grid cost less than the mirror)."""
     _check_samples(u, grid)
     u = np.asarray(u)
     k = 2 if v is None else 3
