@@ -99,6 +99,9 @@ CASES = (
     ("shoot-even", "shoot", {**SHOOT_GRID, "gamma": -2.5, "varsigma": 1, "z": 4.5}),
     ("shoot-bad-bracket", "shoot",
      {**SHOOT_GRID, "gamma": -1, "z": 3, "lambda_lo": -0.3, "lambda_hi": -0.2}),
+    # T_max = 3 certifies no probe near lambda*: an Undetermined probe is re-run
+    # at 2 T_max, and the bracket freezes (converged: false)
+    ("shoot-undetermined", "shoot", {**SHOOT_GRID, "T_max": 3, "gamma": -1, "varsigma": 0}),
     ("track", "track",
      {"L": 25, "n": 501, "dt": 0.05, "T": 6, "init": "q", "z": 4,
       "snapshot_stride": 5}),
@@ -192,6 +195,10 @@ CASES = (
     # once exit 0 with a nan level)
     ("variational-huge-negative-gamma", "variational",
      {"L": 10, "n": 101, "dt": 1e-110, "gamma": -1e200, "init": "q", "z": 3}),
+    # every line-search trial overflows: the descent stops unprojectable after
+    # one iteration (exit 0)
+    ("variational-unprojectable", "variational",
+     {"L": 15, "n": 301, "init": "q", "z": 0.5, "gamma": -1e150, "dt": 1e-80}),
     # the start's energy is not finite: refused before sample 0 (exit 3)
     ("simulate-huge-scale", "simulate",
      {"L": 15, "n": 301, "T": 1, "init": "gaussian", "scale": 1e80}),
