@@ -120,7 +120,7 @@ def fit_center(
         z -= g_val / dg
         at_z = None
         if not np.isfinite(z):
-            raise NoConvergenceError("center fit diverged")
+            raise NoConvergenceError("center fit: z is not finite")
     else:
         raise NoConvergenceError(
             f"center fit: |G| > {FIT_TOL} after {FIT_MAX_ITER} iterations"

@@ -79,7 +79,7 @@ class MinimizationReport:
     reference_level: float
     minimizer: np.ndarray | None
     escaped: bool
-    stop: str  # "escaped", "stalled", "max_iters", "diverged" or "unprojectable"
+    stop: str  # "escaped", "stalled", "max_iters" or "unprojectable"
     escape_diagnostic: dict
     iterations: int
     history: dict
@@ -277,12 +277,13 @@ def minimize_level(
     level r_gamma); "none" minimizes freely against n_gamma.
     An accepted translation move (tried at every iterate that fires no escape
     detector) or saddle move (see the module docstring) is one iteration and
-    one history row of its own.  The report's stop says why it ended:
-    "escaped" (a detector fires right after a gradient step with |Delta J| <
-    SLIDE_FACTOR * tol; no minimizer is returned), "stalled" (|Delta J| < tol
-    and no move lowers J), "diverged" (J rises across 10 consecutive accepted
-    steps), "unprojectable" (the kept candidate's projection fails) or
-    "max_iters".
+    one history row of its own.  The descent stops when no step lowers J
+    (no move once |Delta J| < tol, no gradient step down to s = 1e-14), and
+    the report's stop says how: "escaped" (a detector fires right after a
+    gradient step with |Delta J| < SLIDE_FACTOR * tol, or no gradient step
+    lowers J past one; no minimizer is returned), "stalled" (no step lowers
+    J short of a detector), "unprojectable" (the kept candidate's projection
+    fails, or the last trial cannot be scored) or "max_iters".
     """
     u = np.asarray(u_init, dtype=float).copy()
     if u.shape != grid.x.shape:
@@ -298,96 +299,92 @@ def minimize_level(
     # the H1 preconditioner (-d_xx + 1) is A at gamma = 0
     preconditioner = build_operator(grid, 0.0)
 
-    # u_init's own terms may overflow, and then the score refuses it
+    # terms may overflow, u_init's or a trial's, and then the score refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _score(u, params, grid)[1]
-    u, J_cur, K_cur, l2 = _projected(u, lam, params, grid)
-    if u is None:
-        raise ParameterError("cannot project u_init onto the Nehari set")
-
-    drift, mass = _detectors(u, l2, grid)
-    fired = _escape_fired(drift, mass, grid)
-    rows = [(0, J_cur, K_cur, drift, mass)]  # the history, one row per iterate
-
-    step = 1.0
-    increases = 0
-    stop = "max_iters"
-    dJ = np.inf  # |Delta J| of the last gradient step
-    u_prev = g_prev = None
-
-    for it in range(1, max_iters + 1):
-        trial = None
-        # past a detector, only gradient steps run until the iterate relaxes
-        if not fired:
-            # translate first; once the gradient step has stalled, try to
-            # leave a saddle, and stop if nothing lowers J
-            trial = _doubling_move((lambda k: _translate(u, k, grid, even),
-                                    lambda k: _translate(u, -k, grid, even)),
-                                   J_cur, params, grid)
-            if trial is None and dJ < DESCENT_TOL and not even:
-                psi = grid.x * u
-                psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
-                trial = _doubling_move((lambda k: u + k * psi,), J_cur, params, grid)
-            if trial is None and dJ < DESCENT_TOL:
-                stop = "stalled"
-                break
-        moved = trial is not None
-        if not moved:
-            g = preconditioner.solve(operator.apply(u) - nonlinearity(u, params.p))
-
-            # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
-            # so the step must track the inverse of the flattest curvature the
-            # iterates actually move along; a fixed trial step stalls the slide.
-            if u_prev is not None:
-                du = u - u_prev
-                dg = g - g_prev
-                denom = float(np.dot(du, dg))
-                if denom > 0.0:
-                    step = min(max(float(np.dot(du, du)) / denom, 1e-12), 1e10)
-            u_prev, g_prev = u.copy(), g.copy()
-
-            def try_step(s: float):
-                cand = u - s * g
-                if even:
-                    cand = 0.5 * (cand + cand[::-1])
-                return (*_score(cand, params, grid), cand)
-
-            # backtrack to the first trial whose score lowers J; the
-            # translation moves, not the step, carry a bump down a flat
-            # escape valley
-            s = step
-            while s > 1e-14 and not (trial := try_step(s))[0] < J_cur:
-                s *= 0.5
-            if not s > 1e-14:
-                # line search exhausted: forced tiny step, counts toward divergence
-                trial = try_step(1e-14)
-            step = s
-
-        # the one projection of the iteration: the kept move or the accepted trial
-        new = _projected(trial[2], trial[1], params, grid)
-        if new[0] is None:
-            stop = "unprojectable"
-            break
-        if moved:
-            u_prev = g_prev = None  # the secant pair spans the jump otherwise
-            dJ = np.inf
-            increases = 0
-        else:
-            increases = increases + 1 if new[1] >= J_cur else 0
-            dJ = abs(J_cur - new[1])
-        u, J_cur, K_cur, l2 = new
+        u, J_cur, K_cur, l2 = _projected(u, lam, params, grid)
+        if u is None:
+            raise ParameterError("cannot project u_init onto the Nehari set")
 
         drift, mass = _detectors(u, l2, grid)
         fired = _escape_fired(drift, mass, grid)
-        rows.append((it, J_cur, K_cur, drift, mass))
+        rows = [(0, J_cur, K_cur, drift, mass)]  # the history, one row per iterate
 
-        # a move that fires ends nothing: gradient steps relax it first
-        if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
-            stop = "escaped"
-            break
-        if increases >= 10:
-            stop = "diverged"
-            break
+        step = 1.0
+        stop = "max_iters"
+        dJ = np.inf  # |Delta J| of the last gradient step
+        u_prev = g_prev = None
+
+        for it in range(1, max_iters + 1):
+            trial = None
+            # past a detector, only gradient steps run until the iterate relaxes
+            if not fired:
+                # translate first; once the gradient step has stalled, try to
+                # leave a saddle, and stop if nothing lowers J
+                trial = _doubling_move((lambda k: _translate(u, k, grid, even),
+                                        lambda k: _translate(u, -k, grid, even)),
+                                       J_cur, params, grid)
+                if trial is None and dJ < DESCENT_TOL and not even:
+                    psi = grid.x * u
+                    psi *= SADDLE_STEP / np.sqrt(l2_sq(psi, grid))
+                    trial = _doubling_move((lambda k: u + k * psi,), J_cur,
+                                           params, grid)
+                if trial is None and dJ < DESCENT_TOL:
+                    stop = "stalled"
+                    break
+            moved = trial is not None
+            if not moved:
+                g = preconditioner.solve(operator.apply(u) - nonlinearity(u, params.p))
+
+                # Barzilai-Borwein trial step: escape valleys flatten like exp(-2z),
+                # so the step must track the inverse of the flattest curvature the
+                # iterates actually move along; a fixed trial step stalls the slide.
+                if u_prev is not None:
+                    du = u - u_prev
+                    dg = g - g_prev
+                    denom = float(np.dot(du, dg))
+                    if denom > 0.0:
+                        step = min(max(float(np.dot(du, du)) / denom, 1e-12), 1e10)
+                u_prev, g_prev = u.copy(), g.copy()
+
+                def try_step(s: float):
+                    cand = u - s * g
+                    if even:
+                        cand = 0.5 * (cand + cand[::-1])
+                    return (*_score(cand, params, grid), cand)
+
+                # backtrack to the first trial whose score lowers J; the
+                # translation moves, not the step, carry a bump down a flat
+                # escape valley
+                s = step
+                while s > 1e-14 and not (trial := try_step(s))[0] < J_cur:
+                    s *= 0.5
+                if not s > 1e-14:  # no step lowers J
+                    stop = ("unprojectable" if trial[1] is None
+                            else "escaped" if fired else "stalled")
+                    break
+                step = s
+
+            # the one projection of the iteration: the kept move or the accepted trial
+            new = _projected(trial[2], trial[1], params, grid)
+            if new[0] is None:
+                stop = "unprojectable"
+                break
+            if moved:
+                u_prev = g_prev = None  # the secant pair spans the jump otherwise
+                dJ = np.inf
+            else:
+                dJ = abs(J_cur - new[1])
+            u, J_cur, K_cur, l2 = new
+
+            drift, mass = _detectors(u, l2, grid)
+            fired = _escape_fired(drift, mass, grid)
+            rows.append((it, J_cur, K_cur, drift, mass))
+
+            # a move that fires ends nothing: gradient steps relax it first
+            if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
+                stop = "escaped"
+                break
 
     diagnostic = {"center_drift": drift, "mass_near_origin": mass}
     return MinimizationReport(

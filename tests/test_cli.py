@@ -576,18 +576,23 @@ def test_overflowing_nehari_projection_exits_3_without_float_warnings(tmp_path):
     ("simulate", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e80\n", 3),
     ("track", "L = 15\nn = 301\nT = 1\ninit = gaussian\nscale = 1e200\n", 3),
     ("variational", "L = 15\nn = 301\ninit = gaussian\nscale = 1e80\n", 3),
+    # the golden variational-unprojectable run: every line-search trial's
+    # terms overflow, stop unprojectable (once 3 warnings on an exit 0)
+    ("variational", "L = 15\nn = 301\ninit = q\nz = 0.5\ngamma = -1e150\n"
+                    "dt = 1e-80\n", 0),
 ], ids=["simulate-nonfinite", "simulate-huge-scale", "track-huge-scale",
-        "variational-huge-scale"])
+        "variational-huge-scale", "variational-unprojectable"])
 def test_checked_overflows_print_no_float_warnings(tmp_path, command, text,
                                                    expected):
-    """An overflow that a finite check or the NonFinite exit reports prints no
-    floating-point warning (raised as errors here)."""
+    """An overflow that a finite check, the NonFinite exit or the descent's
+    trial score reports prints no floating-point warning (raised as errors
+    here)."""
     code, out = run(tmp_path, command, text)
     assert code == expected
     blob = json.loads((out / f"{command}.json").read_text())
     assert blob["incomplete"] is (expected == 3)
     if expected == 0:
-        assert blob["exit"] == "NonFinite"
+        assert blob.get("exit", blob.get("stop")) in ("NonFinite", "unprojectable")
 
 
 _REAL_SOLVE = field.solve_tridiagonal

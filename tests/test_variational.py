@@ -356,6 +356,70 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
         u, l2_sq(u, grid), grid)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, L, n, z, stop, iterations", [
+    # the start's translation fires the drift detector; past it no gradient
+    # step lowers J (once 20000 forced steps, drifting back to the origin)
+    (-1e20, 15.0, 301, 0.5, "escaped", 1),
+    # as above, but every trial's terms overflow (golden variational-unprojectable)
+    (-1e150, 15.0, 301, 0.5, "unprojectable", 1),
+    # no step lowers J ~ 1e49 by a rounding unit (once 50 forced steps)
+    (-1.0, 1e-50, 101, None, "stalled", 0),
+], ids=["escaped", "unprojectable", "stalled"])
+def test_the_descent_stops_when_no_step_lowers_J(gamma, L, n, z, stop, iterations):
+    """Once the line search halves its step past 1e-14 without lowering J, the
+    descent stops: unprojectable if the last trial could not be scored, else
+    escaped past a detector or stalled short of one.  Overflowing trials print
+    no floating-point warning (raised as errors here)."""
+    par = PhysParams(3.0, 1.0, gamma)
+    grid = make_grid(L, n)
+    u0 = soliton_Q_gamma(grid.x, par) if z is None else soliton_Q(grid.x - z, 3.0)
+    rep = minimize_level(par, grid, "none", u0)
+    assert (rep.stop, rep.iterations) == (stop, iterations)
+    assert (rep.minimizer is None) == (stop == "escaped")
+    assert rep.history["J"][-1] == rep.level_estimate
+
+
+@st.composite
+def descents(draw):
+    """(params, grid, symmetry, u_init, max_iters): one to three scaled Q
+    bumps (mirrored for the even sector) on a small grid, at a gamma that may
+    overflow every trial."""
+    gamma = draw(st.one_of(st.floats(-3.0, 1.9),
+                           st.floats(0.0, 150.0).map(lambda e: -10.0 ** e),
+                           st.floats(150.0, 156.5).map(lambda e: -10.0 ** e)))
+    par = PhysParams(draw(st.sampled_from([3.0, 4.0])), 1.0, gamma)
+    grid = make_grid(draw(st.floats(8.0, 15.0)), draw(st.sampled_from([61, 101, 151])))
+    u = np.zeros(grid.n)
+    for _ in range(draw(st.integers(1, 3))):
+        z = draw(st.floats(-0.6, 0.6)) * grid.L
+        u += draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0])) * \
+            soliton_Q(grid.x - z, par.p)
+    symmetry = draw(st.sampled_from(["none", "even"]))
+    if symmetry == "even":
+        u = u + u[::-1]
+    return par, grid, symmetry, u, draw(st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(descents())
+def test_every_descent_ends_with_a_stated_stop(descent):
+    """Over random starts, sectors, grids and gamma (|gamma| >= 1e150 among
+    them): stop is one of the four labels, only an escape returns no
+    minimizer, a cut run took max_iters iterations, and the last history row
+    holds the level.  60 draws, about 1 s."""
+    par, grid, symmetry, u0, max_iters = descent
+    try:
+        rep = minimize_level(par, grid, symmetry, u0, max_iters=max_iters)
+    except ParameterError as exc:  # a start whose projection overflows
+        assert "cannot project u_init" in str(exc)
+        return
+    assert rep.stop in ("escaped", "stalled", "max_iters", "unprojectable")
+    assert (rep.minimizer is None) == (rep.stop == "escaped") == rep.escaped
+    assert rep.stop != "max_iters" or rep.iterations == max_iters
+    assert rep.history["J"][-1] == rep.level_estimate
+
+
 def test_descent_evaluates_only_accepted_trials(monkeypatch):
     """One action_terms pass per scored trial (the start's score among them),
     one per scored move candidate and one per history row: an iteration
