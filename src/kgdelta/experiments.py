@@ -364,9 +364,10 @@ def track_center(
     converged `profiles.soliton_pair` is the next fit's first iterate; the
     series stops at the first frame that leaves the tube, where the fit
     fails, or where an even pair's guess is z <= 2.  Each frame gets the
-    measured z' of the series and its relative gap to the predicted one.  Frames are 'valid' for the z' comparison
-    while ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
-    sup_t [z(t) - log(max(t,1))/2] runs over those.
+    measured z' of the series and its relative gap to the predicted one.
+    Frames are 'valid' for the z' comparison while ||(eps,eta)||_H <=
+    WINDOW_NORM, and the half-log report sup_t [z(t) - log(max(t,1))/2] runs
+    over those.
     """
     fitted = states
     if states:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from kgdelta import evolution
-from kgdelta.errors import ParameterError
+from kgdelta.errors import GridError, ParameterError
 from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
     EXIT_COMPLETED,
@@ -116,6 +116,10 @@ def test_cfl_guard():
     with pytest.raises(ParameterError):
         evolve(st, 0.06, 0.06, PAR_FREE, grid)  # dt > h/2
     assert evolve(st, 0.05, 0.05, PAR_FREE, grid).exit == EXIT_COMPLETED  # boundary
+    # a u or v of another length than the grid's
+    for u, v in ((st.u[:-1], st.v), (st.u, np.zeros(grid.n + 2))):
+        with pytest.raises(GridError, match="do not match grid n = 201"):
+            evolve(State(u=u, v=v), 0.05, 0.05, PAR_FREE, grid)
 
 
 def test_step_second_order_in_time():

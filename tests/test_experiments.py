@@ -199,9 +199,30 @@ def test_bisection_sector_guards():
         bisect_threshold(0, 3.0, PAR0, grid, -0.3, 0.3)  # free shot needs gamma < 0
     with pytest.raises(ParameterError):
         bisect_threshold(1, 3.0, PAR_REP, grid, -0.3, 0.3)  # pair needs gamma <= -2
-    # a bracket whose endpoints agree is rejected up front
+    with pytest.raises(ParameterError, match="varsigma must be 0 or 1"):
+        bisect_threshold(2, 3.0, PAR_EVEN, grid, -0.3, 0.3)
+    # an empty bracket is rejected up front, before any probe
+    for lo, hi in ((0.3, -0.3), (0.1, 0.1)):
+        with pytest.raises(BracketError, match="empty bracket"):
+            bisect_threshold(0, 3.0, PAR_REP, grid, lo, hi)
+    # a bracket whose endpoints classify alike is rejected after probing them
     with pytest.raises(BracketError):
         bisect_threshold(0, 3.0, PAR_REP, grid, -0.3, -0.2, dt=0.05)
+
+
+def test_an_undetermined_probe_is_rerun_and_then_freezes_the_bracket():
+    """At T_max = 3 probes near lambda* certify neither side: each is re-run
+    at 2 T_max under the same lambda, and one still Undetermined ends the
+    search unconverged rather than guessing a side (golden
+    shoot-undetermined: DBDDUBDUU)."""
+    grid = make_grid(20.0, 401)
+    res = bisect_threshold(0, 5.0, PAR_REP, grid, -0.3, 0.3, tol=1e-6, T_max=3.0,
+                           dt=0.05)
+    lams = [lam for lam, _ in res.probes]
+    kinds = "".join(out.classification[0] for _, out in res.probes)
+    assert kinds == "DBDDUBDUU" and lams[4] == lams[5] and lams[7] == lams[8]
+    assert res.converged is False
+    assert res.bracket_lo < lams[-1] < res.bracket_hi  # the frozen bracket
 
 
 def test_track_center_stationary_profile():

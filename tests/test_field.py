@@ -110,6 +110,8 @@ def test_trapezoid_exact_on_linear():
     f = 2.0 * grid.x + 1.0
     # integral of (2x + 1) over [-3, 3] = 6
     assert trapezoid(f, grid) == pytest.approx(6.0, abs=1e-13)
+    with pytest.raises(GridError, match="sample count 60 does not match"):
+        trapezoid(f[:-1], grid)
 
 
 def test_norms_on_soliton():

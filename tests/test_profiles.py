@@ -102,6 +102,19 @@ def test_interaction_constants_closed_values():
     assert abs(c4 - 4.0 * np.sqrt(2.0) * np.pi) < 1e-10
     assert abs(c3 - 16.0) < 1e-10
     assert c2 > c3 < c4
+    with pytest.raises(ParameterError, match="requires m > 1"):
+        interaction_constant_cm(1.0, 3.0)  # the integral diverges at m = 1
+
+
+@pytest.mark.parametrize("p, alpha, gamma, message", [
+    (2.0, 1.0, 0.0, "exponent p must exceed 2"),
+    (3.0, 0.0, 0.0, "damping alpha must be positive"),
+    (3.0, 1.0, 2.0, "potential strength gamma must be < 2"),
+], ids=["p-2", "alpha-0", "gamma-2"])
+def test_phys_params_refuse_their_bounds(p, alpha, gamma, message):
+    """p > 2, alpha > 0 and gamma < 2 are strict: each bound itself is refused."""
+    with pytest.raises(ParameterError, match=message):
+        PhysParams(p, alpha, gamma)
 
 
 def test_interaction_identity_m_equals_p():

@@ -163,6 +163,9 @@ def test_minimize_guards():
         minimize_level(P3, grid, "odd", q)
     with pytest.raises(ParameterError):
         minimize_level(P3, grid, "none", np.zeros(grid.n))
+    for u in (q[:-1], q.reshape(1, -1)):  # one node short; a 2-D row
+        with pytest.raises(ParameterError, match="does not match the grid"):
+            minimize_level(P3, grid, "none", u)
     with pytest.raises(ParameterError):
         minimize_level(P3, grid, "even", soliton_Q(grid.x - 3.0, 3.0))
 
