@@ -410,7 +410,7 @@ def test_every_descent_ends_with_a_stated_stop(descent):
     """Over random starts, sectors, grids and gamma (|gamma| >= 1e150 among
     them): stop is one of the four labels, only an escape returns no
     minimizer, a cut run took max_iters iterations, and the last history row
-    holds the level.  60 draws, about 1 s."""
+    holds the level.  60 draws, about 0.3 s."""
     par, grid, symmetry, u0, max_iters = descent
     try:
         rep = minimize_level(par, grid, symmetry, u0, max_iters=max_iters)
