@@ -381,7 +381,7 @@ def minimize_level(
             fired = _escape_fired(drift, mass, grid)
             rows.append((it, J_cur, K_cur, drift, mass))
 
-            # a move that fires ends nothing: gradient steps relax it first
+            # a fired move ends here once relaxed, or above when no step lowers J
             if fired and dJ < SLIDE_FACTOR * DESCENT_TOL:
                 stop = "escaped"
                 break

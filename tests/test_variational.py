@@ -364,16 +364,15 @@ def test_history_row_matches_the_returned_iterate(par, symmetry, z, max_iters):
     # the start's translation fires the drift detector; past it no gradient
     # step lowers J (once 20000 forced steps, drifting back to the origin)
     (-1e20, 15.0, 301, 0.5, "escaped", 1),
-    # as above, but every trial's terms overflow (golden variational-unprojectable)
-    (-1e150, 15.0, 301, 0.5, "unprojectable", 1),
     # no step lowers J ~ 1e49 by a rounding unit (once 50 forced steps)
     (-1.0, 1e-50, 101, None, "stalled", 0),
-], ids=["escaped", "unprojectable", "stalled"])
+], ids=["escaped", "stalled"])
 def test_the_descent_stops_when_no_step_lowers_J(gamma, L, n, z, stop, iterations):
     """Once the line search halves its step past 1e-14 without lowering J, the
     descent stops: unprojectable if the last trial could not be scored, else
-    escaped past a detector or stalled short of one.  Overflowing trials print
-    no floating-point warning (raised as errors here)."""
+    escaped past a detector or stalled short of one (unprojectable is
+    test_cli's variational-unprojectable case).  No floating-point warning
+    prints (raised as errors here)."""
     par = PhysParams(3.0, 1.0, gamma)
     grid = make_grid(L, n)
     u0 = soliton_Q_gamma(grid.x, par) if z is None else soliton_Q(grid.x - z, 3.0)
