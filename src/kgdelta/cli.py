@@ -345,9 +345,9 @@ def cmd_shoot(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> 
 
 
 def cmd_track(cfg: RunConfig, params: PhysParams, grid: GridSpec, out: Path) -> None:
-    states = []
-    traj = _evolve(cfg, params, grid, lambda sample: states.append(sample.copy()))
-    report = experiments.track_center(states, cfg.varsigma, params, grid)
+    tracker = experiments.CenterTracker(cfg.varsigma, params, grid)
+    traj = _evolve(cfg, params, grid, tracker)
+    report = tracker.report()
     rows = [
         (fr.t, fr.z, fr.a_plus, fr.a_minus, fr.a_zero, fr.script_E, fr.script_G,
          fr.eps_norm_H, fr.z_dot_measured, fr.z_dot_predicted, fr.relative_gap)

@@ -348,68 +348,68 @@ class TrackReport:
     empty: bool
 
 
-def track_center(
-    states: list,
-    sigma: int,
-    params: PhysParams,
-    grid: GridSpec,
-) -> TrackReport:
-    """Fit z(t) along recorded states and compare with the reduced ODE.
+class CenterTracker:
+    """Fits z(t) along a run's samples as an `evolve` observer: each call
+    fits one sample, which it does not keep, and returns None; `report()`
+    compares the series with the reduced ODE.  The first guess of z is the
+    peak of |u| on the first sample's right half; where u is negative there,
+    each state (u, v, t) is fitted as (-u, -v, t), a state near +R(z), since
+    the flow is odd in (u, v).  Fits are warm-started from the previous
+    frame, whose converged `profiles.soliton_pair` is the next fit's first
+    iterate; the series stops at the first frame that leaves the tube, where
+    the fit fails, or where an even pair's guess is z <= 2.  Each fit runs
+    under the floating-point error state in force where the tracker was
+    made, so it warns inside `evolve` as it would after it."""
 
-    states is a run's samples in time order, e.g. the `sample.copy()` of
-    each sample an `evolve` observer saw.  The first guess of z is the peak
-    of |u| on the start's right half; where u is negative there, each state
-    (u, v, t) is fitted as (-u, -v, t), a state near +R(z), since the flow
-    is odd in (u, v).  Fits are warm-started from the previous frame, whose
-    converged `profiles.soliton_pair` is the next fit's first iterate; the
-    series stops at the first frame that leaves the tube, where the fit
-    fails, or where an even pair's guess is z <= 2.  Each frame gets the
-    measured z' of the series and its relative gap to the predicted one.
-    Frames are 'valid' for the z' comparison while ||(eps,eta)||_H <=
-    WINDOW_NORM, and the half-log report sup_t [z(t) - log(max(t,1))/2] runs
-    over those.
-    """
-    fitted = states
-    if states:
-        right = states[0].u[grid.center:]
-        peak = grid.center + int(np.argmax(np.abs(right)))
-        guess = float(grid.x[peak])
-        if states[0].u[peak] < 0:
-            fitted = (State(-st.u, -st.v, st.t) for st in states)
+    def __init__(self, sigma: int, params: PhysParams, grid: GridSpec):
+        self.sigma, self.params, self.grid = sigma, params, grid
+        self.frames, self.guess, self.negate, self.done = [], None, False, False
+        self.at_guess = [None]  # the soliton_pair at guess, once a fit has converged there
+        self.errstate = np.geterr()
 
-    frames: list = []
-    at_guess = [None]  # the soliton_pair at guess, once a fit has converged there
-    for st in fitted:
-        if sigma == 1 and not guess > 2:  # the pair fit needs z > 2
-            break
+    def __call__(self, st: State) -> None:
+        grid = self.grid
+        if self.guess is None:
+            peak = grid.center + int(np.argmax(np.abs(st.u[grid.center:])))
+            self.guess, self.negate = float(grid.x[peak]), bool(st.u[peak] < 0)
+        # the series has ended, or the pair fit needs z > 2
+        if self.done or (self.sigma == 1 and not self.guess > 2):
+            self.done = True
+            return
         try:
-            frame = modulation.fit_center(st, sigma, guess, params, grid, at_guess)
+            with np.errstate(**self.errstate):
+                frame = modulation.fit_center(State(-st.u, -st.v, st.t) if self.negate
+                                              else st, self.sigma, self.guess,
+                                              self.params, grid, self.at_guess)
         except (OutOfTubeError, NoConvergenceError):
-            break
-        frames.append(frame)
-        guess = frame.z
+            self.done = True
+            return
+        self.frames.append(frame)
+        self.guess = frame.z
 
-    t_arr = np.array([f.t for f in frames])
-    z_arr = np.array([f.z for f in frames])
-    if len(frames) >= 2:
-        zdot = np.gradient(z_arr, t_arr)
-    else:
-        zdot = np.full(len(frames), np.nan)
-    for f, zd in zip(frames, zdot):
-        f.z_dot_measured = float(zd)
+    def report(self) -> TrackReport:
+        """Each frame gets the measured z' of the series and its relative gap
+        to the predicted one.  Frames are 'valid' for the z' comparison while
+        ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
+        sup_t [z(t) - log(max(t,1))/2] runs over those."""
+        frames = self.frames
+        t_arr, z_arr = np.array([f.t for f in frames]), np.array([f.z for f in frames])
+        zdot = (np.gradient(z_arr, t_arr) if len(frames) >= 2
+                else np.full(len(frames), np.nan))
+        for f, zd in zip(frames, zdot):
+            f.z_dot_measured = float(zd)
+        valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames], dtype=bool)
+        empty = not np.any(valid)
+        sup_half_log = float("nan") if empty else float(
+            np.max(z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))))
+        return TrackReport(t_arr, z_arr, frames, valid, sup_half_log, empty)
 
-    valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames], dtype=bool)
-    empty = not np.any(valid)
-    if empty:
-        sup_half_log = float("nan")
-    else:
-        vals = z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))
-        sup_half_log = float(np.max(vals))
-    return TrackReport(
-        times=t_arr,
-        z=z_arr,
-        frames=frames,
-        valid_mask=valid,
-        sup_half_log=sup_half_log,
-        empty=empty,
-    )
+
+def track_center(states: list, sigma: int, params: PhysParams,
+                 grid: GridSpec) -> TrackReport:
+    """The report of a `CenterTracker` fed recorded states, a run's samples in
+    time order (e.g. the `sample.copy()` of each sample an observer saw)."""
+    tracker = CenterTracker(sigma, params, grid)
+    for st in states:
+        tracker(st)
+    return tracker.report()

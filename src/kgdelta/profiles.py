@@ -29,6 +29,11 @@ import numpy as np
 
 from .errors import ParameterError
 
+# the largest p: log cosh((p-1) s/2) forms (p-1)|s| in floats, finite at this p
+# for |s| < 179, past the quadratures' 40 and the default L = 60
+P_MAX = 1e306
+
+
 # Decay amplitude scale: Q(x) ~ c_Q * exp(-|x|), and also a hard pointwise
 # bound Q(x) <= c_Q * exp(-|x|), used for the quadrature tail certificates.
 def _c_Q(p: float) -> float:
@@ -44,8 +49,7 @@ class PhysParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise ParameterError(f"exponent p must exceed 2, got {self.p}")
+        _check_p(self.p)
         if not self.alpha > 0:
             raise ParameterError(f"damping alpha must be positive, got {self.alpha}")
         if not self.gamma < 2:
@@ -70,6 +74,8 @@ class SpectralConstants:
 def _check_p(p: float) -> None:
     if not p > 2:
         raise ParameterError(f"exponent p must exceed 2, got {p}")
+    if not p <= P_MAX:
+        raise ParameterError(f"exponent p must be at most {P_MAX:g}, got {p}")
 
 
 def _logcosh(t):

@@ -1,6 +1,9 @@
 """Config parsing, artifact layout and determinism, and exit codes."""
 import json
 import re
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,14 +394,14 @@ def test_track_with_nonlinearity_0_steps_the_linear_flow(tmp_path, monkeypatch):
     disperses and only the first frame fits."""
     text = ("L = 25\nn = 501\ndt = 0.05\nT = 6\ninit = q\nz = 4\n"
             "snapshot_stride = 5\nnonlinearity = 0\n")
-    fitted = []
-    track_center = experiments.track_center
+    fitted = []  # what the tracker's observer calls receive
+    call = experiments.CenterTracker.__call__
 
-    def recording_track_center(states, *args):
-        fitted.extend(states)
-        return track_center(states, *args)
+    def recording_call(tracker, sample):
+        fitted.append(sample.copy())
+        return call(tracker, sample)
 
-    monkeypatch.setattr(experiments, "track_center", recording_track_center)
+    monkeypatch.setattr(experiments.CenterTracker, "__call__", recording_call)
     code, out = run(tmp_path, "track", text)
     assert code == 0
     cfg = parse_config(text)
@@ -409,6 +412,77 @@ def test_track_with_nonlinearity_0_steps_the_linear_flow(tmp_path, monkeypatch):
     assert fitted[-1].t == linear.t
     assert np.array_equal(fitted[-1].u, linear.u)
     assert json.loads((out / "track.json").read_text())["n_frames"] == 1
+
+
+class _CopyingTracker:
+    """cmd_track's former observer: keep each sample's copy, then report
+    track_center over them after the run."""
+
+    def __init__(self, *args):
+        self.args, self.states = args, []
+
+    def __call__(self, sample):
+        self.states.append(sample.copy())
+
+    def report(self):
+        return experiments.track_center(self.states, *self.args)
+
+
+@MIRRORED_STARTS
+@pytest.mark.parametrize("scale", [1, -1])
+def test_track_artifacts_equal_track_center_over_copies(tmp_path, monkeypatch, start,
+                                                        scale):
+    """kg track, fitting each sample as it is recorded, writes byte for byte
+    what track_center over the samples' copies writes, from either sign."""
+    text = ("L = 25\nn = 501\ndt = 0.05\nT = 6\nz = 4\nsnapshot_stride = 5\n"
+            f"scale = {scale}\n" + start)
+    assert run(tmp_path, "track", text, sub="tracker")[0] == 0
+    monkeypatch.setattr(cli, "experiments", SimpleNamespace(
+        CenterTracker=_CopyingTracker, initial_family=experiments.initial_family))
+    assert run(tmp_path, "track", text, sub="copies")[0] == 0
+    for name in ("frames.csv", "track.json"):
+        assert (tmp_path / "tracker" / name).read_bytes() == (
+            tmp_path / "copies" / name).read_bytes()
+    assert json.loads((tmp_path / "tracker" / "track.json").read_text())["n_frames"] == 24
+
+
+def test_track_fits_warn_as_they_do_after_the_run(tmp_path):
+    """The fits run under the caller's floating-point error state, not
+    evolve's: at alpha = 5e190 decompose's script_E warns as it does when
+    track_center fits copied states after evolve has returned."""
+    text = "alpha = 5e190\nL = 20\nn = 401\ndt = 0.05\nT = 2\ninit = q\nz = 3\n"
+    cfg = parse_config(text)
+    params, grid, states = cfg.params(), cfg.grid(), []
+    evolution.evolve(_build_initial(cfg, params, grid), cfg.T, cfg.dt, params, grid,
+                     lambda s: states.append(s.copy()))
+    seen = []
+    for fit in (lambda: run(tmp_path, "track", text),
+                lambda: experiments.track_center(states, cfg.varsigma, params, grid)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit()
+        seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert seen[0] == seen[1] and len(seen[0]) == 1
+
+
+def test_track_memory_does_not_grow_with_the_run(tmp_path):
+    """kg track keeps no state per sample: under tracemalloc, after a warm-up
+    run, the peak of a decaying run four times as long grows by under 0.25
+    MB (it grew by about 1 MB while every sample was copied)."""
+    def peak(T):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert run(tmp_path, "track", "L = 20\nn = 401\ndt = 0.05\ninit = family\n"
+                   f"z = 3\nlambda = -0.05\nsnapshot_stride = 4\nT = {T}\n",
+                   sub=f"T{T}")[0] == 0
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+
+    tracemalloc.start()
+    try:
+        peak(10)
+        assert peak(40) - peak(10) < 0.25
+    finally:
+        tracemalloc.stop()
 
 
 def test_variational_artifacts(tmp_path):
@@ -580,8 +654,13 @@ def test_overflowing_nehari_projection_exits_3_without_float_warnings(tmp_path):
     # terms overflow, stop unprojectable (once 3 warnings on an exit 0)
     ("variational", "L = 15\nn = 301\ninit = q\nz = 0.5\ngamma = -1e150\n"
                     "dt = 1e-80\n", 0, "unprojectable"),
+    # a p whose profiles overflow is refused (once 8 warnings and c_Q = inf on
+    # an exit 0); the largest p accepted runs on the default grid
+    ("profile", "p = 1.7e308\n", 3, None),
+    ("profile", "p = 1e306\n", 0, None),
 ], ids=["simulate-nonfinite", "simulate-huge-scale", "track-huge-scale",
-        "variational-huge-scale", "variational-unprojectable"])
+        "variational-huge-scale", "variational-unprojectable", "profile-p-past-max",
+        "profile-p-max"])
 def test_checked_overflows_print_no_float_warnings(tmp_path, command, text,
                                                    expected, label):
     """An overflow that a finite check, the NonFinite exit or the descent's
@@ -591,7 +670,7 @@ def test_checked_overflows_print_no_float_warnings(tmp_path, command, text,
     assert code == expected
     blob = json.loads((out / f"{command}.json").read_text())
     assert blob["incomplete"] is (expected == 3)
-    if expected == 0:
+    if label:
         assert blob["exit" if command == "simulate" else "stop"] == label
 
 

@@ -12,6 +12,7 @@ from kgdelta.experiments import (
     BLOWS_UP,
     DECAYS,
     UNDETERMINED,
+    CenterTracker,
     bisect_threshold,
     classify_trajectory,
     initial_family,
@@ -333,12 +334,17 @@ def _old_track_frames(states, sigma, params, grid):
     return frames, evals[0], attempts
 
 
-@pytest.mark.parametrize("gamma, sigma, z, lam, scale, T, stride", [
+TRACK_CASES = [
     (-1.0, 0, 3.0, 0.01, 1.0, 10.0, 4),  # the single wave, leaving the tube
     (-1.0, 0, 3.0, 0.01, -1.0, 10.0, 4),  # its mirror: the states are negated
     (-2.5, 1, 4.5, 0.0, 1.0, 6.0, 5),  # the even pair, leaving the tube
     (-0.5, 1, 2.2, -0.05, 1.0, 6.0, 4),  # a pair drifting inward to z <= 2
-], ids=["single", "negated", "pair", "pair-inward"])
+]
+TRACK_IDS = ["single", "negated", "pair", "pair-inward"]
+
+
+@pytest.mark.parametrize("gamma, sigma, z, lam, scale, T, stride", TRACK_CASES,
+                         ids=TRACK_IDS)
 def test_track_center_reuses_profiles_bitwise(monkeypatch, gamma, sigma, z, lam,
                                               scale, T, stride):
     """Each fit starts from the previous fit's converged soliton_pair: the
@@ -362,6 +368,35 @@ def test_track_center_reuses_profiles_bitwise(monkeypatch, gamma, sigma, z, lam,
     assert len(calls) == old_evals - (attempts - 1)
     # only the inward pair's series ends where the next guess is z <= 2
     assert (rep.z[-1] <= 2.0) == (z < 3.0)
+
+
+@pytest.mark.parametrize("gamma, sigma, z, lam, scale, T, stride",
+                         [*TRACK_CASES, (-2.5, 1, 4.5, 0.0, -1.0, 6.0, 5)],
+                         ids=[*TRACK_IDS, "pair-negated"])
+def test_a_tracker_observing_evolve_equals_track_center_over_copies(gamma, sigma, z, lam,
+                                                                    scale, T, stride):
+    """A CenterTracker called by evolve on each sample's reused buffers gives
+    the frames and report of track_center over the samples' copies, bit for
+    bit, and so does one fed copies whose buffers are overwritten after each
+    call: the tracker keeps no state."""
+    params = PhysParams(p=3.0, alpha=1.0, gamma=gamma)
+    grid = make_grid(20.0, 401)
+    st0 = initial_family(lam, sigma, z, grid, params)
+    start, states = State(scale * st0.u, st0.v), []
+    evolve(start, T, 0.05, params, grid, observer=lambda s: states.append(s.copy()),
+           snapshot_stride=stride)
+    ref = track_center(states, sigma, params, grid)
+    observer, fed = CenterTracker(sigma, params, grid), CenterTracker(sigma, params, grid)
+    evolve(start, T, 0.05, params, grid, observer=observer, snapshot_stride=stride)
+    for st in states:
+        fed(st)
+        st.u[:], st.v[:] = np.nan, -np.inf
+    assert 3 < len(ref.frames) < len(states)
+    for rep in (observer.report(), fed.report()):
+        assert [repr(astuple(f)) for f in rep.frames] == [repr(astuple(f)) for f in ref.frames]
+        for name in ("times", "z", "valid_mask"):
+            assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes()
+        assert repr((rep.sup_half_log, rep.empty)) == repr((ref.sup_half_log, ref.empty))
 
 
 def test_a_pair_series_ends_at_a_guess_of_at_most_2():

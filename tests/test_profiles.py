@@ -108,11 +108,13 @@ def test_interaction_constants_closed_values():
 
 @pytest.mark.parametrize("p, alpha, gamma, message", [
     (2.0, 1.0, 0.0, "exponent p must exceed 2"),
+    (np.nextafter(1e306, np.inf), 1.0, 0.0, r"exponent p must be at most 1e\+306"),
     (3.0, 0.0, 0.0, "damping alpha must be positive"),
     (3.0, 1.0, 2.0, "potential strength gamma must be < 2"),
-], ids=["p-2", "alpha-0", "gamma-2"])
+], ids=["p-2", "p-past-max", "alpha-0", "gamma-2"])
 def test_phys_params_refuse_their_bounds(p, alpha, gamma, message):
-    """p > 2, alpha > 0 and gamma < 2 are strict: each bound itself is refused."""
+    """p > 2, alpha > 0 and gamma < 2 are strict: each bound itself is
+    refused; p may reach P_MAX = 1e306 but not pass it."""
     with pytest.raises(ParameterError, match=message):
         PhysParams(p, alpha, gamma)
 
