@@ -165,6 +165,7 @@ def neutral_even_mode_phi(x, p: float):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=16)
 def spectral_constants(params: PhysParams) -> SpectralConstants:
     """nu, nu_plus, nu_minus and c_Q for the given (p, alpha).
 
