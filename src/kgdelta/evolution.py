@@ -32,9 +32,20 @@ import numpy as np
 
 from . import profiles
 from .errors import GridError, NoConvergenceError, ParameterError
-from .field import (DiscreteOperator, GridSpec, PhysParams, State, _prepare_pass,
-                    build_operator, dt_bound_text, dt_is_stable, is_even, max_stable_dt,
-                    norm_L2)
+from .field import (
+    DiscreteOperator,
+    GridSpec,
+    PhysParams,
+    State,
+    _dirichlet_form,
+    _prepare_pass,
+    build_operator,
+    dt_bound_text,
+    dt_is_stable,
+    is_even,
+    max_stable_dt,
+    norm_L2,
+)
 
 EXIT_COMPLETED = "Completed"
 EXIT_BLOWUP_CAP = "BlowupCap"
@@ -228,6 +239,17 @@ class Trajectory:
         return float(max(self.norm_H))
 
 
+def _outer_energy(outer: list, h: float, scratch: np.ndarray) -> float:
+    """H-type energy carried by the outer 10% of the domain (contamination):
+    outer holds the (u, v) slices of its two ends, and scratch receives the
+    differences of u."""
+    e = 0.0
+    for uu, vv in outer:
+        e += h * (float(uu.dot(uu)) + float(vv.dot(vv)))
+        e += _dirichlet_form(uu, h, scratch[1:len(uu)])
+    return e
+
+
 def evolve(
     state0: State,
     T: float,
@@ -287,26 +309,30 @@ def evolve(
         kernel = _Leapfrog(np.asarray(state0.u, dtype=float),
                            np.asarray(state0.v, dtype=float), grid, params, dt,
                            with_nonlinearity, blowup_cap)
-        # the last recorded sample's state, the only state a run keeps, and
+        # the last recorded sample's state: the only state a run keeps, and
         # the views of its copy, mirror, functionals and contamination check
-        last_u, last_v, scratch = np.empty(n), np.empty(n), np.empty((4, n))
-        win_u, win_v, c = last_u[kernel.lo:], last_v[kernel.lo:], grid.center
-        mirrors = [(w[:c], w[:c:-1]) for w in (last_u, last_v)] if kernel.even else []
-        functionals = _prepare_pass(last_u, params, grid, last_v, scratch, kernel.even)
-        m, h = max(2, n // 10), grid.h
-        outer = [(last_u[sl], last_v[sl], last_u[sl][1:], last_u[sl][:-1], scratch[3, 1:m])
-                 for sl in (slice(0, m), slice(n - m, n))]
+        last_u, last_v = np.empty(n), np.empty(n)
+        window_u, window_v = last_u[kernel.lo:], last_v[kernel.lo:]
+        left_u, left_v = last_u[:grid.center], last_v[:grid.center]
+        right_u, right_v = last_u[:grid.center:-1], last_v[:grid.center:-1]
+        functionals = _prepare_pass(last_u, params, grid, last_v, kernel.even)
+        m = max(2, n // 10)
+        outer = [(last_u[sl], last_v[sl]) for sl in (slice(0, m), slice(n - m, n))]
+        scratch = np.empty(m)
         final = None
         rows = []  # one row of the Trajectory's arrays per sample
         exit_code = EXIT_COMPLETED
 
         def record(k: int) -> bool:
             nonlocal exit_code, final
-            win_u[...], win_v[...] = kernel.now[:2]
-            for to, mirrored in mirrors:  # an even run's right half, mirrored
-                to[...] = mirrored
+            u, v = kernel.now[:2]
+            window_u[...] = u
+            window_v[...] = v
+            if kernel.even:  # the right half, mirrored
+                left_u[...] = right_u
+                left_v[...] = right_v
             e, kval, h1, l2_v = functionals()
-            u0 = float(last_u[c])
+            u0 = float(last_u[grid.center])
             if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
                 e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
             norm = math.sqrt(h1 + l2_v)
@@ -325,12 +351,7 @@ def evolve(
             if label:
                 exit_code = label
                 return False
-            rim = 0.0  # the H-type energy of the outer 10% of the domain (contamination)
-            for uu, vv, hi, lo, diff in outer:
-                rim += h * (float(uu.dot(uu)) + float(vv.dot(vv)))
-                d = np.subtract(hi, lo, diff)  # field._dirichlet_form's differences
-                rim += float(d.dot(d)) / h
-            if rim > contamination_tol:
+            if _outer_energy(outer, grid.h, scratch) > contamination_tol:
                 exit_code = EXIT_CONTAMINATION
                 return False
             return True

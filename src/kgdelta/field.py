@@ -261,11 +261,11 @@ def trapezoid(f: np.ndarray, grid: GridSpec) -> float:
     return _trapezoid(f, grid.h)
 
 
-def _trapezoids(rows: np.ndarray, h: float, ends: np.ndarray | None = None) -> list:
+def _trapezoids(rows: np.ndarray, h: float) -> list:
     """The _trapezoid of each row of a C-contiguous array of at least two
     columns, from one reduction: its row sums are bitwise the 1-D sums, and
-    the end columns (or `ends`, their view) are read as Python floats."""
-    ends = (rows[:, ::rows.shape[1] - 1] if ends is None else ends).tolist()
+    the end columns are read as Python floats, as _trapezoid reads them."""
+    ends = rows[:, ::rows.shape[1] - 1].tolist()
     return [h * (s - 0.5 * (f0 + f1))
             for s, (f0, f1) in zip(np.add.reduce(rows, axis=1).tolist(), ends)]
 
@@ -309,12 +309,12 @@ def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
     return sample_functionals(state.u, state.v, params, grid)[0]
 
 
-def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams, grid: GridSpec,
-                       scratch: np.ndarray | None = None, even: bool = False):
-    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v), each
-    bitwise what h1_sq, l2_sq and functional_K_gamma return: the functionals
-    evolve records at each sample (see `_prepare_pass`)."""
-    return _prepare_pass(u, params, grid, v, scratch, even)()
+def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
+                       grid: GridSpec):
+    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
+    action_terms pass: the functionals evolve records at each sample, each
+    bitwise what h1_sq, l2_sq and functional_K_gamma return."""
+    return _prepare_pass(u, params, grid, v)()
 
 
 def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
@@ -325,42 +325,39 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
 
 
 def _prepare_pass(u: np.ndarray, params: PhysParams, grid: GridSpec,
-                 v: np.ndarray | None = None, scratch: np.ndarray | None = None,
-                 even: bool = False):
-    """The one pass of action_terms and sample_functionals, prepared: a
-    function of no argument returning action_terms of what u holds when it is
-    called, or given v the sample_functionals of (u, v), from views built here
-    once, so a run whose samples share two buffers prepares one.  u^2,
-    |u|^(p+1) and v^2 are the rows of one array summed by one reduction in
-    scratch, a caller-owned (4, n) buffer when given.  even says that u equals
-    its reverse bit for bit: |u|^(p+1) is then taken on the right half and
-    mirrored, bitwise (u^2 and v^2 on the whole grid cost less than a mirror)."""
+                  v: np.ndarray | None = None, even: bool = False):
+    """The pass of action_terms, or given v of sample_functionals, as a
+    function of no argument that reads what u and v hold when it is called:
+    its buffer and views are built here once, so a run whose samples share
+    two buffers prepares one pass.  even says that u equals its reverse bit
+    for bit: |u|^(p+1) is then taken on the right half and mirrored, bitwise,
+    as each entry is the same ufunc on the same value (u^2 and v^2 on the
+    whole grid cost less than the mirror)."""
     _check_samples(u, grid)
     u = np.asarray(u)
-    n, k = len(u), (2 if v is None else 3)
-    buf = np.empty((k + 1, n)) if scratch is None else scratch
-    terms, c = buf[:k], grid.center
-    u_sq, v_sq = terms[0], (None if v is None else terms[2])
-    q, u_half = (terms[1, c:], u[c:]) if even else (terms[1], u)
-    mirror_to, mirror_from = (terms[1, :c], q[:0:-1]) if even else (None, None)
-    ends, hi, lo, diff = terms[:, ::n - 1], u[1:], u[:-1], buf[k, 1:]
-    h, p1, gamma = grid.h, params.p + 1.0, params.gamma
+    k = 2 if v is None else 3
+    buf = np.empty((k + 1, len(u)))
+    # u^2, |u|^(p+1) and v^2 as the rows of one array, summed by one reduction
+    c, terms = (grid.center if even else 0), buf[:k]
+    q = terms[1, c:]  # an even u's |u|^(p+1): the right half's, then mirrored
+    u_right, q_left, q_mirrored = u[c:], terms[1, :c], q[:0:-1]
+    u_sq, v_sq, diff = terms[0], buf[2], buf[k, 1:]
 
     def one_pass():
         np.multiply(u, u, u_sq)
-        np.power(np.abs(u_half, q), p1, q)
+        np.power(np.abs(u_right, q), params.p + 1.0, q)
         if even:
-            mirror_to[...] = mirror_from
+            q_left[...] = q_mirrored
         if v is not None:
             np.multiply(v, v, v_sq)
-        l2, lq, *l2_v = _trapezoids(terms, h, ends)
-        u0 = float(u[c])
-        d = np.subtract(hi, lo, diff)  # _dirichlet_form's differences
-        h1, trace_sq = float(d.dot(d)) / h + l2, gamma * u0 * u0
+        l2, lq, *l2_v = _trapezoids(terms, grid.h)
+        u0 = float(u[grid.center])
+        h1 = _dirichlet_form(u, grid.h, diff) + l2
+        quad = h1 - params.gamma * u0 * u0
         if v is None:
-            return h1 - trace_sq, lq, l2, h1
-        e = 0.5 * (h1 + l2_v[0] - trace_sq) - lq / p1
-        return e, h1 - trace_sq - lq, h1, l2_v[0]
+            return quad, lq, l2, h1
+        e = 0.5 * (h1 + l2_v[0] - params.gamma * u0 * u0) - lq / (params.p + 1.0)
+        return e, quad - lq, h1, l2_v[0]
     return one_pass
 
 
