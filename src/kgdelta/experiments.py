@@ -362,8 +362,13 @@ class CenterTracker:
     made, so it warns inside `evolve` as it would after it."""
 
     def __init__(self, sigma: int, params: PhysParams, grid: GridSpec):
-        self.sigma, self.params, self.grid = sigma, params, grid
-        self.frames, self.guess, self.negate, self.done = [], None, False, False
+        self.sigma = sigma
+        self.params = params
+        self.grid = grid
+        self.frames = []
+        self.guess = None  # the next fit's guess of z, from the first sample on
+        self.negate = False  # whether each state is fitted as (-u, -v, t)
+        self.done = False
         self.at_guess = [None]  # the soliton_pair at guess, once a fit has converged there
         self.errstate = np.geterr()
 
@@ -371,16 +376,18 @@ class CenterTracker:
         grid = self.grid
         if self.guess is None:
             peak = grid.center + int(np.argmax(np.abs(st.u[grid.center:])))
-            self.guess, self.negate = float(grid.x[peak]), bool(st.u[peak] < 0)
-        # the series has ended, or the pair fit needs z > 2
-        if self.done or (self.sigma == 1 and not self.guess > 2):
+            self.guess = float(grid.x[peak])
+            self.negate = bool(st.u[peak] < 0)
+        if self.sigma == 1 and not self.guess > 2:  # the pair fit needs z > 2
             self.done = True
+        if self.done:
             return
+        if self.negate:
+            st = State(-st.u, -st.v, st.t)
         try:
             with np.errstate(**self.errstate):
-                frame = modulation.fit_center(State(-st.u, -st.v, st.t) if self.negate
-                                              else st, self.sigma, self.guess,
-                                              self.params, grid, self.at_guess)
+                frame = modulation.fit_center(st, self.sigma, self.guess, self.params,
+                                              grid, self.at_guess)
         except (OutOfTubeError, NoConvergenceError):
             self.done = True
             return
@@ -393,20 +400,38 @@ class CenterTracker:
         ||(eps,eta)||_H <= WINDOW_NORM, and the half-log report
         sup_t [z(t) - log(max(t,1))/2] runs over those."""
         frames = self.frames
-        t_arr, z_arr = np.array([f.t for f in frames]), np.array([f.z for f in frames])
-        zdot = (np.gradient(z_arr, t_arr) if len(frames) >= 2
-                else np.full(len(frames), np.nan))
+        t_arr = np.array([f.t for f in frames])
+        z_arr = np.array([f.z for f in frames])
+        if len(frames) >= 2:
+            zdot = np.gradient(z_arr, t_arr)
+        else:
+            zdot = np.full(len(frames), np.nan)
         for f, zd in zip(frames, zdot):
             f.z_dot_measured = float(zd)
+
         valid = np.array([f.eps_norm_H <= WINDOW_NORM for f in frames], dtype=bool)
         empty = not np.any(valid)
-        sup_half_log = float("nan") if empty else float(
-            np.max(z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))))
-        return TrackReport(t_arr, z_arr, frames, valid, sup_half_log, empty)
+        if empty:
+            sup_half_log = float("nan")
+        else:
+            vals = z_arr[valid] - 0.5 * np.log(np.maximum(t_arr[valid], 1.0))
+            sup_half_log = float(np.max(vals))
+        return TrackReport(
+            times=t_arr,
+            z=z_arr,
+            frames=frames,
+            valid_mask=valid,
+            sup_half_log=sup_half_log,
+            empty=empty,
+        )
 
 
-def track_center(states: list, sigma: int, params: PhysParams,
-                 grid: GridSpec) -> TrackReport:
+def track_center(
+    states: list,
+    sigma: int,
+    params: PhysParams,
+    grid: GridSpec,
+) -> TrackReport:
     """The report of a `CenterTracker` fed recorded states, a run's samples in
     time order (e.g. the `sample.copy()` of each sample an observer saw)."""
     tracker = CenterTracker(sigma, params, grid)
