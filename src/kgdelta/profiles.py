@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError
 
 # the largest p: log cosh((p-1) s/2) forms (p-1)|s| in floats, finite at this p
-# for |s| < 179, past the quadratures' 40 and the default L = 60
+# for |s| < 179, past the quadratures' 40 (the config bounds (p-1)|s| on a grid)
 P_MAX = 1e306
 
 
@@ -165,7 +165,6 @@ def neutral_even_mode_phi(x, p: float):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=16)
 def spectral_constants(params: PhysParams) -> SpectralConstants:
     """nu, nu_plus, nu_minus and c_Q for the given (p, alpha).
 
