@@ -98,7 +98,13 @@ class RunConfig:
                                 f"must be one of {_INIT_CHOICES}, got {{v!r}}"))
     lam: float = _key(0.0, _UNIT_RANGE, key="lambda")  # "lambda" is a keyword
     varsigma: int = _key(0, (lambda v, c: v in (0, 1), "must be 0 or 1, got {v}"))
-    z: float = _key(5.0, _POSITIVE_GOT)
+    # the largest |x - z| of a profile is L + z, and (p - 1) times it must not
+    # overflow where log cosh((p - 1) (x - z) / 2) doubles its argument (a grid
+    # whose spacing overflows is left to GridSpec, which refuses it)
+    z: float = _key(5.0, _POSITIVE_GOT, (
+        lambda v, c: (c["p"] - 1.0) * (c["L"] + v) <= 1e308
+        or not math.isfinite(spacing(c["L"], c["n"])),
+        "must keep (p - 1) * (L + z) at most 1e308", "p"))
     scale: float = _key(1.0)
     symmetry: str = _key("none", (lambda v, c: v in variational.SYMMETRIES,
                                   f"must be one of {variational.SYMMETRIES}"))

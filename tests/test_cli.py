@@ -109,6 +109,7 @@ SCHEMA_CASES = [
     ("nonlinearity = 2", 3, "nonlinearity must be 0 or 1"),
     ("n = 3.5", 3, "n expects int, got '3.5'"),
     ("alpha = fast", 3, "alpha expects float, got 'fast'"),
+    ("p = 1e306\nL = 180", 3, "p must keep (p - 1) * (L + z) at most 1e308"),
     # a config holding two errors reports the one the key order reaches first
     ("tol = 0\np = 1", 4, "p must exceed 2, got 1.0"),
     ("lambda_lo = 0.5\ntol = 0", 3, "lambda_lo must be below lambda_hi"),
@@ -152,6 +153,20 @@ def test_simulate_with_a_node_count_beyond_the_float_range_exits_2(tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert err == "config error: line 2: n must not exceed the largest float\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["p = 1.7e308\n",
+                                  "p = 1e306\nL = 180\nn = 2001\ndt = 0.01\n"],
+                         ids=["p-past-max", "p-max-L-180"])
+def test_a_p_whose_profiles_overflow_on_the_grid_exits_2(tmp_path, capsys, text):
+    """Once an exit 0 with overflow warnings (and c_Q = inf at p = 1.7e308):
+    (p - 1)(L + z) past 1e308 is refused before any profile is formed."""
+    code, out = run(tmp_path, "profile", text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 1: p must keep (p - 1) * (L + z) at most 1e308\n"
     assert not out.exists()
 
 
@@ -654,13 +669,13 @@ def test_overflowing_nehari_projection_exits_3_without_float_warnings(tmp_path):
     # terms overflow, stop unprojectable (once 3 warnings on an exit 0)
     ("variational", "L = 15\nn = 301\ninit = q\nz = 0.5\ngamma = -1e150\n"
                     "dt = 1e-80\n", 0, "unprojectable"),
-    # a p whose profiles overflow is refused (once 8 warnings and c_Q = inf on
-    # an exit 0); the largest p accepted runs on the default grid
-    ("profile", "p = 1.7e308\n", 3, None),
+    # the largest p accepted, on the default grid and on the widest grid the
+    # config lets it have, (p - 1)(L + z) = 1e308
     ("profile", "p = 1e306\n", 0, None),
+    ("profile", "p = 1e306\nL = 95\n", 0, None),
 ], ids=["simulate-nonfinite", "simulate-huge-scale", "track-huge-scale",
-        "variational-huge-scale", "variational-unprojectable", "profile-p-past-max",
-        "profile-p-max"])
+        "variational-huge-scale", "variational-unprojectable", "profile-p-max",
+        "profile-p-max-L-95"])
 def test_checked_overflows_print_no_float_warnings(tmp_path, command, text,
                                                    expected, label):
     """An overflow that a finite check, the NonFinite exit or the descent's

@@ -62,7 +62,7 @@ CASES = (
     ("profile-huge-alpha", "profile", {"alpha": 1e200}),
     # once nu = inf and nu_plus = nan: (p-1)(p+3) overflowed
     ("profile-huge-p", "profile", {"p": 1e300}),
-    # once exit 0 with c_Q = inf and 8 overflow warnings: p past P_MAX (exit 3)
+    # once exit 0 with c_Q = inf and 8 overflow warnings: (p - 1)(L + z) past 1e308
     ("profile-p-past-max", "profile", {"p": 1.7e308}),
     ("simulate-qgamma", "simulate", {"L": 20, "n": 401, "T": 5, "scale": 0.9}),
     ("simulate-linear", "simulate",
