@@ -340,8 +340,12 @@ def _prepare_pass(u: np.ndarray, params: PhysParams, grid: GridSpec,
     # u^2, |u|^(p+1) and v^2 as the rows of one array, summed by one reduction
     c, terms = (grid.center if even else 0), buf[:k]
     q = terms[1, c:]  # an even u's |u|^(p+1): the right half's, then mirrored
-    u_right, q_left, q_mirrored = u[c:], terms[1, :c], q[:0:-1]
-    u_sq, v_sq, diff = terms[0], buf[2], buf[k, 1:]
+    q_left = terms[1, :c]
+    q_mirrored = q[:0:-1]
+    u_right = u[c:]
+    u_sq = terms[0]
+    v_sq = buf[2]
+    diff = buf[k, 1:]  # _dirichlet_form's differences
 
     def one_pass():
         np.multiply(u, u, u_sq)
