@@ -109,10 +109,11 @@ SCHEMA_CASES = [
     ("nonlinearity = 2", 3, "nonlinearity must be 0 or 1"),
     ("n = 3.5", 3, "n expects int, got '3.5'"),
     ("alpha = fast", 3, "alpha expects float, got 'fast'"),
-    ("p = 1e306\nL = 180", 3, "p must keep (p - 1) * (L + z) at most 1e308"),
     # a config holding two errors reports the one the key order reaches first
     ("tol = 0\np = 1", 4, "p must exceed 2, got 1.0"),
     ("lambda_lo = 0.5\ntol = 0", 3, "lambda_lo must be below lambda_hi"),
+    # a rule on z that names p reports the line of p
+    ("L = 180\np = 1e306", 4, "p must keep (p - 1) * (L + z) at most 1e308"),
 ]
 
 
