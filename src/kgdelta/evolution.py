@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import profiles
 from .errors import GridError, NoConvergenceError, ParameterError
 from .field import (
     DiscreteOperator,
@@ -43,8 +42,6 @@ from .field import (
     dt_bound_text,
     dt_is_stable,
     is_even,
-    max_stable_dt,
-    norm_L2,
 )
 
 EXIT_COMPLETED = "Completed"
@@ -205,9 +202,10 @@ class Trajectory:
     Every array has one entry per sample, in time order: the time, E_gamma,
     the damping integral, the accumulated integral of ||u||^2, K_gamma,
     ||(u, v)||_H, ||u||_H1, ||v||_L2 and u(0); evolve builds them from one
-    row per sample.  The sample arrays are `field.sample_functionals` of
-    each sample, so bitwise what the matching `field` functionals return
-    on it, except that a linear run's E_gamma has no potential term.
+    row per sample.  The sample arrays come from the pass that
+    `field._prepare_pass` builds once per run, so they are bitwise what
+    `field.action_terms`, `gradient_sq` and `l2_sq` combine to on each
+    sample, except that a linear run's E_gamma has no potential term.
     damping[k] accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid
     in time over every step, not just the sampled ones), and mass_integrals
     the integral of ||u||^2 likewise; their per-step trapezoid norms come
@@ -270,7 +268,7 @@ def evolve(
     Trajectory's final.t is the time actually reached.
     Samples (the Trajectory's rows, observer calls, contamination checks)
     happen every snapshot_stride steps and at the initial and final states;
-    each sample's functionals come from `field.sample_functionals`.
+    each sample's functionals come from one `field._prepare_pass` pass.
     The observer, when given, gets one `Sample` per sample, carrying t, u, v
     and its E_gamma, K_gamma and ||(u, v)||_H; its u and v are buffers reused
     at the next sample, so an observer that keeps states keeps
@@ -405,64 +403,3 @@ def discrete_stationary_profile(
         f"stationary-profile Newton did not reach {PROFILE_TOL} in "
         f"{PROFILE_MAX_ITER} iterations"
     )
-
-
-def fit_linear_decay_rate(
-    params: PhysParams,
-    grid: GridSpec,
-    u0: np.ndarray,
-    T: float,
-) -> float:
-    """Exponential decay rate of the linear (f disabled) damped flow.
-
-    Evolves (u0, 0) at dt = max_stable_dt with the nonlinearity off, then
-    least-squares fits the slope of log ||(u, v)||_H over the tail window
-    [T/2, T] and returns its negative.  Degenerate input (zero field,
-    underflowed norms) yields NaN rather than raising.
-    """
-    traj = evolve(
-        State(u=np.asarray(u0, dtype=float).copy(), v=np.zeros(grid.n)),
-        T,
-        max_stable_dt(grid.h, params.gamma),
-        params,
-        grid,
-        with_nonlinearity=False,
-        contamination_tol=np.inf,  # linear runs are allowed to fill the box
-    )
-    norms = traj.norm_H
-    mask = traj.sample_times >= 0.5 * T
-    if traj.exit != EXIT_COMPLETED or np.count_nonzero(mask) < 2:
-        return float("nan")
-    tail = norms[mask]
-    if not np.all(np.isfinite(tail)) or np.any(tail <= 0.0):
-        return float("nan")
-    slope = np.polyfit(traj.sample_times[mask], np.log(tail), 1)[0]
-    return float(-slope)
-
-
-def linearized_residuals(z: float, grid: GridSpec, params: PhysParams) -> dict:
-    """Discrete residuals of the two known spectral facts about L.
-
-    L = -d_xx + 1 - p Q^(p-1)(. - z) has eigenpair (-nu^2, phi(. - z)) and
-    kernel direction Q'(. - z); both residuals are relative L^2 norms and
-    shrink at second order in h.
-    """
-    if not abs(z) + 10.0 < grid.L:
-        raise ParameterError(
-            f"profile at z = {z} overlaps the boundary of [-{grid.L}, {grid.L}]"
-        )
-    p = params.p
-    free = build_operator(grid, 0.0)
-    xs = grid.x - z
-    potential = p * profiles.soliton_Q(xs, p) ** (p - 1.0)
-    nu_sq = 0.25 * (p - 1.0) * (p + 3.0)
-
-    phi = profiles.neutral_even_mode_phi(xs, p)
-    eig_res = free.apply(phi) - potential * phi + nu_sq * phi
-    qd = profiles.soliton_Q_deriv(xs, p)
-    ker_res = free.apply(qd) - potential * qd
-
-    return {
-        "eig_residual": norm_L2(eig_res, grid) / norm_L2(phi, grid),
-        "kernel_residual": norm_L2(ker_res, grid) / norm_L2(qd, grid),
-    }

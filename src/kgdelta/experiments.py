@@ -45,7 +45,7 @@ UNDETERMINED = "Undetermined"
 
 # the certificate's safety margin below the ground-state level
 CERT_MARGIN = 2e-3
-# track_center's frames with ||(eps, eta)||_H at most this are 'valid'
+# CenterTracker's frames with ||(eps, eta)||_H at most this are 'valid'
 WINDOW_NORM = 0.05
 
 # the exit label of a run the decay certificate stopped
@@ -94,42 +94,6 @@ def initial_family(
     _check_family(lam, z, grid)
     u = profiles.soliton_pair(grid.x, z, varsigma, params.p)[0]
     return State(u=np.exp(lam) * u, v=np.zeros(grid.n))
-
-
-def scaling_curve(
-    lam: float, varsigma: int, z: float, params: PhysParams, grid: GridSpec
-) -> dict:
-    """x(lambda) = J_gamma(e^lambda Q_pair) and its first two lambda-derivatives.
-
-    Everything reduces to three quadratures of the closed-form profile pair
-    (norm-squared in H1, squared trace at 0, p+1 power integral), evaluated
-    by Gauss panels on the real line rather than on the grid so that the
-    derivative identities hold to quadrature precision.
-    """
-    _check_family(lam, z, grid)
-    p, gamma = params.p, params.gamma
-    half_width = z + 40.0
-
-    def h1_density(x):
-        r, right, left = profiles.soliton_pair(x, z, varsigma, p)
-        r_x = right[1] + left[1] if varsigma else right[1]
-        return r**2 + r_x**2
-
-    h1 = profiles.gauss_panels(h1_density, -half_width, half_width)
-    trace_sq = profiles.soliton_pair(0.0, z, varsigma, p)[0] ** 2
-    power = profiles.gauss_panels(
-        lambda x: np.abs(profiles.soliton_pair(x, z, varsigma, p)[0]) ** (p + 1.0),
-        -half_width, half_width,
-    )
-
-    quad = h1 - gamma * trace_sq
-    e2 = np.exp(2.0 * lam)
-    ep1 = np.exp((p + 1.0) * lam)
-    return {
-        "x_value": 0.5 * e2 * quad - ep1 * power / (p + 1.0),
-        "x_prime": e2 * quad - ep1 * power,
-        "x_double_prime": 2.0 * e2 * quad - (p + 1.0) * ep1 * power,
-    }
 
 
 def classify_trajectory(
@@ -424,17 +388,3 @@ class CenterTracker:
             sup_half_log=sup_half_log,
             empty=empty,
         )
-
-
-def track_center(
-    states: list,
-    sigma: int,
-    params: PhysParams,
-    grid: GridSpec,
-) -> TrackReport:
-    """The report of a `CenterTracker` fed recorded states, a run's samples in
-    time order (e.g. the `sample.copy()` of each sample an observer saw)."""
-    tracker = CenterTracker(sigma, params, grid)
-    for st in states:
-        tracker(st)
-    return tracker.report()

@@ -287,46 +287,17 @@ def gradient_sq(u: np.ndarray, grid: GridSpec) -> float:
     return _dirichlet_form(np.asarray(u), grid.h)
 
 
-def h1_sq(u: np.ndarray, grid: GridSpec) -> float:
-    return gradient_sq(u, grid) + l2_sq(u, grid)
-
-
-def norm_L2(u: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sqrt(l2_sq(u, grid)))
-
-
-def norm_H1(u: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sqrt(h1_sq(u, grid)))
-
-
-def norm_H(state: State, grid: GridSpec) -> float:
-    """Norm of (u, v) in H = H^1 x L^2."""
-    return float(np.sqrt(h1_sq(state.u, grid) + l2_sq(state.v, grid)))
-
-
-def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
-    """E_gamma = (||u||_H1^2 + ||v||^2 - gamma*u(0)^2)/2 - ||u||_{p+1}^{p+1}/(p+1)."""
-    return sample_functionals(state.u, state.v, params, grid)[0]
-
-
-def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
-                       grid: GridSpec):
-    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
-    action_terms pass: the functionals evolve records at each sample, each
-    bitwise what h1_sq, l2_sq and functional_K_gamma return."""
-    return _prepare_pass(u, params, grid, v)()
-
-
 def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2, ||u||_H1^2) in
-    one pass, each bitwise what h1_sq, l2_sq and the trapezoid of |u|^(p+1)
-    combine to."""
+    one pass, each bitwise what gradient_sq, l2_sq and the trapezoid of
+    |u|^(p+1) combine to."""
     return _prepare_pass(u, params, grid)()
 
 
 def _prepare_pass(u: np.ndarray, params: PhysParams, grid: GridSpec,
                   v: np.ndarray | None = None, even: bool = False):
-    """The pass of action_terms, or given v of sample_functionals, as a
+    """The pass of action_terms or, given v, the (E_gamma, K_gamma,
+    ||u||_H1^2, ||v||^2) of (u, v) that evolve records at each sample, as a
     function of no argument that reads what u and v hold when it is called:
     its buffer and views are built here once, so a run whose samples share
     two buffers prepares one pass.  even says that u equals its reverse bit
@@ -365,18 +336,6 @@ def _prepare_pass(u: np.ndarray, params: PhysParams, grid: GridSpec,
     return one_pass
 
 
-def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
-    """Nehari functional K_gamma = ||u||_H1^2 - gamma*u(0)^2 - ||u||_{p+1}^{p+1}."""
-    quad, nonlin, _, _ = action_terms(u, params, grid)
-    return quad - nonlin
-
-
-def functional_J_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
-    """Static action J_gamma (the K-free part of the energy)."""
-    quad, nonlin, _, _ = action_terms(u, params, grid)
-    return 0.5 * quad - nonlin / (params.p + 1.0)
-
-
 def diagnostics_MW(
     state: State, params: PhysParams, grid: GridSpec, history: float
 ) -> dict:
@@ -388,7 +347,7 @@ def diagnostics_MW(
     u0 = float(state.u[grid.center])
     l2_u = l2_sq(state.u, grid)
     m_value = 0.5 * l2_u + params.alpha * float(history)
-    # h1_sq(u) + l2_sq(v), in its operation order
+    # ||u||_H1^2 + ||v||^2, summed in that order
     w_value = (
         0.5 * (gradient_sq(state.u, grid) + l2_u + l2_sq(state.v, grid))
         - 0.5 * params.gamma * u0 * u0

@@ -19,7 +19,7 @@ problem,
 (a_plus grows like exp(nu_plus t), a_minus and a_0 decay), and into the
 twisted quadratic forms script-E and script-G used as Lyapunov functionals.
 The flow is odd in (u, v), so a state near -R(z) is read as the negated
-state near R(z); `experiments.track_center` does that negation.
+state near R(z); `experiments.CenterTracker` does that negation.
 """
 from __future__ import annotations
 
@@ -206,7 +206,7 @@ def decompose(
         script_E=script_E,
         # products, not Python-float powers, which raise OverflowError
         script_G=script_E + L_WEIGHT * (a_minus * a_minus + a_zero * a_zero),
-        # h1_sq(eps) + l2_sq(eta), in its operation order
+        # ||eps||_H1^2 + ||eta||^2, summed in that order
         eps_norm_H=float(np.sqrt(grad_eps + l2_eps + l2_eta)),
         leading_term=leading,
         trace_term=trace,

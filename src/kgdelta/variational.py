@@ -132,17 +132,6 @@ def _nehari_lambda(quad: float, nonlin: float, p: float) -> float:
     return lam
 
 
-def nehari_project(u: np.ndarray, params: PhysParams, grid: GridSpec) -> np.ndarray:
-    """Rescale u onto {K_gamma = 0}: returns exp(lambda*) u with
-
-        lambda* = log[(||u||_H1^2 - gamma u(0)^2) / ||u||_{p+1}^{p+1}] / (p-1),
-
-    or raises ParameterError where u's terms or those of exp(lambda*) u overflow.
-    """
-    quad, nonlin, _, _ = action_terms(u, params, grid)
-    return np.exp(_nehari_lambda(quad, nonlin, params.p)) * u
-
-
 def _score(v: np.ndarray, params: PhysParams, grid: GridSpec):
     """(J_gamma(P v), lambda*) from v's own action terms, without forming P v;
     (inf, None) where v cannot be projected or J is not finite."""
@@ -161,8 +150,8 @@ def _score(v: np.ndarray, params: PhysParams, grid: GridSpec):
 
 def _projected(v: np.ndarray, lam: float | None, params: PhysParams, grid: GridSpec):
     """(P v, J_gamma, |K_gamma|, ||.||^2) of P v = exp(lambda*) v, given
-    lambda* from v's score, each from P v's own terms and so bitwise what the
-    public functionals give; all None where v cannot be projected (lambda* is
+    lambda* from v's score, each from P v's own `action_terms` and so bitwise
+    J_gamma and K_gamma of P v; all None where v cannot be projected (lambda* is
     None) or P v's J is not finite."""
     if lam is not None:
         cand = np.exp(lam) * v

@@ -30,26 +30,24 @@ from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
     discrete_stationary_profile,
     evolve,
-    fit_linear_decay_rate,
-    linearized_residuals,
 )
 from kgdelta.experiments import (
     bisect_threshold,
     classify_trajectory,
     initial_family,
-    track_center,
 )
-from kgdelta.field import (
-    GridSpec,
-    PhysParams,
-    State,
-    energy_E_gamma,
-    make_grid,
+from kgdelta.field import PhysParams, State, make_grid
+from kgdelta.profiles import gauss_panels, ground_state_action, soliton_Q, soliton_Q_gamma
+from kgdelta.variational import minimize_level
+
+from oracles import (
+    fit_linear_decay_rate,
+    linearized_residuals,
+    nehari_project,
     norm_H,
     norm_H1,
+    track_center,
 )
-from kgdelta.profiles import gauss_panels, ground_state_action, soliton_Q, soliton_Q_gamma
-from kgdelta.variational import minimize_level, nehari_project
 
 PAR0 = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)

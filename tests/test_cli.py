@@ -13,6 +13,8 @@ from kgdelta.cli import _build_initial, echo_lines, main, parse_config
 from kgdelta.errors import ConfigError
 from kgdelta.field import make_grid
 
+import oracles
+
 
 def run(tmp_path, command, text, sub="out"):
     cfg = tmp_path / f"{command}.cfg"
@@ -441,7 +443,7 @@ class _CopyingTracker:
         self.states.append(sample.copy())
 
     def report(self):
-        return experiments.track_center(self.states, *self.args)
+        return oracles.track_center(self.states, *self.args)
 
 
 @MIRRORED_STARTS
@@ -473,7 +475,7 @@ def test_track_fits_warn_as_they_do_after_the_run(tmp_path):
                      lambda s: states.append(s.copy()))
     seen = []
     for fit in (lambda: run(tmp_path, "track", text),
-                lambda: experiments.track_center(states, cfg.varsigma, params, grid)):
+                lambda: oracles.track_center(states, cfg.varsigma, params, grid)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit()

@@ -10,8 +10,6 @@ from kgdelta.evolution import (
     EXIT_CONTAMINATION,
     discrete_stationary_profile,
     evolve,
-    fit_linear_decay_rate,
-    linearized_residuals,
     nonlinearity,
 )
 from kgdelta.field import (
@@ -19,14 +17,13 @@ from kgdelta.field import (
     State,
     build_operator,
     diagnostics_MW,
-    h1_sq,
     l2_sq,
     make_grid,
     max_stable_dt,
-    norm_H,
-    norm_H1,
 )
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
+
+from oracles import fit_linear_decay_rate, h1_sq, linearized_residuals, norm_H1
 
 PAR_FREE = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)

@@ -16,12 +16,12 @@ from kgdelta.experiments import (
     bisect_threshold,
     classify_trajectory,
     initial_family,
-    scaling_curve,
-    track_center,
 )
-from kgdelta.field import PhysParams, State, energy_E_gamma, make_grid, trapezoid
+from kgdelta.field import PhysParams, State, make_grid, trapezoid
 from kgdelta.profiles import soliton_Q, soliton_Q_gamma
 from kgdelta.variational import reference_levels
+
+from oracles import scaling_curve, track_center
 
 PAR0 = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 PAR_REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)

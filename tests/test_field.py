@@ -10,20 +10,23 @@ from kgdelta.field import (
     PhysParams,
     State,
     diagnostics_MW,
-    energy_E_gamma,
-    functional_J_gamma,
-    functional_K_gamma,
     gradient_sq,
-    h1_sq,
     is_even,
     l2_sq,
     make_grid,
-    norm_H,
-    norm_H1,
-    norm_L2,
     trapezoid,
 )
 from kgdelta.profiles import soliton_Q
+
+from oracles import (
+    energy_E_gamma,
+    functional_J_gamma,
+    functional_K_gamma,
+    h1_sq,
+    norm_H,
+    norm_H1,
+    norm_L2,
+)
 
 
 def test_grid_layout():

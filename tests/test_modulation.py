@@ -177,7 +177,7 @@ def test_tracked_soliton_dressing_physics():
     ~(4/3) e^{-z}; with the trace term included the predicted z' matches the
     measured one to a few percent once the dressing has formed.
     """
-    from kgdelta.experiments import track_center
+    from oracles import track_center
 
     grid = _grid()
     z0 = 4.0

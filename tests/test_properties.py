@@ -20,19 +20,23 @@ from kgdelta.field import (
     PhysParams,
     State,
     build_operator,
+    l2_sq,
+    make_grid,
+    max_stable_dt,
+    spacing,
+    trapezoid,
+)
+from kgdelta.variational import _detectors, _score
+
+from oracles import (
     energy_E_gamma,
     functional_J_gamma,
     functional_K_gamma,
     h1_sq,
-    l2_sq,
-    make_grid,
-    max_stable_dt,
+    nehari_project,
     norm_H,
     sample_functionals,
-    spacing,
-    trapezoid,
 )
-from kgdelta.variational import _detectors, _score, nehari_project
 
 # small grids and short runs keep the whole module around a second; the
 # draws are derandomized so a failure reproduces on every run

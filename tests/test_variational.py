@@ -10,8 +10,6 @@ from kgdelta.experiments import initial_family
 from kgdelta.field import (
     PhysParams,
     build_operator,
-    functional_J_gamma,
-    functional_K_gamma,
     l2_sq,
     make_grid,
     solve_tridiagonal,
@@ -21,9 +19,10 @@ from kgdelta.variational import (
     ESCAPE_MASS_FRACTION,
     _detectors,
     minimize_level,
-    nehari_project,
     reference_levels,
 )
+
+from oracles import functional_J_gamma, functional_K_gamma, nehari_project
 
 P3 = PhysParams(p=3.0, alpha=1.0, gamma=0.0)
 REP = PhysParams(p=3.0, alpha=1.0, gamma=-1.0)
