@@ -22,18 +22,16 @@ def _defined(tree: ast.Module) -> set:
 
 def _package_imports(tree: ast.Module) -> tuple:
     """({local name: module} for the package's modules a module binds, and
-    {local name: (module, name)} for the names it imports from them)."""
+    {local name: (module, name)} for the names it imports from them).  The
+    package imports itself relatively; an absolute import is not read, so a
+    name used only through one shows as a missing caller."""
     modules, names = {}, {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
             continue
-        path = "." * node.level + (node.module or "")
-        if not (node.level or path.split(".")[0] == "kgdelta"):
-            continue
-        source = path.lstrip(".").removeprefix("kgdelta").lstrip(".")
         for a in node.names:
-            if source:  # from .module import name
-                names[a.asname or a.name] = (source, a.name)
+            if node.module:  # from .module import name
+                names[a.asname or a.name] = (node.module, a.name)
             else:  # from . import module
                 modules[a.asname or a.name] = a.name
     return modules, names
