@@ -37,7 +37,7 @@ from .field import (
     PhysParams,
     State,
     _dirichlet_form,
-    _prepare_pass,
+    _trapezoids,
     build_operator,
     dt_bound_text,
     dt_is_stable,
@@ -202,8 +202,8 @@ class Trajectory:
     Every array has one entry per sample, in time order: the time, E_gamma,
     the damping integral, the accumulated integral of ||u||^2, K_gamma,
     ||(u, v)||_H, ||u||_H1, ||v||_L2 and u(0); evolve builds them from one
-    row per sample.  The sample arrays come from the pass that
-    `field._prepare_pass` builds once per run, so they are bitwise what
+    row per sample.  The sample arrays come from the pass whose buffer and
+    views `evolve` builds once per run, so they are bitwise what
     `field.action_terms`, `gradient_sq` and `l2_sq` combine to on each
     sample, except that a linear run's E_gamma has no potential term.
     damping[k] accumulates 2*alpha*integral_0^{t_k} ||u_t||^2 dt (trapezoid
@@ -268,7 +268,8 @@ def evolve(
     Trajectory's final.t is the time actually reached.
     Samples (the Trajectory's rows, observer calls, contamination checks)
     happen every snapshot_stride steps and at the initial and final states;
-    each sample's functionals come from one `field._prepare_pass` pass.
+    each sample's functionals come from one pass, whose u^2, |u|^(p+1) and
+    v^2 are the rows of one reduction.
     The observer, when given, gets one `Sample` per sample, carrying t, u, v
     and its E_gamma, K_gamma and ||(u, v)||_H; its u and v are buffers reused
     at the next sample, so an observer that keeps states keeps
@@ -313,7 +314,12 @@ def evolve(
         window_u, window_v = last_u[kernel.lo:], last_v[kernel.lo:]
         left_u, left_v = last_u[:grid.center], last_v[:grid.center]
         right_u, right_v = last_u[:grid.center:-1], last_v[:grid.center:-1]
-        functionals = _prepare_pass(last_u, params, grid, last_v, kernel.even)
+        # u^2, |u|^(p+1) and v^2 as the rows of one reduction, then u's
+        # differences; an even run's |u|^(p+1) is the right half's, mirrored
+        # bitwise (u^2 and v^2 on the whole grid cost less than the mirror)
+        buf = np.empty((4, n))
+        terms, diff, c = buf[:3], buf[3, 1:], (grid.center if kernel.even else 0)
+        q, q_left, q_mirrored, u_right = buf[1, c:], buf[1, :c], buf[1, :c:-1], last_u[c:]
         m = max(2, n // 10)
         outer = [(last_u[sl], last_v[sl]) for sl in (slice(0, m), slice(n - m, n))]
         scratch = np.empty(m)
@@ -329,10 +335,18 @@ def evolve(
             if kernel.even:  # the right half, mirrored
                 left_u[...] = right_u
                 left_v[...] = right_v
-            e, kval, h1, l2_v = functionals()
+            np.multiply(last_u, last_u, terms[0])
+            np.power(np.abs(u_right, q), params.p + 1.0, q)
+            if kernel.even:
+                q_left[...] = q_mirrored
+            np.multiply(last_v, last_v, terms[2])
+            l2, lq, l2_v = _trapezoids(terms, grid.h)
             u0 = float(last_u[grid.center])
-            if not with_nonlinearity:  # the linear flow's energy: no |u|^(p+1) term
-                e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
+            h1 = _dirichlet_form(last_u, grid.h, diff) + l2
+            kval = h1 - params.gamma * u0 * u0 - lq
+            e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0)
+            if with_nonlinearity:  # the linear flow's energy has no |u|^(p+1) term
+                e -= lq / (params.p + 1.0)
             norm = math.sqrt(h1 + l2_v)
             if k == 0 and not (math.isfinite(e) and math.isfinite(kval)
                                and math.isfinite(norm)):

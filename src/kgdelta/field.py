@@ -291,49 +291,15 @@ def action_terms(u: np.ndarray, params: PhysParams, grid: GridSpec):
     """(||u||_H1^2 - gamma*u(0)^2, ||u||_{p+1}^{p+1}, ||u||^2, ||u||_H1^2) in
     one pass, each bitwise what gradient_sq, l2_sq and the trapezoid of
     |u|^(p+1) combine to."""
-    return _prepare_pass(u, params, grid)()
-
-
-def _prepare_pass(u: np.ndarray, params: PhysParams, grid: GridSpec,
-                  v: np.ndarray | None = None, even: bool = False):
-    """The pass of action_terms or, given v, the (E_gamma, K_gamma,
-    ||u||_H1^2, ||v||^2) of (u, v) that evolve records at each sample, as a
-    function of no argument that reads what u and v hold when it is called:
-    its buffer and views are built here once, so a run whose samples share
-    two buffers prepares one pass.  even says that u equals its reverse bit
-    for bit: |u|^(p+1) is then taken on the right half and mirrored, bitwise,
-    as each entry is the same ufunc on the same value (u^2 and v^2 on the
-    whole grid cost less than the mirror)."""
     _check_samples(u, grid)
     u = np.asarray(u)
-    k = 2 if v is None else 3
-    buf = np.empty((k + 1, len(u)))
-    # u^2, |u|^(p+1) and v^2 as the rows of one array, summed by one reduction
-    c, terms = (grid.center if even else 0), buf[:k]
-    q = terms[1, c:]  # an even u's |u|^(p+1): the right half's, then mirrored
-    q_left = terms[1, :c]
-    q_mirrored = q[:0:-1]
-    u_right = u[c:]
-    u_sq = terms[0]
-    v_sq = buf[2]
-    diff = buf[k, 1:]  # _dirichlet_form's differences
-
-    def one_pass():
-        np.multiply(u, u, u_sq)
-        np.power(np.abs(u_right, q), params.p + 1.0, q)
-        if even:
-            q_left[...] = q_mirrored
-        if v is not None:
-            np.multiply(v, v, v_sq)
-        l2, lq, *l2_v = _trapezoids(terms, grid.h)
-        u0 = float(u[grid.center])
-        h1 = _dirichlet_form(u, grid.h, diff) + l2
-        quad = h1 - params.gamma * u0 * u0
-        if v is None:
-            return quad, lq, l2, h1
-        e = 0.5 * (h1 + l2_v[0] - params.gamma * u0 * u0) - lq / (params.p + 1.0)
-        return e, quad - lq, h1, l2_v[0]
-    return one_pass
+    buf = np.empty((3, len(u)))  # u^2 and |u|^(p+1), summed by one reduction; differences
+    np.multiply(u, u, buf[0])
+    np.power(np.abs(u, buf[1]), params.p + 1.0, buf[1])
+    l2, lq = _trapezoids(buf[:2], grid.h)
+    u0 = float(u[grid.center])
+    h1 = _dirichlet_form(u, grid.h, buf[2, 1:]) + l2
+    return h1 - params.gamma * u0 * u0, lq, l2, h1
 
 
 def diagnostics_MW(

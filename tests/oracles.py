@@ -4,8 +4,8 @@ paper-fact tests assert on and that no `kg` command runs.
 They sit beside the tests that import them (`from oracles import ...`), not
 in `kgdelta`, so the package holds only what `kg` runs.  Each is built on
 the package's own functions, so every value is bitwise what the package
-computes: `sample_functionals` and `functional_K_gamma` are passes of
-`field._prepare_pass`, and `track_center` is an `experiments.CenterTracker`
+computes: `sample_functionals` and `functional_K_gamma` are built on
+`field.action_terms`, and `track_center` is an `experiments.CenterTracker`
 fed recorded states.  pytest does not collect this file, as its name does
 not match `test_*.py`.
 """
@@ -21,7 +21,7 @@ from kgdelta.field import (
     GridSpec,
     PhysParams,
     State,
-    _prepare_pass,
+    _trapezoid,
     action_terms,
     build_operator,
     gradient_sq,
@@ -57,10 +57,15 @@ def energy_E_gamma(state: State, params: PhysParams, grid: GridSpec) -> float:
 
 def sample_functionals(u: np.ndarray, v: np.ndarray, params: PhysParams,
                        grid: GridSpec):
-    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from one
-    action_terms pass: the functionals evolve records at each sample, each
-    bitwise what h1_sq, l2_sq and functional_K_gamma return."""
-    return _prepare_pass(u, params, grid, v)()
+    """(E_gamma, K_gamma, ||u||_H1^2, ||v||^2) of the pair (u, v) from u's
+    action_terms and the trapezoid of v^2: the functionals evolve records at
+    each sample, each bitwise what h1_sq, l2_sq and functional_K_gamma
+    return, as a reduction's row sums are bitwise the 1-D sums."""
+    quad, lq, _, h1 = action_terms(u, params, grid)
+    l2_v = _trapezoid(np.asarray(v) * v, grid.h)
+    u0 = float(u[grid.center])
+    e = 0.5 * (h1 + l2_v - params.gamma * u0 * u0) - lq / (params.p + 1.0)
+    return e, quad - lq, h1, l2_v
 
 
 def functional_K_gamma(u: np.ndarray, params: PhysParams, grid: GridSpec) -> float:
