@@ -25,7 +25,6 @@ import time
 import numpy as np
 import pytest
 
-from kgdelta.errors import GridError  # noqa: F401  (re-exported sanity)
 from kgdelta.evolution import (
     EXIT_BLOWUP_CAP,
     discrete_stationary_profile,
@@ -37,7 +36,7 @@ from kgdelta.experiments import (
     initial_family,
 )
 from kgdelta.field import PhysParams, State, make_grid
-from kgdelta.profiles import gauss_panels, ground_state_action, soliton_Q, soliton_Q_gamma
+from kgdelta.profiles import gauss_panels, soliton_Q, soliton_Q_gamma
 from kgdelta.variational import minimize_level
 
 from oracles import (

@@ -1,12 +1,14 @@
 """The package's layout, read from its source as syntax trees (nothing is
 imported): every public function and class in `src/kgdelta` has a caller
-there, no module imports a name it never uses, and the package keeps to its
-line budget.  Functions that only tests call live in `tests/oracles.py`.
+there, no module of the package or of its tests imports a name it never
+uses, and the package keeps to its line budget.  Functions that only tests
+call live in `tests/oracles.py`.
 """
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kgdelta"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kgdelta"
 # the line budget of src/kgdelta: ROADMAP.md, direction 5
 LINE_BUDGET = 2659
 
@@ -81,10 +83,11 @@ def test_every_public_function_and_class_has_a_caller_in_src():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
+    mods = {f"src/kgdelta/{m}": tree for m, tree in _modules().items() if m != "__init__"}
+    mods.update((f"tests/{p.name}", ast.parse(p.read_text(), str(p)))
+                for p in sorted(TESTS.glob("*.py")))
     unused = []
-    for m, tree in _modules().items():
-        if m == "__init__":
-            continue
+    for m, tree in mods.items():
         loaded = {node.id for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in ast.walk(tree):

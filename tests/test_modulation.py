@@ -13,7 +13,6 @@ from kgdelta.modulation import L_WEIGHT, MU_FACTOR, decompose, fit_center
 from kgdelta.profiles import (
     neutral_even_mode_phi,
     soliton_Q,
-    soliton_Q_deriv,
     spectral_constants,
 )
 
