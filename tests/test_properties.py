@@ -2,9 +2,9 @@
 (p, alpha, gamma, n, dt, stride) and random initial data (the half-line path
 of even starts among them, and a reference copy of the drift/kick loop the
 kernel replaced), of linear runs at the stable step over random
-(gamma, h, dt), of the Nehari projection, the descent's trial score and its
-escape detectors over random (p, gamma, n, u), and of the config schema over
-random valid configs."""
+(gamma, h, dt), of action_terms' values, the Nehari projection, the
+descent's trial score and its escape detectors over random (p, gamma, n, u),
+and of the config schema over random valid configs."""
 import warnings
 
 import numpy as np
@@ -19,7 +19,9 @@ from kgdelta.field import (
     CFL,
     PhysParams,
     State,
+    action_terms,
     build_operator,
+    gradient_sq,
     l2_sq,
     make_grid,
     max_stable_dt,
@@ -440,6 +442,25 @@ def test_sample_record_matches_field_functionals(run):
     last, final = samples[-1], traj.final
     assert np.array_equal(final.u, last[0].u) and np.array_equal(final.v, last[0].v)
     assert (final.t, final.E, final.K, final.norm_H) == (last[0].t, *last[1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([3.0, 4.0]) | st.floats(2.1, 7.0), gamma=st.floats(-3.0, 1.9),
+       L=st.floats(1.0, 15.0), n=st.integers(1, 200).map(lambda k: 2 * k + 1),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), seed=st.integers(0, 2**32 - 1))
+def test_action_terms_are_the_field_functionals_term_by_term(p, gamma, L, n, scale, seed):
+    """Each of action_terms' four values is bitwise what gradient_sq, l2_sq
+    and the trapezoid of |u|^(p+1) combine to, walls included."""
+    params = PhysParams(p=p, alpha=1.0, gamma=gamma)
+    grid = make_grid(L, n)
+    u = scale * np.random.default_rng(seed).standard_normal(n)
+    assert u[0] != 0.0 and u[-1] != 0.0
+    quad, lq, l2, h1 = action_terms(u, params, grid)
+    u0 = float(u[grid.center])
+    assert quad == gradient_sq(u, grid) + l2_sq(u, grid) - gamma * u0 * u0
+    assert lq == trapezoid(np.abs(u) ** (p + 1.0), grid)
+    assert l2 == l2_sq(u, grid)
+    assert h1 == gradient_sq(u, grid) + l2_sq(u, grid)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
